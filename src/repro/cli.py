@@ -53,6 +53,7 @@ from .harvest import (
 from .mesh.geometry import node_id
 from .orchestration import (
     CACHE_BACKENDS,
+    GOLDEN_QUICK_POINTS,
     GOLDEN_SMOKE_POINTS,
     SweepCache,
     build_scenario,
@@ -831,7 +832,7 @@ def _cmd_battery_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_regen_golden(args: argparse.Namespace) -> int:
-    """Re-run every golden smoke point and rewrite its fixture.
+    """Re-run every golden point and rewrite its fixture.
 
     Run after an *intentional* behaviour change (new summary key,
     engine-semantics fix) — and bump ``CACHE_SCHEMA_VERSION``
@@ -849,10 +850,12 @@ def _cmd_regen_golden(args: argparse.Namespace) -> int:
     if not args.check:
         directory.mkdir(parents=True, exist_ok=True)
     stale = 0
-    for scenario_name, label, filename in GOLDEN_SMOKE_POINTS:
+    cases = [(*case, "smoke") for case in GOLDEN_SMOKE_POINTS]
+    cases += [(*case, "quick") for case in GOLDEN_QUICK_POINTS]
+    for scenario_name, label, filename, scale in cases:
         matches = [
             point
-            for point in build_scenario(scenario_name, scale="smoke")
+            for point in build_scenario(scenario_name, scale=scale)
             if point.label == label
         ]
         if len(matches) != 1:
@@ -862,7 +865,7 @@ def _cmd_regen_golden(args: argparse.Namespace) -> int:
             )
         payload = {
             "scenario": scenario_name,
-            "scale": "smoke",
+            "scale": scale,
             "label": label,
             "summary": run_simulation(matches[0].config).summary(),
         }

@@ -37,6 +37,7 @@ from .runner import (
     make_runner,
 )
 from .scenarios import (
+    GOLDEN_QUICK_POINTS,
     GOLDEN_SMOKE_POINTS,
     build_scenario,
     controller_grid,
@@ -51,6 +52,7 @@ __all__ = [
     "CACHE_BACKEND_ENV",
     "CACHE_BACKENDS",
     "FlatDirBackend",
+    "GOLDEN_QUICK_POINTS",
     "GOLDEN_SMOKE_POINTS",
     "ParallelSweepRunner",
     "SequentialSweepRunner",

@@ -74,6 +74,15 @@ GOLDEN_SMOKE_POINTS = (
         "4x4/relief",
         "congestion_relief_smoke_4x4_relief.json",
     ),
+    # Harvest-aware EAR: pins the income-telemetry path end to end.
+    ("harvest-aware", "a60/aware", "harvest_aware_smoke_a60_aware.json"),
+)
+
+#: Golden points cut from the quick grid, for telemetry paths a smoke
+#: run is too short to exercise: smoke ``wear-aware`` never crosses a
+#: wear level, quick ``x1/wear`` pushes twenty wear pictures.
+GOLDEN_QUICK_POINTS = (
+    ("wear-aware", "x1/wear", "wear_aware_quick_x1_wear.json"),
 )
 
 #: Builder signature: (scale, base config) -> sweep points.

@@ -8,8 +8,10 @@ both sweep runners, so any future "behaviour-identical" hot-path
 optimisation is verified against stored truth rather than against
 itself.
 
-The case list is :data:`repro.orchestration.GOLDEN_SMOKE_POINTS` — one
-source of truth shared with the regeneration helper.  Regenerate (only
+The case lists are :data:`repro.orchestration.GOLDEN_SMOKE_POINTS` and
+:data:`~repro.orchestration.GOLDEN_QUICK_POINTS` (quick-grid points for
+telemetry a smoke run never reaches) — one source of truth shared with
+the regeneration helper.  Regenerate (only
 after an *intentional* behaviour change — bump
 ``CACHE_SCHEMA_VERSION`` alongside) with:
 
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.orchestration import (
+    GOLDEN_QUICK_POINTS,
     GOLDEN_SMOKE_POINTS,
     ParallelSweepRunner,
     SequentialSweepRunner,
@@ -31,6 +34,7 @@ from repro.orchestration import (
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 CASES = list(GOLDEN_SMOKE_POINTS)
+QUICK_CASES = list(GOLDEN_QUICK_POINTS)
 
 
 def golden(filename: str) -> dict:
@@ -62,12 +66,26 @@ def test_parallel_replay_is_bit_identical(scenario, label, filename):
     assert record.summary == expected["summary"]
 
 
+@pytest.mark.parametrize("scenario,label,filename", QUICK_CASES)
+def test_quick_replay_is_bit_identical(scenario, label, filename):
+    expected = golden(filename)
+    points = [
+        point
+        for point in build_scenario(scenario, scale="quick")
+        if point.label == label
+    ]
+    assert len(points) == 1, f"golden point {label} missing from {scenario}"
+    records = SequentialSweepRunner().run(points)
+    assert records[0].summary == expected["summary"]
+
+
 def test_golden_fixtures_carry_their_identity():
     # The stored files name the scenario/scale/label they were cut from,
     # so a mismatched regeneration is caught by inspection.
-    for scenario, label, filename in CASES:
-        payload = golden(filename)
-        assert payload["scenario"] == scenario
-        assert payload["label"] == label
-        assert payload["scale"] == "smoke"
-        assert payload["summary"]["verification_failures"] == 0
+    for cases, scale in ((CASES, "smoke"), (QUICK_CASES, "quick")):
+        for scenario, label, filename in cases:
+            payload = golden(filename)
+            assert payload["scenario"] == scenario
+            assert payload["label"] == label
+            assert payload["scale"] == scale
+            assert payload["summary"]["verification_failures"] == 0
