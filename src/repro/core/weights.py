@@ -211,6 +211,11 @@ class WearWeightFunction:
                 f"wear levels must be >= 1, got {self.levels}"
             )
 
+    @property
+    def is_neutral(self) -> bool:
+        """True when the penalty cannot change any weight."""
+        return self.q == 1.0
+
     def __call__(self, level: int) -> float:
         """Weight multiplier of a link at wear ``level``."""
         if level < 0:
@@ -260,6 +265,11 @@ class HarvestWeightFunction:
             raise ConfigurationError(
                 f"harvest levels must be >= 1, got {self.levels}"
             )
+
+    @property
+    def is_neutral(self) -> bool:
+        """True when the bonus cannot change any weight."""
+        return self.q == 1.0
 
     def __call__(self, level: int) -> float:
         """Weight multiplier of a node at income ``level`` (<= 1)."""

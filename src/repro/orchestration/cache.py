@@ -45,7 +45,9 @@ from .backends import default_backend_name, make_backend
 #: the ``harvest`` section gained a nested ``hardware`` spec and
 #: ``share_max_hops``, the platform gained the ``harvest-proportional``
 #: mapping strategy, and summaries gained ``share_hops``.
-CACHE_SCHEMA_VERSION = 5
+#: v6: a neutral wear or harvest weight (q == 1) no longer pushes level
+#: changes to the controller, so those runs re-plan like reactive EAR.
+CACHE_SCHEMA_VERSION = 6
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "ETSIM_CACHE_DIR"

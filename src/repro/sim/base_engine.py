@@ -245,6 +245,14 @@ class EngineBase:
         self._track_income = (
             harvest_function is not None and self.harvest.is_active
         )
+        #: Levels are pushed to the controller only when a weight can
+        #: actually change: a neutral channel (q == 1) tracks its
+        #: signal without charging the controller spurious recomputes,
+        #: so it is behaviour-identical to reactive EAR.
+        self._push_wear = self._track_wear and not wear_function.is_neutral
+        self._push_income = (
+            self._track_income and not harvest_function.is_neutral
+        )
 
         # --- congestion tracking ------------------------------------------
         self.congestion = CongestionRuntime(
@@ -257,11 +265,8 @@ class EngineBase:
             levels=congestion_function.levels if congestion_function else 1,
         )
         self._track_load = congestion_function is not None
-        #: Levels are pushed to the controller only when the penalty can
-        #: actually change a weight: a measure-only run (q == 1) tracks
-        #: and reports utilisation without charging the controller
-        #: spurious recomputes, so it is behaviour-identical to plain
-        #: EAR — the congestion analysis' baseline.
+        #: The measure-only congestion run (q == 1) is the congestion
+        #: analysis' baseline: it reports utilisation like a penalised run.
         self._push_load = self._track_load and not congestion_function.is_neutral
         #: True when the frame hook has any work at all: income to
         #: apply, or a bus profile redistributing existing charge.
@@ -309,7 +314,7 @@ class EngineBase:
             # this frame.
             self.control.update_lengths(self._known_lengths)
             self._link_report_pending = False
-        if self._track_wear and self.faults.wear_dirty:
+        if self._push_wear and self.faults.wear_dirty:
             # Some link crossed a quantised wear level since the last
             # frame: push the new picture so the controller re-plans
             # around the wear *before* the line actually severs.
@@ -317,7 +322,7 @@ class EngineBase:
                 self.faults.wear_level_matrix(self.topology.num_nodes)
             )
             self.faults.wear_dirty = False
-        if self._track_income and self.harvest.income_dirty:
+        if self._push_income and self.harvest.income_dirty:
             # Some node's smoothed income crossed a quantised level:
             # the status uploads carry the new rate and the controller
             # steers traffic toward the energy-rich region.

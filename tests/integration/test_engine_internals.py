@@ -157,3 +157,38 @@ class TestConcurrentInternals:
         assert engine.slots_per_frame == (
             engine.schedule.frame_cycles // engine.slot_cycles
         )
+
+
+def _quick_point(scenario: str, label: str):
+    from repro.orchestration import build_scenario
+
+    points = build_scenario(scenario, scale="quick")
+    return next(point for point in points if point.label == label)
+
+
+class TestNeutralChannels:
+    """A level channel at q == 1 cannot change a weight, so it must not
+    push level changes either: every push would charge the controller a
+    re-plan that reactive EAR never makes.  (The congestion channel's
+    measure-only twin is pinned in test_congestion_runs.py.)"""
+
+    @pytest.mark.parametrize(
+        "scenario,aware,reactive,neutral",
+        [
+            ("wear-aware", "x1/wear", "x1/reactive", {"wear_q": 1.0}),
+            ("harvest-aware", "a60/aware", "a60/reactive", {"harvest_q": 1.0}),
+        ],
+        ids=["wear", "harvest"],
+    )
+    def test_neutral_q_run_equals_its_reactive_twin(
+        self, scenario, aware, reactive, neutral
+    ):
+        from dataclasses import replace
+
+        from repro.sim import run_simulation
+
+        config = replace(_quick_point(scenario, aware).config, **neutral)
+        twin = _quick_point(scenario, reactive).config
+        assert run_simulation(config).summary() == (
+            run_simulation(twin).summary()
+        )

@@ -477,19 +477,19 @@ class TestSweepCacheInvalidation:
         )
         assert config_hash(one) != config_hash(two)
 
-    def test_schema_v5_invalidates_v4_entries(self, tmp_path):
+    def test_schema_v6_invalidates_v5_entries(self, tmp_path):
         from repro.orchestration.cache import (
             CACHE_SCHEMA_VERSION,
             SweepCache,
         )
 
-        assert CACHE_SCHEMA_VERSION == 5
+        assert CACHE_SCHEMA_VERSION == 6
         cache = SweepCache(tmp_path)
         key = config_hash(make_config())
         cache.store(key, {"summary": {"jobs_fractional": 1.0}})
         record = dict(cache.lookup(key))
-        # Rewrite the entry as a v4 record: it must no longer be served.
-        record["schema"] = 4
+        # Rewrite the entry as a v5 record: it must no longer be served.
+        record["schema"] = 5
         import json
 
         (tmp_path / f"{key}.json").write_text(json.dumps(record))
