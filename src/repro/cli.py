@@ -41,7 +41,7 @@ from .config import (
     SimulationConfig,
     WorkloadConfig,
 )
-from .core.weights import DEFAULT_CONGESTION_Q
+from .core.costs import CONGESTION_CHANNEL
 from .faults import FAULT_PROFILES, FaultConfig
 from .harvest import (
     HARDWARE_PLACEMENTS,
@@ -240,10 +240,10 @@ def _add_routing_arguments(parser: argparse.ArgumentParser) -> None:
         "per-link utilisation and EAR spreads traffic off hot links)",
     )
     parser.add_argument(
-        "--congestion-q", type=float, default=DEFAULT_CONGESTION_Q,
+        "--congestion-q", type=float, default=CONGESTION_CHANNEL.q,
         metavar="Q",
         help="penalty base of the congestion weight (>= 1; 1 = "
-        f"measure-only, default {DEFAULT_CONGESTION_Q})",
+        f"measure-only, default {CONGESTION_CHANNEL.q})",
     )
     parser.add_argument(
         "--ecmp", action="store_true",
@@ -268,7 +268,7 @@ def _routing_options(args: argparse.Namespace) -> RoutingOptions:
         congestion_q=(
             args.congestion_q
             if args.congestion_weight
-            else DEFAULT_CONGESTION_Q
+            else CONGESTION_CHANNEL.q
         ),
         ecmp=args.ecmp,
         ecmp_seed=args.ecmp_seed if args.ecmp else 0,

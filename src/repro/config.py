@@ -26,19 +26,13 @@ from .control.tdma import (
     DEFAULT_TABLE_ENTRY_BITS,
     TdmaSchedule,
 )
-from .core.weights import (
-    DEFAULT_CONGESTION_Q,
-    DEFAULT_CONGESTION_QUANTUM,
-    DEFAULT_HARVEST_Q,
-    DEFAULT_HARVEST_QUANTUM,
-    DEFAULT_Q,
-    DEFAULT_WEAR_Q,
-    DEFAULT_WEAR_QUANTUM,
-    BatteryWeightFunction,
-    CongestionWeightFunction,
-    HarvestWeightFunction,
-    WearWeightFunction,
+from .core.costs import (
+    CONGESTION_CHANNEL,
+    HARVEST_CHANNEL,
+    WEAR_CHANNEL,
+    LevelChannel,
 )
+from .core.weights import DEFAULT_Q, BatteryWeightFunction
 from .errors import ConfigurationError
 from .faults.config import FaultConfig
 from .harvest.config import HarvestConfig, HarvestHardware
@@ -396,8 +390,8 @@ class RoutingOptions:
     """
 
     congestion_aware: bool = False
-    congestion_q: float = DEFAULT_CONGESTION_Q
-    congestion_quantum: float = DEFAULT_CONGESTION_QUANTUM
+    congestion_q: float = CONGESTION_CHANNEL.q
+    congestion_quantum: float = CONGESTION_CHANNEL.quantum
     ecmp: bool = False
     ecmp_seed: int = 0
 
@@ -453,11 +447,11 @@ class SimulationConfig:
     routing: str = "ear"
     weight_q: float = DEFAULT_Q
     wear_aware: bool = False
-    wear_q: float = DEFAULT_WEAR_Q
-    wear_quantum: int = DEFAULT_WEAR_QUANTUM
+    wear_q: float = WEAR_CHANNEL.q
+    wear_quantum: int = WEAR_CHANNEL.quantum
     harvest_aware: bool = False
-    harvest_q: float = DEFAULT_HARVEST_Q
-    harvest_quantum: float = DEFAULT_HARVEST_QUANTUM
+    harvest_q: float = HARVEST_CHANNEL.q
+    harvest_quantum: float = HARVEST_CHANNEL.quantum
     routing_opts: RoutingOptions = field(default_factory=RoutingOptions)
     engine: str = "auto"
 
@@ -504,28 +498,31 @@ class SimulationConfig:
             q=self.weight_q, levels=self.platform.battery_levels
         )
 
-    def wear_function(self) -> WearWeightFunction | None:
-        """The wear-prediction penalty, or None when disabled."""
-        if not self.wear_aware:
-            return None
-        return WearWeightFunction(q=self.wear_q, quantum=self.wear_quantum)
-
-    def harvest_function(self) -> HarvestWeightFunction | None:
-        """The harvest-bonus weight, or None when disabled."""
-        if not self.harvest_aware:
-            return None
-        return HarvestWeightFunction(
-            q=self.harvest_q, quantum=self.harvest_quantum
-        )
-
-    def congestion_function(self) -> CongestionWeightFunction | None:
-        """The congestion penalty, or None when disabled."""
-        if not self.routing_opts.congestion_aware:
-            return None
-        return CongestionWeightFunction(
-            q=self.routing_opts.congestion_q,
-            quantum=self.routing_opts.congestion_quantum,
-        )
+    def level_channels(self) -> tuple[LevelChannel, ...]:
+        """The enabled level channels, in cost-pipeline order."""
+        channels = []
+        if self.wear_aware:
+            channels.append(
+                replace(WEAR_CHANNEL, q=self.wear_q, quantum=self.wear_quantum)
+            )
+        if self.harvest_aware:
+            channels.append(
+                replace(
+                    HARVEST_CHANNEL,
+                    q=self.harvest_q,
+                    quantum=self.harvest_quantum,
+                )
+            )
+        opts = self.routing_opts
+        if opts.congestion_aware:
+            channels.append(
+                replace(
+                    CONGESTION_CHANNEL,
+                    q=opts.congestion_q,
+                    quantum=opts.congestion_quantum,
+                )
+            )
+        return tuple(channels)
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -628,12 +625,12 @@ class SimulationConfig:
             routing=data.get("routing", "ear"),
             weight_q=data.get("weight_q", DEFAULT_Q),
             wear_aware=data.get("wear_aware", False),
-            wear_q=data.get("wear_q", DEFAULT_WEAR_Q),
-            wear_quantum=data.get("wear_quantum", DEFAULT_WEAR_QUANTUM),
+            wear_q=data.get("wear_q", WEAR_CHANNEL.q),
+            wear_quantum=data.get("wear_quantum", WEAR_CHANNEL.quantum),
             harvest_aware=data.get("harvest_aware", False),
-            harvest_q=data.get("harvest_q", DEFAULT_HARVEST_Q),
+            harvest_q=data.get("harvest_q", HARVEST_CHANNEL.q),
             harvest_quantum=data.get(
-                "harvest_quantum", DEFAULT_HARVEST_QUANTUM
+                "harvest_quantum", HARVEST_CHANNEL.quantum
             ),
             routing_opts=RoutingOptions(**data["routing_opts"])
             if isinstance(data.get("routing_opts"), dict)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..battery.base import Battery
+from ..core.costs import LevelChannel
 from ..core.engines import RoutingEngine
 from ..core.phase3 import NO_DESTINATION, RoutingPlan
 from ..core.view import NetworkView
@@ -158,17 +159,9 @@ class ControlPlane:
         self._plan: RoutingPlan | None = None
         self._last_tables: np.ndarray | None = None
         self._recompute_count = 0
-        #: Quantised per-link wear levels pushed by the engine (None
-        #: while wear-aware routing is off or nothing wore out yet).
-        self._wear: np.ndarray | None = None
-        #: Quantised per-node harvest income levels learned from status
-        #: uploads (None while harvest-aware routing is off or no node
-        #: reported income yet).
-        self._income: np.ndarray | None = None
-        #: Quantised per-link load levels pushed by the engine (None
-        #: while congestion-aware routing is off or no link crossed a
-        #: load level yet).
-        self._load: np.ndarray | None = None
+        #: Channel name -> latest quantised levels pushed by the engine
+        #: (a channel is absent until its first level change).
+        self._channel_levels: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -213,46 +206,18 @@ class ControlPlane:
         if self._trace:
             self._change_causes.add("link-state")
 
-    def update_wear(self, wear: np.ndarray) -> None:
-        """Hook: the quantised wear picture changed.
+    def update_levels(self, channel: LevelChannel, levels: np.ndarray) -> None:
+        """Hook: a level channel's quantised picture changed.
 
-        The engine pushes a fresh wear-level matrix only when some link
-        crossed a level boundary (the fault runtime's quantisation), so
-        this triggers a recomputation exactly as a changed battery
-        report would — not on every traversal.
+        The engine pushes a fresh level vector (node channels) or
+        matrix (link channels) only when some level actually changed,
+        so this triggers a recomputation exactly as a changed battery
+        report would — not on every traversal or harvested picojoule.
         """
-        self._wear = np.array(wear, dtype=int)
+        self._channel_levels[channel.name] = np.array(levels, dtype=int)
         self._links_changed = True
         if self._trace:
-            self._change_causes.add("wear-level")
-
-    def update_income(self, income: np.ndarray) -> None:
-        """Hook: the learned per-node harvest-income picture changed.
-
-        The engine pushes a fresh income-level vector only when some
-        node's smoothed income crossed a level boundary (the harvest
-        runtime's quantisation), so this triggers a recomputation
-        exactly as a changed battery report would — not on every
-        harvested picojoule.
-        """
-        self._income = np.array(income, dtype=int)
-        self._links_changed = True
-        if self._trace:
-            self._change_causes.add("income-level")
-
-    def update_load(self, load: np.ndarray) -> None:
-        """Hook: the quantised per-link load picture changed.
-
-        The engine pushes a fresh load-level matrix only when some link
-        crossed a load level boundary (the congestion runtime's
-        quantisation of the traversal-rate EMA), so this triggers a
-        recomputation exactly as a changed battery report would — not
-        on every forwarded packet.
-        """
-        self._load = np.array(load, dtype=int)
-        self._links_changed = True
-        if self._trace:
-            self._change_causes.add("load-level")
+            self._change_causes.add(f"{channel.signal}-level")
 
     def view(self) -> NetworkView:
         """Current reported-state snapshot."""
@@ -263,9 +228,7 @@ class ControlPlane:
             levels=self._levels,
             mapping=self._mapping,
             blocked_ports=self._registry.blocked_ports(),
-            wear=self._wear,
-            income=self._income,
-            load=self._load,
+            channel_levels=self._channel_levels,
         )
 
     # ------------------------------------------------------------------

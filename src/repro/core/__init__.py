@@ -19,12 +19,13 @@ optimiser of the underlying max-min program.
 """
 
 from .costs import (
+    CONGESTION_CHANNEL,
+    HARVEST_CHANNEL,
+    WEAR_CHANNEL,
     BatteryTerm,
-    CongestionTerm,
     CostPipeline,
     CostTerm,
-    HarvestTerm,
-    WearTerm,
+    LevelChannel,
 )
 from .engines import (
     EnergyAwareRouting,
@@ -44,28 +45,27 @@ from .upper_bound import UpperBoundResult, optimize_duplicates, theorem1
 from .view import NetworkView
 from .weights import (
     BatteryWeightFunction,
-    CongestionWeightFunction,
     ear_weight_matrix,
     sdr_weight_matrix,
 )
 
 __all__ = [
+    "CONGESTION_CHANNEL",
+    "HARVEST_CHANNEL",
+    "WEAR_CHANNEL",
     "ApplicationProfile",
     "BatteryTerm",
     "BatteryWeightFunction",
-    "CongestionTerm",
-    "CongestionWeightFunction",
     "CostPipeline",
     "CostTerm",
     "EcmpSelector",
     "EnergyAwareRouting",
-    "HarvestTerm",
+    "LevelChannel",
     "NetworkView",
     "RoutingEngine",
     "RoutingPlan",
     "ShortestDistanceRouting",
     "UpperBoundResult",
-    "WearTerm",
     "ear_weight_matrix",
     "equal_cost_successors",
     "extract_path",

@@ -1,26 +1,21 @@
 """Composable routing cost pipeline.
 
-The weight matrix consumed by the routing engines used to be assembled
-by hand inside :class:`~repro.core.engines.EnergyAwareRouting`: length
-mask, then battery scale, then wear penalty, then harvest bonus, each
-with its own quantise/gate/scale wiring.  This module factors that
-accretion into a uniform shape: a :class:`CostTerm` is one multiplicative
-adjustment to the base length matrix, and a :class:`CostPipeline` is an
-ordered composition of terms.
-
+A :class:`CostTerm` is one multiplicative adjustment to the base length
+matrix, and a :class:`CostPipeline` is an ordered composition of terms.
 Every term is a *scale* of the running matrix (never an addition), so
 the Floyd–Warshall conventions — ``inf`` for severed or masked lines,
 0 on the diagonal — survive each step by construction, and terms whose
 multipliers do not depend on the running matrix commute up to floating
-point rounding.  The pipeline applies terms in list order, which keeps
-the battery → wear → harvest sequence of the historical hand-rolled
-composition bit-identical (each step performs exactly the operations the
-old appliers performed, in the same order).
+point rounding.  The pipeline applies terms in list order: battery,
+then wear, then harvest, then congestion for the standard EAR stack.
 
-Terms self-gate on the view: a term whose telemetry is absent (no wear
-matrix, no income vector, no load matrix) skips itself, so one pipeline
-instance serves every phase of a simulation — before the first wear
-report arrives the wear term is simply inert.
+Beyond the paper's battery weight, every term is a :class:`LevelChannel`:
+an engine-side estimator quantises a per-node or per-link signal into
+levels, reports them to the controller only when a level changes (the
+battery reports' trigger, paper Sec 5.3), and the channel scales the
+receiving link by ``q ** (sign * level)``.  A channel self-gates on the
+view: until its first report arrives it is simply inert, so one
+pipeline instance serves every phase of a simulation.
 """
 
 from __future__ import annotations
@@ -30,17 +25,13 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from .view import NetworkView
 from .weights import (
     BatteryWeightFunction,
-    CongestionWeightFunction,
-    HarvestWeightFunction,
-    WearWeightFunction,
-    apply_congestion_penalty,
-    apply_harvest_bonus,
-    apply_wear_penalty,
-    ear_weight_matrix,
+    battery_scale,
     sdr_weight_matrix,
+    scale_weights,
 )
 
 
@@ -69,10 +60,8 @@ class CostTerm(Protocol):
 class BatteryTerm:
     """The paper's battery scale: column ``j`` grows by ``f(N_B(j))``.
 
-    Unlike the telemetry-gated terms this one always applies — battery
-    levels are mandatory in every :class:`NetworkView`.  It is written
-    as a scale of the *base length matrix*, so it must come first in a
-    pipeline that reproduces the historical EAR composition.
+    Unlike the level channels this term always applies — battery levels
+    are mandatory in every :class:`NetworkView`.
     """
 
     function: BatteryWeightFunction = field(
@@ -84,60 +73,149 @@ class BatteryTerm:
         return True
 
     def apply(self, weights: np.ndarray, view: NetworkView) -> np.ndarray:
-        # Delegate to the historical single-shot builder: it validates
-        # the level count against the view and performs mask + scale in
-        # exactly the operation order the goldens were recorded under.
-        # The incoming running matrix is the masked base (the pipeline
-        # seeds with sdr_weight_matrix), which ear_weight_matrix
-        # recomputes internally — identical input, identical output.
-        del weights
-        return ear_weight_matrix(view, self.function)
+        return battery_scale(weights, view, self.function)
 
 
 @dataclass(frozen=True)
-class WearTerm:
-    """Per-link wear penalty; inert until the view carries wear levels."""
+class LevelChannel:
+    """One level-telemetry cost term and its multiplier table.
 
-    function: WearWeightFunction = field(default_factory=WearWeightFunction)
-    name: str = field(default="wear", init=False, repr=False)
+    The multiplier is ``m(l) = q ** (sign * min(l, levels - 1))``, where
+    ``l`` is a quantised level the engine's estimator reports for every
+    node (``keyed="node"``: column ``j``, the receiver, is scaled) or
+    every link (``keyed="link"``).  Level 0 is unweighted, the factor
+    saturates at the level cap like battery levels, and ``q == 1`` is
+    *neutral*: the signal is tracked but never reported, so the run
+    routes exactly like reactive EAR.
 
+    Args:
+        name: Term name in the pipeline and in trace attribution.
+        signal: The measured quantity; names the re-plan cause
+            (``<signal>-level``) and the trace probe (``<signal>_levels``).
+        keyed: ``"node"`` or ``"link"``.
+        q: Base of the multiplier (>= 1).
+        quantum: Raw signal per level (> 0).
+        levels: Level cap (>= 1).
+        sign: ``+1`` penalises high levels, ``-1`` rewards them.
+        rich_band: Node channels only — apply the factor only to
+            receivers reporting a battery level within this many levels
+            of full (None: ungated).
+    """
+
+    name: str
+    signal: str
+    keyed: str
+    q: float
+    quantum: float
+    levels: int = 8
+    sign: int = 1
+    rich_band: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.keyed not in ("node", "link"):
+            raise ConfigurationError(
+                f"{self.name} channel must be keyed 'node' or 'link', "
+                f"got {self.keyed!r}"
+            )
+        if self.q < 1.0:
+            raise ConfigurationError(
+                f"{self.name} weight base must be >= 1, got {self.q}"
+            )
+        if self.quantum <= 0:
+            raise ConfigurationError(
+                f"{self.name} quantum must be positive, got {self.quantum}"
+            )
+        if self.levels < 1:
+            raise ConfigurationError(
+                f"{self.name} levels must be >= 1, got {self.levels}"
+            )
+        if self.sign not in (1, -1):
+            raise ConfigurationError(
+                f"{self.name} sign must be +1 or -1, got {self.sign}"
+            )
+        if self.rich_band is not None and self.keyed != "node":
+            raise ConfigurationError(
+                f"{self.name}: only node channels can gate on battery level"
+            )
+
+    @property
+    def is_neutral(self) -> bool:
+        """True when the channel cannot change any weight."""
+        return self.q == 1.0
+
+    def __call__(self, level: int) -> float:
+        """Weight multiplier at ``level``."""
+        if level < 0:
+            raise ConfigurationError(
+                f"{self.signal} level must be >= 0, got {level}"
+            )
+        return self.q ** (self.sign * min(level, self.levels - 1))
+
+    def table(self) -> np.ndarray:
+        """Vector of multipliers indexed by level."""
+        return np.array([self(level) for level in range(self.levels)])
+
+    # -- CostTerm ------------------------------------------------------
     def applies(self, view: NetworkView) -> bool:
-        return view.wear is not None
+        return self.name in view.channel_levels
 
     def apply(self, weights: np.ndarray, view: NetworkView) -> np.ndarray:
-        return apply_wear_penalty(weights, view.wear, self.function)
+        levels = view.channel_levels[self.name]
+        # Reported levels beyond the cap saturate at the table's end.
+        multipliers = self.table()[np.minimum(levels, self.levels - 1)]
+        if self.keyed == "node":
+            if self.rich_band is not None:
+                rich = view.battery_levels >= view.levels - self.rich_band
+                multipliers = np.where(rich, multipliers, 1.0)
+            multipliers = multipliers[np.newaxis, :]
+        return scale_weights(weights, multipliers)
 
 
-@dataclass(frozen=True)
-class HarvestTerm:
-    """Receiver harvest bonus; inert until the view carries income."""
+#: Wear prediction: a link's level is its traversal count in units of
+#: ``quantum`` plus one level per degradation event it has suffered, so
+#: EAR drifts traffic off heavily-used or previously-degraded lines
+#: *before* they sever.  One level looks 10 % longer — deliberately
+#: gentler than the battery weight: wear is a *prediction* of failure,
+#: not a measured depletion, and an aggressive penalty would fight the
+#: battery balancing it rides on.  Calibrated on the wear-aware
+#: scenario's attrition grid so the wear weight never shortens lifetime.
+WEAR_CHANNEL = LevelChannel(
+    name="wear", signal="wear", keyed="link", q=1.1, quantum=96
+)
 
-    function: HarvestWeightFunction = field(
-        default_factory=HarvestWeightFunction
-    )
-    name: str = field(default="harvest", init=False, repr=False)
+#: Harvest income: a node's level is its smoothed accepted income
+#: (pJ/frame) in units of ``quantum``.  One level looks ~23 % *closer* —
+#: but only while the receiver still reports a battery level within two
+#: levels of full (the top quarter of the default 8-level scale).  A
+#: nearly-full harvesting cell rejects income for lack of headroom, so
+#: pulling traffic onto it converts otherwise-wasted income into
+#: delivered work; below the band the node needs the battery weight's
+#: protection instead (income of tens of pJ per frame cannot carry
+#: relay duty, and an unconditional bonus measurably shortens lifetime
+#: by overloading flexing nodes at end of life).  Calibrated on the
+#: harvest-aware scenario grid so the harvest weight gains jobs there.
+HARVEST_CHANNEL = LevelChannel(
+    name="harvest",
+    signal="income",
+    keyed="node",
+    q=1.3,
+    quantum=5.0,
+    sign=-1,
+    rich_band=2,
+)
 
-    def applies(self, view: NetworkView) -> bool:
-        return view.income is not None
-
-    def apply(self, weights: np.ndarray, view: NetworkView) -> np.ndarray:
-        return apply_harvest_bonus(weights, view, self.function)
-
-
-@dataclass(frozen=True)
-class CongestionTerm:
-    """Per-link congestion penalty; inert until the view carries load."""
-
-    function: CongestionWeightFunction = field(
-        default_factory=CongestionWeightFunction
-    )
-    name: str = field(default="congestion", init=False, repr=False)
-
-    def applies(self, view: NetworkView) -> bool:
-        return view.load is not None
-
-    def apply(self, weights: np.ndarray, view: NetworkView) -> np.ndarray:
-        return apply_congestion_penalty(weights, view.load, self.function)
+#: Congestion: a link's level is its smoothed per-frame traversal count
+#: in units of ``quantum`` — one job on a small mesh crosses a
+#: source-adjacent line a handful of times per frame, so whole-number
+#: steps separate the hot corridor from the idle periphery.  One level
+#: looks 25 % longer: stronger than wear, because congestion is a
+#: *measured* utilisation and the penalty must overcome the battery
+#: weight's pull toward the short central corridors for ECMP spreading
+#: to engage.  Calibrated on the congestion-relief grid so the hottest
+#: link's traffic share drops without shortening lifetime.
+CONGESTION_CHANNEL = LevelChannel(
+    name="congestion", signal="load", keyed="link", q=1.25, quantum=2.0
+)
 
 
 @dataclass(frozen=True)
@@ -145,11 +223,9 @@ class CostPipeline:
     """Ordered composition of cost terms over the masked length matrix.
 
     The empty pipeline is exactly SDR: the weight matrix is the live
-    subgraph's line lengths.  ``CostPipeline.ear(...)`` builds the
-    historical EAR composition (battery, then wear, then harvest, then
-    congestion — each optional piece included only when its function is
-    supplied), whose output is bit-identical to the hand-rolled
-    sequence the golden fixtures were recorded under.
+    subgraph's line lengths.  ``CostPipeline.ear(...)`` builds the EAR
+    composition: the battery term, then the given level channels in
+    order.
     """
 
     terms: tuple = ()
@@ -161,25 +237,15 @@ class CostPipeline:
     def ear(
         cls,
         weight_function: BatteryWeightFunction | None = None,
-        wear_function: WearWeightFunction | None = None,
-        harvest_function: HarvestWeightFunction | None = None,
-        congestion_function: CongestionWeightFunction | None = None,
+        channels: tuple[LevelChannel, ...] = (),
     ) -> "CostPipeline":
-        """The standard EAR pipeline (battery/wear/harvest/congestion)."""
-        terms: list[CostTerm] = [
-            BatteryTerm(
-                weight_function
-                if weight_function is not None
-                else BatteryWeightFunction()
-            )
-        ]
-        if wear_function is not None:
-            terms.append(WearTerm(wear_function))
-        if harvest_function is not None:
-            terms.append(HarvestTerm(harvest_function))
-        if congestion_function is not None:
-            terms.append(CongestionTerm(congestion_function))
-        return cls(terms=tuple(terms))
+        """The standard EAR pipeline: battery, then each channel."""
+        battery = BatteryTerm(
+            weight_function
+            if weight_function is not None
+            else BatteryWeightFunction()
+        )
+        return cls(terms=(battery, *channels))
 
     def weight_matrix(self, view: NetworkView, observer=None) -> np.ndarray:
         """Phase 1: compose all applicable terms over the base lengths.
@@ -188,8 +254,7 @@ class CostPipeline:
         *applied* term with ``(name, before, after)`` — the running
         matrix on either side of the term — so a trace can attribute a
         re-plan's weight changes to individual cost terms.  The
-        composition itself is untouched: with ``observer=None`` the
-        call is bit-identical to the historical path.
+        composition itself is untouched by it.
         """
         weights = sdr_weight_matrix(view)
         for term in self.terms:

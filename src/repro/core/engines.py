@@ -4,8 +4,8 @@
 its non-energy-aware counterpart are kept exactly the same except their
 routing algorithms" (paper Sec 5) — accordingly both engines share
 phases 2 and 3 verbatim and differ *only* in the phase 1 weight matrix,
-which both now obtain from a :class:`~repro.core.costs.CostPipeline`
-(empty for SDR, battery/wear/harvest/congestion terms for EAR).
+which both obtain from a :class:`~repro.core.costs.CostPipeline` (empty
+for SDR; the battery term plus any level channels for EAR).
 """
 
 from __future__ import annotations
@@ -16,16 +16,11 @@ import time
 import numpy as np
 
 from ..errors import ConfigurationError
-from .costs import CostPipeline
+from .costs import CostPipeline, LevelChannel
 from .floyd_warshall import floyd_warshall_successors
 from .phase3 import EcmpSelector, RoutingPlan, select_destinations
 from .view import NetworkView
-from .weights import (
-    BatteryWeightFunction,
-    CongestionWeightFunction,
-    HarvestWeightFunction,
-    WearWeightFunction,
-)
+from .weights import BatteryWeightFunction
 
 
 class RoutingEngine(abc.ABC):
@@ -124,23 +119,11 @@ class ShortestDistanceRouting(RoutingEngine):
 class EnergyAwareRouting(RoutingEngine):
     """EAR: lengths scaled by the receiver's battery weight ``f(N_B(j))``.
 
-    The standard EAR pipeline composes up to four cost terms over the
-    masked length matrix — battery (always), and wear / harvest /
-    congestion whenever the corresponding weight function is attached
-    *and* the view carries the matching telemetry:
-
-    * wear (:class:`~repro.core.weights.WearWeightFunction`) — routing
-      drifts away from worn lines before they sever, instead of only
-      reacting to discovered cuts;
-    * harvest (:class:`~repro.core.weights.HarvestWeightFunction`) —
-      traffic is steered toward regions the fabric is actively
-      recharging;
-    * congestion (:class:`~repro.core.weights.CongestionWeightFunction`)
-      — hot links look longer, spreading traffic off the corridors
-      adjacent to the controller.
-
-    A fully custom :class:`~repro.core.costs.CostPipeline` may be passed
-    instead of the individual functions.
+    The standard EAR pipeline is the battery term followed by the given
+    :class:`~repro.core.costs.LevelChannel` terms (wear, harvest,
+    congestion), each inert until the view carries its levels.  A fully
+    custom :class:`~repro.core.costs.CostPipeline` may be passed
+    instead.
     """
 
     name = "ear"
@@ -148,82 +131,47 @@ class EnergyAwareRouting(RoutingEngine):
     def __init__(
         self,
         weight_function: BatteryWeightFunction | None = None,
-        wear_function: WearWeightFunction | None = None,
-        harvest_function: HarvestWeightFunction | None = None,
-        congestion_function: CongestionWeightFunction | None = None,
+        channels: tuple[LevelChannel, ...] = (),
         pipeline: CostPipeline | None = None,
     ):
-        if pipeline is not None:
-            self._pipeline = pipeline
-        else:
-            self._pipeline = CostPipeline.ear(
-                weight_function=weight_function,
-                wear_function=wear_function,
-                harvest_function=harvest_function,
-                congestion_function=congestion_function,
-            )
+        if pipeline is None:
+            pipeline = CostPipeline.ear(weight_function, channels)
+        self._pipeline = pipeline
 
     @property
     def pipeline(self) -> CostPipeline:
         return self._pipeline
 
-    def _term_function(self, name: str):
-        term = self._pipeline.term(name)
-        return term.function if term is not None else None
-
     @property
     def weight_function(self) -> BatteryWeightFunction:
         """The battery weighting function ``f`` in use."""
-        function = self._term_function("battery")
-        if function is None:
+        term = self._pipeline.term("battery")
+        if term is None:
             raise ConfigurationError(
                 "EAR pipeline has no battery term"
             )
-        return function
-
-    @property
-    def wear_function(self) -> WearWeightFunction | None:
-        """The wear-prediction penalty in use (None = reactive EAR)."""
-        return self._term_function("wear")
-
-    @property
-    def harvest_function(self) -> HarvestWeightFunction | None:
-        """The harvest bonus in use (None = harvest-blind EAR)."""
-        return self._term_function("harvest")
-
-    @property
-    def congestion_function(self) -> CongestionWeightFunction | None:
-        """The congestion penalty in use (None = congestion-blind EAR)."""
-        return self._term_function("congestion")
+        return term.function
 
     def __repr__(self) -> str:
         wf = self.weight_function
         parts = [f"q={wf.q}", f"levels={wf.levels}"]
-        if self.wear_function is not None:
-            parts.append(f"wear_q={self.wear_function.q}")
-        if self.harvest_function is not None:
-            parts.append(f"harvest_q={self.harvest_function.q}")
-        if self.congestion_function is not None:
-            parts.append(f"congestion_q={self.congestion_function.q}")
+        parts += [
+            f"{term.name}_q={term.q}"
+            for term in self._pipeline.terms
+            if isinstance(term, LevelChannel)
+        ]
         return f"EnergyAwareRouting({', '.join(parts)})"
 
 
 def routing_engine(
     name: str,
     weight_function: BatteryWeightFunction | None = None,
-    wear_function: WearWeightFunction | None = None,
-    harvest_function: HarvestWeightFunction | None = None,
-    congestion_function: CongestionWeightFunction | None = None,
+    channels: tuple[LevelChannel, ...] = (),
 ) -> RoutingEngine:
     """Factory by short name (``"ear"`` or ``"sdr"``)."""
     normalized = name.strip().lower()
     if normalized == "ear":
-        return EnergyAwareRouting(
-            weight_function,
-            wear_function,
-            harvest_function,
-            congestion_function,
-        )
+        return EnergyAwareRouting(weight_function, channels)
     if normalized == "sdr":
         return ShortestDistanceRouting()
     raise ConfigurationError(

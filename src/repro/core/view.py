@@ -10,6 +10,7 @@ which keeps EAR honest (it cannot peek at exact battery state).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,17 +33,10 @@ class NetworkView:
         mapping: Module-to-node assignment.
         blocked_ports: Set of ``(node, successor)`` pairs currently in a
             deadlock state; phase 3 avoids choosing them.
-        wear: Optional ``(K, K)`` matrix of quantised per-link wear
-            levels (traversal counts plus degradation history, reported
-            by the fault runtime); None when wear-aware routing is off.
-        income: Optional length-``K`` vector of quantised per-node
-            harvest income levels (smoothed accepted income, learned
-            from status uploads); None when harvest-aware routing is
-            off.
-        load: Optional ``(K, K)`` matrix of quantised per-link load
-            levels (smoothed traversal rates, reported by the engine's
-            congestion runtime); None when congestion-aware routing is
-            off.
+        channel_levels: Quantised levels reported per level channel,
+            keyed by channel name: a length-``K`` vector for node
+            channels, a symmetric ``(K, K)`` matrix for link channels.
+            A channel is absent until its first report arrives.
     """
 
     lengths: np.ndarray
@@ -53,9 +47,7 @@ class NetworkView:
     blocked_ports: frozenset[tuple[int, int]] = field(
         default_factory=frozenset
     )
-    wear: np.ndarray | None = None
-    income: np.ndarray | None = None
-    load: np.ndarray | None = None
+    channel_levels: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         lengths = np.asarray(self.lengths, dtype=float)
@@ -86,34 +78,18 @@ class NetworkView:
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "alive", alive)
         object.__setattr__(self, "battery_levels", levels_vec)
-        if self.wear is not None:
-            wear = np.asarray(self.wear, dtype=int)
-            if wear.shape != (size, size):
+        channel_levels = {}
+        for name, raw in self.channel_levels.items():
+            levels = np.asarray(raw, dtype=int)
+            if levels.shape not in ((size,), (size, size)):
                 raise ConfigurationError(
-                    f"wear matrix must be {size}x{size}, got {wear.shape}"
+                    f"{name} levels must be a length-{size} vector or a "
+                    f"{size}x{size} matrix, got {levels.shape}"
                 )
-            if wear.min(initial=0) < 0:
-                raise ConfigurationError("wear levels must be >= 0")
-            object.__setattr__(self, "wear", wear)
-        if self.income is not None:
-            income = np.asarray(self.income, dtype=int)
-            if income.shape != (size,):
-                raise ConfigurationError(
-                    f"income vector must have length {size}, got "
-                    f"{income.shape}"
-                )
-            if income.min(initial=0) < 0:
-                raise ConfigurationError("income levels must be >= 0")
-            object.__setattr__(self, "income", income)
-        if self.load is not None:
-            load = np.asarray(self.load, dtype=int)
-            if load.shape != (size, size):
-                raise ConfigurationError(
-                    f"load matrix must be {size}x{size}, got {load.shape}"
-                )
-            if load.min(initial=0) < 0:
-                raise ConfigurationError("load levels must be >= 0")
-            object.__setattr__(self, "load", load)
+            if levels.min(initial=0) < 0:
+                raise ConfigurationError(f"{name} levels must be >= 0")
+            channel_levels[name] = levels
+        object.__setattr__(self, "channel_levels", channel_levels)
 
     @property
     def num_nodes(self) -> int:
@@ -135,7 +111,5 @@ class NetworkView:
             levels=self.levels,
             mapping=self.mapping,
             blocked_ports=blocked,
-            wear=self.wear,
-            income=self.income,
-            load=self.load,
+            channel_levels=self.channel_levels,
         )

@@ -32,114 +32,22 @@ from .view import NetworkView
 #: paper's 44.5-48.2 % band of the analytical bound (see EXPERIMENTS.md).
 DEFAULT_Q = 1.6
 
-#: Default wear-penalty base: a link one wear level up looks 10 %
-#: longer.  Deliberately gentler than the battery weight — wear is a
-#: *prediction* of failure, not a measured depletion, and an aggressive
-#: penalty would fight the battery balancing it rides on top of.
-#: Calibrated (with the quantum below) on the wear-aware scenario's
-#: attrition grid so the wear weight never shortens lifetime there.
-DEFAULT_WEAR_Q = 1.1
-
-#: Default traversal count per wear level (one quantum of mechanical
-#: stress); each past degradation event also counts as one full level.
-DEFAULT_WEAR_QUANTUM = 96
-
-#: Wear-level cap shared by the fault runtime's quantiser and the
-#: penalty table — one source of truth for where wear saturates.
-DEFAULT_WEAR_LEVELS = 8
-
-#: Default harvest-bonus base: a node one income level up looks ~23 %
-#: closer *while its battery is still nearly full* (see
-#: :data:`HARVEST_RICH_BAND`).  Calibrated (with the quantum below) on
-#: the harvest-aware scenario grid so the harvest weight gains jobs
-#: there.
-DEFAULT_HARVEST_Q = 1.3
-
-#: Default smoothed income (pJ per frame) per quantised income level.
-DEFAULT_HARVEST_QUANTUM = 5.0
-
-#: Income-level cap shared by the harvest runtime's quantiser and the
-#: bonus table.
-DEFAULT_HARVEST_LEVELS = 8
-
-#: The harvest bonus only applies to receivers reporting a battery
-#: level within this many levels of full (the top quarter of the
-#: default 8-level scale).  Surplus draining: attracting load to a
-#: harvesting node is profitable exactly while its cell is so full
-#: that income would otherwise be rejected for lack of headroom; once
-#: the level drops out of the band the node needs the regular battery
-#: weight's protection, not extra traffic.
-HARVEST_RICH_BAND = 2
-
-#: Default congestion-penalty base: a link one load level up looks
-#: 25 % longer.  Stronger than the wear penalty — congestion is a
-#: *measured* per-frame utilisation, not a failure prediction, and the
-#: penalty must overcome the battery weight's pull toward the short
-#: central corridors for ECMP spreading to engage.  Calibrated (with
-#: the quantum below) on the congestion-relief scenario grid so the
-#: hottest link's traffic share drops without shortening lifetime.
-DEFAULT_CONGESTION_Q = 1.25
-
-#: Default smoothed per-frame traversal count (EMA) per quantised load
-#: level.  One job on a small mesh crosses a source-adjacent line a
-#: handful of times per frame, so whole-number steps separate the hot
-#: corridor from the idle periphery.
-DEFAULT_CONGESTION_QUANTUM = 2.0
-
-#: Load-level cap shared by the congestion runtime's quantiser and the
-#: penalty table — one source of truth for where congestion saturates.
-DEFAULT_CONGESTION_LEVELS = 8
-
 
 # ----------------------------------------------------------------------
-# Shared scale/gate helpers (the cost-pipeline primitives)
+# Shared scale helper (the cost-pipeline primitive)
 # ----------------------------------------------------------------------
-def scale_columns(weights: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-    """Scale column ``j`` (the receiving endpoint) by ``multipliers[j]``.
+def scale_weights(weights: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+    """Scale a weight matrix elementwise and re-zero the diagonal.
 
-    The common shape of every *node*-keyed cost term (battery, harvest):
+    ``multipliers`` is either a dense per-link ``(K, K)`` matrix or a
+    ``(1, K)`` row that scales column ``j`` — the receiving endpoint.
     ``inf`` entries stay ``inf`` (``inf * x == inf`` for positive
     multipliers) and the diagonal is re-zeroed, so the Floyd–Warshall
     conventions survive.  Returns a new matrix; the input is unchanged.
     """
-    weights = weights * multipliers[np.newaxis, :]
-    np.fill_diagonal(weights, 0.0)
-    return weights
-
-
-def scale_links(weights: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-    """Scale every link by a dense per-link multiplier matrix.
-
-    The common shape of every *link*-keyed cost term (wear, congestion).
-    ``inf`` entries stay ``inf`` and the diagonal is re-zeroed, so the
-    Floyd–Warshall conventions survive.  Returns a new matrix.
-    """
     weights = weights * multipliers
     np.fill_diagonal(weights, 0.0)
     return weights
-
-
-def quantised_multipliers(
-    table: np.ndarray, levels: np.ndarray, cap: int
-) -> np.ndarray:
-    """Look up a saturating level table: ``table[min(levels, cap)]``.
-
-    The shared quantise step of every level-driven term: reported
-    levels index a precomputed multiplier table, saturating at the
-    table's last entry so runtime levels beyond the configured cap
-    cannot index out of range.
-    """
-    return table[np.minimum(levels, cap)]
-
-
-def battery_rich_mask(view: NetworkView, band: int) -> np.ndarray:
-    """Nodes reporting a battery level within ``band`` levels of full.
-
-    The shared gate of surplus-seeking terms (harvest): a bonus only
-    applies while the receiver is still nearly full — below the band
-    the node needs the battery weight's protection, not extra traffic.
-    """
-    return view.battery_levels >= view.levels - band
 
 
 @dataclass(frozen=True)
@@ -176,229 +84,6 @@ class BatteryWeightFunction:
         return np.array([self(level) for level in range(self.levels)])
 
 
-@dataclass(frozen=True)
-class WearWeightFunction:
-    """Wear-prediction penalty: ``g(w) = Q_w ** min(w, levels - 1)``.
-
-    ``w`` is a link's quantised wear level — its traversal count in
-    units of a wear quantum plus one level per degradation event it has
-    suffered.  Heavily-used or previously-degraded lines look longer,
-    so EAR drifts traffic off them *before* they sever (the ROADMAP's
-    wear-prediction open item).  A pristine link (level 0) is
-    unpenalised, and ``q == 1`` degenerates to reactive EAR.
-
-    Args:
-        q: Penalty base ``Q_w`` (>= 1).
-        quantum: Traversals per wear level (>= 1).
-        levels: Level cap (the penalty saturates, like battery levels).
-    """
-
-    q: float = DEFAULT_WEAR_Q
-    quantum: int = DEFAULT_WEAR_QUANTUM
-    levels: int = DEFAULT_WEAR_LEVELS
-
-    def __post_init__(self) -> None:
-        if self.q < 1.0:
-            raise ConfigurationError(
-                f"wear penalty base must be >= 1, got {self.q}"
-            )
-        if self.quantum < 1:
-            raise ConfigurationError(
-                f"wear quantum must be >= 1, got {self.quantum}"
-            )
-        if self.levels < 1:
-            raise ConfigurationError(
-                f"wear levels must be >= 1, got {self.levels}"
-            )
-
-    @property
-    def is_neutral(self) -> bool:
-        """True when the penalty cannot change any weight."""
-        return self.q == 1.0
-
-    def __call__(self, level: int) -> float:
-        """Weight multiplier of a link at wear ``level``."""
-        if level < 0:
-            raise ConfigurationError(
-                f"wear level must be >= 0, got {level}"
-            )
-        return self.q ** min(level, self.levels - 1)
-
-    def table(self) -> np.ndarray:
-        """Vector of multipliers indexed by level."""
-        return np.array([self(level) for level in range(self.levels)])
-
-
-@dataclass(frozen=True)
-class HarvestWeightFunction:
-    """Harvest-bonus weighting: ``h(r) = Q_h ** -min(r, levels - 1)``.
-
-    ``r`` is a node's quantised income level — its smoothed per-frame
-    harvested energy in units of an income quantum, learned by the
-    controller from status uploads.  Energy-rich nodes look *closer*
-    (while their cells are still nearly full, see
-    :func:`apply_harvest_bonus`), so EAR steers traffic toward the
-    regions the fabric is actively recharging instead of merely away
-    from depleted ones.  A node with no income (level 0) is
-    unweighted, and ``q == 1`` degenerates to reactive EAR.
-
-    Args:
-        q: Bonus base ``Q_h`` (>= 1).
-        quantum: Smoothed income (pJ/frame) per level (> 0).
-        levels: Level cap (the bonus saturates, like battery levels).
-    """
-
-    q: float = DEFAULT_HARVEST_Q
-    quantum: float = DEFAULT_HARVEST_QUANTUM
-    levels: int = DEFAULT_HARVEST_LEVELS
-
-    def __post_init__(self) -> None:
-        if self.q < 1.0:
-            raise ConfigurationError(
-                f"harvest bonus base must be >= 1, got {self.q}"
-            )
-        if self.quantum <= 0:
-            raise ConfigurationError(
-                f"harvest quantum must be positive, got {self.quantum}"
-            )
-        if self.levels < 1:
-            raise ConfigurationError(
-                f"harvest levels must be >= 1, got {self.levels}"
-            )
-
-    @property
-    def is_neutral(self) -> bool:
-        """True when the bonus cannot change any weight."""
-        return self.q == 1.0
-
-    def __call__(self, level: int) -> float:
-        """Weight multiplier of a node at income ``level`` (<= 1)."""
-        if level < 0:
-            raise ConfigurationError(
-                f"income level must be >= 0, got {level}"
-            )
-        return self.q ** -min(level, self.levels - 1)
-
-    def table(self) -> np.ndarray:
-        """Vector of multipliers indexed by level."""
-        return np.array([self(level) for level in range(self.levels)])
-
-
-@dataclass(frozen=True)
-class CongestionWeightFunction:
-    """Congestion penalty: ``c(l) = Q_c ** min(l, levels - 1)``.
-
-    ``l`` is a link's quantised load level — its smoothed per-frame
-    traversal count in units of a load quantum, tracked by the engine's
-    congestion runtime and pushed to the controller on level crossings.
-    Hot links look longer, so EAR spreads traffic off the corridors
-    adjacent to the controller — the lifetime bottleneck under heavy
-    traffic.  An idle link (level 0) is unpenalised, and ``q == 1``
-    degenerates to a *measure-only* run: utilisation is tracked and
-    reported but the weight matrix is untouched (the congestion
-    analysis uses this as the comparison baseline).
-
-    Args:
-        q: Penalty base ``Q_c`` (>= 1).
-        quantum: Smoothed traversals per frame per load level (> 0).
-        levels: Level cap (the penalty saturates, like battery levels).
-    """
-
-    q: float = DEFAULT_CONGESTION_Q
-    quantum: float = DEFAULT_CONGESTION_QUANTUM
-    levels: int = DEFAULT_CONGESTION_LEVELS
-
-    def __post_init__(self) -> None:
-        if self.q < 1.0:
-            raise ConfigurationError(
-                f"congestion penalty base must be >= 1, got {self.q}"
-            )
-        if self.quantum <= 0:
-            raise ConfigurationError(
-                f"congestion quantum must be positive, got {self.quantum}"
-            )
-        if self.levels < 1:
-            raise ConfigurationError(
-                f"congestion levels must be >= 1, got {self.levels}"
-            )
-
-    @property
-    def is_neutral(self) -> bool:
-        """True when the penalty cannot change any weight (measure-only)."""
-        return self.q == 1.0
-
-    def __call__(self, level: int) -> float:
-        """Weight multiplier of a link at load ``level``."""
-        if level < 0:
-            raise ConfigurationError(
-                f"load level must be >= 0, got {level}"
-            )
-        return self.q ** min(level, self.levels - 1)
-
-    def table(self) -> np.ndarray:
-        """Vector of multipliers indexed by level."""
-        return np.array([self(level) for level in range(self.levels)])
-
-
-def apply_harvest_bonus(
-    weights: np.ndarray,
-    view: NetworkView,
-    harvest_function: HarvestWeightFunction,
-) -> np.ndarray:
-    """Scale a weight matrix by the receiver's harvest bonus.
-
-    Column ``j`` shrinks by ``h(income_level_j)`` — but only while node
-    ``j`` still reports a battery level within :data:`HARVEST_RICH_BAND`
-    of full.  A nearly-full harvesting cell rejects income for lack of
-    headroom, so pulling extra traffic onto it converts otherwise-wasted
-    income into delivered work; a node below the band needs the battery
-    weight's protection instead (income of tens of pJ per frame cannot
-    carry relay duty, and an unconditional bonus measurably shortens
-    lifetime by overloading flexing nodes at end of life).  ``inf``
-    entries stay ``inf`` and the diagonal stays 0, so the
-    Floyd–Warshall conventions survive.
-    """
-    multipliers = quantised_multipliers(
-        harvest_function.table(), view.income, harvest_function.levels - 1
-    )
-    rich = battery_rich_mask(view, HARVEST_RICH_BAND)
-    multipliers = np.where(rich, multipliers, 1.0)
-    return scale_columns(weights, multipliers)
-
-
-def apply_wear_penalty(
-    weights: np.ndarray,
-    wear: np.ndarray,
-    wear_function: WearWeightFunction,
-) -> np.ndarray:
-    """Scale a weight matrix by the per-link wear penalty.
-
-    ``inf`` entries (severed or masked lines) stay ``inf`` and the
-    diagonal stays 0, so the Floyd–Warshall conventions survive.
-    """
-    multipliers = quantised_multipliers(
-        wear_function.table(), wear, wear_function.levels - 1
-    )
-    return scale_links(weights, multipliers)
-
-
-def apply_congestion_penalty(
-    weights: np.ndarray,
-    load: np.ndarray,
-    congestion_function: CongestionWeightFunction,
-) -> np.ndarray:
-    """Scale a weight matrix by the per-link congestion penalty.
-
-    ``load`` is the controller's quantised load-level matrix.  ``inf``
-    entries stay ``inf`` and the diagonal stays 0, so the
-    Floyd–Warshall conventions survive.
-    """
-    multipliers = quantised_multipliers(
-        congestion_function.table(), load, congestion_function.levels - 1
-    )
-    return scale_links(weights, multipliers)
-
-
 def _masked_lengths(view: NetworkView) -> np.ndarray:
     """Length matrix with rows/columns of dead nodes removed (set inf).
 
@@ -419,18 +104,25 @@ def sdr_weight_matrix(view: NetworkView) -> np.ndarray:
     return _masked_lengths(view)
 
 
-def ear_weight_matrix(
-    view: NetworkView, weight_function: BatteryWeightFunction
+def battery_scale(
+    weights: np.ndarray,
+    view: NetworkView,
+    weight_function: BatteryWeightFunction,
 ) -> np.ndarray:
-    """``W^(EAR)``: lengths scaled by the receiver's battery weight."""
+    """Scale column ``j`` (the receiving endpoint) by ``f(N_B(j))``."""
     if weight_function.levels != view.levels:
         raise ConfigurationError(
             f"weight function expects {weight_function.levels} levels but "
             f"the view reports {view.levels}"
         )
-    weights = _masked_lengths(view)
-    # Scale column j (the receiving endpoint) by f(N_B(j)); battery
-    # levels are validated against the view so no saturating cap is
-    # needed here.
+    # Battery levels are validated against the view, so no saturating
+    # cap is needed here.
     multipliers = weight_function.table()[view.battery_levels]
-    return scale_columns(weights, multipliers)
+    return scale_weights(weights, multipliers[np.newaxis, :])
+
+
+def ear_weight_matrix(
+    view: NetworkView, weight_function: BatteryWeightFunction
+) -> np.ndarray:
+    """``W^(EAR)``: lengths scaled by the receiver's battery weight."""
+    return battery_scale(_masked_lengths(view), view, weight_function)

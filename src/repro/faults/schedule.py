@@ -24,10 +24,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from ..core.link_levels import LinkLevelStore
-from ..core.weights import DEFAULT_WEAR_LEVELS
 from ..mesh.topology import Topology
 from .config import FAULT_KINDS, FaultConfig
 
@@ -477,53 +473,21 @@ def build_fault_schedule(
 
 
 class FaultRuntime:
-    """Per-run fault state: schedule cursor, cut links, degradations,
-    and the per-link wear history backing the wear-prediction weight.
+    """Per-run fault state: schedule cursor, cut links, degradations.
 
     The engines query :attr:`cut_links` on every hop decision (it is a
     plain set of *directed* pairs, empty for fault-free runs, so the
     hot-path cost is one set membership test) and drain due events at
     frame boundaries via :meth:`due`.
-
-    Wear tracking (:meth:`note_traversal` / :meth:`note_degraded`) is
-    opt-in via ``wear_quantum``: each link's wear level is its traversal
-    count in units of ``wear_quantum`` plus one full level per
-    degradation event it has suffered, capped at ``wear_levels - 1``.
-    :attr:`wear_dirty` flips whenever some link crosses a level
-    boundary, so the engine only pushes a fresh wear picture to the
-    controller when the quantised state actually changed — the same
-    trigger discipline as battery-level reports.
     """
 
-    def __init__(
-        self,
-        schedule: FaultSchedule,
-        wear_quantum: int = 0,
-        wear_levels: int = DEFAULT_WEAR_LEVELS,
-    ):
+    def __init__(self, schedule: FaultSchedule):
         self.schedule = schedule
         self._cursor = 0
         #: Directed pairs severed so far (both directions of every cut).
         self.cut_links: set[tuple[int, int]] = set()
         #: Canonical ``(min, max)`` pair -> (factor, expiry frame).
         self.degraded: dict[tuple[int, int], tuple[float, int]] = {}
-        #: Canonical pair -> data-network traversal count.
-        self.traversals: dict[tuple[int, int], int] = {}
-        #: Canonical pair -> degradation events suffered so far.
-        self.degrade_counts: dict[tuple[int, int], int] = {}
-        self.wear_quantum = int(wear_quantum)
-        self.wear_levels = int(wear_levels)
-        #: Canonical pair -> current quantised wear level (> 0 only).
-        self._levels = LinkLevelStore()
-
-    @property
-    def wear_dirty(self) -> bool:
-        """Some link crossed a wear-level boundary since the last reset."""
-        return self._levels.dirty
-
-    @wear_dirty.setter
-    def wear_dirty(self, value: bool) -> None:
-        self._levels.dirty = value
 
     def due(self, frame: int) -> list[FaultEvent]:
         """Events scheduled at or before ``frame`` not yet delivered."""
@@ -554,53 +518,9 @@ class FaultRuntime:
         self.degraded.pop((min(u, v), max(u, v)), None)
 
     def mark_repaired(self, u: int, v: int) -> None:
-        """A cut line was re-sewn: clear its severed state.
-
-        The repaired line starts a fresh wear life — the traversal and
-        degradation history of the old line is discarded along with any
-        quantised wear level it had accumulated.
-        """
+        """A cut line was re-sewn: clear its severed state."""
         self.cut_links.discard((u, v))
         self.cut_links.discard((v, u))
-        pair = (min(u, v), max(u, v))
-        self.traversals.pop(pair, None)
-        self.degrade_counts.pop(pair, None)
-        self._levels.clear(pair)
 
     def is_cut(self, u: int, v: int) -> bool:
         return (u, v) in self.cut_links
-
-    # ------------------------------------------------------------------
-    # Wear tracking
-    # ------------------------------------------------------------------
-    def _refresh_level(self, pair: tuple[int, int]) -> None:
-        level = min(
-            self.wear_levels - 1,
-            self.traversals.get(pair, 0) // self.wear_quantum
-            + self.degrade_counts.get(pair, 0),
-        )
-        self._levels.set_level(pair, level)
-
-    def note_traversal(self, u: int, v: int) -> None:
-        """One packet crossed the ``u - v`` line (hot path when enabled)."""
-        if not self.wear_quantum:
-            return
-        pair = (u, v) if u < v else (v, u)
-        self.traversals[pair] = self.traversals.get(pair, 0) + 1
-        self._refresh_level(pair)
-
-    def note_degraded(self, u: int, v: int) -> None:
-        """The ``u - v`` line suffered one degradation event."""
-        if not self.wear_quantum:
-            return
-        pair = (u, v) if u < v else (v, u)
-        self.degrade_counts[pair] = self.degrade_counts.get(pair, 0) + 1
-        self._refresh_level(pair)
-
-    def wear_level_matrix(self, num_nodes: int) -> np.ndarray:
-        """Dense symmetric ``(K, K)`` int matrix of quantised wear levels."""
-        return self._levels.matrix(num_nodes)
-
-    def level_snapshot(self) -> dict[tuple[int, int], int]:
-        """Sparse copy of the nonzero wear levels (telemetry probes)."""
-        return self._levels.snapshot()

@@ -17,8 +17,6 @@ from .config import (
     HarvestHardware,
 )
 from .schedule import (
-    DEFAULT_INCOME_LEVELS,
-    HarvestRuntime,
     HarvestSchedule,
     build_harvest_schedule,
     flex_weights,
@@ -26,13 +24,11 @@ from .schedule import (
 )
 
 __all__ = [
-    "DEFAULT_INCOME_LEVELS",
     "HARDWARE_PLACEMENTS",
     "HARVEST_PROFILES",
     "MOTION_PROFILES",
     "HarvestConfig",
     "HarvestHardware",
-    "HarvestRuntime",
     "HarvestSchedule",
     "build_harvest_schedule",
     "flex_weights",

@@ -1,4 +1,4 @@
-"""Deterministic harvest income schedules and their runtime state.
+"""Deterministic harvest income schedules.
 
 A *harvest schedule* maps a frame index to the per-node energy income
 the fabric scavenges during that frame.  It is a pure function of the
@@ -8,12 +8,8 @@ harvest-bearing runs replayable, cacheable and bit-identical across the
 sequential and concurrent engines (both recharge batteries through
 ``EngineBase._apply_harvest`` at frame boundaries).
 
-The engines own a :class:`HarvestRuntime` that wraps the schedule and,
-when harvest-aware routing is enabled, maintains the per-node income
-estimate the controller learns: an exponential moving average of the
-energy each node actually *accepted*, quantised into income levels with
-the same trigger discipline as battery-level and wear reports — a fresh
-picture is pushed only when some node crosses a level boundary.
+The harvest-aware routing weight learns from this income through the
+engine's income estimator (:mod:`repro.sim.level_estimators`).
 """
 
 from __future__ import annotations
@@ -21,21 +17,8 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
-
 from ..mesh.topology import Topology
 from .config import MOTION_PROFILES, HarvestConfig, HarvestHardware
-
-#: Income levels the quantiser (and the routing bonus table) saturate
-#: at — one source of truth, mirroring the wear-level cap.
-DEFAULT_INCOME_LEVELS = 8
-
-#: Per-frame smoothing factor of the income-rate moving average.  One
-#: time constant spans ~50 frames — several motion windows — so the
-#: estimate converges on each node's steady income *rate* instead of
-#: chasing individual activity bursts (burst-chasing flips levels every
-#: window and churns the controller with recomputations).
-INCOME_EMA_ALPHA = 0.02
 
 #: Baseline share of the flex weight every node keeps: even low-flex
 #: (central) fabric regions crinkle a little with each movement.
@@ -208,68 +191,3 @@ def build_harvest_schedule(
 ) -> HarvestSchedule:
     """Construct the income schedule of one run (deterministic)."""
     return HarvestSchedule(config, topology, num_mesh_nodes)
-
-
-class HarvestRuntime:
-    """Per-run harvest state: the schedule plus the income estimator.
-
-    Income tracking (:meth:`observe_frame`) is opt-in via
-    ``income_quantum``: each node's income level is its smoothed
-    per-frame accepted income in units of ``income_quantum``, capped at
-    ``levels - 1``.  :attr:`income_dirty` flips whenever some node
-    crosses a level boundary, so the engine pushes a fresh income
-    picture to the controller only when the quantised state actually
-    changed — the same trigger discipline as battery-level and wear
-    reports.
-    """
-
-    def __init__(
-        self,
-        schedule: HarvestSchedule,
-        income_quantum: float = 0.0,
-        levels: int = DEFAULT_INCOME_LEVELS,
-    ):
-        self.schedule = schedule
-        self.income_quantum = float(income_quantum)
-        self.levels = int(levels)
-        nodes = schedule._nodes
-        #: Smoothed per-frame accepted income, pJ/frame, per mesh node.
-        self.income_ema: list[float] = [0.0] * nodes
-        self._levels_vec: list[int] = [0] * nodes
-        self.income_dirty = False
-
-    @property
-    def is_active(self) -> bool:
-        return self.schedule.is_active
-
-    @property
-    def shares_power(self) -> bool:
-        return self.schedule.config.shares_power
-
-    @property
-    def tracks_income(self) -> bool:
-        """True when the income estimator feeds the routing weight."""
-        return self.income_quantum > 0
-
-    def observe_frame(self, accepted: list[float]) -> None:
-        """Fold one frame's accepted income into the moving average."""
-        if not self.tracks_income:
-            return
-        alpha = INCOME_EMA_ALPHA
-        quantum = self.income_quantum
-        cap = self.levels - 1
-        ema = self.income_ema
-        levels = self._levels_vec
-        for node, value in enumerate(accepted):
-            rate = ema[node] + alpha * (value - ema[node])
-            ema[node] = rate
-            level = min(cap, int(rate / quantum))
-            if level != levels[node]:
-                levels[node] = level
-                self.income_dirty = True
-
-    def income_level_vector(self, num_nodes: int) -> np.ndarray:
-        """Dense per-node income-level vector (0 beyond the mesh)."""
-        vector = np.zeros(num_nodes, dtype=np.int64)
-        vector[: len(self._levels_vec)] = self._levels_vec
-        return vector

@@ -17,12 +17,12 @@ from ..core.engines import EnergyAwareRouting, ShortestDistanceRouting
 from ..core.parameters import ApplicationProfile
 from ..errors import SimulationError
 from ..faults.schedule import FaultRuntime, build_fault_schedule
-from ..harvest.schedule import HarvestRuntime, build_harvest_schedule
+from ..harvest.schedule import build_harvest_schedule
 from ..mesh.connectivity import reachable_set, system_is_alive
 from ..mesh.geometry import node_id as mesh_node_id
 from ..mesh.topology import attach_external_node
 from ..telemetry.recorder import NULL_RECORDER, Recorder
-from .congestion import CongestionRuntime
+from .level_estimators import build_estimator
 from .node import NetworkNode
 from .stats import EnergyLedger, SimulationStats
 from .workload import JobFactory
@@ -134,33 +134,15 @@ class EngineBase:
 
         # --- control --------------------------------------------------------
         self.schedule = config.control.make_schedule(self.num_mesh_nodes)
-        #: One shared wear function keeps the routing penalty table and
-        #: the fault runtime's quantiser on the same parameters.  It is
-        #: None unless this is a wear-aware EAR run: SDR ignores wear,
-        #: and tracking it there would charge the controller spurious
-        #: recomputes, biasing EAR-vs-SDR comparisons under
-        #: --wear-weight.
-        wear_function = (
-            config.wear_function() if config.routing == "ear" else None
-        )
-        self._track_wear = wear_function is not None
-        # Same gating as wear: SDR ignores income, and tracking it there
-        # would charge the controller spurious recomputes, biasing
-        # EAR-vs-SDR comparisons under --harvest-weight.
-        harvest_function = (
-            config.harvest_function() if config.routing == "ear" else None
-        )
-        # Same gating again for congestion: SDR routes on lengths alone.
-        congestion_function = (
-            config.congestion_function() if config.routing == "ear" else None
+        #: The level channels feed EAR only: SDR routes on lengths
+        #: alone, and tracking a signal there would charge the
+        #: controller spurious recomputes, biasing EAR-vs-SDR
+        #: comparisons.
+        channels = (
+            config.level_channels() if config.routing == "ear" else ()
         )
         routing_engine = (
-            EnergyAwareRouting(
-                config.weight_function(),
-                wear_function,
-                harvest_function,
-                congestion_function,
-            )
+            EnergyAwareRouting(config.weight_function(), channels)
             if config.routing == "ear"
             else ShortestDistanceRouting()
         )
@@ -211,11 +193,7 @@ class EngineBase:
                 self.topology,
                 num_mesh_nodes=self.num_mesh_nodes,
                 horizon_frames=config.workload.max_frames,
-            ),
-            # The runtime quantises with the same cap the penalty table
-            # saturates at — one source of truth via the wear function.
-            wear_quantum=wear_function.quantum if wear_function else 0,
-            wear_levels=wear_function.levels if wear_function else 1,
+            )
         )
         self.faults_injected = 0
         self.links_cut = 0
@@ -232,47 +210,32 @@ class EngineBase:
         self._link_report_pending = False
 
         # --- energy harvesting --------------------------------------------
-        self.harvest = HarvestRuntime(
-            self.harvest_schedule,
-            # Income is estimated with the same quantum the bonus table
-            # quantises at — one source of truth via the harvest
-            # function.
-            income_quantum=(
-                harvest_function.quantum if harvest_function else 0.0
-            ),
-            levels=harvest_function.levels if harvest_function else 1,
-        )
-        self._track_income = (
-            harvest_function is not None and self.harvest.is_active
-        )
-        #: Levels are pushed to the controller only when a weight can
-        #: actually change: a neutral channel (q == 1) tracks its
-        #: signal without charging the controller spurious recomputes,
-        #: so it is behaviour-identical to reactive EAR.
-        self._push_wear = self._track_wear and not wear_function.is_neutral
-        self._push_income = (
-            self._track_income and not harvest_function.is_neutral
-        )
-
-        # --- congestion tracking ------------------------------------------
-        self.congestion = CongestionRuntime(
-            # Load is estimated with the same quantum the penalty table
-            # quantises at — one source of truth via the congestion
-            # function.
-            quantum=(
-                congestion_function.quantum if congestion_function else 0.0
-            ),
-            levels=congestion_function.levels if congestion_function else 1,
-        )
-        self._track_load = congestion_function is not None
-        #: The measure-only congestion run (q == 1) is the congestion
-        #: analysis' baseline: it reports utilisation like a penalised run.
-        self._push_load = self._track_load and not congestion_function.is_neutral
         #: True when the frame hook has any work at all: income to
         #: apply, or a bus profile redistributing existing charge.
         self.harvest_active = (
-            self.harvest.is_active or self.harvest.shares_power
+            self.harvest_schedule.is_active or config.harvest.shares_power
         )
+
+        # --- level channels -------------------------------------------------
+        #: (channel, estimator) pairs; each estimator quantises with its
+        #: channel's own quantum and cap, so the controller's penalty
+        #: table and the levels it is fed cannot drift apart.
+        self._channels = tuple(
+            (channel, build_estimator(channel, self.num_mesh_nodes))
+            for channel in channels
+        )
+        self.estimators = {
+            channel.name: estimator for channel, estimator in self._channels
+        }
+        #: Per-hop callbacks of the traversal-counting estimators (empty
+        #: when no channel is on, so _transmit pays one falsy check).
+        self._traversal_sinks = tuple(
+            estimator.note_traversal
+            for _, estimator in self._channels
+            if estimator.counts_traversals
+        )
+        self._wear = self.estimators.get("wear")
+        self._income = self.estimators.get("harvest")
         #: Reusable per-frame accepted-income buffer for the estimator.
         self._accepted_income = [0.0] * self.num_mesh_nodes
 
@@ -314,33 +277,19 @@ class EngineBase:
             # this frame.
             self.control.update_lengths(self._known_lengths)
             self._link_report_pending = False
-        if self._push_wear and self.faults.wear_dirty:
-            # Some link crossed a quantised wear level since the last
-            # frame: push the new picture so the controller re-plans
-            # around the wear *before* the line actually severs.
-            self.control.update_wear(
-                self.faults.wear_level_matrix(self.topology.num_nodes)
-            )
-            self.faults.wear_dirty = False
-        if self._push_income and self.harvest.income_dirty:
-            # Some node's smoothed income crossed a quantised level:
-            # the status uploads carry the new rate and the controller
-            # steers traffic toward the energy-rich region.
-            self.control.update_income(
-                self.harvest.income_level_vector(self.topology.num_nodes)
-            )
-            self.harvest.income_dirty = False
-        if self._track_load:
-            # Fold the frame's traversal counts into the utilisation
-            # EMA; when some link crossed a quantised load level (and
-            # the penalty is active), push the new picture so the
-            # controller spreads traffic off the hot corridor.
-            self.congestion.end_frame()
-            if self._push_load and self.congestion.load_dirty:
-                self.control.update_load(
-                    self.congestion.load_level_matrix(self.topology.num_nodes)
+        for channel, estimator in self._channels:
+            # Fold the frame's signal into quantised levels; when some
+            # level changed, push the new picture so the controller
+            # re-plans around it (wear before the line severs, toward
+            # harvesting regions, off hot corridors).  A neutral channel
+            # (q == 1) cannot change a weight, so it tracks without
+            # charging the controller spurious recomputes.
+            estimator.end_frame()
+            if estimator.dirty and not channel.is_neutral:
+                self.control.update_levels(
+                    channel, estimator.levels(self.topology.num_nodes)
                 )
-                self.congestion.load_dirty = False
+                estimator.dirty = False
         outcome = self.control.process_frame(frame, reports, heartbeats)
         self.ledger.add_controller(outcome.controller_energy_pj)
         if self._trace:
@@ -359,8 +308,8 @@ class EngineBase:
         """One per-frame trace probe (only called when tracing).
 
         Captures the live-cell count, the p10/p50/p90 state-of-charge
-        quantiles, and the jobs in flight; when load/wear tracking is
-        active the current quantised level snapshots ride along (the
+        quantiles, and the jobs in flight; the link channels' current
+        quantised level snapshots ride along (the
         recorder deduplicates them, so a line appears only on level
         crossings).  Pure observation: nothing here mutates simulation
         state, which is what keeps traced runs bit-identical.
@@ -382,10 +331,10 @@ class EngineBase:
             "soc": _soc_quantiles(socs),
             "jobs": self._jobs_in_flight(),
         }
-        if self._track_load:
-            probe["load_levels"] = self.congestion.level_snapshot()
-        if self._track_wear:
-            probe["wear_levels"] = self.faults.level_snapshot()
+        for channel, estimator in self._channels:
+            # Trace level events are keyed by link ("u-v").
+            if channel.keyed == "link":
+                probe[f"{channel.signal}_levels"] = estimator.snapshot()
         self.recorder.frame(frame, **probe)
 
     def _jobs_in_flight(self) -> int:
@@ -523,6 +472,9 @@ class EngineBase:
                 base = float(self._base_lengths[u, v])
                 self.topology.add_edge(u, v, base)
                 runtime.mark_repaired(u, v)
+                if self._wear is not None:
+                    # The repaired line starts a fresh wear life.
+                    self._wear.forget(u, v)
                 self.lengths[u, v] = self._base_lengths[u, v]
                 self.lengths[v, u] = self._base_lengths[v, u]
                 # A repair is a deliberate physical intervention, so the
@@ -571,7 +523,8 @@ class EngineBase:
                     event.factor,
                     frame + event.duration_frames,
                 )
-                runtime.note_degraded(u, v)
+                if self._wear is not None:
+                    self._wear.note_degraded(u, v)
                 self.links_degraded += 1
                 self.faults_injected += 1
                 lengths_changed = True
@@ -600,9 +553,8 @@ class EngineBase:
         routing is on, the accepted income feeds the per-node estimator
         whose quantised levels the controller learns.
         """
-        runtime = self.harvest
-        income = runtime.schedule.income(frame)
-        tracking = self._track_income
+        income = self.harvest_schedule.income(frame)
+        tracking = self._income is not None
         trace = self._trace
         offered_pj = 0.0
         accepted_pj = 0.0
@@ -637,10 +589,10 @@ class EngineBase:
             self._record_harvest_rejection(
                 frame, offered_pj, accepted_pj, rejecting_nodes
             )
-        if runtime.shares_power:
+        if self.config.harvest.shares_power:
             self._apply_power_sharing()
         if tracking:
-            runtime.observe_frame(accepted_income)
+            self._income.observe_frame(accepted_income)
 
     def _bus_reachable(
         self, donor: int, max_hops: int
@@ -840,10 +792,9 @@ class EngineBase:
         if energy is None:
             energy = self.link_model.hop_energy_pj(length)
             self._hop_energy_by_length[length] = energy
-        if self._track_wear:
-            self.faults.note_traversal(sender, receiver)
-        if self._track_load:
-            self.congestion.note_traversal(sender, receiver)
+        if self._traversal_sinks:
+            for note in self._traversal_sinks:
+                note(sender, receiver)
         unit = self.nodes[sender]
         result = unit.draw(energy, self.hop_cycles)
         if unit.has_infinite_supply:
@@ -901,9 +852,10 @@ class EngineBase:
         # recorded from them) byte-identical.
         max_link_traversals = None
         hot_link_share = None
-        if self._track_load:
-            max_link_traversals = self.congestion.max_link_traversals()
-            hot_link_share = round(self.congestion.hot_link_share(), 9)
+        load = self.estimators.get("congestion")
+        if load is not None:
+            max_link_traversals = load.max_link_traversals()
+            hot_link_share = round(load.hot_link_share(), 9)
         return SimulationStats(
             jobs_completed=jobs_completed,
             partial_progress=partial,

@@ -182,10 +182,9 @@ class VectorEngine(SequentialEngine):
         if energy is None:
             energy = self.link_model.hop_energy_pj(length)
             self._hop_energy_by_length[length] = energy
-        if self._track_wear:
-            self.faults.note_traversal(sender, receiver)
-        if self._track_load:
-            self.congestion.note_traversal(sender, receiver)
+        if self._traversal_sinks:
+            for note in self._traversal_sinks:
+                note(sender, receiver)
         unit = self.nodes[sender]
         if unit.has_infinite_supply:
             result = unit.draw(energy, self.hop_cycles)
@@ -361,9 +360,8 @@ class VectorEngine(SequentialEngine):
         return reports, heartbeats
 
     def _apply_harvest(self, frame: int) -> None:
-        runtime = self.harvest
-        income = runtime.schedule.income(frame)
-        tracking = self._track_income
+        income = self.harvest_schedule.income(frame)
+        tracking = self._income is not None
         accepted_list = None
         if income is not None:
             offers = np.asarray(income, dtype=float)
@@ -384,10 +382,10 @@ class VectorEngine(SequentialEngine):
                     )
             if tracking:
                 accepted_list = accepted.tolist()
-        if runtime.shares_power:
+        if self.config.harvest.shares_power:
             self._apply_power_sharing()
         if tracking:
-            runtime.observe_frame(
+            self._income.observe_frame(
                 accepted_list if accepted_list is not None
                 else self._zero_income
             )

@@ -1,21 +1,30 @@
 """Property tests for the cost pipeline and ECMP successor groups.
 
-The pipeline refactor's contract is *bit-identity*: composing the
-battery / wear / harvest terms through :class:`CostPipeline` must
-reproduce the historical monolithic weight path exactly, on randomised
-views — not just the golden points.  The ECMP properties pin the
-group-validity invariants (strict distance progress, cost within
-tolerance, canonical membership) that keep round-robin spreading
-loop-free on any weight matrix.
+The pipeline's contract is *bit-identity* with the EAR weight formula:
+composing the battery term with the wear, harvest and congestion level
+channels must reproduce, on randomised views, a literal per-entry
+reference written out below — the battery weight, then
+``q_w ** min(w, cap)`` per link, ``q_h ** -min(r, cap)`` per nearly-full
+receiver, ``q_c ** min(l, cap)`` per link, in that order.  The ECMP
+properties pin the group-validity invariants (strict distance progress,
+cost within tolerance, canonical membership) that keep round-robin
+spreading loop-free on any weight matrix.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.costs import CostPipeline
+from repro.core.costs import (
+    CONGESTION_CHANNEL,
+    HARVEST_CHANNEL,
+    WEAR_CHANNEL,
+    CostPipeline,
+)
 from repro.core.floyd_warshall import (
     NO_SUCCESSOR,
     equal_cost_successors,
@@ -24,21 +33,21 @@ from repro.core.floyd_warshall import (
 from repro.core.view import NetworkView
 from repro.core.weights import (
     BatteryWeightFunction,
-    HarvestWeightFunction,
-    WearWeightFunction,
-    apply_harvest_bonus,
-    apply_wear_penalty,
     ear_weight_matrix,
     sdr_weight_matrix,
 )
 from repro.mesh.mapping import checkerboard_mapping
 from repro.mesh.topology import mesh2d
 
+#: Level cap of the default channels; drawn levels overshoot it so the
+#: saturation is exercised.
+CAP = 7
+
 
 @st.composite
-def random_views(draw, with_wear=False, with_income=False):
+def random_views(draw, with_channels=False):
     """Randomised small-mesh views: batteries, deaths, blocked ports,
-    and optional wear / income telemetry."""
+    and optional wear / income / load levels."""
     width = draw(st.integers(min_value=3, max_value=6))
     topo = mesh2d(width)
     size = topo.num_nodes
@@ -55,15 +64,15 @@ def random_views(draw, with_wear=False, with_income=False):
         )
         if u != v
     )
-    wear = None
-    if with_wear:
-        wear = rng.integers(0, 6, size=(size, size))
-        wear = np.minimum(wear, wear.T)
-        np.fill_diagonal(wear, 0)
-    income = None
-    if with_income:
-        income = np.round(
-            rng.uniform(0.0, 40.0, size=size) * (rng.random(size) < 0.5), 3
+    channel_levels = {}
+    if with_channels:
+        for name in ("wear", "congestion"):
+            matrix = rng.integers(0, CAP + 3, size=(size, size))
+            matrix = np.minimum(matrix, matrix.T)
+            np.fill_diagonal(matrix, 0)
+            channel_levels[name] = matrix
+        channel_levels["harvest"] = rng.integers(0, CAP + 3, size=size) * (
+            rng.random(size) < 0.5
         )
     return NetworkView(
         lengths=topo.length_matrix(),
@@ -72,9 +81,35 @@ def random_views(draw, with_wear=False, with_income=False):
         levels=levels,
         mapping=checkerboard_mapping(topo),
         blocked_ports=blocked,
-        wear=wear,
-        income=income,
+        channel_levels=channel_levels,
     )
+
+
+def reference_weights(view, battery, q_wear, q_harvest, q_load):
+    """The EAR weight matrix, entry by entry."""
+    weights = ear_weight_matrix(view, battery)
+    wear = view.channel_levels["wear"]
+    income = view.channel_levels["harvest"]
+    load = view.channel_levels["congestion"]
+    size = view.num_nodes
+    for i in range(size):
+        for j in range(size):
+            if i != j:
+                weights[i, j] *= q_wear ** min(int(wear[i, j]), CAP)
+    for j in range(size):
+        # The bonus only applies within two levels of a full battery.
+        if view.battery_levels[j] >= view.levels - 2:
+            for i in range(size):
+                if i != j:
+                    weights[i, j] *= q_harvest ** -min(int(income[j]), CAP)
+    for i in range(size):
+        for j in range(size):
+            if i != j:
+                weights[i, j] *= q_load ** min(int(load[i, j]), CAP)
+    return weights
+
+
+q_values = st.floats(min_value=1.0, max_value=3.0)
 
 
 class TestPipelineBitIdentity:
@@ -98,36 +133,43 @@ class TestPipelineBitIdentity:
         )
 
     @settings(max_examples=30, deadline=None)
-    @given(random_views(with_wear=True, with_income=True))
-    def test_full_pipeline_matches_manual_composition(self, view):
+    @given(
+        view=random_views(with_channels=True),
+        q_wear=q_values,
+        q_harvest=q_values,
+        q_load=q_values,
+    )
+    def test_full_pipeline_matches_manual_composition(
+        self, view, q_wear, q_harvest, q_load
+    ):
         battery = BatteryWeightFunction()
-        wear = WearWeightFunction()
-        harvest = HarvestWeightFunction()
         pipeline = CostPipeline.ear(
-            battery, wear_function=wear, harvest_function=harvest
+            battery,
+            (
+                replace(WEAR_CHANNEL, q=q_wear),
+                replace(HARVEST_CHANNEL, q=q_harvest),
+                replace(CONGESTION_CHANNEL, q=q_load),
+            ),
         )
-        manual = ear_weight_matrix(view, battery)
-        manual = apply_wear_penalty(manual, view.wear, wear)
-        manual = apply_harvest_bonus(manual, view, harvest)
-        assert np.array_equal(pipeline.weight_matrix(view), manual)
+        assert np.array_equal(
+            pipeline.weight_matrix(view),
+            reference_weights(view, battery, q_wear, q_harvest, q_load),
+        )
 
 
 class TestTermOrderIndependence:
     @settings(max_examples=30, deadline=None)
-    @given(random_views(with_wear=True, with_income=True))
+    @given(random_views(with_channels=True))
     def test_wear_and_harvest_commute(self, view):
         """Wear (link scale) and harvest (column scale) are both
         elementwise multiplications, so their order changes results
         only by float rounding."""
-        battery = BatteryWeightFunction()
-        wear = WearWeightFunction()
-        harvest = HarvestWeightFunction()
-        base = ear_weight_matrix(view, battery)
-        wear_first = apply_harvest_bonus(
-            apply_wear_penalty(base.copy(), view.wear, wear), view, harvest
+        base = ear_weight_matrix(view, BatteryWeightFunction())
+        wear_first = HARVEST_CHANNEL.apply(
+            WEAR_CHANNEL.apply(base, view), view
         )
-        harvest_first = apply_wear_penalty(
-            apply_harvest_bonus(base.copy(), view, harvest), view.wear, wear
+        harvest_first = WEAR_CHANNEL.apply(
+            HARVEST_CHANNEL.apply(base, view), view
         )
         finite = np.isfinite(wear_first)
         assert np.array_equal(finite, np.isfinite(harvest_first))

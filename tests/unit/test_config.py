@@ -158,10 +158,10 @@ class TestSimulationConfig:
     def test_wear_defaults_and_validation(self):
         config = SimulationConfig()
         assert config.wear_aware is False
-        assert config.wear_function() is None
+        assert config.level_channels() == ()
         aware = SimulationConfig(wear_aware=True)
-        assert aware.wear_function() is not None
-        assert aware.wear_function().q == aware.wear_q
+        (wear,) = aware.level_channels()
+        assert wear.name == "wear" and wear.q == aware.wear_q
         with pytest.raises(ConfigurationError):
             SimulationConfig(wear_q=0.5)
         with pytest.raises(ConfigurationError):
@@ -173,7 +173,7 @@ class TestSimulationConfig:
         )
         restored = SimulationConfig.from_dict(config.to_dict())
         assert restored == config
-        assert restored.wear_function().quantum == 32
+        assert restored.level_channels()[0].quantum == 32
 
     def test_old_documents_without_wear_fields_still_load(self):
         raw = SimulationConfig().to_dict()
@@ -186,7 +186,7 @@ class TestRoutingOptions:
     def test_defaults_are_inert(self):
         config = SimulationConfig()
         assert config.routing_opts == RoutingOptions()
-        assert config.congestion_function() is None
+        assert config.level_channels() == ()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -200,8 +200,18 @@ class TestRoutingOptions:
                 congestion_aware=True, congestion_q=1.5
             )
         )
-        fn = aware.congestion_function()
-        assert fn is not None and fn.q == 1.5
+        (channel,) = aware.level_channels()
+        assert channel.name == "congestion" and channel.q == 1.5
+
+    def test_level_channels_follow_the_pipeline_order(self):
+        config = SimulationConfig(
+            wear_aware=True,
+            harvest_aware=True,
+            routing_opts=RoutingOptions(congestion_aware=True),
+        )
+        assert [c.name for c in config.level_channels()] == [
+            "wear", "harvest", "congestion",
+        ]
 
     def test_default_options_stay_out_of_the_document(self):
         # The serialised document — and therefore the sweep cache hash

@@ -314,15 +314,16 @@ class TestWearHook:
     def test_update_wear_triggers_recompute(self):
         import numpy as np
 
+        from repro.core.costs import WEAR_CHANNEL
+
         plane = make_control_plane()
         plane.bootstrap()
         wear = np.zeros((16, 16), dtype=int)
         wear[0, 1] = wear[1, 0] = 3
-        plane.update_wear(wear)
+        plane.update_levels(WEAR_CHANNEL, wear)
         outcome = plane.process_frame(0, reports=[], heartbeat_count=16)
         assert outcome.recomputed
-        assert plane.view().wear is not None
-        assert plane.view().wear[0, 1] == 3
+        assert plane.view().channel_levels["wear"][0, 1] == 3
         # No further change, no further recompute.
         outcome = plane.process_frame(1, reports=[], heartbeat_count=16)
         assert not outcome.recomputed

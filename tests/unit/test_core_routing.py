@@ -1,10 +1,13 @@
 """Unit tests for the routing core: weights, Floyd-Warshall, phase 3,
 engines (repro.core)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import make_view
+from repro.core.costs import WEAR_CHANNEL
 from repro.core.engines import (
     EnergyAwareRouting,
     ShortestDistanceRouting,
@@ -20,8 +23,6 @@ from repro.core.floyd_warshall import (
 from repro.core.phase3 import NO_DESTINATION, select_destinations
 from repro.core.weights import (
     BatteryWeightFunction,
-    WearWeightFunction,
-    apply_wear_penalty,
     ear_weight_matrix,
     sdr_weight_matrix,
 )
@@ -66,29 +67,25 @@ class TestWeightFunction:
 
 
 class TestWearWeightFunction:
+    """Wear specifics of the shared contract in TestLevelChannel."""
+
     def test_pristine_link_is_unpenalised(self):
-        g = WearWeightFunction(q=1.3, quantum=8, levels=8)
-        assert g(0) == pytest.approx(1.0)
+        assert WEAR_CHANNEL(0) == pytest.approx(1.0)
 
     def test_monotone_and_saturating(self):
-        g = WearWeightFunction(q=1.3, quantum=8, levels=4)
+        g = replace(WEAR_CHANNEL, q=1.3, levels=4)
         values = [g(level) for level in range(6)]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert g(3) == g(5)  # saturates at levels - 1
 
     def test_q_one_degenerates_to_reactive_ear(self):
-        g = WearWeightFunction(q=1.0, quantum=8, levels=8)
-        assert all(g(level) == 1.0 for level in range(8))
+        assert replace(WEAR_CHANNEL, q=1.0).is_neutral
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
-            WearWeightFunction(q=0.9)
+            replace(WEAR_CHANNEL, q=0.9)
         with pytest.raises(ConfigurationError):
-            WearWeightFunction(quantum=0)
-        with pytest.raises(ConfigurationError):
-            WearWeightFunction(levels=0)
-        with pytest.raises(ConfigurationError):
-            WearWeightFunction()(-1)
+            replace(WEAR_CHANNEL, quantum=0)
 
     def test_apply_wear_penalty_preserves_conventions(
         self, mesh4, mapping4, full_view
@@ -97,8 +94,9 @@ class TestWearWeightFunction:
         wear = np.zeros((16, 16), dtype=int)
         wear[0, 1] = wear[1, 0] = 2
         wear[3, 3] = 5  # diagonal wear must stay inert
-        g = WearWeightFunction(q=1.5, quantum=8, levels=8)
-        penalised = apply_wear_penalty(weights, wear, g)
+        g = replace(WEAR_CHANNEL, q=1.5)
+        worn = with_channel_levels(full_view, wear=wear)
+        penalised = g.apply(weights, worn)
         pitch = mesh4.edge_length(0, 1)
         assert penalised[0, 1] == pytest.approx(pitch * 1.5**2)
         assert penalised[1, 0] == pytest.approx(pitch * 1.5**2)
@@ -111,17 +109,9 @@ class TestWearWeightFunction:
     ):
         wear = np.zeros((16, 16), dtype=int)
         wear[0, 1] = wear[1, 0] = 3
-        worn_view = make_view(mesh4, mapping4)
-        worn_view = type(worn_view)(
-            lengths=worn_view.lengths,
-            alive=worn_view.alive,
-            battery_levels=worn_view.battery_levels,
-            levels=worn_view.levels,
-            mapping=worn_view.mapping,
-            wear=wear,
-        )
-        g = WearWeightFunction(q=1.5, quantum=8, levels=8)
-        engine = EnergyAwareRouting(wear_function=g)
+        worn_view = with_channel_levels(make_view(mesh4, mapping4), wear=wear)
+        g = replace(WEAR_CHANNEL, q=1.5)
+        engine = EnergyAwareRouting(channels=(g,))
         weights = engine.weight_matrix(worn_view)
         reactive = EnergyAwareRouting().weight_matrix(worn_view)
         assert weights[0, 1] == pytest.approx(reactive[0, 1] * 1.5**3)
@@ -131,6 +121,17 @@ class TestWearWeightFunction:
             engine.weight_matrix(full_view),
             EnergyAwareRouting().weight_matrix(full_view),
         )
+
+
+def with_channel_levels(view, **channel_levels):
+    return type(view)(
+        lengths=view.lengths,
+        alive=view.alive,
+        battery_levels=view.battery_levels,
+        levels=view.levels,
+        mapping=view.mapping,
+        channel_levels=channel_levels,
+    )
 
 
 class TestWeightMatrices:

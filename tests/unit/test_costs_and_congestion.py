@@ -1,41 +1,41 @@
-"""Unit tests for the cost pipeline, congestion tracking and ECMP.
+"""Unit tests for the cost pipeline, level channels and ECMP.
 
-Covers the pieces the routing refactor introduced: the composable
-``CostPipeline`` and its terms, the ``CongestionWeightFunction`` /
-penalty application, the shared ``LinkLevelStore``, the per-link EMA
-``CongestionRuntime``, and the equal-cost successor machinery
+Covers the composable ``CostPipeline`` and its terms, the shared
+``LevelChannel`` contract (parametrised over the three default
+channels), the link-level store and load estimator behind the
+congestion channel, and the equal-cost successor machinery
 (``equal_cost_successors`` + ``EcmpSelector``).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import make_view
+from helpers import build_engine, make_config, make_view
 from repro.core import (
+    CONGESTION_CHANNEL,
+    HARVEST_CHANNEL,
+    WEAR_CHANNEL,
     BatteryTerm,
-    CongestionTerm,
     CostPipeline,
     CostTerm,
     EcmpSelector,
-    HarvestTerm,
-    WearTerm,
+    LevelChannel,
     equal_cost_successors,
 )
 from repro.core.floyd_warshall import floyd_warshall_successors
-from repro.core.link_levels import LinkLevelStore
 from repro.core.weights import (
     BatteryWeightFunction,
-    CongestionWeightFunction,
-    HarvestWeightFunction,
-    WearWeightFunction,
-    apply_congestion_penalty,
     ear_weight_matrix,
     sdr_weight_matrix,
 )
 from repro.errors import ConfigurationError
 from repro.mesh.mapping import checkerboard_mapping
 from repro.mesh.topology import mesh2d
-from repro.sim.congestion import CongestionRuntime
+from repro.sim.level_estimators import LinkLevelStore, LoadEstimator
+
+DEFAULT_CHANNELS = (WEAR_CHANNEL, HARVEST_CHANNEL, CONGESTION_CHANNEL)
 
 
 def build_view(**overrides):
@@ -43,28 +43,84 @@ def build_view(**overrides):
     return make_view(topo, checkerboard_mapping(topo), **overrides)
 
 
+def with_levels(view, **channel_levels):
+    return type(view)(
+        lengths=view.lengths,
+        alive=view.alive,
+        battery_levels=view.battery_levels,
+        levels=view.levels,
+        mapping=view.mapping,
+        channel_levels=channel_levels,
+    )
+
+
+@pytest.mark.parametrize(
+    "channel", DEFAULT_CHANNELS, ids=[c.name for c in DEFAULT_CHANNELS]
+)
+class TestLevelChannel:
+    def test_level_zero_is_unweighted_and_the_cap_saturates(self, channel):
+        assert channel(0) == 1.0
+        cap = channel.levels - 1
+        assert channel(cap) == channel(cap + 1) == channel(99)
+        assert np.array_equal(
+            channel.table(), [channel(level) for level in range(channel.levels)]
+        )
+
+    def test_exponent_sign(self, channel):
+        # Penalties grow with the level, the harvest bonus shrinks.
+        values = [channel(level) for level in range(channel.levels)]
+        step = channel(1) / channel(0)
+        if channel.sign > 0:
+            assert values == sorted(values) and step == channel.q
+        else:
+            assert values == sorted(values, reverse=True)
+            assert step == channel.q ** -1
+
+    def test_validation(self, channel):
+        for bad in (
+            {"q": 0.9},
+            {"quantum": 0.0},
+            {"levels": 0},
+            {"sign": 2},
+            {"keyed": "edge"},
+        ):
+            with pytest.raises(ConfigurationError):
+                replace(channel, **bad)
+        with pytest.raises(ConfigurationError):
+            channel(-1)
+
+    def test_neutral_q_changes_no_weight(self, channel):
+        neutral = replace(channel, q=1.0)
+        assert neutral.is_neutral and not channel.is_neutral
+        assert all(neutral(level) == 1.0 for level in range(channel.levels))
+
+    def test_applies_only_once_reported(self, channel):
+        shape = (16,) if channel.keyed == "node" else (16, 16)
+        assert not channel.applies(build_view())
+        reported = with_levels(
+            build_view(), **{channel.name: np.zeros(shape, dtype=int)}
+        )
+        assert channel.applies(reported)
+
+
 class TestCongestionWeightFunction:
+    """Congestion specifics of the shared contract in TestLevelChannel."""
+
     def test_defaults_and_cap(self):
-        f = CongestionWeightFunction()
-        assert f(0) == 1.0
+        f = CONGESTION_CHANNEL
         assert f(3) == pytest.approx(f.q**3)
-        # Levels beyond the cap saturate at the top multiplier.
         assert f(99) == f(f.levels - 1)
 
     def test_neutral_detection(self):
-        assert CongestionWeightFunction(q=1.0).is_neutral
-        assert not CongestionWeightFunction().is_neutral
+        assert replace(CONGESTION_CHANNEL, q=1.0).is_neutral
+        assert not CONGESTION_CHANNEL.is_neutral
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            CongestionWeightFunction(q=0.9)
-        with pytest.raises(ConfigurationError):
-            CongestionWeightFunction(quantum=0.0)
-        with pytest.raises(ConfigurationError):
-            CongestionWeightFunction(levels=0)
+            replace(CONGESTION_CHANNEL, rich_band=2)  # link channel
 
     def test_table_matches_call(self):
-        f = CongestionWeightFunction(q=1.5, levels=4)
+        f = replace(CONGESTION_CHANNEL, q=1.5, levels=4)
         assert np.allclose(f.table(), [f(i) for i in range(4)])
 
 
@@ -74,8 +130,8 @@ class TestApplyCongestionPenalty:
         weights = sdr_weight_matrix(view)
         load = np.zeros((16, 16), dtype=int)
         load[0, 1] = load[1, 0] = 2
-        f = CongestionWeightFunction(q=2.0)
-        penalised = apply_congestion_penalty(weights.copy(), load, f)
+        f = replace(CONGESTION_CHANNEL, q=2.0)
+        penalised = f.apply(weights.copy(), with_levels(view, congestion=load))
         assert penalised[0, 1] == pytest.approx(weights[0, 1] * 4.0)
         assert penalised[1, 0] == pytest.approx(weights[1, 0] * 4.0)
         mask = np.ones_like(weights, dtype=bool)
@@ -87,12 +143,7 @@ class TestApplyCongestionPenalty:
 
 class TestCostPipeline:
     def test_terms_satisfy_protocol(self):
-        for term in (
-            BatteryTerm(BatteryWeightFunction()),
-            WearTerm(WearWeightFunction()),
-            HarvestTerm(HarvestWeightFunction()),
-            CongestionTerm(CongestionWeightFunction()),
-        ):
+        for term in (BatteryTerm(BatteryWeightFunction()), *DEFAULT_CHANNELS):
             assert isinstance(term, CostTerm)
 
     def test_empty_pipeline_is_sdr(self):
@@ -103,9 +154,7 @@ class TestCostPipeline:
 
     def test_ear_composition_and_lookup(self):
         pipeline = CostPipeline.ear(
-            BatteryWeightFunction(),
-            wear_function=WearWeightFunction(),
-            congestion_function=CongestionWeightFunction(),
+            BatteryWeightFunction(), (WEAR_CHANNEL, CONGESTION_CHANNEL)
         )
         assert [t.name for t in pipeline.terms] == [
             "battery", "wear", "congestion",
@@ -118,20 +167,11 @@ class TestCostPipeline:
     def test_terms_gate_on_view_telemetry(self):
         view = build_view()
         assert BatteryTerm(BatteryWeightFunction()).applies(view)
-        assert not WearTerm(WearWeightFunction()).applies(view)
-        assert not CongestionTerm(CongestionWeightFunction()).applies(view)
-        loaded = build_view(
-            # make_view has no load kwarg; rebuild with load telemetry.
-        )
-        loaded = type(loaded)(
-            lengths=loaded.lengths,
-            alive=loaded.alive,
-            battery_levels=loaded.battery_levels,
-            levels=loaded.levels,
-            mapping=loaded.mapping,
-            load=np.zeros((16, 16), dtype=int),
-        )
-        assert CongestionTerm(CongestionWeightFunction()).applies(loaded)
+        assert not WEAR_CHANNEL.applies(view)
+        assert not CONGESTION_CHANNEL.applies(view)
+        loaded = with_levels(view, congestion=np.zeros((16, 16), dtype=int))
+        assert CONGESTION_CHANNEL.applies(loaded)
+        assert not WEAR_CHANNEL.applies(loaded)
 
     def test_battery_only_pipeline_matches_ear(self):
         view = build_view()
@@ -141,76 +181,94 @@ class TestCostPipeline:
             pipeline.weight_matrix(view), ear_weight_matrix(view, fn)
         )
 
+    def test_a_new_channel_is_one_instance(self):
+        # A resistance-style hop cost needs no new class: one more link
+        # channel composes after the defaults.
+        extra = LevelChannel(
+            name="resistance", signal="resistance", keyed="link",
+            q=2.0, quantum=1.0,
+        )
+        view = with_levels(
+            build_view(), resistance=np.ones((16, 16), dtype=int)
+        )
+        pipeline = CostPipeline.ear(BatteryWeightFunction(), (extra,))
+        base = ear_weight_matrix(view, BatteryWeightFunction())
+        finite = np.isfinite(base) & (base > 0)
+        assert np.array_equal(
+            pipeline.weight_matrix(view)[finite], base[finite] * 2.0
+        )
+
 
 class TestLinkLevelStore:
     def test_canonical_ordering(self):
-        assert LinkLevelStore.canonical(3, 1) == (1, 3)
-        assert LinkLevelStore.canonical(1, 3) == (1, 3)
+        load = LoadEstimator(replace(CONGESTION_CHANNEL, quantum=1.0), 4)
+        load.note_traversal(3, 1)
+        load.note_traversal(1, 3)
+        load.end_frame()
+        assert load.totals == {(1, 3): 2}
 
     def test_dirty_only_on_change(self):
-        store = LinkLevelStore()
+        store = LinkLevelStore(CONGESTION_CHANNEL)
         assert not store.dirty
-        assert store.set_level((0, 1), 2)
+        store.set_level((0, 1), 2)
         assert store.dirty
         store.dirty = False
         # Same level again: no change, no dirt.
-        assert not store.set_level((0, 1), 2)
+        store.set_level((0, 1), 2)
         assert not store.dirty
-        assert store.set_level((0, 1), 3)
+        store.set_level((0, 1), 3)
         assert store.dirty
 
     def test_zero_level_clears(self):
-        store = LinkLevelStore()
+        store = LinkLevelStore(CONGESTION_CHANNEL)
         store.set_level((0, 1), 2)
         store.dirty = False
-        assert store.set_level((0, 1), 0)
+        store.set_level((0, 1), 0)
         assert store.dirty
-        assert len(store) == 0
-        assert store.level((0, 1)) == 0
+        assert store.snapshot() == {}
 
     def test_matrix_and_max(self):
-        store = LinkLevelStore()
-        store.set_level(LinkLevelStore.canonical(2, 0), 4)
-        matrix = store.matrix(4)
+        store = LinkLevelStore(CONGESTION_CHANNEL)
+        store.set_level((0, 2), 4)
+        matrix = store.levels(4)
         assert matrix[0, 2] == 4 and matrix[2, 0] == 4
         assert matrix.sum() == 8
-        assert store.max_level() == 4
-        store.clear((0, 2))
-        assert store.max_level() == 0
-        assert len(store) == 0
+        assert store.snapshot() == {(0, 2): 4}
 
 
 class TestCongestionRuntime:
+    def estimator(self, alpha=0.5):
+        channel = replace(CONGESTION_CHANNEL, quantum=1.0)
+        return LoadEstimator(channel, 2, alpha=alpha)
+
     def test_disabled_without_quantum(self):
-        runtime = CongestionRuntime(quantum=0.0)
-        assert not runtime.tracks_load
-        runtime.note_traversal(0, 1)
-        runtime.end_frame()
-        assert runtime.total_traversals() == 0
+        # Congestion-blind runs build no estimator and count nothing.
+        engine = build_engine(make_config())
+        assert engine.estimators == {}
+        assert engine._traversal_sinks == ()
 
     def test_ema_folds_and_levels(self):
-        runtime = CongestionRuntime(quantum=1.0, levels=8, alpha=0.5)
+        runtime = self.estimator()
         for _ in range(4):
             runtime.note_traversal(0, 1)
         runtime.end_frame()
         # rate = 0 + 0.5 * (4 - 0) = 2.0 -> level 2
-        assert runtime.load_dirty
-        assert runtime.load_level_matrix(2)[0, 1] == 2
-        assert runtime.total_traversals() == 4
+        assert runtime.dirty
+        assert runtime.levels(2)[0, 1] == 2
         assert runtime.max_link_traversals() == 4
 
     def test_quiet_links_decay(self):
-        runtime = CongestionRuntime(quantum=1.0, levels=8, alpha=0.5)
+        runtime = self.estimator()
         for _ in range(8):
             runtime.note_traversal(0, 1)
         runtime.end_frame()
-        level0 = runtime.load_level_matrix(2)[0, 1]
+        level0 = runtime.levels(2)[0, 1]
         for _ in range(6):
             runtime.end_frame()
-        assert runtime.load_level_matrix(2)[0, 1] < level0
+        assert runtime.levels(2)[0, 1] < level0
 
     def test_hot_link_share(self):
-        runtime = CongestionRuntime(quantum=1.0)
+        runtime = self.estimator(alpha=0.2)
         for _ in range(3):
             runtime.note_traversal(0, 1)
         runtime.note_traversal(1, 2)

@@ -7,7 +7,8 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import make_config
+from helpers import build_engine, make_config
+from repro.core.costs import WEAR_CHANNEL
 from repro.errors import ConfigurationError
 from repro.faults import (
     FAULT_PROFILES,
@@ -20,6 +21,7 @@ from repro.faults import (
 )
 from repro.mesh.topology import attach_external_node, mesh2d
 from repro.orchestration import config_hash
+from repro.sim.level_estimators import WearEstimator
 
 
 class TestFaultConfig:
@@ -393,58 +395,56 @@ class TestWashCycleBudget:
         assert len(set(cuts)) == len(cuts)
 
 
+def wear_estimator(quantum: int, levels: int = 8) -> WearEstimator:
+    channel = replace(WEAR_CHANNEL, quantum=quantum, levels=levels)
+    return WearEstimator(channel, num_mesh_nodes=4)
+
+
 class TestWearTracking:
     def test_traversals_quantise_into_levels(self):
-        runtime = FaultRuntime(
-            FaultSchedule(), wear_quantum=4, wear_levels=8
-        )
+        wear = wear_estimator(quantum=4)
         for _ in range(3):
-            runtime.note_traversal(0, 1)
-        assert not runtime.wear_dirty  # still level 0
-        runtime.note_traversal(1, 0)  # 4th crossing, either direction
-        assert runtime.wear_dirty
-        matrix = runtime.wear_level_matrix(4)
+            wear.note_traversal(0, 1)
+        assert not wear.dirty  # still level 0
+        wear.note_traversal(1, 0)  # 4th crossing, either direction
+        assert wear.dirty
+        matrix = wear.levels(4)
         assert matrix[0, 1] == 1
         assert matrix[1, 0] == 1
 
     def test_degradation_counts_as_a_full_level(self):
-        runtime = FaultRuntime(
-            FaultSchedule(), wear_quantum=100, wear_levels=8
-        )
-        runtime.note_degraded(2, 3)
-        assert runtime.wear_dirty
-        assert runtime.wear_level_matrix(4)[2, 3] == 1
+        wear = wear_estimator(quantum=100)
+        wear.note_degraded(2, 3)
+        assert wear.dirty
+        assert wear.levels(4)[2, 3] == 1
 
     def test_levels_saturate(self):
-        runtime = FaultRuntime(
-            FaultSchedule(), wear_quantum=1, wear_levels=4
-        )
+        wear = wear_estimator(quantum=1, levels=4)
         for _ in range(100):
-            runtime.note_traversal(0, 1)
-        assert runtime.wear_level_matrix(2)[0, 1] == 3
+            wear.note_traversal(0, 1)
+        assert wear.levels(2)[0, 1] == 3
 
     def test_disabled_tracking_is_inert(self):
-        runtime = FaultRuntime(FaultSchedule())  # quantum 0 = off
-        runtime.note_traversal(0, 1)
-        runtime.note_degraded(0, 1)
-        assert not runtime.wear_dirty
-        assert runtime.traversals == {}
-        assert (runtime.wear_level_matrix(2) == 0).all()
+        # Without the wear channel the engine builds no estimator and
+        # counts no traversals.
+        engine = build_engine(make_config(fault_profile="wash-cycle"))
+        assert engine.estimators == {}
+        assert engine._traversal_sinks == ()
 
     def test_repair_resets_the_wear_history(self):
-        runtime = FaultRuntime(
-            FaultSchedule(), wear_quantum=2, wear_levels=8
-        )
+        wear = wear_estimator(quantum=2)
         for _ in range(6):
-            runtime.note_traversal(0, 1)
+            wear.note_traversal(0, 1)
+        wear.dirty = False
+        wear.forget(1, 0)
+        assert wear.traversals == {}
+        assert wear.dirty  # the level dropped back to 0
+        assert wear.levels(2)[0, 1] == 0
+        runtime = FaultRuntime(FaultSchedule())
         runtime.mark_cut(0, 1)
-        runtime.wear_dirty = False
         runtime.mark_repaired(0, 1)
         assert not runtime.is_cut(0, 1)
         assert not runtime.is_cut(1, 0)
-        assert runtime.traversals == {}
-        assert runtime.wear_dirty  # the level dropped back to 0
-        assert runtime.wear_level_matrix(2)[0, 1] == 0
 
 
 class TestSweepCacheInvalidation:

@@ -1,5 +1,5 @@
-"""Unit tests: harvest configuration, income schedules, the runtime
-estimator, the harvest-bonus weight, and cache invalidation."""
+"""Unit tests: harvest configuration, income schedules, the income
+estimator, the harvest channel's bonus, and cache invalidation."""
 
 from __future__ import annotations
 
@@ -8,20 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import make_config, make_view
+from helpers import build_engine, make_config, make_view
 from repro.config import SimulationConfig
-from repro.core.weights import (
-    HARVEST_RICH_BAND,
-    HarvestWeightFunction,
-    apply_harvest_bonus,
-    ear_weight_matrix,
-)
+from repro.core.costs import HARVEST_CHANNEL
+from repro.core.weights import BatteryWeightFunction, ear_weight_matrix
 from repro.errors import ConfigurationError
 from repro.harvest import (
     HARVEST_PROFILES,
     HarvestConfig,
     HarvestHardware,
-    HarvestRuntime,
     build_harvest_schedule,
     flex_weights,
     hardware_scale,
@@ -29,6 +24,7 @@ from repro.harvest import (
 from repro.mesh.mapping import checkerboard_mapping
 from repro.mesh.topology import Topology, mesh2d
 from repro.orchestration import config_hash
+from repro.sim.level_estimators import IncomeEstimator
 
 
 class TestHarvestConfig:
@@ -91,10 +87,10 @@ class TestHarvestConfig:
             SimulationConfig(harvest_quantum=0.0)
 
     def test_harvest_function_gated_by_flag(self):
-        assert SimulationConfig().harvest_function() is None
-        function = SimulationConfig(harvest_aware=True).harvest_function()
-        assert function is not None
-        assert function.q >= 1.0
+        assert SimulationConfig().level_channels() == ()
+        (channel,) = SimulationConfig(harvest_aware=True).level_channels()
+        assert channel.name == "harvest"
+        assert channel.q >= 1.0
 
 
 class TestHarvestHardware:
@@ -293,76 +289,75 @@ class TestHarvestSchedule:
 
 
 class TestHarvestRuntime:
-    def runtime(self, quantum=5.0):
-        schedule = build_harvest_schedule(
-            HarvestConfig(profile="motion", seed=1), mesh2d(4), 16
-        )
-        return HarvestRuntime(schedule, income_quantum=quantum, levels=8)
+    """The harvest channel's income estimator."""
+
+    def runtime(self):
+        return IncomeEstimator(HARVEST_CHANNEL, num_mesh_nodes=16)
 
     def test_tracking_disabled_without_quantum(self):
-        runtime = self.runtime(quantum=0.0)
-        assert not runtime.tracks_income
-        runtime.observe_frame([100.0] * 16)
-        assert not runtime.income_dirty
+        with pytest.raises(ConfigurationError):
+            replace(HARVEST_CHANNEL, quantum=0.0)
+        # A harvest-blind engine builds no income estimator at all.
+        engine = build_engine(
+            make_config(harvest=HarvestConfig(profile="motion"))
+        )
+        assert "harvest" not in engine.estimators
 
     def test_levels_rise_with_sustained_income(self):
         runtime = self.runtime()
         for _ in range(400):
             runtime.observe_frame([20.0] * 16)
-        assert runtime.income_dirty
-        vector = runtime.income_level_vector(17)
+        assert runtime.dirty
+        vector = runtime.levels(17)
         assert vector.shape == (17,)
         assert vector[16] == 0  # the external source never harvests
         # The moving average converges on 20 pJ/frame from below, so
         # the quantised level settles one below the exact quotient.
         assert all(vector[:16] == 3)
+        assert runtime.snapshot() == {node: 3 for node in range(16)}
 
     def test_levels_saturate_at_cap(self):
         runtime = self.runtime()
         for _ in range(1000):
             runtime.observe_frame([10_000.0] * 16)
-        assert all(runtime.income_level_vector(16) == 7)
+        assert all(runtime.levels(16) == 7)
 
     def test_dirty_only_on_level_crossings(self):
         runtime = self.runtime()
         runtime.observe_frame([0.0] * 16)
-        assert not runtime.income_dirty
+        assert not runtime.dirty
 
 
 class TestHarvestWeightFunction:
+    """Harvest specifics of the shared contract in TestLevelChannel."""
+
     def test_level_zero_is_unweighted(self):
-        assert HarvestWeightFunction()(0) == 1.0
+        assert HARVEST_CHANNEL(0) == 1.0
 
     def test_richer_is_cheaper(self):
-        function = HarvestWeightFunction(q=1.3)
-        values = [function(level) for level in range(8)]
+        values = [HARVEST_CHANNEL(level) for level in range(8)]
         assert values == sorted(values, reverse=True)
         assert all(v <= 1.0 for v in values)
 
     def test_saturates_at_level_cap(self):
-        function = HarvestWeightFunction(q=1.3, levels=4)
-        assert function(3) == function(99)
+        channel = replace(HARVEST_CHANNEL, levels=4)
+        assert channel(3) == channel(99)
 
     def test_q_one_degenerates_to_reactive(self):
-        function = HarvestWeightFunction(q=1.0)
-        assert all(function(level) == 1.0 for level in range(8))
+        assert replace(HARVEST_CHANNEL, q=1.0).is_neutral
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
-            HarvestWeightFunction(q=0.5)
+            replace(HARVEST_CHANNEL, q=0.5)
         with pytest.raises(ConfigurationError):
-            HarvestWeightFunction(quantum=0.0)
-        with pytest.raises(ConfigurationError):
-            HarvestWeightFunction(levels=0)
-        with pytest.raises(ConfigurationError):
-            HarvestWeightFunction()(-1)
+            HARVEST_CHANNEL(-1)
 
 
 class TestApplyHarvestBonus:
     def test_bonus_applies_only_to_nearly_full_receivers(self):
         topology = mesh2d(3)
         mapping = checkerboard_mapping(topology, range(9))
-        function = HarvestWeightFunction(q=1.5)
+        channel = replace(HARVEST_CHANNEL, q=1.5)
         # Node 0 reports full and harvesting, node 1 depleted and
         # harvesting: only the full one gets cheaper.
         levels_vector = np.full(9, 7, dtype=int)
@@ -371,34 +366,26 @@ class TestApplyHarvestBonus:
         income[0] = 3
         income[1] = 3
         view = make_view(topology, mapping, levels_vector=levels_vector)
-        base = ear_weight_matrix(view, view_function())
+        base = ear_weight_matrix(view, BatteryWeightFunction())
         view_income = replace_income(view, income)
-        boosted = apply_harvest_bonus(base.copy(), view_income, function)
-        assert boosted[3, 0] == pytest.approx(
-            base[3, 0] * function(3)
-        )
+        boosted = channel.apply(base.copy(), view_income)
+        assert boosted[3, 0] == pytest.approx(base[3, 0] * channel(3))
         # Node 1 is below the rich band: untouched.
         assert boosted[0, 1] == pytest.approx(base[0, 1])
         # Rich band boundary honoured exactly.
-        assert (view.levels - HARVEST_RICH_BAND) <= 7
+        assert (view.levels - channel.rich_band) <= 7
 
     def test_bonus_preserves_floyd_warshall_conventions(self):
         topology = mesh2d(3)
         mapping = checkerboard_mapping(topology, range(9))
-        function = HarvestWeightFunction(q=1.5)
+        channel = replace(HARVEST_CHANNEL, q=1.5)
         income = np.full(9, 5, dtype=int)
         view = make_view(topology, mapping)
         view_income = replace_income(view, income)
-        base = ear_weight_matrix(view, view_function())
-        boosted = apply_harvest_bonus(base.copy(), view_income, function)
+        base = ear_weight_matrix(view, BatteryWeightFunction())
+        boosted = channel.apply(base.copy(), view_income)
         assert np.all(np.isinf(boosted) == np.isinf(base))
         assert np.all(np.diag(boosted) == 0.0)
-
-
-def view_function():
-    from repro.core.weights import BatteryWeightFunction
-
-    return BatteryWeightFunction()
 
 
 def replace_income(view, income):
@@ -409,7 +396,7 @@ def replace_income(view, income):
         levels=view.levels,
         mapping=view.mapping,
         blocked_ports=view.blocked_ports,
-        income=income,
+        channel_levels={"harvest": income},
     )
 
 

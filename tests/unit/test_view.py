@@ -66,22 +66,27 @@ class TestNetworkView:
             build_view(levels=0)
 
     def test_wear_defaults_to_none(self):
-        assert build_view().wear is None
+        assert build_view().channel_levels == {}
 
     def test_wear_matrix_accepted_and_propagated(self):
         wear = np.zeros((16, 16), dtype=int)
         wear[0, 1] = wear[1, 0] = 2
-        view = build_view(wear=wear)
-        assert view.wear[0, 1] == 2
+        view = build_view(channel_levels={"wear": wear})
+        assert view.channel_levels["wear"][0, 1] == 2
         blocked = view.with_blocked_ports(frozenset({(0, 1)}))
-        assert np.array_equal(blocked.wear, wear)
+        assert np.array_equal(blocked.channel_levels["wear"], wear)
 
     def test_wear_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_view(wear=np.zeros((4, 4), dtype=int))
+            build_view(channel_levels={"wear": np.zeros((4, 4), dtype=int)})
 
     def test_negative_wear_rejected(self):
         wear = np.zeros((16, 16), dtype=int)
         wear[3, 4] = -1
         with pytest.raises(ConfigurationError):
-            build_view(wear=wear)
+            build_view(channel_levels={"wear": wear})
+
+    def test_node_channel_vector_accepted(self):
+        income = np.arange(16)
+        view = build_view(channel_levels={"harvest": income})
+        assert np.array_equal(view.channel_levels["harvest"], income)
