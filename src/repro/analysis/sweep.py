@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..config import ControlConfig, SimulationConfig
+from ..config import SimulationConfig
 from ..orchestration.runner import (
     SequentialSweepRunner,
     SweepPoint,
@@ -113,8 +113,3 @@ def sweep_controllers(
     return _run_points(
         controller_grid(base, widths, controller_counts), runner
     )
-
-
-def default_control() -> ControlConfig:
-    """Convenience: a fresh default control configuration."""
-    return ControlConfig()

@@ -77,10 +77,6 @@ class FrameOutcome:
     active_controller: int | None = None
     failed_over: bool = False
 
-    @property
-    def total_controller_energy_pj(self) -> float:
-        return sum(self.controller_energy_pj.values())
-
 
 class ControllerUnit:
     """One physical controller: a battery (or an infinite supply)."""

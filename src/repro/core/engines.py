@@ -52,11 +52,6 @@ class RoutingEngine(abc.ABC):
         """Enable (seeded) or disable equal-cost multi-path spreading."""
         self._ecmp_seed = None if seed is None else int(seed)
 
-    @property
-    def ecmp_enabled(self) -> bool:
-        """Whether computed plans round-robin equal-cost successors."""
-        return self._ecmp_seed is not None
-
     def compute_plan(
         self,
         view: NetworkView,

@@ -94,10 +94,6 @@ class ModuleMapping:
                     f"mapped node {node} does not exist in {topology!r}"
                 )
 
-    def as_dict(self) -> dict[int, int]:
-        """Copy of the raw node -> module assignment."""
-        return dict(self._assignment)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModuleMapping):
             return NotImplemented

@@ -211,11 +211,6 @@ class EnergyLedger:
         return self.upload_pj + self.controller_pj.get("download_tx", 0.0)
 
     @property
-    def control_total_pj(self) -> float:
-        """All control-mechanism energy: medium plus controller internals."""
-        return self.upload_pj + self.controller_total_pj
-
-    @property
     def application_total_pj(self) -> float:
         """Computation plus data transport (including the source's)."""
         return self.compute_pj + self.data_tx_pj + self.source_tx_pj
