@@ -473,7 +473,6 @@ class EngineBase:
                 self.topology.add_edge(u, v, base)
                 runtime.mark_repaired(u, v)
                 if self._wear is not None:
-                    # The repaired line starts a fresh wear life.
                     self._wear.forget(u, v)
                 self.lengths[u, v] = self._base_lengths[u, v]
                 self.lengths[v, u] = self._base_lengths[v, u]

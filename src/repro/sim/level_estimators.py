@@ -226,21 +226,15 @@ class IncomeEstimator(LevelEstimator):
     energy each mesh node's cell actually took in.
     """
 
-    def __init__(
-        self,
-        channel: LevelChannel,
-        num_mesh_nodes: int,
-        alpha: float = INCOME_EMA_ALPHA,
-    ):
+    def __init__(self, channel: LevelChannel, num_mesh_nodes: int):
         super().__init__(channel)
-        self.alpha = float(alpha)
         #: Smoothed per-frame accepted income, pJ/frame, per mesh node.
         self.ema: list[float] = [0.0] * num_mesh_nodes
         self._levels: list[int] = [0] * num_mesh_nodes
 
     def observe_frame(self, accepted: list[float]) -> None:
         """Fold one frame's accepted income into the moving average."""
-        alpha = self.alpha
+        alpha = INCOME_EMA_ALPHA
         quantum = self.quantum
         cap = self.cap
         ema = self.ema
