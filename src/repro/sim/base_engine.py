@@ -22,7 +22,7 @@ from ..mesh.connectivity import reachable_set, system_is_alive
 from ..mesh.geometry import node_id as mesh_node_id
 from ..mesh.topology import attach_external_node
 from ..telemetry.recorder import NULL_RECORDER, Recorder
-from .level_estimators import build_estimator
+from .level_estimators import ESTIMATORS
 from .node import NetworkNode
 from .stats import EnergyLedger, SimulationStats
 from .workload import JobFactory
@@ -221,7 +221,7 @@ class EngineBase:
         #: channel's own quantum and cap, so the controller's penalty
         #: table and the levels it is fed cannot drift apart.
         self._channels = tuple(
-            (channel, build_estimator(channel, self.num_mesh_nodes))
+            (channel, ESTIMATORS[channel.name](channel, self.num_mesh_nodes))
             for channel in channels
         )
         self.estimators = {

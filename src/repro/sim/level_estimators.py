@@ -256,16 +256,10 @@ class IncomeEstimator(LevelEstimator):
         return {node: level for node, level in enumerate(self._levels) if level}
 
 
-#: Channel name -> estimator class.
+#: Channel name -> estimator class, built as ``cls(channel, num_mesh_nodes)``.
 ESTIMATORS: dict[str, type[LevelEstimator]] = {
     "wear": WearEstimator,
     "harvest": IncomeEstimator,
     "congestion": LoadEstimator,
 }
 
-
-def build_estimator(
-    channel: LevelChannel, num_mesh_nodes: int
-) -> LevelEstimator:
-    """A fresh estimator for ``channel`` on a ``num_mesh_nodes`` fabric."""
-    return ESTIMATORS[channel.name](channel, num_mesh_nodes)
