@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Spreading hot links on a body-scale fabric with congestion-aware ECMP.
 
-Energy-aware routing picks one minimal-cost path per (source,
-destination) pair, so on a regular mesh every job funnels through the
+Energy-aware routing picks one minimal-cost next hop per (node,
+module) pair, so on a regular mesh every job funnels through the
 same few lines next to the source corner — those lines carry an order
 of magnitude more packets than the median line, wear out first under
 the traversal-wear model, and pull their relay nodes' batteries down
@@ -17,7 +17,7 @@ three ways on the vector engine:
    (q = 1.0): the summary gains the hot-link metrics while every
    routing decision stays bit-identical to plain EAR;
 2. **ECMP only** — deterministic round-robin over the equal-cost
-   successor groups Floyd-Warshall's canonical tree hides;
+   next-hop groups the canonical shortest-path tree hides;
 3. **full relief** — ECMP plus the congestion cost term, which reads
    the controller's quantised per-link load levels and multiplies hot
    lines' weights by ``q ^ level``, steering even unequal-cost traffic

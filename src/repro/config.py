@@ -383,9 +383,8 @@ class RoutingOptions:
             weight matrix is untouched).
         congestion_quantum: Smoothed traversals per frame per quantised
             load level.
-        ecmp: Round-robin over equal-cost successor groups instead of
-            always forwarding on the canonical Floyd–Warshall
-            successor.
+        ecmp: Round-robin over equal-cost next-hop groups instead of
+            always forwarding on the canonical shortest-path hop.
         ecmp_seed: Seed of the deterministic rotation offsets.
     """
 

@@ -21,7 +21,8 @@ import numpy as np
 from ..battery.base import Battery
 from ..core.costs import LevelChannel
 from ..core.engines import RoutingEngine
-from ..core.phase3 import NO_DESTINATION, RoutingPlan
+from ..core.phase3 import NO_DESTINATION, SINK, RoutingPlan
+from ..core.trees import neighbor_table
 from ..core.view import NetworkView
 from ..errors import ConfigurationError
 from ..mesh.mapping import ModuleMapping
@@ -124,6 +125,7 @@ class ControlPlane:
         deadlock_policy: DeadlockPolicy,
         controller_batteries: list[Battery | None],
         recorder: Recorder | None = None,
+        sink: int | None = None,
     ):
         if not controller_batteries:
             raise ConfigurationError("need at least one controller unit")
@@ -139,7 +141,11 @@ class ControlPlane:
         # injection and must only reach the controller via the
         # update_lengths hook (the controller routes on *known* state).
         self._lengths = np.array(lengths, dtype=float)
+        self._neighbors = neighbor_table(self._lengths)
         self._num_nodes = int(self._lengths.shape[0])
+        #: The source block finished jobs return to (root of the plan's
+        #: sink column), or None for a sink-less fabric.
+        self._sink = sink
         self._links_changed = False
         self._mapping = mapping
         self._engine = engine
@@ -198,6 +204,7 @@ class ControlPlane:
         picture — the same trigger discipline as changed status reports.
         """
         self._lengths = np.array(lengths, dtype=float)
+        self._neighbors = neighbor_table(self._lengths)
         self._links_changed = True
         if self._trace:
             self._change_causes.add("link-state")
@@ -225,6 +232,8 @@ class ControlPlane:
             mapping=self._mapping,
             blocked_ports=self._registry.blocked_ports(),
             channel_levels=self._channel_levels,
+            sink=self._sink,
+            neighbors=self._neighbors,
         )
 
     # ------------------------------------------------------------------
@@ -331,22 +340,12 @@ class ControlPlane:
         """Per-node routing tables implied by a plan.
 
         Entry ``[n, i]`` is the next hop stored at node ``n`` for module
-        ``i`` (paper Fig 6's ``RT(i)``), or -1 when unreachable.
+        ``i`` (paper Fig 6's ``RT(i)``), or -1 when unreachable: the
+        plan's hop table with the sink column masked out, since the
+        route back to the source is not part of the downloaded tables.
         """
-        size = self._num_nodes
-        p = self._mapping.num_modules
-        tables = np.full((size, p + 1), -1, dtype=np.int64)
-        for node in range(size):
-            if not plan.view.alive[node]:
-                continue
-            for module in range(1, p + 1):
-                dest = int(plan.destinations[node, module])
-                if dest == NO_DESTINATION:
-                    continue
-                if dest == node:
-                    tables[node, module] = node
-                else:
-                    tables[node, module] = int(plan.successors[node, dest])
+        tables = plan.hops.copy()
+        tables[:, SINK] = NO_DESTINATION
         return tables
 
     def process_frame(

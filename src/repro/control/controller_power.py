@@ -12,8 +12,10 @@ discharge profile to match — the simulator works with *per-action energy
 quanta* whose relative scaling follows the hardware reference:
 
 * receive cost per status upload (RX datapath activity),
-* routing recomputation cost proportional to K^3 (the Floyd–Warshall
-  dominates the controller's dynamic activity, Sec 6),
+* routing recomputation cost proportional to K^3 (the paper's
+  controller runs Floyd–Warshall, which dominates its dynamic activity,
+  Sec 6 — this models that hardware, not the simulator's own phase 2,
+  which grows per-module shortest-path trees),
 * per-frame housekeeping proportional to mesh size (frame sync, slot
   counters — the "bigger mesh controller consumes more power" effect
   behind Fig 8's decreasing tails),
@@ -62,7 +64,8 @@ class ControllerEnergyModel:
         rx_per_status_pj: Energy to receive and process one node status
             upload.
         route_compute_coeff_pj: Coefficient ``kappa`` of the routing
-            recomputation cost ``kappa * K^3`` (Floyd–Warshall work).
+            recomputation cost ``kappa * K^3`` (the Floyd–Warshall work
+            of the paper's controller).
         housekeeping_per_frame_pj: Active controller's fixed per-frame
             cost at the reference 16-node mesh; scales linearly with
             ``K / 16``.

@@ -3,7 +3,7 @@
 A :class:`CostTerm` is one multiplicative adjustment to the base length
 matrix, and a :class:`CostPipeline` is an ordered composition of terms.
 Every term is a *scale* of the running matrix (never an addition), so
-the Floyd–Warshall conventions — ``inf`` for severed or masked lines,
+the phase 2 conventions — ``inf`` for severed or masked lines,
 0 on the diagonal — survive each step by construction, and terms whose
 multipliers do not depend on the running matrix commute up to floating
 point rounding.  The pipeline applies terms in list order: battery,
@@ -39,7 +39,7 @@ from .weights import (
 class CostTerm(Protocol):
     """One multiplicative adjustment to the routing weight matrix.
 
-    Implementations must preserve the Floyd–Warshall conventions
+    Implementations must preserve the phase 2 conventions
     (``inf`` entries stay ``inf``, the diagonal stays 0) and must not
     mutate the input matrix.
     """

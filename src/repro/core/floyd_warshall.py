@@ -1,4 +1,4 @@
-"""Phase 2 of EAR/SDR: all-pairs shortest paths with successor matrices.
+"""The paper's phase 2: all-pairs shortest paths with successor matrices.
 
 The paper uses "a variation of the Floyd–Warshall algorithm of complexity
 O(n^3)" that produces both the distance matrix ``D`` and the *successor*
@@ -7,14 +7,19 @@ path to node ``j`` (Fig 5).  Ties keep the incumbent successor (the
 pseudo-code only replaces on strict improvement), which makes the result
 deterministic.
 
-Two implementations are provided:
+The simulator no longer routes on these matrices: the job walk only asks
+for next hops toward the nearest duplicate of a module or toward the
+sink, which :mod:`repro.core.trees` answers with per-module trees in
+O(K * depth).  This module is kept as the **test oracle** those trees
+are pinned against (``tests/property/test_tree_properties.py``):
 
 * :func:`floyd_warshall_successors` — numpy-vectorised over the inner two
-  loops; this is the production path (the O(K^3) work dominates routing
-  recomputation time, see the runtime bench).
+  loops;
 * :func:`reference_floyd_warshall` — a line-by-line transcription of the
-  paper's pseudo-code in pure Python, kept as the semantic reference that
-  the vectorised version is tested against.
+  paper's pseudo-code in pure Python, the semantic reference the
+  vectorised version is tested against;
+* :func:`equal_cost_successors` and :func:`extract_path` — the ECMP
+  group and the path walk over the dense matrices.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import RoutingError
+from .trees import ECMP_COST_TOLERANCE
 
 #: Sentinel for "no successor" (unreachable destination).
 NO_SUCCESSOR = -1
@@ -83,14 +89,6 @@ def floyd_warshall_successors(
         successor_col[:] = successors[:, k]
         np.copyto(successors, successor_col[:, None], where=better)
     return distances, successors
-
-
-#: Relative tolerance for "equal cost" when collecting ECMP successor
-#: groups.  The vectorised and reference Floyd–Warshall runs accumulate
-#: sums in different orders, so exact equality would make group
-#: membership depend on summation order; one part in 10^9 is far below
-#: any physically meaningful weight difference.
-ECMP_COST_TOLERANCE = 1e-9
 
 
 def equal_cost_successors(

@@ -1,11 +1,12 @@
 """Phase 3 of EAR/SDR: destination selection and routing tables.
 
-After phase 2 each node knows a (weighted) distance to every other node.
-Phase 3 (paper Fig 6) walks, for every node ``n`` and every module type
-``i``, the duplicate set ``S_i`` and picks the duplicate with the least
-distance — skipping candidates whose first hop would use a port that is
-currently reported to be in a deadlock state.  The result is the routing
-table downloaded to the nodes over the TDMA medium.
+Phase 2 leaves, per node and per module type ``i``, the distance to the
+nearest live duplicate in ``S_i`` and the label of that duplicate (the
+lowest id among the nearest).  Phase 3 (paper Fig 6) turns the trees
+into the tables downloaded to the nodes over the TDMA medium: for every
+node the chosen duplicate and the next hop toward it, plus the next hop
+toward the sink.  Ports a node reports deadlocked are skipped when it
+chooses among its neighbours.
 """
 
 from __future__ import annotations
@@ -16,31 +17,39 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import RoutingError, UnreachableModuleError
-from .floyd_warshall import NO_SUCCESSOR, equal_cost_successors, extract_path
+from .floyd_warshall import NO_SUCCESSOR
+from .trees import ECMP_COST_TOLERANCE, ShortestPathTrees
 from .view import NetworkView
 
-#: Sentinel for "no destination reachable".
+#: Sentinel for "no destination reachable" (and for "no hop").
 NO_DESTINATION = -1
+
+#: Column of the plan tables holding the route to the sink (the source
+#: block); module ``i`` owns column ``i``.
+SINK = 0
 
 
 class EcmpSelector:
-    """Deterministic round-robin over equal-cost successor groups.
+    """Deterministic round-robin over equal-cost next-hop groups.
 
-    Floyd–Warshall keeps one canonical next hop per (node, destination)
-    pair, which concentrates all traffic of a pair on a single corridor
-    even when several minimal paths exist.  This selector recovers the
-    full equal-cost group (lazily, per pair — most pairs are never
-    routed) and cycles through it per forwarded packet, so equal-cost
-    traffic spreads across parallel corridors.
+    The canonical hop table keeps one next hop per (node, module),
+    which concentrates all traffic of a pair on a single corridor even
+    when several minimal paths exist.  This selector recovers the full
+    equal-cost group (lazily, per pair — most pairs are never routed)
+    and cycles through it per forwarded packet, so equal-cost traffic
+    spreads across parallel corridors.  A group is the node's downhill
+    neighbours within :data:`~repro.core.trees.ECMP_COST_TOLERANCE` of
+    its distance that share its label (lead to the same duplicate), in
+    ascending id order.
 
-    Determinism: the starting member of each pair's rotation is a hash
-    of ``(node, destination, seed)``, and subsequent calls advance one
+    Determinism: the starting member of each rotation is a hash of
+    ``(node, destination, seed)``, and subsequent calls advance one
     member per call.  Every engine drives the same per-pair call
     sequence for the same workload, so sequential, vector, and
     concurrent runs pick identical hops.  Members whose ``(node, hop)``
-    port is reported deadlocked are skipped; if every member is blocked
-    the canonical successor is returned (matching the non-ECMP
-    behaviour, where deadlock handling is phase 3's job).
+    port is reported deadlocked are skipped; a group of one, or one
+    whose members are all blocked, defers to the plan's hop table
+    (where phase 3 already handled deadlocked ports).
 
     This object is mutable (rotation counters) and is rebuilt with each
     routing plan, so stale groups never outlive the weights they were
@@ -49,31 +58,35 @@ class EcmpSelector:
 
     def __init__(
         self,
-        weights: np.ndarray,
-        distances: np.ndarray,
-        successors: np.ndarray,
+        trees: ShortestPathTrees,
+        destinations: np.ndarray,
         blocked_ports: frozenset[tuple[int, int]],
         seed: int,
     ):
-        self._weights = weights
-        self._distances = distances
-        self._successors = successors
+        self._trees = trees
+        self._destinations = destinations
         self._blocked = blocked_ports
         self._seed = int(seed)
         self._groups: dict[tuple[int, int], list[int]] = {}
         self._counters: dict[tuple[int, int], int] = {}
 
-    def _group(self, node: int, destination: int) -> list[int]:
-        key = (node, destination)
+    def group(self, node: int, module: int) -> list[int]:
+        """Equal-cost next hops of ``node`` toward its ``module`` column."""
+        key = (node, module)
         group = self._groups.get(key)
         if group is None:
-            group = equal_cost_successors(
-                self._weights,
-                self._distances,
-                self._successors,
-                node,
-                destination,
+            trees = self._trees
+            optimum = trees.distances[node, module]
+            through = trees.through[:, node, module]
+            members = (
+                (trees.ahead[:, node, module] < optimum)
+                & (through <= optimum * (1.0 + ECMP_COST_TOLERANCE))
+                & (
+                    trees.ahead_labels[:, node, module]
+                    == trees.labels[node, module]
+                )
             )
+            group = [int(h) for h in trees.neighbors[node][members]]
             self._groups[key] = group
         return group
 
@@ -88,21 +101,21 @@ class EcmpSelector:
         )
         return (mixed & 0x7FFFFFFF) % size
 
-    def next_hop(self, node: int, destination: int) -> int | None:
-        """Next member of the pair's rotation, or None when no group.
+    def next_hop(self, node: int, module: int) -> int | None:
+        """Next member of the pair's rotation, or None for the table.
 
-        ``None`` tells the caller to fall back to the canonical
-        successor entry (covering unreachable pairs, whose error
+        ``None`` tells the caller to use the canonical hop entry
+        (covering single-path and unreachable pairs, whose error
         handling stays in :meth:`RoutingPlan.next_hop`).
         """
-        group = self._group(node, destination)
-        if len(group) <= 1:
-            return group[0] if group else None
-        key = (node, destination)
+        group = self.group(node, module)
+        size = len(group)
+        if size <= 1:
+            return None
+        key = (node, int(self._destinations[node, module]))
         turn = self._counters.get(key, 0)
         self._counters[key] = turn + 1
-        size = len(group)
-        start = self._start_offset(node, destination, size)
+        start = self._start_offset(*key, size)
         for step in range(size):
             hop = group[(start + turn + step) % size]
             if (node, hop) not in self._blocked:
@@ -114,25 +127,31 @@ class EcmpSelector:
 class RoutingPlan:
     """Output of one full routing computation (phases 1-3).
 
+    Every table is ``(K, p + 1)``: column :data:`SINK` routes toward the
+    source block, column ``i`` toward module ``i``.
+
     Attributes:
-        distances: Phase 2 distance matrix over phase 1 weights.
-        successors: Phase 2 successor matrix.
-        destinations: ``(K, p+1)`` integer matrix; entry ``[n, i]`` is
-            the node chosen to execute module ``i`` for a job currently
-            at node ``n`` (column 0 is unused padding so module ids can
-            index directly); :data:`NO_DESTINATION` when unreachable.
+        distances: Phase 2 distance from each node to the sink and to
+            the nearest live duplicate of each module.
+        destinations: Entry ``[n, i]`` is the node chosen to execute
+            module ``i`` for a job currently at node ``n`` (the sink
+            itself in column 0); :data:`NO_DESTINATION` when none is
+            reachable.
+        hops: Entry ``[n, i]`` is the canonical next hop from ``n``
+            toward ``destinations[n, i]`` (``n`` itself once there);
+            :data:`NO_DESTINATION` when there is none.
         view: The network view the plan was computed from.
         ecmp: Optional :class:`EcmpSelector`; when present,
-            :meth:`next_hop` round-robins over equal-cost successor
-            groups instead of always returning the canonical entry.
-            :meth:`successor` is unaffected (consumers that need the
-            deterministic canonical table — power-bus pathing, plan
-            diffing — keep it).
+            :meth:`next_hop` round-robins over equal-cost groups
+            instead of always returning the canonical entry.
+            :meth:`hop` is unaffected (consumers that need the
+            deterministic canonical table — plan diffing, the sink
+            route — keep it).
     """
 
     distances: np.ndarray
-    successors: np.ndarray
     destinations: np.ndarray
+    hops: np.ndarray
     view: NetworkView = field(repr=False)
     ecmp: EcmpSelector | None = field(default=None, repr=False)
 
@@ -140,7 +159,7 @@ class RoutingPlan:
     def num_nodes(self) -> int:
         return int(self.distances.shape[0])
 
-    # The engines query destinations/successors once per hop of every
+    # The engines query destinations/hops once per hop of every
     # simulated packet; plain nested lists answer those scalar lookups
     # several times faster than numpy element access, so both tables are
     # converted once per computed plan (plans are immutable).
@@ -149,8 +168,8 @@ class RoutingPlan:
         return self.destinations.tolist()
 
     @cached_property
-    def _successor_rows(self) -> list[list[int]]:
-        return self.successors.tolist()
+    def _hop_rows(self) -> list[list[int]]:
+        return self.hops.tolist()
 
     def destination(self, node: int, module: int) -> int:
         """Chosen duplicate of ``module`` for a job at ``node``.
@@ -167,91 +186,106 @@ class RoutingPlan:
         """True when some live duplicate of ``module`` is reachable."""
         return self._destination_rows[node][module] != NO_DESTINATION
 
-    def successor(self, node: int, destination: int) -> int:
-        """Raw successor entry (:data:`~repro.core.floyd_warshall.NO_SUCCESSOR`
-        when there is none)."""
-        return self._successor_rows[node][destination]
+    def hop(self, node: int, column: int) -> int:
+        """Raw canonical hop entry (:data:`NO_DESTINATION` when none)."""
+        return self._hop_rows[node][column]
 
-    def next_hop(self, node: int, destination: int) -> int:
-        """Next hop from ``node`` toward ``destination``.
+    def next_hop(self, node: int, module: int) -> int:
+        """Next hop from ``node`` toward its duplicate of ``module``.
 
         With an :attr:`ecmp` selector attached, equal-cost groups are
         round-robined; otherwise (and for pairs with a single minimal
-        path) the canonical successor entry is returned.
+        path) the canonical hop entry is returned.
         """
-        if self.ecmp is not None and node != destination:
-            hop = self.ecmp.next_hop(node, destination)
+        if self.ecmp is not None:
+            hop = self.ecmp.next_hop(node, module)
             if hop is not None:
                 return hop
-        hop = self._successor_rows[node][destination]
-        if hop == NO_SUCCESSOR:
+        hop = self._hop_rows[node][module]
+        if hop == NO_DESTINATION:
             raise RoutingError(
-                f"no successor from {node} toward {destination}"
+                f"no hop from {node} toward module {module}"
             )
         return hop
 
     def path_to_module(self, node: int, module: int) -> list[int]:
         """Full node sequence from ``node`` to its chosen duplicate."""
-        return extract_path(
-            self.successors, node, self.destination(node, module)
+        destination = self.destination(node, module)
+        path = [node]
+        # Every hop strictly decreases the distance: K hops suffice.
+        for _ in range(self.num_nodes):
+            current = path[-1]
+            if current == destination:
+                return path
+            hop = self._hop_rows[current][module]
+            if hop == NO_DESTINATION or hop == current:
+                break
+            path.append(hop)
+        raise RoutingError(
+            f"hop table does not lead {node} to {destination}: {path}"
         )
 
 
 def select_destinations(
-    view: NetworkView,
-    distances: np.ndarray,
-    successors: np.ndarray,
-) -> np.ndarray:
-    """The paper's Fig 6: choose a duplicate per (node, module) pair.
+    view: NetworkView, trees: ShortestPathTrees
+) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's Fig 6: destinations and next hops from the trees.
 
-    For each live node ``n`` and module ``i`` the candidate duplicates
-    are the live members of ``S_i``; candidates whose first hop from
-    ``n`` uses a blocked (deadlocked) port are skipped, exactly like the
-    ``if node n is not in deadlock or ...`` guard in the pseudo-code.
-    Among the remainder the least distance wins, ties broken by the
-    lowest node id so results are deterministic.  A node that itself
-    implements module ``i`` selects itself (distance 0) unless dead.
+    A live node's destination in column ``c`` is its label, the lowest
+    id among the nearest live duplicates (the sink in column 0); its
+    canonical hop is the lowest-id neighbour on an exactly tight edge
+    that carries the same label, and a node that is itself a target
+    hops to itself.  Returns ``(destinations, hops)``.
 
-    Vectorised over the node axis: one masked ``argmin`` per module
-    replaces the per-(node, duplicate) Python loop, which dominated
-    routing recomputation on 16x16+ fabrics together with phase 2.
-    ``argmin`` returns the first minimum in candidate order, which is
-    exactly the scalar rule (strict ``<`` keeps the earliest candidate,
-    and duplicate sets are listed in ascending node id).
-    :func:`reference_select_destinations` keeps the literal transcription
-    as the semantic oracle the vectorised path is tested against.
+    Deadlocked ports apply to module columns only; the sink route
+    ignores them.  When a node's canonical hop is a port it
+    reported blocked, the node takes the unblocked neighbour ``h`` with
+    ``D[h] < D[n]`` and the least ``W[n, h] + D[h]`` (lowest id on
+    ties) and adopts that neighbour's label; with no such neighbour the
+    entry has no destination and the job waits — a hop never goes
+    uphill, so the tables stay loop-free.
     """
-    mapping = view.mapping
-    size = view.num_nodes
-    destinations = np.full(
-        (size, mapping.num_modules + 1), NO_DESTINATION, dtype=np.int64
+    distances = trees.distances
+    size, columns = distances.shape
+    rows = np.arange(size)
+    canonical = trees.canonical
+    hops = np.where(
+        canonical.any(axis=0),
+        trees.neighbors[rows[:, None], canonical.argmax(axis=0)],
+        NO_DESTINATION,
     )
-    blocked = view.blocked_ports
-    node_ids = np.arange(size)
-    for module in range(1, mapping.num_modules + 1):
-        candidates = [
-            dup for dup in mapping.duplicates(module) if view.alive[dup]
-        ]
-        if not candidates:
-            continue  # whole module dead: leave NO_DESTINATION sentinels
-        cand = np.asarray(candidates, dtype=np.int64)
-        dist = distances[:, cand].copy()
-        first_hops = successors[:, cand]
-        # A candidate is skipped when its distance is not finite, or —
-        # for non-self choices — when the first hop is missing or the
-        # (node, first_hop) port is reported deadlocked.
-        invalid = ~np.isfinite(dist)
-        non_self = node_ids[:, None] != cand[None, :]
-        invalid |= non_self & (first_hops == NO_SUCCESSOR)
-        for b_node, b_hop in blocked:
-            invalid[b_node] |= non_self[b_node] & (first_hops[b_node] == b_hop)
-        dist[invalid] = np.inf
-        best_idx = np.argmin(dist, axis=1)
-        feasible = view.alive & np.isfinite(dist[node_ids, best_idx])
-        destinations[:, module] = np.where(
-            feasible, cand[best_idx], NO_DESTINATION
-        )
-    return destinations
+    hops = np.where(trees.labels == rows[:, None], rows[:, None], hops)
+    destinations = np.where(
+        np.isfinite(distances), trees.labels, NO_DESTINATION
+    )
+    dead = ~view.alive
+    hops[dead] = NO_DESTINATION
+    destinations[dead] = NO_DESTINATION
+
+    ports: dict[int, set[int]] = {}
+    for node, port in view.blocked_ports:
+        if node != port:
+            ports.setdefault(node, set()).add(port)
+    for node, blocked in ports.items():
+        slots = trees.neighbors[node]
+        open_slots = np.array([int(h) not in blocked for h in slots])
+        for column in range(1, columns):
+            if hops[node, column] not in blocked:
+                continue
+            cost = np.where(
+                open_slots
+                & (trees.ahead[:, node, column] < distances[node, column]),
+                trees.through[:, node, column],
+                np.inf,
+            )
+            slot = int(cost.argmin())
+            if np.isfinite(cost[slot]):
+                hops[node, column] = slots[slot]
+                destinations[node, column] = trees.labels[slots[slot], column]
+            else:
+                hops[node, column] = NO_DESTINATION
+                destinations[node, column] = NO_DESTINATION
+    return destinations, hops
 
 
 def reference_select_destinations(
@@ -261,8 +295,9 @@ def reference_select_destinations(
 ) -> np.ndarray:
     """Literal per-(node, duplicate) transcription of the Fig 6 walk.
 
-    O(K * |S_i|) in pure Python — test/reference use only, mirroring
-    :func:`~repro.core.floyd_warshall.reference_floyd_warshall`.
+    Reads the dense Floyd–Warshall matrices of
+    :mod:`~repro.core.floyd_warshall`.  O(K * |S_i|) in pure Python —
+    the test oracle :func:`select_destinations` is pinned against.
     """
     mapping = view.mapping
     size = view.num_nodes

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..mesh.mapping import ModuleMapping
+from .trees import neighbor_table
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,13 @@ class NetworkView:
             keyed by channel name: a length-``K`` vector for node
             channels, a symmetric ``(K, K)`` matrix for link channels.
             A channel is absent until its first report arrives.
+        sink: Node id of the source block that finished jobs return
+            to (the root of the sink column of the routing trees), or
+            None when the view has no sink.
+        neighbors: Padded ``(K, M)`` neighbour table of ``lengths``
+            (:func:`~repro.core.trees.neighbor_table`).  The controller
+            passes the table it rebuilds whenever its length picture
+            changes; a view built without one derives it here.
     """
 
     lengths: np.ndarray
@@ -48,6 +56,8 @@ class NetworkView:
         default_factory=frozenset
     )
     channel_levels: Mapping[str, np.ndarray] = field(default_factory=dict)
+    sink: int | None = None
+    neighbors: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         lengths = np.asarray(self.lengths, dtype=float)
@@ -90,6 +100,12 @@ class NetworkView:
                 raise ConfigurationError(f"{name} levels must be >= 0")
             channel_levels[name] = levels
         object.__setattr__(self, "channel_levels", channel_levels)
+        if self.sink is not None and not 0 <= self.sink < size:
+            raise ConfigurationError(
+                f"sink {self.sink} outside 0..{size - 1}"
+            )
+        if self.neighbors is None:
+            object.__setattr__(self, "neighbors", neighbor_table(lengths))
 
     @property
     def num_nodes(self) -> int:
@@ -99,6 +115,21 @@ class NetworkView:
     def alive_nodes(self) -> tuple[int, ...]:
         """Ids of live nodes."""
         return tuple(int(n) for n in np.flatnonzero(self.alive))
+
+    def targets(self) -> np.ndarray:
+        """``(K, p + 1)`` roots of the routing trees.
+
+        Column 0 marks the sink when it is alive (none without a sink);
+        column ``i`` marks the live duplicates of module ``i``.
+        """
+        mapping = self.mapping
+        mask = np.zeros((self.num_nodes, mapping.num_modules + 1), bool)
+        if self.sink is not None:
+            mask[self.sink, 0] = self.alive[self.sink]
+        for module in range(1, mapping.num_modules + 1):
+            duplicates = list(mapping.duplicates(module))
+            mask[duplicates, module] = self.alive[duplicates]
+        return mask
 
     def with_blocked_ports(
         self, blocked: frozenset[tuple[int, int]]
@@ -112,4 +143,6 @@ class NetworkView:
             mapping=self.mapping,
             blocked_ports=blocked,
             channel_levels=self.channel_levels,
+            sink=self.sink,
+            neighbors=self.neighbors,
         )

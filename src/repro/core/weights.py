@@ -42,7 +42,7 @@ def scale_weights(weights: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
     ``multipliers`` is either a dense per-link ``(K, K)`` matrix or a
     ``(1, K)`` row that scales column ``j`` — the receiving endpoint.
     ``inf`` entries stay ``inf`` (``inf * x == inf`` for positive
-    multipliers) and the diagonal is re-zeroed, so the Floyd–Warshall
+    multipliers) and the diagonal is re-zeroed, so the phase 2
     conventions survive.  Returns a new matrix; the input is unchanged.
     """
     weights = weights * multipliers

@@ -47,7 +47,11 @@ from .backends import default_backend_name, make_backend
 #: mapping strategy, and summaries gained ``share_hops``.
 #: v6: a neutral wear or harvest weight (q == 1) no longer pushes level
 #: changes to the controller, so those runs re-plan like reactive EAR.
-CACHE_SCHEMA_VERSION = 6
+#: v7: phase 2 routes on per-module shortest-path trees; the canonical
+#: hop is the lowest-id tight neighbour (not Floyd–Warshall's first-found
+#: successor), a deadlocked node falls back to its best unblocked
+#: downhill neighbour, and deadlock escape hops read the module column.
+CACHE_SCHEMA_VERSION = 7
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "ETSIM_CACHE_DIR"

@@ -819,7 +819,7 @@ def _engine_speed(scale: str, base: SimulationConfig) -> list[SweepPoint]:
     and the capacity is scaled up so the run finishes without
     battery-level churn.  That is the regime the vector engine exists
     for — per-frame heartbeat/battery bookkeeping dwarfs both the
-    shared routing (Floyd-Warshall) cost and the per-job walk, on the
+    shared routing (shortest-path) cost and the per-job walk, on the
     sequential engine it scales with the node count, and on the vector
     engine it is a handful of array operations.  The committed
     ``BENCH_smoke.json`` baseline records both timings; the

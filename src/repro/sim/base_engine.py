@@ -158,6 +158,7 @@ class EngineBase:
             deadlock_policy=config.control.deadlock,
             controller_batteries=config.control.make_controller_batteries(),
             recorder=self.recorder,
+            sink=self.source,
         )
         self.quantizer = BatteryLevelQuantizer(platform.battery_levels)
         self.tracker = LevelTracker(self.quantizer)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from ..core.phase3 import SINK
 from .base_engine import EngineBase, SystemDead
 from .job import Job
 from .stats import SimulationStats
@@ -189,20 +190,20 @@ class ConcurrentEngine(EngineBase):
             and next_hop not in used_receivers
         )
 
-    def _escape_hops(self, node: int, target: int) -> list[int]:
-        """Alternative next hops toward ``target`` for deadlock escape.
+    def _escape_hops(self, node: int, column: int) -> list[int]:
+        """Alternative next hops for deadlock escape.
 
         The paper's recovery redirects a blocked job "along an unlocked
         path"; after the wait threshold a packet may take any live
-        neighbour that still has a finite (weighted) distance to the
-        target, nearest-first.
+        neighbour that still has a finite (weighted) distance in the
+        plan's ``column`` (its module, or the sink), nearest-first.
         """
         plan = self.control.plan
         candidates = []
         for neighbor in self.topology.neighbors(node):
             if not self.nodes[neighbor].alive:
                 continue
-            distance = plan.distances[neighbor, target]
+            distance = plan.distances[neighbor, column]
             if distance != float("inf"):
                 candidates.append((float(distance), neighbor))
         return [n for _, n in sorted(candidates)]
@@ -212,7 +213,7 @@ class ConcurrentEngine(EngineBase):
         node: int,
         packet: _Packet,
         next_hop: int,
-        target: int,
+        column: int,
         used_links: set[tuple[int, int]],
         used_receivers: set[int],
     ) -> bool:
@@ -220,7 +221,8 @@ class ConcurrentEngine(EngineBase):
 
         ``next_hop`` is the routing table's choice; once the packet has
         waited past the deadlock threshold (and recovery is enabled),
-        alternative neighbours toward ``target`` are tried too.
+        alternative neighbours toward the plan's ``column`` are tried
+        too.
         """
         chosen = None
         if self._can_move(node, next_hop, used_links, used_receivers):
@@ -229,7 +231,7 @@ class ConcurrentEngine(EngineBase):
             self.recovery_enabled
             and packet.wait_slots >= self.wait_threshold_slots
         ):
-            for alternative in self._escape_hops(node, target):
+            for alternative in self._escape_hops(node, column):
                 if alternative != next_hop and self._can_move(
                     node, alternative, used_links, used_receivers
                 ):
@@ -300,14 +302,14 @@ class ConcurrentEngine(EngineBase):
                 self.buffers[node].popleft()
                 self._in_flight -= 1
                 return True
-            successor = plan.successor(node, self.source)
+            successor = plan.hop(node, SINK)
             if successor < 0:
                 if not self._source_reachable_from(node):
                     raise SystemDead("source-cut")
                 self._note_wait(node, packet, node)
                 return False
             return self._try_move(
-                node, packet, successor, self.source,
+                node, packet, successor, SINK,
                 used_links, used_receivers,
             )
 
@@ -331,9 +333,9 @@ class ConcurrentEngine(EngineBase):
             )
             self.computing[node] = (packet, done_at)
             return True
-        next_hop = plan.next_hop(node, destination)
+        next_hop = plan.next_hop(node, module)
         return self._try_move(
-            node, packet, next_hop, destination,
+            node, packet, next_hop, module,
             used_links, used_receivers,
         )
 

@@ -28,7 +28,7 @@ when every controller is dead, or when the frame safety budget expires.
 
 from __future__ import annotations
 
-from ..core.phase3 import NO_DESTINATION
+from ..core.phase3 import NO_DESTINATION, SINK
 from ..errors import SimulationError
 from .base_engine import (
     HOP_GUARD_FACTOR,
@@ -86,7 +86,7 @@ class SequentialEngine(EngineBase):
                 if fault_blocked:
                     self.packets_rerouted += 1
                 return current
-            next_hop = plan.next_hop(current, destination)
+            next_hop = plan.next_hop(current, module)
             if not self.nodes[next_hop].alive or not self._link_alive(
                 current, next_hop
             ):
@@ -120,7 +120,7 @@ class SequentialEngine(EngineBase):
         hop_guard = HOP_GUARD_FACTOR * self.topology.num_nodes
         while current != self.source:
             plan = self.control.plan
-            successor = plan.successor(current, self.source)
+            successor = plan.hop(current, SINK)
             if (
                 successor == NO_DESTINATION
                 or not self.nodes[successor].alive

@@ -9,7 +9,7 @@ sweep runner — talks to one tiny interface with three hooks:
   per-cost-term attribution, fault, harvest rejection, deadlock
   report/recovery, node death, run end);
 * :meth:`Recorder.timing` — a wall-clock duration around a hot path
-  (Floyd–Warshall rebuild, whole plan computation, frame step, vector
+  (shortest-path rebuild, whole plan computation, frame step, vector
   bank draw, sweep-point execution).
 
 The default :data:`NULL_RECORDER` keeps every hook a no-op *and* is

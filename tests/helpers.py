@@ -30,6 +30,7 @@ def make_view(
     levels_vector=None,
     levels: int = 8,
     blocked=frozenset(),
+    sink=None,
 ):
     """Helper for tests that need custom views."""
     size = topology.num_nodes
@@ -48,6 +49,7 @@ def make_view(
         levels=levels,
         mapping=mapping,
         blocked_ports=blocked,
+        sink=sink,
     )
 
 

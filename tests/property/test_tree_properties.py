@@ -1,0 +1,206 @@
+"""Property tests pinning phase 2's shortest-path trees to the dense oracles.
+
+Random meshes (3x3 to 8x8, the source block attached at a random node)
+with dead nodes, cut lines, random battery levels and optional
+deadlocked ports are routed twice: through the per-module trees and
+phase 3 the engines use, and through the all-pairs Floyd–Warshall and
+the literal Fig 6 walk kept as oracles.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.floyd_warshall import (
+    equal_cost_successors,
+    floyd_warshall_successors,
+)
+from repro.core.phase3 import (
+    NO_DESTINATION,
+    SINK,
+    EcmpSelector,
+    reference_select_destinations,
+    select_destinations,
+)
+from repro.core.trees import shortest_path_trees
+from repro.core.view import NetworkView
+from repro.core.weights import BatteryWeightFunction, ear_weight_matrix
+from repro.mesh.mapping import checkerboard_mapping
+from repro.mesh.topology import attach_external_node, mesh2d
+
+#: Line lengths of the float views: decimal fractions whose sums round
+#: differently by summation order, so near-ties one ulp apart show up.
+DECIMAL_LENGTHS = (0.1, 0.2, 0.3, 0.7, 1.1, 2.5)
+
+
+@st.composite
+def mesh_views(draw, exact=False, blocking=False):
+    """A routed mesh: ``(view, weights)``.
+
+    ``exact`` views have integer line lengths and Q = 2, so every path
+    weight is an exactly representable integer and the trees and the
+    dense oracle agree bit for bit.
+    """
+    width = draw(st.integers(min_value=3, max_value=8))
+    topology = mesh2d(width)
+    mesh_nodes = width * width
+    mapping = checkerboard_mapping(topology, range(mesh_nodes))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    sink = attach_external_node(
+        topology, int(rng.integers(mesh_nodes)), 2.0 if exact else 1.5
+    )
+    size = topology.num_nodes
+    lengths = topology.length_matrix()
+    pairs = [
+        (u, v)
+        for u in range(size)
+        for v in range(u + 1, size)
+        if np.isfinite(lengths[u, v])
+    ]
+    # Few distinct lengths and levels make exact ties common, which is
+    # where the canonical tie-break is decided.
+    spread = draw(st.sampled_from((1, 2, 9)))
+    for u, v in pairs:
+        if exact:
+            length = float(rng.integers(1, 1 + spread))
+        else:
+            length = float(rng.choice(DECIMAL_LENGTHS[: 1 + spread]))
+        if v != sink and rng.random() < draw(st.sampled_from((0.0, 0.1))):
+            length = np.inf  # a cut line
+        lengths[u, v] = lengths[v, u] = length
+    alive = np.ones(size, dtype=bool)
+    alive[:mesh_nodes] = rng.random(mesh_nodes) >= draw(
+        st.sampled_from((0.0, 0.1, 0.3))
+    )
+    blocked = frozenset()
+    if blocking:
+        blocked = frozenset(
+            (u, v)
+            for a, b in pairs
+            for u, v in ((a, b), (b, a))
+            if rng.random() < 0.15
+        )
+    view = NetworkView(
+        lengths=lengths,
+        alive=alive,
+        battery_levels=rng.integers(
+            draw(st.sampled_from((0, 6, 7))), 8, size=size
+        ),
+        levels=8,
+        mapping=mapping,
+        blocked_ports=blocked,
+        sink=sink,
+    )
+    q = 2.0 if exact else draw(st.floats(min_value=1.0, max_value=3.0))
+    weights = ear_weight_matrix(view, BatteryWeightFunction(q=q, levels=8))
+    return view, weights
+
+
+def route(view, weights):
+    trees = shortest_path_trees(weights, view.neighbors, view.targets())
+    destinations, hops = select_destinations(view, trees)
+    return trees, destinations, hops
+
+
+def column_targets(view):
+    targets = view.targets()
+    return [np.flatnonzero(targets[:, c]) for c in range(targets.shape[1])]
+
+
+def neighbours_of(view, node):
+    return [int(h) for h in view.neighbors[node] if h < view.num_nodes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh_views(blocking=True))
+def test_distances_equal_dense_column_minima(routed):
+    view, weights = routed
+    trees, _, _ = route(view, weights)
+    dense, _ = floyd_warshall_successors(weights)
+    for column, roots in enumerate(column_targets(view)):
+        expected = (
+            dense[:, roots].min(axis=1)
+            if roots.size
+            else np.full(view.num_nodes, np.inf)
+        )
+        got = trees.distances[:, column]
+        assert np.array_equal(np.isinf(got), np.isinf(expected))
+        finite = np.isfinite(expected)
+        assert got[finite] == pytest.approx(expected[finite], rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh_views(exact=True))
+def test_exact_views_match_the_fig6_oracle(routed):
+    view, weights = routed
+    trees, destinations, _ = route(view, weights)
+    dense, successors = floyd_warshall_successors(weights)
+    reference = reference_select_destinations(view, dense, successors)
+    assert np.array_equal(destinations[:, 1:], reference[:, 1:])
+    ecmp = EcmpSelector(trees, destinations, view.blocked_ports, seed=0)
+    for node in view.alive_nodes():
+        for module in range(1, destinations.shape[1]):
+            destination = int(destinations[node, module])
+            if destination in (NO_DESTINATION, node):
+                continue
+            assert ecmp.group(node, module) == equal_cost_successors(
+                weights, dense, successors, node, destination
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(mesh_views(), mesh_views(exact=True)))
+def test_hops_are_tight_labelled_and_loop_free(routed):
+    view, weights = routed
+    trees, destinations, hops = route(view, weights)
+    distances = trees.distances
+    size, columns = distances.shape
+    for column in range(columns):
+        for node in range(size):
+            destination = int(destinations[node, column])
+            if destination == NO_DESTINATION:
+                assert hops[node, column] == NO_DESTINATION
+                continue
+            if destination == node:
+                assert hops[node, column] == node
+                continue
+
+            def canonical(h):
+                return (
+                    weights[node, h] + distances[h, column]
+                    == distances[node, column]
+                    and destinations[h, column] == destination
+                )
+
+            hop = int(hops[node, column])
+            assert canonical(hop)
+            assert not any(
+                canonical(h) for h in neighbours_of(view, node) if h < hop
+            )
+            # Following the table strictly descends to the destination.
+            current, walked = node, 0
+            while current != destination:
+                nxt = int(hops[current, column])
+                assert distances[nxt, column] < distances[current, column]
+                current, walked = nxt, walked + 1
+                assert walked <= size
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh_views(blocking=True))
+def test_blocked_ports_are_skipped_downhill(routed):
+    view, weights = routed
+    trees, destinations, hops = route(view, weights)
+    distances = trees.distances
+    for node in range(view.num_nodes):
+        for module in range(1, distances.shape[1]):
+            hop = int(hops[node, module])
+            if destinations[node, module] in (NO_DESTINATION, node):
+                continue
+            assert (node, hop) not in view.blocked_ports
+            assert distances[hop, module] < distances[node, module]
+    # The sink route ignores deadlock reports.
+    _, _, free_hops = route(view.with_blocked_ports(frozenset()), weights)
+    assert np.array_equal(hops[:, SINK], free_hops[:, SINK])

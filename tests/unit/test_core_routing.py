@@ -20,7 +20,9 @@ from repro.core.floyd_warshall import (
     path_length,
     reference_floyd_warshall,
 )
-from repro.core.phase3 import NO_DESTINATION, select_destinations
+from repro.core.phase3 import NO_DESTINATION, SINK, select_destinations
+from repro.core.trees import shortest_path_trees
+from repro.core.view import NetworkView
 from repro.core.weights import (
     BatteryWeightFunction,
     ear_weight_matrix,
@@ -32,6 +34,8 @@ from repro.errors import (
     UnreachableModuleError,
 )
 from repro.mesh.geometry import node_id
+from repro.mesh.mapping import ModuleMapping
+from repro.mesh.topology import attach_external_node, mesh2d
 
 
 class TestWeightFunction:
@@ -231,19 +235,24 @@ class TestFloydWarshall:
         assert successors[0, 2] == 1
 
 
+def phase3_destinations(view, weights):
+    """Phase 3's destination table over the phase 2 trees of ``weights``."""
+    trees = shortest_path_trees(weights, view.neighbors, view.targets())
+    destinations, _ = select_destinations(view, trees)
+    return destinations
+
+
 class TestPhase3:
     def test_module_node_selects_itself(self, full_view):
         weights = sdr_weight_matrix(full_view)
-        d, s = floyd_warshall_successors(weights)
-        dests = select_destinations(full_view, d, s)
+        dests = phase3_destinations(full_view, weights)
         for module in (1, 2, 3):
             for node in full_view.mapping.duplicates(module):
                 assert dests[node, module] == node
 
     def test_nearest_duplicate_chosen(self, mesh4, mapping4, full_view):
         weights = sdr_weight_matrix(full_view)
-        d, s = floyd_warshall_successors(weights)
-        dests = select_destinations(full_view, d, s)
+        dests = phase3_destinations(full_view, weights)
         origin = node_id(2, 1, 4)  # module 3 node
         # Nearest module-1 duplicates are (1,1) and (3,1), both 1 hop;
         # the tie breaks to the lower node id = (1,1) = 0.
@@ -254,8 +263,7 @@ class TestPhase3:
         alive[node_id(1, 1, 4)] = False
         view = make_view(mesh4, mapping4, alive=alive)
         weights = sdr_weight_matrix(view)
-        d, s = floyd_warshall_successors(weights)
-        dests = select_destinations(view, d, s)
+        dests = phase3_destinations(view, weights)
         origin = node_id(2, 1, 4)
         assert dests[origin, 1] == node_id(3, 1, 4)
 
@@ -265,8 +273,7 @@ class TestPhase3:
             alive[dup] = False
         view = make_view(mesh4, mapping4, alive=alive)
         weights = sdr_weight_matrix(view)
-        d, s = floyd_warshall_successors(weights)
-        dests = select_destinations(view, d, s)
+        dests = phase3_destinations(view, weights)
         assert np.all(dests[:, 2] == NO_DESTINATION)
 
     def test_blocked_port_redirects(self, mesh4, mapping4):
@@ -275,11 +282,84 @@ class TestPhase3:
         blocked = frozenset({(origin, preferred)})
         view = make_view(mesh4, mapping4, blocked=blocked)
         weights = sdr_weight_matrix(view)
-        d, s = floyd_warshall_successors(weights)
-        dests = select_destinations(view, d, s)
+        dests = phase3_destinations(view, weights)
         # The first hop to (1,1) is blocked, so another duplicate whose
         # first hop differs must be chosen.
         assert dests[origin, 1] != preferred
+
+
+class TestShortestPathTrees:
+    def test_canonical_tie_is_exact(self):
+        # Node 0 reaches the sink (3) via node 1 at 0.1 + 0.2, one ulp
+        # above 0.3, and via node 2 at 0.25 + 0.05 == 0.3 exactly.  Like
+        # Floyd–Warshall's strict `<`, the tree keeps the shorter route;
+        # a tie tolerance would take the lower-id node 1.
+        lengths = np.full((4, 4), np.inf)
+        np.fill_diagonal(lengths, 0.0)
+        for u, v, length in ((0, 1, 0.1), (1, 3, 0.2), (0, 2, 0.25), (2, 3, 0.05)):
+            lengths[u, v] = lengths[v, u] = length
+        view = NetworkView(
+            lengths=lengths,
+            alive=np.ones(4, dtype=bool),
+            battery_levels=np.full(4, 7),
+            levels=8,
+            mapping=ModuleMapping({0: 1, 1: 1, 2: 1}, num_modules=1),
+            sink=3,
+        )
+        plan = ShortestDistanceRouting().compute_plan(view)
+        dense, successors = floyd_warshall_successors(sdr_weight_matrix(view))
+        assert 0.1 + 0.2 > 0.3
+        assert plan.distances[0, SINK] == dense[0, 3] == 0.3
+        assert plan.hop(0, SINK) == successors[0, 3] == 2
+
+    def test_unreachable_nodes_stay_unlabelled(self):
+        # Dead nodes 4, 5, 7, 12, 13 sit between the duplicates.  A
+        # label handed across a missing edge used to swap back and forth
+        # between unreachable nodes, so the passes never settled.
+        alive = np.ones(16, dtype=bool)
+        alive[[4, 5, 7, 12, 13]] = False
+        view = NetworkView(
+            lengths=mesh2d(4).length_matrix(),
+            alive=alive,
+            battery_levels=np.full(16, 7),
+            levels=8,
+            mapping=ModuleMapping({0: 1, 2: 1, 11: 1}, num_modules=1),
+        )
+        weights = sdr_weight_matrix(view)
+        trees = shortest_path_trees(weights, view.neighbors, view.targets())
+        dense, _ = floyd_warshall_successors(weights)
+        assert np.array_equal(trees.distances[:, 1], dense[:, [0, 2, 11]].min(axis=1))
+        unreachable = np.isinf(trees.distances)
+        assert unreachable[~alive].all()
+        assert np.all(trees.labels[unreachable] == 16)
+
+    def test_fully_blocked_node_has_no_module_destination(self, mapping4):
+        # Node 0's two mesh ports are deadlocked; its only other port is
+        # the source link, which leads uphill.  Module-bound packets must
+        # wait there instead of bouncing over the source link.
+        topology = mesh2d(4)
+        source = attach_external_node(topology, 0, 2.0)
+        view = NetworkView(
+            lengths=topology.length_matrix(),
+            alive=np.ones(17, dtype=bool),
+            battery_levels=np.full(17, 7),
+            levels=8,
+            mapping=mapping4,
+            blocked_ports=frozenset({(0, 1), (0, 4)}),
+            sink=source,
+        )
+        plan = ShortestDistanceRouting().compute_plan(view)
+        own = mapping4.module_of(0)
+        for module in (1, 2, 3):
+            if module == own:
+                assert plan.destination(0, module) == 0
+                continue
+            assert not plan.has_destination(0, module)
+            assert plan.hop(0, module) == NO_DESTINATION
+        # The sink route ignores deadlock reports.
+        assert plan.hop(0, SINK) == source
+        # A neighbour still routes normally.
+        assert plan.has_destination(1, 2)
 
 
 class TestEngines:

@@ -22,9 +22,13 @@ from repro.core import (
     CostTerm,
     EcmpSelector,
     LevelChannel,
+    ShortestDistanceRouting,
     equal_cost_successors,
+    select_destinations,
+    shortest_path_trees,
 )
 from repro.core.floyd_warshall import floyd_warshall_successors
+from repro.core.phase3 import SINK
 from repro.core.weights import (
     BatteryWeightFunction,
     ear_weight_matrix,
@@ -322,15 +326,19 @@ class TestEqualCostSuccessors:
 
 
 class TestEcmpSelector:
-    def _selector(self, blocked=frozenset(), seed=0):
-        view = build_view()
-        weights = sdr_weight_matrix(view)
-        distances, successors = floyd_warshall_successors(weights)
-        return EcmpSelector(weights, distances, successors, blocked, seed)
+    def _selector(self, blocked=frozenset(), seed=0, sink=15):
+        # The sink column of a view rooted at ``sink`` routes every node
+        # toward that one node, like the old per-destination groups.
+        view = build_view(blocked=blocked, sink=sink)
+        trees = shortest_path_trees(
+            sdr_weight_matrix(view), view.neighbors, view.targets()
+        )
+        destinations, _ = select_destinations(view, trees)
+        return EcmpSelector(trees, destinations, blocked, seed)
 
     def test_round_robin_cycles_group(self):
         selector = self._selector()
-        hops = [selector.next_hop(0, 15) for _ in range(4)]
+        hops = [selector.next_hop(0, SINK) for _ in range(4)]
         assert sorted(set(hops)) == [1, 4]
         assert hops[:2] != hops[2:0:-1] or hops[0] != hops[1]
         # Consecutive picks alternate around the two-member group.
@@ -339,20 +347,26 @@ class TestEcmpSelector:
 
     def test_seed_changes_rotation_start(self):
         starts = {
-            self._selector(seed=seed).next_hop(0, 15) for seed in range(8)
+            self._selector(seed=seed).next_hop(0, SINK) for seed in range(8)
         }
         assert starts == {1, 4}
 
     def test_blocked_ports_skipped(self):
         selector = self._selector(blocked=frozenset({(0, 1)}))
-        assert all(selector.next_hop(0, 15) == 4 for _ in range(4))
+        assert all(selector.next_hop(0, SINK) == 4 for _ in range(4))
 
     def test_all_blocked_falls_back(self):
         selector = self._selector(
             blocked=frozenset({(0, 1), (0, 4)})
         )
-        assert selector.next_hop(0, 15) is None
+        assert selector.next_hop(0, SINK) is None
 
     def test_single_member_group_is_stable(self):
-        selector = self._selector()
-        assert all(selector.next_hop(0, 3) == 1 for _ in range(3))
+        # A straight-line pair has one minimal hop: the selector defers
+        # to the canonical table, which the plan then returns every time.
+        selector = self._selector(sink=3)
+        assert all(selector.next_hop(0, SINK) is None for _ in range(3))
+        engine = ShortestDistanceRouting()
+        engine.configure_ecmp(0)
+        plan = engine.compute_plan(build_view(sink=3))
+        assert all(plan.next_hop(0, SINK) == 1 for _ in range(3))

@@ -478,24 +478,26 @@ class TestSweepCacheInvalidation:
         assert config_hash(one) != config_hash(two)
 
     def test_schema_v6_invalidates_v5_entries(self, tmp_path):
+        import json
+
         from repro.orchestration.cache import (
             CACHE_SCHEMA_VERSION,
             SweepCache,
         )
 
-        assert CACHE_SCHEMA_VERSION == 6
+        assert CACHE_SCHEMA_VERSION == 7
         cache = SweepCache(tmp_path)
         key = config_hash(make_config())
         cache.store(key, {"summary": {"jobs_fractional": 1.0}})
         record = dict(cache.lookup(key))
-        # Rewrite the entry as a v5 record: it must no longer be served.
-        record["schema"] = 5
-        import json
-
-        (tmp_path / f"{key}.json").write_text(json.dumps(record))
-        cache.reset_counters()
-        assert cache.lookup(key) is None
-        assert cache.misses == 1
+        # Rewrite the entry as a v5 or v6 record: it must no longer be
+        # served (v7 routes on shortest-path trees).
+        for stale in (5, 6):
+            record["schema"] = stale
+            (tmp_path / f"{key}.json").write_text(json.dumps(record))
+            cache.reset_counters()
+            assert cache.lookup(key) is None
+            assert cache.misses == 1
 
 
 class TestMoistureCorrosion:

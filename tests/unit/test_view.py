@@ -90,3 +90,23 @@ class TestNetworkView:
         income = np.arange(16)
         view = build_view(channel_levels={"harvest": income})
         assert np.array_equal(view.channel_levels["harvest"], income)
+
+    def test_sink_outside_the_fabric_rejected(self):
+        with pytest.raises(ConfigurationError):
+            build_view(sink=16)
+
+    def test_targets_mark_the_live_sink_and_duplicates(self):
+        alive = np.ones(16, dtype=bool)
+        alive[[0, 3]] = False
+        view = build_view(alive=alive, sink=3)
+        targets = view.targets()
+        assert targets.shape == (16, 4)
+        assert not targets[:, 0].any()  # the sink is dead
+        for module in (1, 2, 3):
+            expected = [n for n in view.mapping.duplicates(module) if alive[n]]
+            assert np.flatnonzero(targets[:, module]).tolist() == expected
+        assert build_view(sink=3).targets()[:, 0].tolist() == [
+            node == 3 for node in range(16)
+        ]
+        # A view without a sink roots no sink tree.
+        assert not build_view().targets()[:, 0].any()
