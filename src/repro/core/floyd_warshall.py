@@ -7,11 +7,11 @@ path to node ``j`` (Fig 5).  Ties keep the incumbent successor (the
 pseudo-code only replaces on strict improvement), which makes the result
 deterministic.
 
-The simulator no longer routes on these matrices: the job walk only asks
-for next hops toward the nearest duplicate of a module or toward the
-sink, which :mod:`repro.core.trees` answers with per-module trees in
-O(K * depth).  This module is kept as the **test oracle** those trees
-are pinned against (``tests/property/test_tree_properties.py``):
+The simulator routes on :mod:`repro.core.trees` instead: the job walk
+only asks for next hops toward the nearest duplicate of a module or
+toward the sink, which per-module trees answer in O(K * depth).  This
+module is the **test oracle** those trees are pinned against
+(``tests/property/test_tree_properties.py``):
 
 * :func:`floyd_warshall_successors` — numpy-vectorised over the inner two
   loops;

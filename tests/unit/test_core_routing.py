@@ -314,8 +314,8 @@ class TestShortestPathTrees:
 
     def test_unreachable_nodes_stay_unlabelled(self):
         # Dead nodes 4, 5, 7, 12, 13 sit between the duplicates.  A
-        # label handed across a missing edge used to swap back and forth
-        # between unreachable nodes, so the passes never settled.
+        # label handed across a missing edge could swap back and forth
+        # between unreachable nodes and keep the passes from settling.
         alive = np.ones(16, dtype=bool)
         alive[[4, 5, 7, 12, 13]] = False
         view = NetworkView(

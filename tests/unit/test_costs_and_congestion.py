@@ -327,8 +327,8 @@ class TestEqualCostSuccessors:
 
 class TestEcmpSelector:
     def _selector(self, blocked=frozenset(), seed=0, sink=15):
-        # The sink column of a view rooted at ``sink`` routes every node
-        # toward that one node, like the old per-destination groups.
+        # The sink column routes every node toward the one node
+        # ``sink``, so each group is that of a (node, sink) pair.
         view = build_view(blocked=blocked, sink=sink)
         trees = shortest_path_trees(
             sdr_weight_matrix(view), view.neighbors, view.targets()
