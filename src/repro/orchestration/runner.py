@@ -9,7 +9,9 @@ Simulations are deterministic functions of their configuration (the
 workload RNG is seeded from the config), so the parallel runner's
 records are bit-identical to the sequential runner's for any worker
 count — the only thing that changes is wall-clock time.  Results are
-always returned in input order regardless of completion order.
+always returned in input order regardless of completion order, and
+each executed point is cached as soon as it finishes, so a killed run
+loses only the points still in flight.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ class SweepRunner:
     # -- to be provided by subclasses ----------------------------------
     def _execute(
         self, points: Sequence[SweepPoint]
-    ) -> Iterable[SimulationStats]:
+    ) -> Iterable[tuple[int, SimulationStats]]:
+        """Yield ``(position in points, stats)`` as each point finishes."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -157,9 +160,10 @@ class SweepRunner:
             points: The sweep grid.
             hook: Optional progress callback, invoked once per record
                 as it becomes available: cache hits first (input
-                order), then executed points.  Under the sequential
-                runner execution is lazy, so the hook fires after each
-                individual simulation — live progress for long benches.
+                order), then executed points as each finishes — in
+                input order under the sequential runner, in completion
+                order under a pool.  Each executed point is stored in
+                the cache before its hook fires.
         """
         points = list(points)
         keys = [config_hash(point.config) for point in points]
@@ -184,8 +188,9 @@ class SweepRunner:
                 pending.append((index, point))
 
         if pending:
-            stats_iter = self._execute([point for _, point in pending])
-            for (index, point), stats in zip(pending, stats_iter):
+            finished = self._execute([point for _, point in pending])
+            for position, stats in finished:
+                index, point = pending[position]
                 key = keys[index]
                 summary = stats.summary()
                 records[index] = SweepRecord(
@@ -237,9 +242,12 @@ class SequentialSweepRunner(SweepRunner):
 
     def _execute(
         self, points: Sequence[SweepPoint]
-    ) -> Iterable[SimulationStats]:
+    ) -> Iterable[tuple[int, SimulationStats]]:
         trace = self.trace
-        return (execute_point(point, trace) for point in points)
+        return (
+            (position, execute_point(point, trace))
+            for position, point in enumerate(points)
+        )
 
 
 class ParallelSweepRunner(SweepRunner):
@@ -282,10 +290,11 @@ class ParallelSweepRunner(SweepRunner):
 
     def _execute(
         self, points: Sequence[SweepPoint]
-    ) -> Iterable[SimulationStats]:
+    ) -> Iterable[tuple[int, SimulationStats]]:
         if len(points) == 1:
             # Not worth a pool spin-up for a single pending point.
-            return [execute_point(points[0], self.trace)]
+            yield 0, execute_point(points[0], self.trace)
+            return
         workers = self.max_workers
         if workers is not None:
             workers = min(workers, len(points))
@@ -294,12 +303,10 @@ class ParallelSweepRunner(SweepRunner):
             key=lambda i: self._cost_estimate(points[i]),
             reverse=True,
         )
-        results: list[SimulationStats | None] = [None] * len(points)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(execute_point, points[i], self.trace): i
                 for i in schedule
             }
             for future in as_completed(futures):
-                results[futures[future]] = future.result()
-        return results
+                yield futures[future], future.result()

@@ -4,6 +4,8 @@ These exercise real worker processes, so grids are kept tiny (the
 ``fig7`` smoke grid: 4x4 EAR and SDR, job-capped).
 """
 
+import time
+
 import pytest
 
 from repro.analysis.sweep import run_sweep, sweep_mesh_sizes
@@ -12,8 +14,27 @@ from repro.orchestration import (
     ParallelSweepRunner,
     SequentialSweepRunner,
     SweepCache,
+    SweepPoint,
     build_scenario,
 )
+from repro.orchestration import runner as runner_module
+from repro.orchestration.runner import execute_point
+
+
+def _fail_after_the_others(point, trace=False):
+    """Pool worker whose ``boom`` point raises once the others are cached.
+
+    The point waits (up to a deadline) until the cache directory named
+    in its params holds every other point of the run, so it is the last
+    to finish.
+    """
+    if point.label != "boom":
+        return execute_point(point, trace)
+    cache = SweepCache(point.params["cache_dir"])
+    deadline = time.monotonic() + 10.0
+    while len(cache) < point.params["others"] and time.monotonic() < deadline:
+        time.sleep(0.02)
+    raise RuntimeError("simulated point failure")
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +101,27 @@ class TestCachedRuns:
             fig7_smoke_points
         )
         assert cache.hits == len(fig7_smoke_points)
+        assert all(r.cached for r in records)
+
+    def test_points_are_cached_as_they_finish(
+        self, tmp_path, fig7_smoke_points, monkeypatch
+    ):
+        # A run that dies on its last point keeps every finished one.
+        monkeypatch.setattr(
+            runner_module, "execute_point", _fail_after_the_others
+        )
+        cache = SweepCache(tmp_path)
+        boom = SweepPoint(
+            "boom",
+            SimulationConfig(),
+            {"cache_dir": str(tmp_path), "others": len(fig7_smoke_points)},
+        )
+        with pytest.raises(RuntimeError, match="simulated point failure"):
+            ParallelSweepRunner(max_workers=2, cache=cache).run(
+                [*fig7_smoke_points, boom]
+            )
+        assert len(cache) == len(fig7_smoke_points)
+        records = SequentialSweepRunner(cache=cache).run(fig7_smoke_points)
         assert all(r.cached for r in records)
 
 
