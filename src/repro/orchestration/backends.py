@@ -15,7 +15,8 @@ therefore speaks to storage through a small backend protocol:
 
 All backends store the same JSON payload and are safe against
 concurrent writers: the directory backends write-then-rename, and the
-sqlite backend relies on SQLite's own locking (WAL + busy timeout).
+sqlite backend relies on SQLite's own locking, whose busy timeout
+serialises writers.
 Records written through one directory backend are invisible to the
 other layouts by design — pick a backend per cache directory.
 """
@@ -175,8 +176,12 @@ class SqliteBackend:
     """All entries as rows of one ``cache.sqlite`` database.
 
     A fresh connection per operation keeps the backend safe under any
-    threading/multiprocessing pattern; SQLite's WAL journal and busy
-    timeout arbitrate concurrent writers from separate invocations.
+    threading/multiprocessing pattern; SQLite's busy timeout arbitrates
+    concurrent writers from separate invocations.  The connection sets
+    no journal mode: switching it needs a lock that, under contention,
+    fails at once instead of waiting out the timeout.  A database
+    created in WAL mode keeps working in it: SQLite stores the mode in
+    the file.
     """
 
     name = "sqlite"
@@ -192,7 +197,6 @@ class SqliteBackend:
     def _connect(self) -> sqlite3.Connection:
         self.directory.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(self.database, timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
         conn.execute(
             "CREATE TABLE IF NOT EXISTS entries ("
             "key TEXT PRIMARY KEY, payload TEXT NOT NULL)"

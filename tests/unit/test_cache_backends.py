@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 import threading
+import time
 
 import pytest
 
@@ -80,14 +82,18 @@ class TestBackendParity:
     ):
         cache = SweepCache(tmp_path / backend_name, backend=backend_name)
         keys = [f"{i:02x}" + "e" * 62 for i in range(16)]
+        errors: dict[int, Exception] = {}
 
         def hammer(worker: int) -> None:
-            for round_index in range(4):
-                for key in keys:
-                    cache.store(
-                        key,
-                        {**RECORD, "worker": worker, "round": round_index},
-                    )
+            try:
+                for round_index in range(4):
+                    for key in keys:
+                        cache.store(
+                            key,
+                            {**RECORD, "worker": worker, "round": round_index},
+                        )
+            except Exception as exc:  # asserted below
+                errors[worker] = exc
 
         threads = [
             threading.Thread(target=hammer, args=(w,)) for w in range(4)
@@ -95,7 +101,9 @@ class TestBackendParity:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == {}
         assert len(cache) == len(keys)
         for key in keys:
             record = cache.lookup(key)
@@ -130,6 +138,48 @@ class TestLayouts:
     def test_backends_do_not_see_each_others_records(self, tmp_path):
         SweepCache(tmp_path, backend="flat").store(KEY_A, RECORD)
         assert SweepCache(tmp_path, backend="sqlite").lookup(KEY_A) is None
+
+
+class TestSqliteLocking:
+    def test_store_waits_out_a_writer_holding_the_lock(self, tmp_path):
+        # Another connection holds the write lock of a fresh database.
+        # The store must wait on the busy timeout and then succeed; a
+        # journal-mode switch would need that lock and fail at once.
+        cache = SweepCache(tmp_path, backend="sqlite")
+        holder = sqlite3.connect(
+            tmp_path / SqliteBackend.filename, isolation_level=None
+        )
+        holder.execute("BEGIN IMMEDIATE")
+        errors: list[Exception] = []
+
+        def store() -> None:
+            try:
+                cache.store(KEY_A, RECORD)
+            except Exception as exc:  # asserted below
+                errors.append(exc)
+
+        writer = threading.Thread(target=store)
+        writer.start()
+        time.sleep(0.3)
+        holder.execute("COMMIT")
+        holder.close()
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert errors == []
+        assert cache.lookup(KEY_A) is not None
+
+    def test_a_wal_mode_database_keeps_working(self, tmp_path):
+        database = tmp_path / SqliteBackend.filename
+        conn = sqlite3.connect(database)
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.close()
+        cache = SweepCache(tmp_path, backend="sqlite")
+        cache.store(KEY_A, RECORD)
+        assert cache.lookup(KEY_A) is not None
+        conn = sqlite3.connect(database)
+        (mode,) = conn.execute("PRAGMA journal_mode").fetchone()
+        conn.close()
+        assert mode == "wal"
 
 
 class TestSelection:
