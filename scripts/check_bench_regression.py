@@ -31,26 +31,6 @@ import json
 import statistics
 import sys
 
-#: Per-section threshold overrides (section name -> max normalised
-#: fresh/baseline ratio).  Most sections use the CLI --threshold;
-#: sections listed here are inherently noisier than a pure simulation
-#: loop and get their own tolerance.
-#:
-#: * ``fleet-shard`` — sharded fleet points time process-pool spin-up,
-#:   per-shard state-file IO and the retry/manifest machinery on a
-#:   shared runner, so their wall clock wobbles far more than the
-#:   simulation work they wrap.
-SECTION_THRESHOLDS: dict[str, float] = {
-    "fleet-shard": 1.50,
-}
-
-
-def threshold_for(name: str, default: float) -> float:
-    """The regression threshold guarding one ``section/label`` point."""
-    section = name.split("/", 1)[0]
-    return SECTION_THRESHOLDS.get(section, default)
-
-
 def load_document(path: str) -> tuple[dict[str, float], set[str]]:
     """Parse one bench JSON document.
 
@@ -158,18 +138,12 @@ def main(argv: list[str] | None = None) -> int:
         if base_s < args.floor and fresh_s < args.floor:
             continue
         ratio = (fresh_s / scale) / base_s
-        limit = threshold_for(name, args.threshold)
-        verdict = "FAIL" if ratio > limit else "ok"
-        note = (
-            f", section limit x{limit:.2f}"
-            if limit != args.threshold
-            else ""
-        )
+        verdict = "FAIL" if ratio > args.threshold else "ok"
         print(
             f"  {verdict:>4}  {name}: {base_s:.3f}s -> {fresh_s:.3f}s "
-            f"(normalised x{ratio:.2f}{note})"
+            f"(normalised x{ratio:.2f})"
         )
-        if ratio > limit:
+        if ratio > args.threshold:
             failures.append(name)
     candidates = sorted(fresh.keys() - baseline.keys())
     for name in candidates:
@@ -185,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if failures:
         print(
-            f"\n{len(failures)} point(s) regressed beyond their "
+            f"\n{len(failures)} point(s) regressed beyond the "
             f"threshold: {', '.join(failures)}"
         )
         return 1

@@ -128,69 +128,3 @@ class TestMissingSections:
         baseline = write(tmp_path, "baseline.json", BENCH_RECORDS)
         fresh = write(tmp_path, "fresh.json", {"fleet_smoke": {"a": 1}})
         assert guard.main([baseline, fresh]) == 2
-
-
-class TestSectionThresholds:
-    """Noisy sections carry their own tolerance entry."""
-
-    def test_fleet_shard_section_has_a_tolerance_entry(self, guard):
-        assert "fleet-shard" in guard.SECTION_THRESHOLDS
-        assert guard.SECTION_THRESHOLDS["fleet-shard"] > 1.25
-
-    def test_threshold_for_falls_back_to_the_default(self, guard):
-        assert guard.threshold_for("fig7/4x4/ear", 1.25) == 1.25
-        assert (
-            guard.threshold_for("fleet-shard/2way", 1.25)
-            == guard.SECTION_THRESHOLDS["fleet-shard"]
-        )
-
-    # Two unchanged simulation points pin the machine-normalisation
-    # median at 1.0, so the fleet-shard delta is judged raw.
-    STABLE = {
-        **BENCH_RECORDS,
-        "engine-speed": [{"label": "4x4/vector", "elapsed_s": 0.4}],
-    }
-
-    def test_fleet_shard_points_use_the_looser_limit(
-        self, guard, tmp_path
-    ):
-        baseline = write(
-            tmp_path,
-            "baseline.json",
-            {
-                **self.STABLE,
-                "fleet-shard": [{"label": "2way", "elapsed_s": 1.0}],
-            },
-        )
-        # +40%: beyond the default 1.25 limit but inside the
-        # fleet-shard section's 1.50 tolerance.
-        fresh = write(
-            tmp_path,
-            "fresh.json",
-            {
-                **self.STABLE,
-                "fleet-shard": [{"label": "2way", "elapsed_s": 1.4}],
-            },
-        )
-        assert guard.main([baseline, fresh]) == 0
-
-    def test_fleet_shard_points_still_fail_beyond_their_limit(
-        self, guard, tmp_path
-    ):
-        baseline = write(
-            tmp_path,
-            "baseline.json",
-            {
-                **self.STABLE,
-                "fleet-shard": [{"label": "2way", "elapsed_s": 1.0}],
-            },
-        )
-        fresh = write(
-            tmp_path,
-            "fresh.json",
-            {
-                **self.STABLE,
-                "fleet-shard": [{"label": "2way", "elapsed_s": 2.0}],
-            },
-        )
-        assert guard.main([baseline, fresh]) == 1
