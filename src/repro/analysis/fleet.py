@@ -93,14 +93,12 @@ def fleet_summary(bundle: dict) -> str:
                 shard.get("executed", 0),
                 shard.get("cached", 0),
                 round(float(shard.get("elapsed_s") or 0.0), 1),
-                shard.get("attempts", 1),
             )
             for shard in shards
         ]
         lines.append(
             format_table(
-                ["shard", "garments", "simulated", "cached", "s",
-                 "attempts"],
+                ["shard", "garments", "simulated", "cached", "s"],
                 shard_rows,
                 title=f"{len(shards)}-way sharded run",
             )

@@ -562,7 +562,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from .fleet import FLEET_PRESETS, fleet_bundle, run_fleet
     from .fleet.shards import (
         run_shard,
-        run_sharded_fleet,
         shard_filename,
         shard_spec_for,
         write_shard_state,
@@ -575,7 +574,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         size = 1000 if args.smoke else 256
     logger = get_logger()
 
-    # The flag matrix: exactly one of the four fleet modes at a time.
+    # The flag matrix: exactly one of the three fleet modes at a time.
     single_shard = (
         args.shard_index is not None or args.shard_count is not None
     )
@@ -585,18 +584,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         raise SystemExit(
             "--shard-index and --shard-count must be given together"
         )
-    if args.shards is not None and single_shard:
-        raise SystemExit(
-            "--shards (local pool) and --shard-index/--shard-count "
-            "(one shard per host) are mutually exclusive"
-        )
-    if args.shards is not None and args.trace:
-        raise SystemExit(
-            "--trace is not supported with --shards (shards run in "
-            "worker processes); trace one shard at a time via "
-            "--shard-index/--shard-count"
-        )
-    if args.compare_routing and (args.shards is not None or single_shard):
+    if args.compare_routing and single_shard:
         raise SystemExit(
             "--compare-routing runs both variants in one process; "
             "combine it with --workers, not with sharding"
@@ -654,45 +642,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         )
         if args.json:
             print(json.dumps(document, indent=2, sort_keys=True))
-        return 0
-
-    # --- local fault-tolerant sharded run on a process pool
-    if args.shards is not None:
-        if args.shards < 1:
-            raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-        sharded = run_sharded_fleet(
-            distribution,
-            size,
-            args.fleet_seed,
-            args.shards,
-            directory=args.shard_dir,
-            cache_dir=str(cache.directory) if cache is not None else None,
-            cache_backend=cache.backend_name if cache is not None else None,
-            chunk_size=args.chunk,
-            pool_workers=args.workers or None,
-            max_attempts=args.shard_attempts,
-            backoff_s=args.shard_backoff,
-            timeout_s=args.shard_timeout,
-            logger=logger,
-        )
-        bundle = fleet_bundle(
-            distribution,
-            size,
-            args.fleet_seed,
-            sharded.result,
-            workers=args.workers,
-            shards=sharded.shards,
-        )
-        if args.json:
-            print(json.dumps(bundle, indent=2, sort_keys=True))
-        else:
-            print(fleet_summary(bundle))
-            if sharded.directory:
-                logger.info(
-                    "shard state + manifest in %s (re-run resumes "
-                    "unfinished shards)",
-                    sharded.directory,
-                )
         return 0
 
     # --- EAR vs SDR over the same population
@@ -1040,17 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the aggregate bundle as JSON",
     )
     fleet.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="split the fleet into N disjoint shards and run them on a "
-        "local process pool with per-shard retry and manifest resume "
-        "(merged aggregate bit-identical to a single stream)",
-    )
-    fleet.add_argument(
-        "--shard-dir", metavar="DIR", default=None,
-        help="with --shards: keep shard state files + manifest under "
-        "DIR so an interrupted run resumes (default: ephemeral)",
-    )
-    fleet.add_argument(
         "--shard-index", type=int, default=None, metavar="I",
         help="run only shard I of a --shard-count split and write its "
         "standalone state file (one-shard-per-host mode; merge with "
@@ -1064,21 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-out", metavar="FILE", default=None,
         help="state-file path for --shard-index mode (default "
         "shard_IIIIofNNNN.json)",
-    )
-    fleet.add_argument(
-        "--shard-attempts", type=int, default=3, metavar="K",
-        help="with --shards: runs each shard may consume before the "
-        "driver gives up (default 3)",
-    )
-    fleet.add_argument(
-        "--shard-backoff", type=float, default=0.5, metavar="S",
-        help="with --shards: first retry delay in seconds, doubling "
-        "each round (default 0.5)",
-    )
-    fleet.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="S",
-        help="with --shards: per-round wall-clock limit; shards still "
-        "running are failed and retried (default: none)",
     )
     fleet.add_argument(
         "--compare-routing", action="store_true",
@@ -1097,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_merge.add_argument(
         "files", nargs="+", metavar="STATE.json",
         help="shard state files written by `repro fleet --shard-index` "
-        "or kept under a --shard-dir (the full set of one fleet)",
+        "(the full set of one fleet)",
     )
     fleet_merge.add_argument(
         "--json", action="store_true",

@@ -62,15 +62,6 @@ class SimulationError(ReproError):
     """The simulation engine reached an inconsistent state."""
 
 
-class ShardError(ReproError):
-    """A sharded fleet run could not complete.
-
-    Raised by the shard driver when a shard keeps failing after its
-    retry budget is exhausted, or when a worker times out / crashes in
-    a way that cannot be recovered by re-running the shard.
-    """
-
-
 class VerificationError(SimulationError):
     """A completed job's payload failed functional verification.
 

@@ -13,12 +13,13 @@ of the paper (Fig 7/8, Table 2) to population scale:
   bucketed survival curves), associative and order-independent, so
   shards on separate processes or hosts combine bit-identically;
 * :mod:`~repro.fleet.runner` — the chunked driver that streams any
-  fleet size through the existing sweep runner and cache;
-* :mod:`~repro.fleet.shards` — the fault-tolerant scale-out driver
-  that splits one fleet into disjoint shards (local process pool or
-  one-shard-per-host), retries crashed/timed-out shards, resumes
-  interrupted runs from a manifest, and strictly merges standalone
-  shard state files back into the canonical aggregate.
+  fleet size through the existing sweep runner and cache: its process
+  pool parallelises a fleet on one machine, and the cache resumes a
+  killed run per garment;
+* :mod:`~repro.fleet.shards` — the multi-host split: one fleet as
+  disjoint index ranges, one standalone shard state file per host,
+  and a strict merge of the full set back into the canonical
+  aggregate.
 """
 
 from .aggregate import (
@@ -40,18 +41,14 @@ from .runner import (
     run_fleet,
 )
 from .shards import (
-    SHARD_MANIFEST_SCHEMA,
     SHARD_STATE_SCHEMA,
     MergedShards,
-    ShardedFleetResult,
-    ShardManifest,
     ShardSpec,
     fleet_signature,
     load_shard_state,
     merge_shard_states,
     merged_bundle,
     run_shard,
-    run_sharded_fleet,
     shard_spec_for,
     split_fleet,
     write_shard_state,
@@ -63,7 +60,6 @@ __all__ = [
     "FLEET_PERCENTILES",
     "FLEET_PRESETS",
     "FLEET_STATE_SCHEMA",
-    "SHARD_MANIFEST_SCHEMA",
     "SHARD_STATE_SCHEMA",
     "BucketHistogram",
     "ExactSum",
@@ -73,9 +69,7 @@ __all__ = [
     "MergedShards",
     "MetricSpec",
     "MetricStat",
-    "ShardManifest",
     "ShardSpec",
-    "ShardedFleetResult",
     "aggregator_for",
     "fleet_bundle",
     "fleet_signature",
@@ -84,7 +78,6 @@ __all__ = [
     "merged_bundle",
     "run_fleet",
     "run_shard",
-    "run_sharded_fleet",
     "shard_spec_for",
     "split_fleet",
     "write_shard_state",

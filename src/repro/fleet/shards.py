@@ -1,33 +1,27 @@
-"""Sharded fleet driver: split, run, retry, resume, merge.
+"""Host-mode fleet shards: split, run one shard per host, merge.
 
 One fleet — ``(distribution, fleet_seed, size)`` — is split into N
 *shards*, disjoint contiguous index ranges that together tile
 ``[0, size)``.  Because every garment is a pure function of
 ``(fleet_seed, index)`` and the aggregator is associative and
-order-independent, running the shards anywhere (a local process pool,
-N hosts) and merging their state files afterwards is
-**bit-identical** to one single-stream run — the property suite
-pins this for every shard count.
+order-independent, running the shards on N hosts and merging their
+state files afterwards is **bit-identical** to one single-stream run
+— the property suite pins this for every shard count.
 
-The driver is built the way a training-job launcher has to be:
+This is the multi-host contract.  On one machine a fleet needs none
+of it: :func:`~repro.fleet.runner.run_fleet` parallelises over the
+sweep runner's process pool (``workers``), and a killed run resumes
+per garment through the sweep cache.
 
-* **independent workers** — each shard runs in its own process
-  (crashes cannot take the driver down) and writes a *standalone
-  state file* that carries the full fleet identity, so shards can
-  also be produced on separate hosts via the CLI's
-  ``--shard-index/--shard-count`` mode and merged with
-  ``repro fleet-merge``;
-* **retry with backoff** — a crashed or timed-out shard is re-run
-  (fresh pool, exponential backoff) up to ``max_attempts`` times
-  before the whole run fails with :class:`~repro.errors.ShardError`;
-* **manifest resume** — a JSON manifest records every shard's status
-  (pending/running/done/failed) plus the fleet's content signature;
-  an interrupted run pointed at the same directory re-runs only the
-  missing shards and refuses to resume a *different* fleet;
-* **strict merge** — state files are refused unless their schema,
-  fleet seed, size, distribution, base-config hash and histogram
-  bucket specs all match, and the shard ranges exactly tile the
-  fleet; nothing merges silently into garbage.
+* **standalone state files** — :func:`run_shard` (the CLI's
+  ``--shard-index/--shard-count`` mode) runs one range and returns a
+  document that carries the full fleet identity;
+  :func:`write_shard_state` persists it atomically;
+* **strict merge** — :func:`merge_shard_states` (``repro
+  fleet-merge``) refuses state files unless their schema, fleet seed,
+  size, distribution, base-config hash and histogram bucket specs all
+  match, and the shard ranges exactly tile the fleet; nothing merges
+  silently into garbage.
 """
 
 from __future__ import annotations
@@ -36,17 +30,12 @@ import hashlib
 import json
 import os
 import pathlib
-import shutil
-import tempfile
-import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 from ..config import SimulationConfig
-from ..errors import ConfigurationError, ShardError
+from ..errors import ConfigurationError
 from ..orchestration.cache import SweepCache, config_hash
-from ..telemetry.console import get_logger
 from .aggregate import FleetAggregator
 from .distribution import FleetDistribution
 from .runner import (
@@ -58,12 +47,6 @@ from .runner import (
 
 #: Version stamp of the standalone shard state file.
 SHARD_STATE_SCHEMA = 1
-
-#: Version stamp of the shard manifest file.
-SHARD_MANIFEST_SCHEMA = 1
-
-#: Name of the manifest file inside a shard directory.
-MANIFEST_FILENAME = "manifest.json"
 
 
 # ----------------------------------------------------------------------
@@ -93,8 +76,8 @@ class ShardSpec:
 def split_fleet(size: int, shard_count: int, start: int = 0) -> list[ShardSpec]:
     """Split ``[start, start+size)`` into ``shard_count`` contiguous shards.
 
-    Deterministic and canonical: every participant (local driver,
-    remote hosts, the merge validator) derives the same ranges from
+    Deterministic and canonical: every participant (each host, the
+    merge validator) derives the same ranges from
     ``(size, shard_count)`` alone.  Sizes differ by at most one — the
     first ``size % shard_count`` shards take the extra garment.
     """
@@ -136,10 +119,9 @@ def fleet_signature(
 ) -> str:
     """Content hash identifying one fleet (and its base configuration).
 
-    Shard state files and the resume manifest both carry it: two
-    shards merge (and a directory resumes) only when the signatures
-    agree, so a changed preset, seed, size or base config can never be
-    mixed into an existing run's artifacts.
+    Every shard state file carries it: two shards merge only when the
+    signatures agree, so a changed preset, seed, size or base config
+    can never be mixed into an existing run's artifacts.
     """
     payload = json.dumps(
         {
@@ -226,8 +208,8 @@ def run_shard(
 def write_shard_state(path: str | os.PathLike, document: dict) -> None:
     """Atomically persist one shard state file (write-then-rename).
 
-    A killed run can therefore never leave a truncated file that the
-    manifest believes is done — the rename is the commit point.
+    A killed run can therefore never leave a truncated file for the
+    merge to read — the rename is the commit point.
     """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -265,7 +247,7 @@ class MergedShards:
             elapsed) in index order.
         executed / cached: Garment totals across all shards.
         elapsed_s: Sum of per-shard wall-clock seconds (the compute
-            cost, not the driver's wall time).
+            cost, not the wall time of the hosts running in parallel).
     """
 
     aggregator: FleetAggregator
@@ -413,416 +395,4 @@ def merged_bundle(documents: Iterable[dict]) -> dict:
         int(merged.fleet["seed"]),
         result,
         shards=merged.shards,
-    )
-
-
-# ----------------------------------------------------------------------
-# Manifest (resume)
-# ----------------------------------------------------------------------
-class ShardManifest:
-    """Durable record of a sharded run's progress.
-
-    One JSON file per shard directory: the fleet signature, the shard
-    count and a per-shard entry (``status`` in pending/running/done/
-    failed, attempt count, state-file name, last error).  Every
-    mutation is persisted atomically, so the manifest a crashed driver
-    leaves behind is always internally consistent and a restart can
-    resume by re-running exactly the non-``done`` shards.
-    """
-
-    def __init__(self, path: pathlib.Path, data: dict):
-        self.path = path
-        self.data = data
-
-    @classmethod
-    def load_or_create(
-        cls,
-        path: str | os.PathLike,
-        *,
-        signature: str,
-        shard_count: int,
-    ) -> "ShardManifest":
-        """Open an existing manifest (validated) or start a fresh one.
-
-        An existing manifest must describe the *same* fleet (content
-        signature) split the *same* way — resuming a directory with a
-        different preset, seed, size, base config or shard count is a
-        configuration error, not a silent restart.
-        """
-        path = pathlib.Path(path)
-        if path.exists():
-            data = json.loads(path.read_text(encoding="utf-8"))
-            if data.get("schema") != SHARD_MANIFEST_SCHEMA:
-                raise ConfigurationError(
-                    f"{path}: unsupported manifest schema "
-                    f"{data.get('schema')!r}"
-                )
-            if data.get("signature") != signature:
-                raise ConfigurationError(
-                    f"{path} belongs to a different fleet (signature "
-                    f"mismatch) — pick a fresh --shard-dir or delete "
-                    "the stale one"
-                )
-            if data.get("shard_count") != shard_count:
-                raise ConfigurationError(
-                    f"{path} recorded a {data.get('shard_count')}-way "
-                    f"split; cannot resume it {shard_count}-way"
-                )
-            # A shard left 'running' by a killed driver never finished
-            # (the state-file rename is the commit point): re-run it.
-            for entry in data["shards"].values():
-                if entry["status"] == "running":
-                    entry["status"] = "pending"
-            return cls(path, data)
-        data = {
-            "schema": SHARD_MANIFEST_SCHEMA,
-            "signature": signature,
-            "shard_count": shard_count,
-            "shards": {
-                str(index): {
-                    "status": "pending",
-                    "attempts": 0,
-                    "file": None,
-                    "error": None,
-                }
-                for index in range(shard_count)
-            },
-        }
-        manifest = cls(path, data)
-        manifest.save()
-        return manifest
-
-    # ------------------------------------------------------------------
-    def entry(self, index: int) -> dict:
-        return self.data["shards"][str(index)]
-
-    def mark(
-        self,
-        index: int,
-        status: str,
-        *,
-        file: str | None = None,
-        error: str | None = None,
-        bump_attempt: bool = False,
-    ) -> None:
-        entry = self.entry(index)
-        entry["status"] = status
-        entry["file"] = file
-        entry["error"] = error
-        if bump_attempt:
-            entry["attempts"] += 1
-        self.save()
-
-    def pending(self) -> list[int]:
-        """Shards that still need a (re-)run, in index order."""
-        return sorted(
-            int(index)
-            for index, entry in self.data["shards"].items()
-            if entry["status"] != "done"
-        )
-
-    def attempts(self, index: int) -> int:
-        return int(self.entry(index)["attempts"])
-
-    def save(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        scratch = self.path.with_name(
-            f".tmp-{self.path.name}-{os.getpid()}"
-        )
-        scratch.write_text(
-            json.dumps(self.data, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        scratch.replace(self.path)
-
-
-# ----------------------------------------------------------------------
-# The local driver
-# ----------------------------------------------------------------------
-def _shard_worker(payload: dict) -> dict:
-    """Run one shard from a plain-dict payload (pickles into workers).
-
-    Rebuilds the distribution, base config and cache from primitives
-    so the payload crosses process boundaries without dragging live
-    objects along.
-    """
-    distribution = FleetDistribution.from_dict(payload["distribution"])
-    base = (
-        SimulationConfig.from_dict(payload["base"])
-        if payload.get("base") is not None
-        else None
-    )
-    cache = (
-        SweepCache(payload["cache_dir"], backend=payload.get("cache_backend"))
-        if payload.get("cache_dir")
-        else None
-    )
-    return run_shard(
-        distribution,
-        payload["fleet_seed"],
-        payload["fleet_size"],
-        ShardSpec(**payload["shard"]),
-        base=base,
-        workers=1,
-        cache=cache,
-        chunk_size=payload.get("chunk_size", 128),
-    )
-
-
-@dataclass
-class ShardedFleetResult:
-    """Outcome of one locally-driven sharded fleet run.
-
-    Attributes:
-        result: The merged fleet result (aggregator bit-identical to a
-            single stream; ``elapsed_s`` is the driver's wall time).
-        shards: Per-shard run rows, including attempt counts.
-        directory: The shard directory (None when an ephemeral
-            temporary directory was used — nothing to resume).
-    """
-
-    result: FleetRunResult
-    shards: list[dict]
-    directory: str | None
-
-
-def _execute_round(
-    payloads: list[dict],
-    *,
-    worker: Callable[[dict], dict],
-    inline: bool,
-    pool_workers: int | None,
-    timeout_s: float | None,
-) -> Iterator[tuple[int, dict | Exception]]:
-    """Run one retry round of shard payloads, yielding outcomes.
-
-    ``inline`` executes in-process (tests, debugging — no timeout
-    enforcement); the default is a fresh process pool per round, so a
-    worker crash that breaks the pool (or a round-level timeout) is
-    contained to this round and the next attempt starts clean.
-    """
-    if inline:
-        for payload in payloads:
-            index = payload["shard"]["index"]
-            try:
-                yield index, worker(payload)
-            except Exception as exc:  # noqa: BLE001 — retried upstream
-                yield index, exc
-        return
-
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    workers = min(
-        pool_workers if pool_workers else (os.cpu_count() or 1),
-        len(payloads),
-    )
-    pool = ProcessPoolExecutor(max_workers=workers)
-    futures = {
-        pool.submit(worker, payload): payload["shard"]["index"]
-        for payload in payloads
-    }
-    finished: set[int] = set()
-    try:
-        for future in as_completed(futures, timeout=timeout_s):
-            index = futures[future]
-            finished.add(index)
-            try:
-                yield index, future.result()
-            except Exception as exc:  # noqa: BLE001 — retried upstream
-                # Worker raised, or the pool broke under it (a killed
-                # process surfaces as BrokenProcessPool on every
-                # outstanding future) — both are per-shard failures
-                # the retry loop handles with a fresh pool.
-                yield index, exc
-    except FutureTimeoutError:
-        for future, index in futures.items():
-            if index not in finished:
-                future.cancel()
-                yield index, ShardError(
-                    f"shard {index} timed out after {timeout_s:.1f}s"
-                )
-    finally:
-        # Never block the driver on abandoned workers: timed-out
-        # processes are detached, not joined.
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def run_sharded_fleet(
-    distribution: FleetDistribution,
-    size: int,
-    fleet_seed: int,
-    shard_count: int,
-    *,
-    base: SimulationConfig | None = None,
-    directory: str | os.PathLike | None = None,
-    cache_dir: str | None = None,
-    cache_backend: str | None = None,
-    chunk_size: int = 128,
-    pool_workers: int | None = None,
-    max_attempts: int = 3,
-    backoff_s: float = 0.5,
-    timeout_s: float | None = None,
-    inline: bool = False,
-    worker: Callable[[dict], dict] | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-    logger=None,
-) -> ShardedFleetResult:
-    """Split one fleet into shards, run them fault-tolerantly, merge.
-
-    Args:
-        distribution / size / fleet_seed: The fleet, exactly as
-            :func:`~repro.fleet.runner.run_fleet` takes it.
-        shard_count: Disjoint index ranges to split the fleet into.
-        base: Base configuration the sampled axes graft onto (part of
-            the fleet signature — a different base is a different
-            fleet).
-        directory: Shard state files + manifest live here, enabling
-            resume; ``None`` uses an ephemeral temporary directory
-            (removed afterwards, nothing to resume).
-        cache_dir / cache_backend: Sweep-cache location passed to the
-            workers as primitives (each worker opens its own handle —
-            all backends are concurrent-writer safe).
-        chunk_size: Per-worker streaming chunk (the memory bound).
-        pool_workers: Concurrent shard processes (None = machine
-            cores, capped at the pending shard count).
-        max_attempts: Runs each shard may consume before the driver
-            gives up with :class:`~repro.errors.ShardError`.
-        backoff_s: First retry delay; doubles every further round.
-        timeout_s: Per-round wall-clock limit; shards still running
-            when it expires are failed (and retried) as timeouts.
-        inline: Run shards in-process instead of a pool (tests,
-            debugging; timeouts are not enforced inline).
-        worker: Injectable shard executor (payload -> state document);
-            must be picklable unless ``inline``.
-        sleep: Injectable backoff sleeper (tests).
-        logger: Destination for per-shard heartbeat lines.
-    """
-    if max_attempts < 1:
-        raise ConfigurationError(
-            f"max_attempts must be >= 1, got {max_attempts}"
-        )
-    logger = logger if logger is not None else get_logger("fleet.shards")
-    worker = worker if worker is not None else _shard_worker
-    specs = split_fleet(size, shard_count)
-    signature = fleet_signature(distribution, fleet_seed, size, base)
-
-    ephemeral: str | None = None
-    if directory is None:
-        ephemeral = tempfile.mkdtemp(prefix="etsim-shards-")
-        directory = ephemeral
-    directory = pathlib.Path(directory)
-    manifest = ShardManifest.load_or_create(
-        directory / MANIFEST_FILENAME,
-        signature=signature,
-        shard_count=shard_count,
-    )
-
-    began = time.perf_counter()
-    documents: dict[int, dict] = {}
-    # Resume: reload finished shards instead of recomputing them.
-    for spec in specs:
-        entry = manifest.entry(spec.index)
-        if entry["status"] != "done" or not entry.get("file"):
-            continue
-        try:
-            document = load_shard_state(directory / entry["file"])
-        except (OSError, ValueError, ConfigurationError):
-            document = None
-        if (
-            document is not None
-            and document["fleet"].get("signature") == signature
-        ):
-            documents[spec.index] = document
-        else:
-            manifest.mark(spec.index, "pending")
-    if documents:
-        logger.info(
-            "resuming: %d/%d shard(s) already done in %s",
-            len(documents), shard_count, directory,
-        )
-
-    def payload_for(spec: ShardSpec) -> dict:
-        return {
-            "distribution": distribution.to_dict(),
-            "base": base.to_dict() if base is not None else None,
-            "fleet_seed": int(fleet_seed),
-            "fleet_size": int(size),
-            "shard": asdict(spec),
-            "chunk_size": chunk_size,
-            "cache_dir": cache_dir,
-            "cache_backend": cache_backend,
-        }
-
-    round_number = 0
-    while len(documents) < shard_count:
-        pending = [spec for spec in specs if spec.index not in documents]
-        round_number += 1
-        if round_number > max_attempts:
-            failing = sorted(spec.index for spec in pending)
-            raise ShardError(
-                f"shard(s) {failing} still failing after "
-                f"{max_attempts} attempt(s); manifest at "
-                f"{manifest.path} has the per-shard errors"
-            )
-        if round_number > 1:
-            delay = backoff_s * (2.0 ** (round_number - 2))
-            logger.info(
-                "retrying %d shard(s) in %.1fs (attempt %d/%d)",
-                len(pending), delay, round_number, max_attempts,
-            )
-            if delay > 0:
-                sleep(delay)
-        for spec in pending:
-            manifest.mark(spec.index, "running", bump_attempt=True)
-            logger.info(
-                "shard %d/%d: running garments [%d, %d)",
-                spec.index + 1, shard_count, spec.start, spec.stop,
-            )
-        outcomes = _execute_round(
-            [payload_for(spec) for spec in pending],
-            worker=worker,
-            inline=inline,
-            pool_workers=pool_workers,
-            timeout_s=timeout_s,
-        )
-        for index, outcome in outcomes:
-            spec = specs[index]
-            if isinstance(outcome, Exception):
-                manifest.mark(index, "failed", error=repr(outcome))
-                logger.warning(
-                    "shard %d/%d: FAILED (attempt %d/%d): %s",
-                    index + 1, shard_count, manifest.attempts(index),
-                    max_attempts, outcome,
-                )
-                continue
-            filename = shard_filename(spec)
-            write_shard_state(directory / filename, outcome)
-            manifest.mark(index, "done", file=filename)
-            documents[index] = outcome
-            run = outcome.get("run", {})
-            logger.info(
-                "shard %d/%d: done — %d simulated, %d cached in %.1fs",
-                index + 1, shard_count, run.get("executed", 0),
-                run.get("cached", 0), run.get("elapsed_s", 0.0),
-            )
-
-    merged = merge_shard_states(
-        [documents[index] for index in sorted(documents)]
-    )
-    shards = [
-        {**row, "attempts": manifest.attempts(row["index"])}
-        for row in merged.shards
-    ]
-    if ephemeral is not None:
-        shutil.rmtree(ephemeral, ignore_errors=True)
-    return ShardedFleetResult(
-        result=FleetRunResult(
-            aggregator=merged.aggregator,
-            size=size,
-            executed=merged.executed,
-            cached=merged.cached,
-            elapsed_s=time.perf_counter() - began,
-        ),
-        shards=shards,
-        directory=None if ephemeral is not None else str(directory),
     )

@@ -10,56 +10,23 @@ themselves round-trip and hash stably.
 from __future__ import annotations
 
 import json
-import logging
-import os
-import pathlib
-import time
 
 import pytest
 
 from repro.cli import main
 from repro.config import SimulationConfig
-from repro.errors import ConfigurationError, ShardError
+from repro.errors import ConfigurationError
 from repro.fleet import (
     FLEET_PRESETS,
     FleetAggregator,
     fleet_bundle,
     run_fleet,
 )
-from repro.fleet.shards import run_sharded_fleet
 from repro.orchestration.cache import SweepCache, config_hash
 
 DIST = FLEET_PRESETS["smoke"]
 SEED = 2005
 SIZE = 8
-
-QUIET = logging.getLogger("test.fleet.runs")
-QUIET.addHandler(logging.NullHandler())
-QUIET.propagate = False
-
-
-def _crash_once_pool_worker(payload: dict) -> dict:
-    """Pool worker that hard-kills its process once (via a sentinel).
-
-    ``os._exit`` bypasses all cleanup, so the executor sees a dead
-    worker (``BrokenProcessPool``) — the crash mode the retry loop
-    must contain by rebuilding the pool.
-    """
-    from repro.fleet.shards import _shard_worker
-
-    sentinel = pathlib.Path(os.environ["ETSIM_TEST_CRASH_SENTINEL"])
-    if payload["shard"]["index"] == 1 and not sentinel.exists():
-        sentinel.write_text("crashed")
-        os._exit(23)
-    return _shard_worker(payload)
-
-
-def _sleepy_pool_worker(payload: dict) -> dict:
-    """Pool worker that outsleeps any reasonable per-round timeout."""
-    from repro.fleet.shards import _shard_worker
-
-    time.sleep(2.0)
-    return _shard_worker(payload)
 
 
 def aggregate_json(result) -> str:
@@ -216,71 +183,7 @@ class TestFleetCli:
         assert second["aggregate"] == first["aggregate"]
 
 
-class TestPoolFaultTolerance:
-    """Real-process failure modes of the local shard driver."""
-
-    def test_killed_worker_is_retried_on_a_fresh_pool(
-        self, tmp_path, monkeypatch
-    ):
-        sentinel = tmp_path / "crash-sentinel"
-        monkeypatch.setenv("ETSIM_TEST_CRASH_SENTINEL", str(sentinel))
-        sharded = run_sharded_fleet(
-            DIST, SIZE, SEED, 2,
-            directory=tmp_path / "shards",
-            worker=_crash_once_pool_worker,
-            pool_workers=2,
-            backoff_s=0.0,
-            logger=QUIET,
-        )
-        assert sentinel.exists()  # the crash really happened
-        single = run_fleet(DIST, SIZE, SEED)
-        assert json.dumps(
-            sharded.result.aggregator.aggregate(), sort_keys=True
-        ) == json.dumps(single.aggregator.aggregate(), sort_keys=True)
-        attempts = {
-            row["index"]: row["attempts"] for row in sharded.shards
-        }
-        assert attempts[1] >= 2
-
-    def test_round_timeout_fails_the_run_as_shard_error(self, tmp_path):
-        began = time.monotonic()
-        with pytest.raises(ShardError):
-            run_sharded_fleet(
-                DIST, 2, SEED, 2,
-                directory=tmp_path,
-                worker=_sleepy_pool_worker,
-                pool_workers=2,
-                max_attempts=1,
-                timeout_s=0.3,
-                backoff_s=0.0,
-                logger=QUIET,
-            )
-        # The driver gave up on the timeout, not on the 2s sleeps.
-        assert time.monotonic() - began < 1.9
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert all(
-            entry["status"] == "failed"
-            and "timed out" in entry["error"]
-            for entry in manifest["shards"].values()
-        )
-
-
 class TestShardedCli:
-    def test_shards_flag_matches_single_stream(self, capsys):
-        assert main(
-            ["fleet", "--smoke", "--size", "6", "--json"]
-        ) == 0
-        single = json.loads(capsys.readouterr().out)
-        assert main(
-            ["fleet", "--smoke", "--size", "6", "--json",
-             "--shards", "2"]
-        ) == 0
-        sharded = json.loads(capsys.readouterr().out)
-        assert len(sharded["run"]["shards"]) == 2
-        # One statistics system: the bundles differ only in `run`.
-        del single["run"], sharded["run"]
-        assert sharded == single
-
     def test_shard_index_plus_merge_round_trip(self, tmp_path, capsys):
         assert main(
             ["fleet", "--smoke", "--size", "6", "--json"]
@@ -298,7 +201,10 @@ class TestShardedCli:
         capsys.readouterr()
         assert main(["fleet-merge", *files, "--json"]) == 0
         merged = json.loads(capsys.readouterr().out)
-        assert merged["aggregate"] == single["aggregate"]
+        assert len(merged["run"]["shards"]) == 2
+        # One statistics system: the bundles differ only in `run`.
+        del single["run"], merged["run"]
+        assert merged == single
 
     def test_merge_rejects_mismatched_fleet_seed(self, tmp_path, capsys):
         for index, seed in ((0, "1"), (1, "2")):
@@ -318,18 +224,8 @@ class TestShardedCli:
     def test_incompatible_shard_flags_exit_with_usage_error(self):
         with pytest.raises(SystemExit):
             main(
-                ["fleet", "--smoke", "--size", "4", "--shards", "2",
-                 "--shard-index", "0", "--shard-count", "2"]
-            )
-        with pytest.raises(SystemExit):
-            main(
                 ["fleet", "--smoke", "--size", "4",
                  "--shard-index", "0"]
-            )
-        with pytest.raises(SystemExit):
-            main(
-                ["fleet", "--smoke", "--size", "4", "--shards", "2",
-                 "--trace", "t.jsonl"]
             )
 
     def test_shard_trace_lines_carry_shard_tags(self, tmp_path, capsys):

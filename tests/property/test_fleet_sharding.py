@@ -1,29 +1,24 @@
-"""The shard driver's end-to-end identity, stated as a property.
+"""The host-mode shard identity, stated as a property.
 
-For every shard count, a real fleet that is split, has one shard
-*crash on its first attempt*, is retried and finally merged must
-produce the same canonical aggregate — bit for bit — as a plain
-single-stream run of the same ``(distribution, fleet_seed, size)``.
-Fault tolerance is not allowed to cost determinism.
+For every shard count, a real fleet that is split, has each shard run
+on its own (as one host would), shipped as a JSON state file and
+merged — in any order — must produce the same canonical aggregate, bit
+for bit, as a plain single-stream run of the same
+``(distribution, fleet_seed, size)``.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 
 import pytest
 
 from repro.fleet import FLEET_PRESETS, run_fleet
-from repro.fleet.shards import _shard_worker, run_sharded_fleet
+from repro.fleet.shards import merge_shard_states, run_shard, split_fleet
 
 DIST = FLEET_PRESETS["smoke"]
 SEED = 77
 SIZE = 9
-
-QUIET = logging.getLogger("test.fleet.sharding")
-QUIET.addHandler(logging.NullHandler())
-QUIET.propagate = False
 
 
 @pytest.fixture(scope="module")
@@ -33,41 +28,19 @@ def single_stream_aggregate() -> str:
 
 
 @pytest.mark.parametrize("shard_count", [1, 2, 3, 7])
-def test_crash_retry_merge_is_bit_identical_to_single_stream(
-    shard_count, single_stream_aggregate, tmp_path
+def test_split_run_merge_is_bit_identical_to_single_stream(
+    shard_count, single_stream_aggregate
 ):
-    crashed: set[int] = set()
-    victim = shard_count - 1  # the last shard dies once
-
-    def crash_once(payload):
-        index = payload["shard"]["index"]
-        if index == victim and index not in crashed:
-            crashed.add(index)
-            raise RuntimeError("simulated worker crash")
-        return _shard_worker(payload)
-
-    naps: list[float] = []
-    sharded = run_sharded_fleet(
-        DIST, SIZE, SEED, shard_count,
-        directory=tmp_path,
-        inline=True,
-        worker=crash_once,
-        backoff_s=0.1,
-        sleep=naps.append,
-        logger=QUIET,
-    )
-    assert crashed == {victim}
-    assert naps == [0.1]  # exactly one retry round
+    documents = [
+        json.loads(json.dumps(run_shard(DIST, SEED, SIZE, spec)))
+        for spec in split_fleet(SIZE, shard_count)
+    ]
+    merged = merge_shard_states(reversed(documents))
     assert json.dumps(
-        sharded.result.aggregator.aggregate(), sort_keys=True
+        merged.aggregator.aggregate(), sort_keys=True
     ) == single_stream_aggregate
-    # The crashed shard's extra attempt is visible in the run rows.
-    attempts = {row["index"]: row["attempts"] for row in sharded.shards}
-    assert attempts[victim] == 2
-    assert all(
-        attempts[index] == 1
-        for index in attempts
-        if index != victim
+    # Every garment was simulated exactly once across the shards.
+    assert merged.executed == SIZE
+    assert [row["index"] for row in merged.shards] == list(
+        range(shard_count)
     )
-    # Every garment was simulated exactly once per completed attempt.
-    assert sharded.result.executed == SIZE

@@ -1,40 +1,31 @@
-"""Unit behaviour of the shard driver: split, sign, merge, resume."""
+"""Unit behaviour of host-mode shards: split, sign, state files, merge."""
 
 from __future__ import annotations
 
 import json
-import logging
 
 import pytest
 
 from repro.config import SimulationConfig
-from repro.errors import ConfigurationError, ShardError
+from repro.errors import ConfigurationError
 from repro.fleet import FLEET_PRESETS, run_fleet
 from repro.fleet.shards import (
-    MANIFEST_FILENAME,
     SHARD_STATE_SCHEMA,
-    ShardManifest,
     ShardSpec,
     fleet_signature,
     load_shard_state,
     merge_shard_states,
     merged_bundle,
     run_shard,
-    run_sharded_fleet,
     shard_filename,
     shard_spec_for,
     split_fleet,
     write_shard_state,
 )
-from repro.fleet.shards import _shard_worker
 
 DIST = FLEET_PRESETS["smoke"]
 SEED = 2005
 SIZE = 6
-
-QUIET = logging.getLogger("test.fleet.shards")
-QUIET.addHandler(logging.NullHandler())
-QUIET.propagate = False
 
 
 def shard_docs(size=SIZE, count=2, seed=SEED):
@@ -196,182 +187,3 @@ class TestMergeValidation:
         docs[1]["state"]["metrics"]["lifetime_frames"]["count"] += 5
         with pytest.raises(ConfigurationError, match="counts disagree"):
             merge_shard_states(docs)
-
-
-class TestShardManifest:
-    def test_fresh_manifest_is_all_pending(self, tmp_path):
-        manifest = ShardManifest.load_or_create(
-            tmp_path / MANIFEST_FILENAME, signature="sig", shard_count=3
-        )
-        assert manifest.pending() == [0, 1, 2]
-        assert (tmp_path / MANIFEST_FILENAME).is_file()
-
-    def test_marks_persist_across_reload(self, tmp_path):
-        path = tmp_path / MANIFEST_FILENAME
-        manifest = ShardManifest.load_or_create(
-            path, signature="sig", shard_count=2
-        )
-        manifest.mark(0, "done", file="shard_0000of0002.json")
-        manifest.mark(1, "failed", error="boom", bump_attempt=True)
-        reloaded = ShardManifest.load_or_create(
-            path, signature="sig", shard_count=2
-        )
-        assert reloaded.pending() == [1]
-        assert reloaded.attempts(1) == 1
-        assert reloaded.entry(1)["error"] == "boom"
-
-    def test_running_demotes_to_pending_on_reload(self, tmp_path):
-        path = tmp_path / MANIFEST_FILENAME
-        manifest = ShardManifest.load_or_create(
-            path, signature="sig", shard_count=2
-        )
-        manifest.mark(0, "running", bump_attempt=True)
-        # A manifest left mid-run by a killed driver: the shard never
-        # committed its state file, so it must re-run.
-        reloaded = ShardManifest.load_or_create(
-            path, signature="sig", shard_count=2
-        )
-        assert reloaded.entry(0)["status"] == "pending"
-        assert reloaded.pending() == [0, 1]
-
-    def test_refuses_a_different_fleet(self, tmp_path):
-        path = tmp_path / MANIFEST_FILENAME
-        ShardManifest.load_or_create(
-            path, signature="sig-a", shard_count=2
-        )
-        with pytest.raises(ConfigurationError, match="different fleet"):
-            ShardManifest.load_or_create(
-                path, signature="sig-b", shard_count=2
-            )
-
-    def test_refuses_a_different_shard_count(self, tmp_path):
-        path = tmp_path / MANIFEST_FILENAME
-        ShardManifest.load_or_create(path, signature="sig", shard_count=2)
-        with pytest.raises(ConfigurationError, match="-way"):
-            ShardManifest.load_or_create(
-                path, signature="sig", shard_count=3
-            )
-
-
-class TestRunShardedFleet:
-    def test_inline_matches_single_stream(self):
-        single = run_fleet(DIST, SIZE, SEED)
-        sharded = run_sharded_fleet(
-            DIST, SIZE, SEED, 3, inline=True, logger=QUIET
-        )
-        assert json.dumps(
-            sharded.result.aggregator.aggregate(), sort_keys=True
-        ) == json.dumps(single.aggregator.aggregate(), sort_keys=True)
-        assert sharded.result.executed == SIZE
-        assert sharded.directory is None  # ephemeral dir cleaned up
-
-    def test_retry_budget_exhaustion_raises_shard_error(self, tmp_path):
-        def always_fails(payload):
-            raise RuntimeError("kaput")
-
-        naps: list[float] = []
-        with pytest.raises(ShardError, match="after 2 attempt"):
-            run_sharded_fleet(
-                DIST, SIZE, SEED, 2,
-                directory=tmp_path,
-                inline=True,
-                worker=always_fails,
-                max_attempts=2,
-                backoff_s=0.25,
-                sleep=naps.append,
-                logger=QUIET,
-            )
-        # One backoff nap between the two rounds, and the manifest
-        # records the failure for post-mortem.
-        assert naps == [0.25]
-        manifest = json.loads(
-            (tmp_path / MANIFEST_FILENAME).read_text()
-        )
-        assert all(
-            entry["status"] == "failed" and "kaput" in entry["error"]
-            for entry in manifest["shards"].values()
-        )
-
-    def test_resume_skips_finished_shards(self, tmp_path):
-        calls: list[int] = []
-
-        def counting(payload):
-            calls.append(payload["shard"]["index"])
-            return _shard_worker(payload)
-
-        def crash_shard_two(payload):
-            calls.append(payload["shard"]["index"])
-            if payload["shard"]["index"] == 2:
-                raise RuntimeError("killed mid-run")
-            return _shard_worker(payload)
-
-        # First driver "dies" after shards 0 and 1 committed.
-        with pytest.raises(ShardError):
-            run_sharded_fleet(
-                DIST, SIZE, SEED, 3,
-                directory=tmp_path,
-                inline=True,
-                worker=crash_shard_two,
-                max_attempts=1,
-                logger=QUIET,
-            )
-        assert sorted(calls) == [0, 1, 2]
-
-        # The restarted driver re-runs only the missing shard.
-        calls.clear()
-        sharded = run_sharded_fleet(
-            DIST, SIZE, SEED, 3,
-            directory=tmp_path,
-            inline=True,
-            worker=counting,
-            logger=QUIET,
-        )
-        assert calls == [2]
-        single = run_fleet(DIST, SIZE, SEED)
-        assert json.dumps(
-            sharded.result.aggregator.aggregate(), sort_keys=True
-        ) == json.dumps(single.aggregator.aggregate(), sort_keys=True)
-        # Cached totals still cover the whole fleet.
-        assert sharded.result.executed == SIZE
-
-    def test_resume_refuses_a_different_fleet(self, tmp_path):
-        run_sharded_fleet(
-            DIST, SIZE, SEED, 2, directory=tmp_path, inline=True,
-            logger=QUIET,
-        )
-        with pytest.raises(ConfigurationError, match="different fleet"):
-            run_sharded_fleet(
-                DIST, SIZE, SEED + 1, 2, directory=tmp_path,
-                inline=True, logger=QUIET,
-            )
-
-    def test_corrupt_state_file_triggers_rerun(self, tmp_path):
-        run_sharded_fleet(
-            DIST, SIZE, SEED, 2, directory=tmp_path, inline=True,
-            logger=QUIET,
-        )
-        victim = tmp_path / shard_filename(split_fleet(SIZE, 2)[0])
-        victim.write_text("{ truncated")
-        calls: list[int] = []
-
-        def counting(payload):
-            calls.append(payload["shard"]["index"])
-            return _shard_worker(payload)
-
-        sharded = run_sharded_fleet(
-            DIST, SIZE, SEED, 2,
-            directory=tmp_path, inline=True, worker=counting,
-            logger=QUIET,
-        )
-        assert calls == [0]
-        single = run_fleet(DIST, SIZE, SEED)
-        assert json.dumps(
-            sharded.result.aggregator.aggregate(), sort_keys=True
-        ) == json.dumps(single.aggregator.aggregate(), sort_keys=True)
-
-    def test_rejects_bad_max_attempts(self):
-        with pytest.raises(ConfigurationError):
-            run_sharded_fleet(
-                DIST, SIZE, SEED, 2, inline=True, max_attempts=0,
-                logger=QUIET,
-            )
