@@ -52,7 +52,6 @@ from .harvest import (
 )
 from .mesh.geometry import node_id
 from .orchestration import (
-    CACHE_BACKENDS,
     GOLDEN_QUICK_POINTS,
     GOLDEN_SMOKE_POINTS,
     SweepCache,
@@ -361,12 +360,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _make_cache(args: argparse.Namespace) -> SweepCache | None:
-    """The sweep cache selected by --cache/--cache-dir/--cache-backend."""
-    backend = getattr(args, "cache_backend", None)
+    """The sweep cache selected by --cache/--cache-dir."""
     if getattr(args, "cache_dir", None) is not None:
-        return SweepCache(args.cache_dir, backend=backend)
+        return SweepCache(args.cache_dir)
     if getattr(args, "cache", False):
-        return SweepCache(backend=backend)
+        return SweepCache()
     return None
 
 
@@ -392,14 +390,6 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache", action="store_true",
         help="cache under the default directory "
         "($ETSIM_CACHE_DIR or .etsim_cache)",
-    )
-    parser.add_argument(
-        "--cache-backend", choices=CACHE_BACKENDS, default=None,
-        metavar="LAYOUT",
-        help="cache storage layout: flat (default; one file per entry), "
-        "sharded (two-hex-prefix fan-out for huge caches) or sqlite "
-        "(one database file); $ETSIM_CACHE_BACKEND overrides the "
-        "default",
     )
 
 
@@ -545,8 +535,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         logger.info(line)
     if cache is not None:
         logger.debug(
-            "cache IO: %.3fs lookup, %.3fs store (%s backend)",
-            cache.time_lookup_s, cache.time_store_s, cache.backend_name,
+            "cache IO: %.3fs lookup, %.3fs store",
+            cache.time_lookup_s, cache.time_store_s,
         )
     return 0
 
@@ -723,9 +713,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(fleet_summary(bundle))
         if cache is not None:
             logger.info(
-                "cache (%s): %d hit(s), %d miss(es) at %s",
-                cache.backend_name, cache.hits, cache.misses,
-                cache.directory,
+                "cache: %d hit(s), %d miss(es) at %s",
+                cache.hits, cache.misses, cache.directory,
             )
     return 0
 

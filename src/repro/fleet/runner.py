@@ -4,10 +4,9 @@
 runner in bounded-size chunks.  Each chunk's points are sampled on the
 fly from the :class:`~repro.fleet.distribution.FleetDistribution`,
 evaluated (optionally on a process pool, optionally against a shared
-:class:`~repro.orchestration.cache.SweepCache` of any backend), folded
-into the :class:`~repro.fleet.aggregate.FleetAggregator` through the
-runner's progress hook, and then dropped — memory stays O(chunk), not
-O(fleet).
+:class:`~repro.orchestration.cache.SweepCache`), folded into the
+:class:`~repro.fleet.aggregate.FleetAggregator` through the runner's
+progress hook, and then dropped — memory stays O(chunk), not O(fleet).
 
 Because the aggregator is order-independent, the exported aggregate is
 bit-identical whatever the worker count, the chunk size, the completion
@@ -100,7 +99,7 @@ def run_fleet(
         start: First garment index (shard offset).
         workers: Sweep-runner worker processes (1 = sequential,
             0 = all cores).
-        cache: Optional sweep cache (any backend).
+        cache: Optional sweep cache.
         chunk_size: Garments in flight at once — the memory bound.
         aggregator: Fold into an existing aggregator (defaults to a
             fresh :func:`aggregator_for` the distribution).

@@ -18,15 +18,6 @@ independence into throughput:
   battery ablations — at ``smoke``/``quick``/``full`` scales.
 """
 
-from .backends import (
-    CACHE_BACKEND_ENV,
-    CACHE_BACKENDS,
-    FlatDirBackend,
-    ShardedDirBackend,
-    SqliteBackend,
-    default_backend_name,
-    make_backend,
-)
 from .cache import SweepCache, config_hash
 from .runner import (
     ParallelSweepRunner,
@@ -49,15 +40,10 @@ from .scenarios import (
 )
 
 __all__ = [
-    "CACHE_BACKEND_ENV",
-    "CACHE_BACKENDS",
-    "FlatDirBackend",
     "GOLDEN_QUICK_POINTS",
     "GOLDEN_SMOKE_POINTS",
     "ParallelSweepRunner",
     "SequentialSweepRunner",
-    "ShardedDirBackend",
-    "SqliteBackend",
     "SweepCache",
     "SweepPoint",
     "SweepRecord",
@@ -65,9 +51,7 @@ __all__ = [
     "build_scenario",
     "config_hash",
     "controller_grid",
-    "default_backend_name",
     "derive_seed",
-    "make_backend",
     "make_runner",
     "mesh_routing_grid",
     "scenario",

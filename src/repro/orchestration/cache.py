@@ -10,11 +10,10 @@ load the stored records instead of re-simulating.
 Invalidation is by construction: any change to a configuration value
 changes the key, and :data:`CACHE_SCHEMA_VERSION` is mixed into every
 key so that simulator-behaviour changes can globally invalidate old
-entries with a one-line bump.  Storage is pluggable
-(:mod:`~repro.orchestration.backends`): the default flat directory of
-one atomically-written file per key, a two-hex-prefix sharded layout,
-or a sqlite database — all safe to share between concurrent workers
-and parallel CI jobs.
+entries with a one-line bump.  Storage is one flat directory of
+``<key>.json`` files, each written to a temporary file and renamed into
+place, so concurrent workers and parallel CI jobs can share a cache
+directory without ever reading a torn record.
 """
 
 from __future__ import annotations
@@ -23,10 +22,12 @@ import hashlib
 import json
 import os
 import pathlib
+import tempfile
 import time
+from collections.abc import Iterator
 
 from ..config import SimulationConfig
-from .backends import default_backend_name, make_backend
+from ..errors import ConfigurationError
 
 #: Bump when simulator behaviour changes in a way that invalidates
 #: previously cached summaries (engine semantics, summary fields, ...).
@@ -65,10 +66,9 @@ def config_hash(config: SimulationConfig) -> str:
 
     The ``engine`` field is normalised out of the payload whenever it
     resolves to the same engine ``"auto"`` would pick: those runs are
-    identical simulations, and entries cached before the field existed
-    (whose serialised form had no ``engine`` key) must keep hitting.
-    Only a genuinely overriding engine choice (e.g. ``"vector"`` on a
-    sequential workload) enters the hash.
+    the same simulation, so they share one key.  Only a genuinely
+    overriding engine choice (e.g. ``"vector"`` on a sequential
+    workload) enters the hash.
     """
     data = config.to_dict()
     auto = (
@@ -94,76 +94,113 @@ def default_cache_dir() -> pathlib.Path:
 class SweepCache:
     """Disk-backed config-hash -> summary-record store.
 
+    Each entry is one ``<directory>/<key>.json`` file holding the
+    record plus its ``schema``; :meth:`store` writes it atomically.  A
+    missing, unreadable or stale entry is a miss.
+
     Args:
         directory: Cache root; created lazily on first store.
             ``None`` selects :func:`default_cache_dir`.
-        backend: Storage layout — a name from
-            :data:`~repro.orchestration.backends.CACHE_BACKENDS`
-            (``flat``/``sharded``/``sqlite``), an already-constructed
-            backend object, or ``None`` for ``$ETSIM_CACHE_BACKEND``
-            falling back to the original flat layout (old caches keep
-            hitting unchanged).
+        backend: Accepts only ``"flat"``, the one layout; any other
+            value raises :class:`~repro.errors.ConfigurationError`.  It
+            exists for perfbench, whose ``run.py`` passes
+            ``backend="flat"`` and changes only with the benchmark.
     """
 
     def __init__(
         self,
         directory: str | os.PathLike | None = None,
-        backend: str | object | None = None,
+        backend: str = "flat",
     ):
+        if backend != "flat":
+            raise ConfigurationError(
+                f"unknown cache layout {backend!r}; the sweep cache "
+                "has one layout, 'flat'"
+            )
         self.directory = pathlib.Path(
             directory if directory is not None else default_cache_dir()
         )
-        if backend is None or isinstance(backend, str):
-            name = backend if backend is not None else default_backend_name()
-            self.backend = make_backend(name, self.directory)
-        else:
-            self.backend = backend
-        self.backend_name = getattr(self.backend, "name", "custom")
         self.hits = 0
         self.misses = 0
-        #: Cumulative wall-clock seconds spent in backend I/O, kept
+        #: Cumulative wall-clock seconds spent in cache file I/O, kept
         #: always-on (two clock reads per operation are noise next to
-        #: the file/db access they bracket) so sweep and fleet
-        #: summaries can report cache cost without a recorder.
+        #: the file access they bracket) so sweep and fleet summaries
+        #: can report cache cost without a recorder.
         self.time_lookup_s = 0.0
         self.time_store_s = 0.0
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> pathlib.Path:
-        """Entry location (directory backends only; tests poke at it)."""
-        return self.backend.path(key)
+        return self.directory / f"{key}.json"
 
     def lookup(self, key: str) -> dict | None:
         """Stored record for ``key``; None (and a miss) when absent."""
         started = time.perf_counter()
-        record = self.backend.load(key)
+        try:
+            with open(self._path(key), encoding="utf-8") as handle:
+                record = json.load(handle)
+        except (OSError, ValueError):
+            # Absent, unreadable, not UTF-8 or not JSON: a miss.
+            record = None
         self.time_lookup_s += time.perf_counter() - started
-        if record is None or record.get("schema") != CACHE_SCHEMA_VERSION:
+        if (
+            not isinstance(record, dict)
+            or record.get("schema") != CACHE_SCHEMA_VERSION
+        ):
             self.misses += 1
             return None
         self.hits += 1
         return record
 
     def store(self, key: str, record: dict) -> None:
-        """Atomically persist one finished point's record."""
+        """Atomically persist one finished point's record.
+
+        The record goes to a ``.tmp-*`` file in the cache directory,
+        which is then renamed over the entry: a concurrent reader sees
+        the old record or the new one, never a torn file.
+        """
         payload = dict(record)
         payload["schema"] = CACHE_SCHEMA_VERSION
         started = time.perf_counter()
-        self.backend.save(key, payload)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(
+            dir=self.directory, prefix=".tmp-", suffix=".json"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, sort_keys=True)
+            os.replace(tmp_name, self._path(key))
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
         self.time_store_s += time.perf_counter() - started
 
     # ------------------------------------------------------------------
+    def _entries(self) -> Iterator[pathlib.Path]:
+        """Stored entry files, skipping in-progress ``.tmp-*`` writes."""
+        if not self.directory.is_dir():
+            return
+        for path in self.directory.iterdir():
+            if path.suffix == ".json" and not path.name.startswith(".tmp-"):
+                yield path
+
     def __len__(self) -> int:
-        return self.backend.count()
+        return sum(1 for _ in self._entries())
 
     def clear(self) -> int:
         """Delete every cached entry; returns the number removed.
 
-        In-progress ``.tmp-*`` files are left alone by the directory
-        backends: a concurrent writer mid-``store`` must still be able
-        to complete its rename.
+        In-progress ``.tmp-*`` files are left alone: a concurrent
+        writer mid-``store`` must still be able to complete its rename.
         """
-        return self.backend.clear()
+        removed = 0
+        for path in self._entries():
+            path.unlink(missing_ok=True)
+            removed += 1
+        return removed
 
     def reset_counters(self) -> None:
         self.hits = 0
@@ -174,7 +211,6 @@ class SweepCache:
     def counters(self) -> dict:
         """JSON-safe snapshot of the cache's activity counters."""
         return {
-            "backend": self.backend_name,
             "hits": self.hits,
             "misses": self.misses,
             "lookup_s": round(self.time_lookup_s, 6),

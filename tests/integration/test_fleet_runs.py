@@ -78,11 +78,11 @@ class TestDeterminism:
         assert aggregate_json(resumed) == aggregate_json(single)
 
     def test_cache_replay_is_bit_identical(self, tmp_path):
-        cache_a = SweepCache(tmp_path, backend="sharded")
+        cache_a = SweepCache(tmp_path)
         fresh = run_fleet(DIST, SIZE, SEED, cache=cache_a)
         assert fresh.executed == SIZE and fresh.cached == 0
 
-        cache_b = SweepCache(tmp_path, backend="sharded")
+        cache_b = SweepCache(tmp_path)
         replay = run_fleet(DIST, SIZE, SEED, cache=cache_b)
         assert replay.cached == SIZE and replay.executed == 0
         assert aggregate_json(replay) == aggregate_json(fresh)
@@ -168,15 +168,15 @@ class TestFleetCli:
             assert main(["fleet", "--smoke", "--size", "0", *extra]) == 0
             assert "0 garments" in capsys.readouterr().out
 
-    def test_cache_backend_flag_round_trips(self, tmp_path, capsys):
+    def test_cache_dir_round_trips(self, tmp_path, capsys):
         argv = [
             "fleet", "--preset", "smoke", "--size", "4", "--json",
-            "--cache-dir", str(tmp_path), "--cache-backend", "sqlite",
+            "--cache-dir", str(tmp_path),
         ]
         assert main(argv) == 0
         first = json.loads(capsys.readouterr().out)
         assert first["run"]["executed"] == 4
-        assert (tmp_path / "cache.sqlite").is_file()
+        assert len(list(tmp_path.glob("*.json"))) == 4
         assert main(argv) == 0
         second = json.loads(capsys.readouterr().out)
         assert second["run"]["cached"] == 4

@@ -1,6 +1,9 @@
 """Unit tests for the orchestration layer: cache, runner, scenarios."""
 
 import dataclasses
+import json
+import sys
+import threading
 
 import pytest
 
@@ -34,6 +37,14 @@ def tiny_points():
         SweepPoint("ear", tiny_config(routing="ear"), {"routing": "ear"}),
         SweepPoint("sdr", tiny_config(routing="sdr"), {"routing": "sdr"}),
     ]
+
+
+CACHE_KEY = "ab" + "0" * 62
+
+CACHE_RECORD = {
+    "label": "4x4/ear",
+    "summary": {"jobs_fractional": 12.5, "lifetime_frames": 64},
+}
 
 
 class TestConfigHash:
@@ -83,9 +94,12 @@ class TestSweepCache:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = SweepCache(tmp_path)
-        cache.store("k", {"summary": {}})
-        cache._path("k").write_text("{not json")
-        assert cache.lookup("k") is None
+        # Broken JSON text, then bytes that are not UTF-8 at all.
+        for garbage in (b"{not json", b"\xff\xfe\x00garbage"):
+            cache.store("k", {"summary": {}})
+            cache._path("k").write_bytes(garbage)
+            assert cache.lookup("k") is None
+        assert (cache.hits, cache.misses) == (0, 2)
 
     def test_len_and_clear(self, tmp_path):
         cache = SweepCache(tmp_path)
@@ -95,6 +109,74 @@ class TestSweepCache:
         assert len(cache) == 2
         assert cache.clear() == 2
         assert len(cache) == 0
+        assert cache.lookup("a") is None
+
+    def test_round_trip_is_bit_identical(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        cache.store(CACHE_KEY, CACHE_RECORD)
+        loaded = cache.lookup(CACHE_KEY)
+        assert loaded.pop("schema") == cache_module.CACHE_SCHEMA_VERSION
+        assert json.dumps(loaded, sort_keys=True) == json.dumps(
+            CACHE_RECORD, sort_keys=True
+        )
+
+    def test_each_key_is_one_json_file_a_fresh_cache_reads(self, tmp_path):
+        SweepCache(tmp_path).store(CACHE_KEY, CACHE_RECORD)
+        assert [p.name for p in tmp_path.iterdir()] == [f"{CACHE_KEY}.json"]
+        assert SweepCache(tmp_path).lookup(CACHE_KEY) is not None
+
+    def test_lookup_never_creates_the_directory(self, tmp_path):
+        directory = tmp_path / "cache"
+        cache = SweepCache(directory)
+        assert cache.lookup(CACHE_KEY) is None
+        assert len(cache) == 0
+        assert not directory.exists()
+
+    def test_concurrent_writers_leave_no_torn_records(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        keys = [f"{i:02x}" + "e" * 62 for i in range(16)]
+        errors: dict[int, Exception] = {}
+
+        def hammer(worker: int) -> None:
+            try:
+                for round_index in range(4):
+                    for key in keys:
+                        cache.store(
+                            key,
+                            {
+                                **CACHE_RECORD,
+                                "worker": worker,
+                                "round": round_index,
+                            },
+                        )
+            except Exception as exc:  # asserted below
+                errors[worker] = exc
+
+        threads = [
+            threading.Thread(target=hammer, args=(w,)) for w in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == {}
+        assert len(cache) == len(keys)
+        for key in keys:
+            record = cache.lookup(key)
+            assert record is not None
+            assert record["label"] == CACHE_RECORD["label"]
+            assert record["worker"] in range(4)
+
+    def test_flat_is_the_only_layout(self, tmp_path):
+        SweepCache(tmp_path, backend="flat").store(CACHE_KEY, CACHE_RECORD)
+        with pytest.raises(ConfigurationError):
+            SweepCache(tmp_path, backend="sqlite")
 
     def test_env_var_selects_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cache_module.CACHE_DIR_ENV, str(tmp_path / "c"))
