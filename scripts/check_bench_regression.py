@@ -4,9 +4,16 @@
 Compares two ``python -m repro bench --smoke --json`` documents — the
 committed ``BENCH_smoke.json`` baseline and a freshly-measured run — and
 exits non-zero if any point's wall-clock time regressed by more than the
-threshold (default 25%).
+threshold (default 25%), or if any point present on both sides changed
+its record outside ``elapsed_s``.
 
-Two guards keep the check meaningful on shared CI runners:
+The second check locks behaviour: a record is the point's summary and
+parameters, so a perf change must leave it byte-identical, cached points
+included (they carry everything but ``elapsed_s``).  The changed keys are
+named; a baseline refresh that moves them is a behaviour change to
+review, not a timing update.
+
+Two guards keep the timing check meaningful on shared CI runners:
 
 * **Machine normalisation** — the fresh run is rescaled by the median
   fresh/baseline ratio over the trustworthy points, so a uniformly
@@ -31,6 +38,16 @@ import json
 import statistics
 import sys
 
+def _labelled(document: dict):
+    """``(scenario, record)`` for every labelled record in a document."""
+    for scenario, records in document.items():
+        if not isinstance(records, list):
+            continue
+        for record in records:
+            if isinstance(record, dict) and "label" in record:
+                yield scenario, record
+
+
 def load_document(path: str) -> tuple[dict[str, float], set[str]]:
     """Parse one bench JSON document.
 
@@ -47,19 +64,46 @@ def load_document(path: str) -> tuple[dict[str, float], set[str]]:
     with open(path) as handle:
         document = json.load(handle)
     points: dict[str, float] = {}
-    sections: set[str] = set()
-    for scenario, records in document.items():
-        if not isinstance(records, list):
-            continue
-        sections.add(scenario)
-        for record in records:
-            if not isinstance(record, dict) or "label" not in record:
-                continue
-            elapsed = record.get("elapsed_s")
-            if elapsed is None:  # cached points carry no timing
-                continue
+    for scenario, record in _labelled(document):
+        elapsed = record.get("elapsed_s")
+        if elapsed is not None:  # cached points carry no timing
             points[f"{scenario}/{record['label']}"] = float(elapsed)
+    sections = {
+        scenario
+        for scenario, records in document.items()
+        if isinstance(records, list)
+    }
     return points, sections
+
+
+def load_records(path: str) -> dict[str, dict]:
+    """``{scenario/label: record}`` with ``elapsed_s`` dropped: each
+    point's behaviour, timed or cached."""
+    with open(path) as handle:
+        document = json.load(handle)
+    return {
+        f"{scenario}/{record['label']}": {
+            key: value for key, value in record.items() if key != "elapsed_s"
+        }
+        for scenario, record in _labelled(document)
+    }
+
+
+def behaviour_changes(
+    baseline: dict[str, dict], fresh: dict[str, dict]
+) -> dict[str, list[str]]:
+    """The keys whose values differ, per point present on both sides."""
+    changes: dict[str, list[str]] = {}
+    for name in sorted(baseline.keys() & fresh.keys()):
+        old, new = baseline[name], fresh[name]
+        keys = sorted(
+            key
+            for key in old.keys() | new.keys()
+            if key not in old or key not in new or old[key] != new[key]
+        )
+        if keys:
+            changes[name] = keys
+    return changes
 
 
 def load_points(path: str) -> dict[str, float]:
@@ -126,6 +170,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
+    changed = behaviour_changes(
+        load_records(args.baseline), load_records(args.fresh)
+    )
+    for name, keys in changed.items():
+        print(f"  BEHAVIOUR  {name}: {', '.join(keys)} changed")
+
     scale = machine_factor(baseline, fresh, args.floor)
     print(f"machine factor {scale:.3f} (fresh times divided by this)")
 
@@ -157,11 +207,17 @@ def main(argv: list[str] | None = None) -> int:
             "refresh BENCH_smoke.json to baseline them"
         )
 
+    if changed:
+        print(
+            f"\n{len(changed)} point(s) changed behaviour outside "
+            f"elapsed_s: {', '.join(changed)}"
+        )
     if failures:
         print(
             f"\n{len(failures)} point(s) regressed beyond the "
             f"threshold: {', '.join(failures)}"
         )
+    if changed or failures:
         return 1
     print("\nno benchmark regressions")
     return 0

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from .base import Battery
 
@@ -58,39 +60,12 @@ class BatteryLevelQuantizer:
             return 0
         return self.level_of_fraction(battery.state_of_charge)
 
-
-class LevelTracker:
-    """Remembers the last reported level per node and flags changes.
-
-    The controller's view is refreshed only when a node's quantised level
-    changes (or the node dies), which is exactly the condition the paper
-    uses to re-run the routing algorithm.
-    """
-
-    def __init__(self, quantizer: BatteryLevelQuantizer):
-        self._quantizer = quantizer
-        self._last: dict[int, int] = {}
-        self._alive: dict[int, bool] = {}
-
-    @property
-    def quantizer(self) -> BatteryLevelQuantizer:
-        return self._quantizer
-
-    def observe(self, node: int, battery: Battery) -> bool:
-        """Record the node's current level; return True if it changed."""
-        level = self._quantizer.level_of(battery)
-        alive = battery.alive
-        changed = (
-            self._last.get(node) != level or self._alive.get(node) != alive
+    def levels_of(
+        self, state_of_charge: np.ndarray, alive: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`level_of` over arrays of cells (0 where not alive)."""
+        levels = np.minimum(
+            self._levels - 1, (state_of_charge * self._levels).astype(np.int64)
         )
-        self._last[node] = level
-        self._alive[node] = alive
-        return changed
-
-    def level(self, node: int) -> int:
-        """Last recorded level of ``node`` (0 if never observed)."""
-        return self._last.get(node, 0)
-
-    def snapshot(self) -> dict[int, int]:
-        """Copy of all recorded levels."""
-        return dict(self._last)
+        levels[(state_of_charge <= 0.0) | ~alive] = 0
+        return levels

@@ -225,13 +225,6 @@ class PlatformConfig:
             )
         return uniform_mapping(topology, num_modules=3, nodes=mesh_nodes)
 
-    def make_battery(self):
-        """Fresh battery instance for one mesh node."""
-        if self.battery_model == "ideal":
-            return IdealBattery(capacity_pj=self.battery_capacity_pj)
-        params = replace(self.thin_film, capacity_pj=self.battery_capacity_pj)
-        return ThinFilmBattery(params)
-
 
 @dataclass(frozen=True)
 class ControlConfig:

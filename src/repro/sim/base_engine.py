@@ -1,16 +1,28 @@
-"""Shared machinery of the sequential and concurrent et_sim engines.
+"""Shared machinery of the et_sim engines.
 
-Both engines simulate the same platform — fabric, batteries, links, TDMA
+The engines simulate the same platform — fabric, batteries, links, TDMA
 control — and differ only in how jobs move (one exact job at a time
 versus buffered packets with contention).  Everything platform-related
 lives here.
+
+Mesh cells live in one struct-of-arrays battery bank
+(:mod:`repro.sim.vector_bank`).  The frame's heartbeat is one exact
+array pass over it — a uniform upload draw on the living cells, one
+level compare against the last report, one masked rest — and per-hop,
+compute, harvest and power-bus energy reach single cells through the
+bank's scalar code path.  Both round exactly as the scalar battery
+models do, so the bank changes speed, not results.
 """
 
 from __future__ import annotations
 
 import time
+from functools import reduce
+from operator import add
 
-from ..battery.monitor import BatteryLevelQuantizer, LevelTracker
+import numpy as np
+
+from ..battery.monitor import BatteryLevelQuantizer
 from ..config import SimulationConfig
 from ..control.controller import ControlPlane, StatusReport
 from ..core.engines import EnergyAwareRouting, ShortestDistanceRouting
@@ -25,6 +37,7 @@ from ..telemetry.recorder import NULL_RECORDER, Recorder
 from .level_estimators import ESTIMATORS
 from .node import NetworkNode
 from .stats import EnergyLedger, SimulationStats
+from .vector_bank import BankBatteryView, build_battery_bank
 from .workload import JobFactory
 
 #: Frames a dispatch may wait for a fresh plan before retrying.
@@ -58,13 +71,6 @@ class SystemDead(Exception):
     def __init__(self, cause: str):
         self.cause = cause
         super().__init__(cause)
-
-
-class _AliveFull:
-    """Stand-in battery for priming the level tracker (full and alive)."""
-
-    alive = True
-    state_of_charge = 1.0
 
 
 class EngineBase:
@@ -104,13 +110,17 @@ class EngineBase:
             profile.normalized_energies(),
             income_weights=self.harvest_schedule.expected_income_weights(),
         )
-        self.num_mesh_nodes = platform.num_mesh_nodes
+        self.num_mesh_nodes = mesh = platform.num_mesh_nodes
 
+        #: Every mesh node's cell, one bank index per node.
+        self.bank = build_battery_bank(platform, mesh)
+        #: Kill record: True once fault injection failed a mesh node.
+        self._killed = np.zeros(mesh, dtype=bool)
         self.nodes: dict[int, NetworkNode] = {}
-        for node in range(self.num_mesh_nodes):
-            self.nodes[node] = NetworkNode(
-                node, self.mapping.module_of(node), platform.make_battery()
-            )
+        for node in range(mesh):
+            cell = BankBatteryView(self.bank, node)
+            module = self.mapping.module_of(node)
+            self.nodes[node] = NetworkNode(node, module, cell, self._killed)
         self.nodes[self.source] = NetworkNode(self.source, None, None)
 
         # --- links --------------------------------------------------------
@@ -161,9 +171,15 @@ class EngineBase:
             sink=self.source,
         )
         self.quantizer = BatteryLevelQuantizer(platform.battery_levels)
-        self.tracker = LevelTracker(self.quantizer)
-        for node in range(self.num_mesh_nodes):
-            self.tracker.observe(node, _AliveFull())
+        #: Last reported level and liveness per mesh node, primed with
+        #: full living cells.
+        self._last_level = np.full(
+            mesh, platform.battery_levels - 1, dtype=np.int64
+        )
+        self._last_alive = np.ones(mesh, dtype=bool)
+        #: Upload energy per mesh node, merged into the ledger's node
+        #: stats at finalisation.
+        self._upload_pj = np.zeros(mesh)
 
         # --- bookkeeping ------------------------------------------------------
         #: Live node ids, maintained incrementally by on_node_death so
@@ -360,36 +376,58 @@ class EngineBase:
         )
 
     def _heartbeat_phase(self) -> tuple[list[StatusReport], int]:
-        """Per-node upload phase of one frame.
+        """Upload phase of one frame, as one pass over the battery bank.
 
-        Every living node pays the upload energy, deadlock flags and
-        level/liveness changes become status reports, and living cells
-        rest for the frame.  Returns the reports plus the heartbeat
-        count the controller bills for.  Overridable: the vector engine
-        replaces the per-node loop with array operations over its
-        battery bank while keeping the observable behaviour (report
-        set, energy ledger, death hooks) identical.
+        Every living node pays the upload energy (one uniform draw), its
+        deadlock flag or level/liveness change becomes a status report,
+        and living cells rest for the frame.  Returns the reports plus
+        the heartbeat count the controller bills for.
         """
+        living = self.bank.alive & ~self._killed
+        delivered, died = self.bank.draw_uniform(
+            self.schedule.upload_energy_pj,
+            self.schedule.upload_slot_cycles,
+            living,
+        )
+        self._upload_pj += delivered
+        # One add per node, in node order: a pairwise or compensated
+        # sum could move the total's last bits.
+        self.ledger.upload_pj = reduce(
+            add, delivered[living].tolist(), self.ledger.upload_pj
+        )
+        heartbeats = int(np.count_nonzero(living))
+        living &= ~died
+        reports = self._status_reports(living, np.flatnonzero(died).tolist())
+        self.bank.rest(self.schedule.frame_cycles, living)
+        return reports, heartbeats
+
+    def _status_reports(
+        self, living: np.ndarray, deaths: list[int]
+    ) -> list[StatusReport]:
+        """The frame's status reports, in node order.
+
+        A living node with a pending deadlock flag reports it with its
+        previous level; any other node reports when its quantised level
+        or liveness (the node's: a fault-killed node is dead with a
+        charged cell) changed since its last report.  The death hooks of
+        ``deaths`` fire here, in node order between the deadlock reports.
+        """
+        level = self.quantizer.levels_of(self.bank.soc_vector(), living)
+        changed = (level != self._last_level) | (living != self._last_alive)
+        previous = self._last_level
+        self._last_level = level
+        self._last_alive = living
+        blocked_ports = self.pending_deadlock
+        # A death always changes liveness, so it is among the changed.
+        if not blocked_ports and not changed.any():
+            return []
+        dying = set(deaths)
         reports: list[StatusReport] = []
-        heartbeats = 0
-        for node in range(self.num_mesh_nodes):
-            unit = self.nodes[node]
-            if unit.battery is None:
-                raise SimulationError("mesh nodes must carry batteries")
-            if unit.alive:
-                heartbeats += 1
-                result = unit.draw(
-                    self.schedule.upload_energy_pj,
-                    self.schedule.upload_slot_cycles,
-                )
-                self.ledger.add_upload(node, result.delivered_pj)
-                if result.died:
-                    self.on_node_death(node)
-            # Liveness and level are observed through the *unit*, not the
-            # battery: a fault-killed node is dead with a charged cell,
-            # and its death must reach the controller like any other.
-            blocked = self.pending_deadlock.pop(node, None)
-            if blocked is not None and unit.alive:
+        for node in sorted({*blocked_ports, *np.flatnonzero(changed).tolist()}):
+            if node in dying:
+                self.on_node_death(node)
+            blocked = blocked_ports.pop(node, None)
+            if blocked is not None and living[node]:
                 self.deadlocks_reported += 1
                 if self._trace:
                     self.recorder.event(
@@ -401,23 +439,20 @@ class EngineBase:
                 reports.append(
                     StatusReport(
                         node=node,
-                        level=self.tracker.level(node),
-                        alive=unit.alive,
+                        level=int(previous[node]),
+                        alive=True,
                         blocked_port=blocked,
                     )
                 )
-                self.tracker.observe(node, unit)
-            elif self.tracker.observe(node, unit):
+            elif changed[node]:
                 reports.append(
                     StatusReport(
                         node=node,
-                        level=self.tracker.level(node),
-                        alive=unit.alive,
+                        level=int(level[node]),
+                        alive=bool(living[node]),
                     )
                 )
-            if unit.alive:
-                unit.rest(self.schedule.frame_cycles)
-        return reports, heartbeats
+        return reports
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -571,8 +606,8 @@ class EngineBase:
                     offered_pj += offered
                 unit = self.nodes[node]
                 # A fault-killed node's generator is as torn as its
-                # module: only living nodes with a cell can harvest.
-                if unit.battery is None or not unit.alive:
+                # module: only living nodes can harvest.
+                if not unit.alive:
                     if trace:
                         rejecting_nodes += 1
                     continue
@@ -626,7 +661,7 @@ class EngineBase:
                             lengths_to[v] = candidate_len
                         continue
                     unit = self.nodes[v]
-                    if not unit.alive or unit.battery is None:
+                    if not unit.alive:
                         continue
                     paths[v] = paths[u] + (v,)
                     lengths_to[v] = candidate_len
@@ -663,7 +698,7 @@ class EngineBase:
         efficiency = config.share_efficiency
         for donor in range(self.num_mesh_nodes):
             unit = self.nodes[donor]
-            if not unit.alive or unit.battery is None:
+            if not unit.alive:
                 continue
             soc = unit.battery.state_of_charge
             poorest = None
@@ -829,21 +864,21 @@ class EngineBase:
                 jobs_lost=self.jobs_lost,
                 total_hops=self.total_hops,
             )
+        for node, energy in enumerate(self._upload_pj.tolist()):
+            self.ledger.nodes[node].upload_pj += energy
         wasted = 0.0
         stranded = 0.0
         loss = 0.0
         for node in range(self.num_mesh_nodes):
             unit = self.nodes[node]
             battery = unit.battery
-            if battery is None:
-                continue
             # A fault-killed node's residual charge is as unreachable as
             # a depleted cell's, so it counts as wasted, not stranded.
             if unit.alive:
                 stranded += battery.wasted_pj
             else:
                 wasted += battery.wasted_pj
-            loss += getattr(battery, "loss_pj", 0.0)
+            loss += battery.loss_pj
         # The textile power bus loses energy in conversion too: drawn
         # from donors minus accepted by receivers.
         loss += self.ledger.share_loss_pj

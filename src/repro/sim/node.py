@@ -2,15 +2,18 @@
 
 A :class:`NetworkNode` bundles what the paper's platform puts at every
 mesh grid point: one module instance, one attached battery, and the port
-logic that transmits packets over the textile lines.  The external
-source/sink block is represented by a node with an infinite supply and no
-module.
+logic that transmits packets over the textile lines.  The engines attach
+mesh nodes to one cell each of their battery bank and to one shared kill
+record.  The external source/sink block is represented by a node with an
+infinite supply and no module.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..battery.base import Battery, DrawResult
-from ..errors import DeadNodeError
+from ..errors import DeadNodeError, SimulationError
 
 
 class NetworkNode:
@@ -23,6 +26,9 @@ class NetworkNode:
         battery: Attached battery; None models an infinite supply (the
             paper's external sensor block and the Sec 7.1 infinite
             controller).
+        killed: The engine's kill record, indexed by node id: True once
+            fault injection failed the node, which is then dead even
+            with a charged cell.  None for a node that cannot fail.
     """
 
     def __init__(
@@ -30,25 +36,30 @@ class NetworkNode:
         node_id: int,
         module: int | None,
         battery: Battery | None,
+        killed: np.ndarray | None = None,
     ):
         self.node_id = node_id
         self.module = module
         self.battery = battery
+        self._killed = killed
         self._infinite_drawn = 0.0
-        #: Physically failed (fault injection), independent of battery
-        #: state — a fault-killed node is dead even with a charged cell.
-        self.fault_killed = False
 
     # ------------------------------------------------------------------
     @property
+    def fault_killed(self) -> bool:
+        return self._killed is not None and bool(self._killed[self.node_id])
+
+    @property
     def alive(self) -> bool:
-        if self.fault_killed:
+        if self._killed is not None and self._killed[self.node_id]:
             return False
         return self.battery is None or self.battery.alive
 
     def fail(self) -> None:
         """Kill this node physically (cut trace, crushed module, ...)."""
-        self.fault_killed = True
+        if self._killed is None:
+            raise SimulationError(f"node {self.node_id} cannot fail")
+        self._killed[self.node_id] = True
 
     @property
     def has_infinite_supply(self) -> bool:
@@ -78,10 +89,6 @@ class NetworkNode:
                 voltage=3.6,
             )
         return self.battery.draw(energy_pj, duration_cycles)
-
-    def rest(self, duration_cycles: float) -> None:
-        if self.battery is not None and self.battery.alive:
-            self.battery.rest(duration_cycles)
 
     @property
     def infinite_drawn_pj(self) -> float:

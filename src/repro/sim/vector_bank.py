@@ -1,25 +1,27 @@
-"""Struct-of-arrays battery banks for the vector engine.
+"""Struct-of-arrays battery banks: every engine's mesh cells.
 
 The scalar battery models (:mod:`repro.battery`) hold one Python object
-per cell, which is exactly right for the per-draw engines but wastes the
-frame-batched structure of the vector engine: there, every mesh cell
-performs the *same* operation per frame (absorb the frame's load, accept
-income, rest), so the state lives better as NumPy arrays with one
-vectorised update per frame.
+per cell.  The engines keep their mesh cells column-wise instead, one
+NumPy array per state variable, so the parts of a TDMA frame that treat
+every cell alike run as array passes.  Each bank is the *same* battery
+model as its scalar class, arithmetic line by line — EMA smoothing,
+discharge-curve interpolation, rate-capacity penalty, death conditions:
 
-Each bank mirrors the corresponding scalar model's arithmetic line by
-line — EMA smoothing, discharge-curve interpolation, rate-capacity
-penalty, death conditions — so a bank cell and a scalar cell fed the
-same draw sequence agree to float precision (pinned by the unit tests).
-Scalar access stays available two ways:
-
-* ``draw_one`` / ``recharge_one`` / ``rest_one`` operate on a single
-  index with the exact scalar code path (used by the inherited
-  power-sharing pass, which transfers between individual cells), and
-* :class:`BankBatteryView` adapts one bank index to the
+* ``draw_one`` / ``recharge_one`` / ``rest_one`` run the scalar code
+  path on one index (per-hop and compute draws, harvest, the power
+  bus), and :class:`BankBatteryView` adapts one index to the
   :class:`~repro.battery.base.Battery` interface, so everything written
-  against per-node batteries (finalisation, conservation tests,
-  examples) reads bank-backed nodes unchanged.
+  against per-node batteries reads bank-backed nodes unchanged;
+* ``draw_uniform`` and ``rest`` apply one draw or rest to every masked
+  cell (the frame's status uploads) and match the scalar model bit for
+  bit: the EMA factor comes from one ``math.exp`` and the rate penalty
+  from Python's ``**`` per cell, because numpy's array ``exp`` and
+  ``**`` round differently; every other step is + - * / min max, which
+  numpy rounds exactly as Python does.
+
+Only ``draw`` differs: the vector engine's merged per-frame draw takes a
+different duration per cell and keeps numpy's ``exp`` and ``**``, so
+its cells agree with scalar cells to float precision, not bit for bit.
 """
 
 from __future__ import annotations
@@ -128,6 +130,25 @@ class IdealBatteryBank:
         self.alive &= ~died
         return delivered, died
 
+    def draw_uniform(
+        self, energy_pj: float, duration_cycles: float, mask: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The scalar draw of ``energy_pj`` on every masked living cell.
+
+        Returns ``(delivered, died)`` over all cells, 0 and False where
+        nothing was drawn.
+        """
+        _check_draw_args(energy_pj, duration_cycles)
+        mask = mask & self.alive
+        available = self.capacity_pj - (self.delivered - self.recharged)
+        delivered = np.where(mask, np.minimum(energy_pj, available), 0.0)
+        self.delivered += delivered
+        died = mask & (
+            self.delivered - self.recharged >= self.capacity_pj - 1e-9
+        )
+        self.alive &= ~died
+        return delivered, died
+
     def recharge(
         self, offers: np.ndarray, mask: np.ndarray
     ) -> np.ndarray:
@@ -207,15 +228,30 @@ class ThinFilmBatteryBank:
         self.recharged = np.zeros(count, dtype=float)
         self.ema = np.zeros(count, dtype=float)
         self.alive = np.ones(count, dtype=bool)
-        # Discharge-curve knots as arrays for the vectorised lookup.
-        self._dods = np.array([p[0] for p in params.profile.points])
-        self._volts = np.array([p[1] for p in params.profile.points])
-        self._max_knot = len(self._dods) - 1
+        dods = [dod for dod, _ in params.profile.points]
+        volts = [volt for _, volt in params.profile.points]
+        self._dods = np.array(dods)
+        self._max_knot = len(dods) - 1
+        # One column per curve segment for the vectorised lookup: start
+        # DoD, DoD span, start voltage, voltage span.  The first and
+        # last columns hold the curve's ends with a 0 V span, so a DoD
+        # outside the curve evaluates to the end voltage exactly, as the
+        # scalar early returns do.
+        self._segments = np.array(
+            [
+                [0.0, *dods[:-1], 0.0],
+                [1.0, *(b - a for a, b in zip(dods, dods[1:])), 1.0],
+                [volts[0], *volts[:-1], volts[-1]],
+                [0.0, *(b - a for a, b in zip(volts, volts[1:])), 0.0],
+            ]
+        )
+        #: False when the curve reaches 0 V, where the load current is 0.
+        self._powered = min(volts) > 0.0
         # Running knot minimum: ``_volts_cummin[k]`` bounds the curve
         # from below on every DoD up to knot ``k`` without assuming the
-        # profile is monotonic — the healthy-bank fast path in ``draw``
-        # uses it to prove no cell can be near the cutoff.
-        self._volts_cummin = np.minimum.accumulate(self._volts)
+        # profile is monotonic — the healthy-bank fast paths of the
+        # array draws use it to prove no cell can be near the cutoff.
+        self._volts_cummin = np.minimum.accumulate(volts)
 
     @property
     def parameters(self) -> ThinFilmParameters:
@@ -227,32 +263,26 @@ class ThinFilmBatteryBank:
 
         Interpolates with the same association order as the scalar
         ``DischargeProfile.voltage_at`` (``v0 + frac * (v1 - v0)``) so
-        both paths round identically; out-of-range values clamp to the
-        curve ends, exactly like the scalar early returns.  Built from
-        direct ufunc/method calls — this sits on the once-per-frame hot
-        path and the ``np.clip``-style wrappers dominate at mesh-sized
-        arrays.
+        both paths round identically.  Built from direct ufunc/method
+        calls — this sits on the once-per-frame hot path and the
+        ``np.clip``-style wrappers dominate at mesh-sized arrays.
         """
-        idx = self._dods.searchsorted(dod, side="right")
-        np.minimum(idx, self._max_knot, out=idx)
-        np.maximum(idx, 1, out=idx)
-        lo = idx - 1
-        d0 = self._dods.take(lo)
-        d1 = self._dods.take(idx)
-        v0 = self._volts.take(lo)
-        v1 = self._volts.take(idx)
-        frac = (dod - d0) / (d1 - d0)
-        volts = v0 + frac * (v1 - v0)
-        volts = np.where(dod <= 0.0, self._volts[0], volts)
-        return np.where(dod >= 1.0, self._volts[-1], volts)
+        segment = self._dods.searchsorted(dod, side="right")
+        d0, span, v0, dv = self._segments.take(segment, axis=1)
+        return v0 + (dod - d0) / span * dv
 
-    def _ocv_vector(self) -> np.ndarray:
-        dod = np.minimum(1.0, self.consumed / self.capacity_pj)
-        return self._voltage_at(dod)
+    def _ocv_vector(self, consumed: np.ndarray) -> np.ndarray:
+        # A DoD beyond 1 lands on the end segment, as ``min(1, dod)``
+        # would: no clamp needed.
+        return self._voltage_at(consumed / self.capacity_pj)
 
-    def _current_ma_vector(self, ocv: np.ndarray) -> np.ndarray:
+    def _current_ma_vector(
+        self, ema: np.ndarray, ocv: np.ndarray
+    ) -> np.ndarray:
+        current = ema * _PJ_PER_CYCLE_TO_MW
+        if self._powered:
+            return current / ocv
         powered = ocv > 0.0
-        current = self.ema * _PJ_PER_CYCLE_TO_MW
         np.divide(current, ocv, out=current, where=powered)
         return np.where(powered, current, 0.0)
 
@@ -274,8 +304,11 @@ class ThinFilmBatteryBank:
         self.ema = np.where(
             active, self.ema + alpha * (power - self.ema), self.ema
         )
-        ocv_before = self._ocv_vector()
-        ratio = self._current_ma_vector(ocv_before) / p.reference_current_ma
+        ocv_before = self._ocv_vector(self.consumed)
+        ratio = (
+            self._current_ma_vector(self.ema, ocv_before)
+            / p.reference_current_ma
+        )
         penalty = 1.0 + p.rate_penalty_coeff * ratio ** p.rate_penalty_exponent
         charge_needed = requests * penalty
         available = self.capacity_pj - self.consumed
@@ -292,34 +325,46 @@ class ThinFilmBatteryBank:
             np.where(active, self.consumed + charge_needed, self.consumed),
         )
         self.delivered += delivered
-
-        died = exhausted
-        if not self._voltage_safe():
-            ocv_after = self._ocv_vector()
-            sag = (
-                self._current_ma_vector(ocv_after)
-                * p.internal_resistance_ohm
-                / 1e3
-            )
-            loaded = np.maximum(0.0, ocv_after - sag)
-            died = exhausted | (active & (ocv_after < p.cutoff_voltage))
-            if not p.allow_recovery:
-                died |= active & (loaded < p.cutoff_voltage)
+        died = active & self._fatal(self.consumed, self.ema, exhausted)
         self.alive &= ~died
         return delivered, died
 
-    def _voltage_safe(self) -> bool:
-        """True when no cell can possibly be at a fatal voltage.
+    def _fatal(
+        self, consumed: np.ndarray, ema: np.ndarray, exhausted: np.ndarray
+    ) -> np.ndarray:
+        """Which cells a draw just killed: ``exhausted``, or below the
+        cutoff voltage (open-circuit, or loaded unless recovery is on).
 
-        Bounds the whole bank by its worst cell: the open-circuit
-        voltage of the deepest discharge (via the running knot minimum,
-        so non-monotonic curves stay safe) minus the sag of the hardest
+        The scalar model clamps the loaded voltage at 0 V; the cutoff is
+        positive, so the clamp cannot change the comparison.
+        """
+        if self._voltage_safe(consumed, ema):
+            return exhausted
+        p = self._p
+        ocv = self._ocv_vector(consumed)
+        fatal = exhausted | (ocv < p.cutoff_voltage)
+        if not p.allow_recovery:
+            sag = (
+                self._current_ma_vector(ema, ocv)
+                * p.internal_resistance_ohm
+                / 1e3
+            )
+            fatal |= ocv - sag < p.cutoff_voltage
+        return fatal
+
+    def _voltage_safe(self, consumed: np.ndarray, ema: np.ndarray) -> bool:
+        """True when none of these cells can be at a fatal voltage.
+
+        Bounds the cells by their worst: the open-circuit voltage of the
+        deepest discharge (via the running knot minimum, so
+        non-monotonic curves stay safe) minus the sag of the hardest
         smoothed load.  When even that pessimistic composite clears the
-        cutoff, the per-cell post-draw voltage scan — half the cost of
-        a healthy-bank draw — is provably a no-op and is skipped.
+        cutoff by far more than rounding can move it, the per-cell
+        post-draw voltage scan — half the cost of a healthy-bank draw —
+        is provably a no-op and is skipped.
         """
         p = self._p
-        dod_max = min(1.0, float(self.consumed.max()) / self.capacity_pj)
+        dod_max = min(1.0, float(consumed.max()) / self.capacity_pj)
         knot = int(self._dods.searchsorted(dod_max, side="right")) - 1
         knot = max(0, min(knot, self._max_knot))
         ocv_floor = min(
@@ -328,13 +373,66 @@ class ThinFilmBatteryBank:
         if ocv_floor <= 0.0:
             return False
         sag_ceiling = (
-            float(self.ema.max())
+            float(ema.max())
             * _PJ_PER_CYCLE_TO_MW
             / ocv_floor
             * p.internal_resistance_ohm
             / 1e3
         )
         return ocv_floor - sag_ceiling >= p.cutoff_voltage + 1e-9
+
+    def draw_uniform(
+        self, energy_pj: float, duration_cycles: float, mask: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The scalar draw of ``energy_pj`` on every masked living cell.
+
+        One array pass that rounds exactly as ``draw_one`` does on each
+        cell: the EMA factor is one ``math.exp`` of the shared duration
+        and the rate penalty takes Python's ``**`` per cell.  Returns
+        ``(delivered, died)`` over all cells, 0 and False where nothing
+        was drawn.
+        """
+        _check_draw_args(energy_pj, duration_cycles)
+        delivered = np.zeros(len(self.alive))
+        died = np.zeros(len(self.alive), dtype=bool)
+        cells = (mask & self.alive).nonzero()[0]
+        if energy_pj == 0 or not len(cells):
+            return delivered, died
+        p = self._p
+        alpha = 1.0 - math.exp(-duration_cycles / p.ema_window_cycles)
+        ema = self.ema[cells]
+        ema += alpha * (energy_pj / duration_cycles - ema)
+        consumed = self.consumed[cells]
+        ratio = (
+            self._current_ma_vector(ema, self._ocv_vector(consumed))
+            / p.reference_current_ma
+        )
+        exponent = p.rate_penalty_exponent
+        penalty = 1.0 + p.rate_penalty_coeff * np.array(
+            [r ** exponent for r in ratio.tolist()]
+        )
+        charge_needed = energy_pj * penalty
+        available = self.capacity_pj - consumed
+        exhausted = charge_needed >= available - 1e-9
+        if exhausted.any():
+            drawn = np.where(
+                exhausted, np.maximum(0.0, available / penalty), energy_pj
+            )
+            consumed = np.where(
+                exhausted, self.capacity_pj, consumed + charge_needed
+            )
+        else:
+            drawn = energy_pj
+            consumed += charge_needed
+        fatal = self._fatal(consumed, ema, exhausted)
+        self.ema[cells] = ema
+        self.consumed[cells] = consumed
+        self.delivered[cells] += drawn
+        delivered[cells] = drawn
+        if fatal.any():
+            died[cells] = fatal
+            self.alive &= ~died
+        return delivered, died
 
     def recharge(
         self, offers: np.ndarray, mask: np.ndarray
@@ -356,30 +454,25 @@ class ThinFilmBatteryBank:
     def soc_vector(self) -> np.ndarray:
         return 1.0 - np.minimum(1.0, self.consumed / self.capacity_pj)
 
-    # -- scalar access (power sharing, views) ---------------------------
+    # -- scalar access (per-hop draws, harvest, power sharing, views) ---
     def consumed_one(self, i: int) -> float:
         return float(self.consumed[i])
 
     def loss_one(self, i: int) -> float:
         return float(self.consumed[i] + self.recharged[i] - self.delivered[i])
 
-    def _ocv_one(self, i: int) -> float:
-        dod = min(1.0, float(self.consumed[i]) / self.capacity_pj)
-        return self._p.profile.voltage_at(dod)
+    def _ocv_one(self, consumed: float) -> float:
+        return self._p.profile.voltage_at(min(1.0, consumed / self.capacity_pj))
 
-    def _current_ma_one(self, i: int, ocv: float) -> float:
-        if ocv <= 0:
-            return 0.0
-        return float(self.ema[i]) * _PJ_PER_CYCLE_TO_MW / ocv
-
-    def _loaded_one(self, i: int, ocv: float) -> float:
-        sag = self._current_ma_one(i, ocv) * self._p.internal_resistance_ohm / 1e3
-        return max(0.0, ocv - sag)
+    def _loaded_one(self, ema: float, ocv: float) -> float:
+        current = ema * _PJ_PER_CYCLE_TO_MW / ocv if ocv > 0 else 0.0
+        return max(0.0, ocv - current * self._p.internal_resistance_ohm / 1e3)
 
     def voltage_one(self, i: int) -> float:
         if not self.alive[i]:
             return 0.0
-        return self._loaded_one(i, self._ocv_one(i))
+        ocv = self._ocv_one(float(self.consumed[i]))
+        return self._loaded_one(float(self.ema[i]), ocv)
 
     def soc_one(self, i: int) -> float:
         return 1.0 - min(1.0, float(self.consumed[i]) / self.capacity_pj)
@@ -387,37 +480,45 @@ class ThinFilmBatteryBank:
     def draw_one(
         self, i: int, energy_pj: float, duration_cycles: float
     ) -> DrawResult:
+        """``ThinFilmBattery.draw`` on cell ``i``, reading and writing
+        each of the cell's floats once."""
         if not self.alive[i]:
             raise BatteryError("cannot draw from a dead battery")
         _check_draw_args(energy_pj, duration_cycles)
         if energy_pj == 0:
             return DrawResult(0.0, 0.0, died=False, voltage=self.voltage_one(i))
         p = self._p
+        capacity = self.capacity_pj
         alpha = 1.0 - math.exp(-duration_cycles / p.ema_window_cycles)
-        self.ema[i] += alpha * (energy_pj / duration_cycles - self.ema[i])
-        ocv_before = self._ocv_one(i)
-        ratio = self._current_ma_one(i, ocv_before) / p.reference_current_ma
+        ema = float(self.ema[i])
+        ema += alpha * (energy_pj / duration_cycles - ema)
+        consumed = float(self.consumed[i])
+        ocv = self._ocv_one(consumed)
+        current = ema * _PJ_PER_CYCLE_TO_MW / ocv if ocv > 0 else 0.0
+        ratio = current / p.reference_current_ma
         penalty = (
             1.0 + p.rate_penalty_coeff * ratio ** p.rate_penalty_exponent
         )
         charge_needed = energy_pj * penalty
-        available = self.capacity_pj - float(self.consumed[i])
+        available = capacity - consumed
 
         exhausted = charge_needed >= available - 1e-9
         if exhausted:
             delivered = max(0.0, available / penalty)
-            self.consumed[i] = self.capacity_pj
+            consumed = capacity
         else:
             delivered = energy_pj
-            self.consumed[i] += charge_needed
+            consumed += charge_needed
+        self.ema[i] = ema
+        self.consumed[i] = consumed
         self.delivered[i] += delivered
 
-        ocv_after = self._ocv_one(i)
-        loaded_voltage = self._loaded_one(i, ocv_after)
+        ocv = self._ocv_one(consumed)
+        loaded_voltage = self._loaded_one(ema, ocv)
         voltage_death = (
             not p.allow_recovery and loaded_voltage < p.cutoff_voltage
         )
-        died = exhausted or voltage_death or ocv_after < p.cutoff_voltage
+        died = exhausted or voltage_death or ocv < p.cutoff_voltage
         if died:
             self.alive[i] = False
         return DrawResult(
@@ -450,7 +551,7 @@ class ThinFilmBatteryBank:
 
 
 def build_battery_bank(platform, count: int):
-    """Bank matching ``platform.make_battery()`` for ``count`` cells."""
+    """``count`` fresh cells of the platform's battery model."""
     if platform.battery_model == "ideal":
         return IdealBatteryBank(count, platform.battery_capacity_pj)
     params = replace(

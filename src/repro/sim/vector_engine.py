@@ -1,29 +1,29 @@
-"""The vectorised et_sim engine (frame-batched NumPy state).
+"""The vectorised et_sim engine (frame-batched draws).
 
 Same workload semantics as the sequential engine — one exact job in
 flight, hop-by-hop movement along the routing tables, TDMA control
-frames — but all per-node battery state lives in a struct-of-arrays
-bank (:mod:`repro.sim.vector_bank`) and every energy draw inside a
-frame is *deferred*: hop and compute requests accumulate into per-frame
-buckets and merge with the status-upload energy into a *single*
-vectorised draw at the frame boundary, immediately before the frame's
-fault/harvest/heartbeat processing.  Harvest income lands as one masked
-vector recharge, the heartbeat is an array level-compare, and the
-per-node ledger is merged from arrays once at the end of the run.
+frames — and the same battery bank, kill record and level arrays, but
+every energy draw inside a frame is *deferred*: hop and compute
+requests accumulate into per-frame buckets and merge with the
+status-upload energy into a *single* vectorised draw at the frame
+boundary, immediately before the frame's fault/harvest/heartbeat
+processing.  Harvest income lands as one masked vector recharge, the
+heartbeat is the shared level compare, and the per-node ledger is
+merged from arrays once at the end of the run.
 
 The observable protocol is unchanged: the controller sees the same kind
 of status reports (quantised level transitions and deaths), fault
 events apply identically (the schedule is a pure function of the
 configuration), and the conservation identity closes exactly — it is
-re-asserted against the bank arrays at finalisation.  What *does*
-differ from the sequential engine is micro-timing within a frame:
-deaths caused by data/compute draws surface at the frame boundary
-rather than mid-walk, a cell absorbs its whole frame load (data,
-compute and upload together) as one aggregate draw, and the upload
+re-asserted against the bank arrays at finalisation.  What differs from
+the sequential engine is the merged draw alone.  Deaths caused by
+data/compute draws surface at the frame boundary rather than mid-walk,
+a cell absorbs its whole frame load (data, compute and upload together)
+as one aggregate draw with numpy's ``exp`` and ``**``, and the upload
 share lands before the boundary's fault/harvest events instead of
-after, so EMA trajectories (and therefore exact death frames) can
-drift between the engines.  The cross-engine property suite pins
-the quantities that must not drift: delivered jobs under a budget,
+after, so EMA trajectories (and therefore exact death frames) can drift
+between the engines.  The cross-engine property suite pins the
+quantities that must not drift: delivered jobs under a budget,
 conservation, and fault/harvest event counts.
 """
 
@@ -36,103 +36,20 @@ import numpy as np
 
 from ..control.controller import StatusReport
 from ..errors import SimulationError
-from .node import NetworkNode
 from .sequential_engine import SequentialEngine
 from .stats import SimulationStats
-from .vector_bank import BankBatteryView, build_battery_bank
-
-
-class VectorNode:
-    """Mesh-node facade over one battery-bank index.
-
-    Mimics the :class:`~repro.sim.node.NetworkNode` surface the shared
-    engine machinery touches (``alive``, ``fault_killed``, ``fail``,
-    ``draw``, ``rest``, ``battery``) while keeping all mutable state in
-    the engine's arrays.
-    """
-
-    __slots__ = ("node_id", "module", "battery", "_alive", "_killed")
-
-    def __init__(
-        self,
-        node_id: int,
-        module: int | None,
-        battery: BankBatteryView,
-        alive: np.ndarray,
-        killed: np.ndarray,
-    ):
-        self.node_id = node_id
-        self.module = module
-        self.battery = battery
-        self._alive = alive
-        self._killed = killed
-
-    @property
-    def alive(self) -> bool:
-        return bool(self._alive[self.node_id]) and not bool(
-            self._killed[self.node_id]
-        )
-
-    @property
-    def fault_killed(self) -> bool:
-        return bool(self._killed[self.node_id])
-
-    def fail(self) -> None:
-        self._killed[self.node_id] = True
-
-    @property
-    def has_infinite_supply(self) -> bool:
-        return False
-
-    @property
-    def state_of_charge(self) -> float:
-        return self.battery.state_of_charge
-
-    @property
-    def infinite_drawn_pj(self) -> float:
-        return 0.0
-
-    def draw(self, energy_pj: float, duration_cycles: float):
-        from ..errors import DeadNodeError
-
-        if not self.alive:
-            raise DeadNodeError(self.node_id, "draw energy")
-        return self.battery.draw(energy_pj, duration_cycles)
-
-    def rest(self, duration_cycles: float) -> None:
-        if self.battery.alive:
-            self.battery.rest(duration_cycles)
-
-    def __repr__(self) -> str:
-        module = f"module={self.module}" if self.module else "relay"
-        state = "alive" if self.alive else "dead"
-        return f"VectorNode({self.node_id}, {module}, {state})"
 
 
 class VectorEngine(SequentialEngine):
-    """Sequential-workload engine with frame-batched vector state."""
+    """Sequential-workload engine with frame-batched vector draws."""
 
     def __init__(self, config, recorder=None):
         super().__init__(config, recorder)
         mesh = self.num_mesh_nodes
-        self.bank = build_battery_bank(config.platform, mesh)
-        self._killed = np.zeros(mesh, dtype=bool)
-        for node in range(mesh):
-            self.nodes[node] = VectorNode(
-                node,
-                self.mapping.module_of(node),
-                BankBatteryView(self.bank, node),
-                self.bank.alive,
-                self._killed,
-            )
-        # The source keeps its infinite-supply NetworkNode; its draws
-        # are charged live (add_source_tx), never through the bank.
-        assert isinstance(self.nodes[self.source], NetworkNode)
-
-        # Deferred per-node ledger columns, merged once at finalisation.
+        # Deferred per-node ledger columns, merged once at finalisation
+        # (upload energy books into the base engine's column).
         self._data_pj = np.zeros(mesh, dtype=float)
         self._compute_pj = np.zeros(mesh, dtype=float)
-        self._upload_pj = np.zeros(mesh, dtype=float)
         self._harvest_pj = np.zeros(mesh, dtype=float)
         self._packets_sent = np.zeros(mesh, dtype=np.int64)
         self._packets_relayed = np.zeros(mesh, dtype=np.int64)
@@ -148,16 +65,10 @@ class VectorEngine(SequentialEngine):
         self._compute_energies: list[float] = []
         self._compute_cycles_acc: list[int] = []
 
-        # Heartbeat state: last reported (level, alive) per node, primed
-        # full/alive exactly like the base tracker.
-        levels = self.quantizer.levels
-        self._last_level = np.full(mesh, levels - 1, dtype=np.int64)
-        self._last_alive = np.ones(mesh, dtype=bool)
         self._zero_income = [0.0] * mesh
         # Per-frame constants, hoisted off the flush/heartbeat hot path.
         self._upload_energy = float(self.schedule.upload_energy_pj)
         self._upload_cycles = float(self.schedule.upload_slot_cycles)
-        self._frame_rest_cycles = float(self.schedule.frame_cycles)
         # Upload request/duration vectors only change when the living
         # set does; every death path funnels through on_node_death,
         # which drops the cache.
@@ -329,35 +240,11 @@ class VectorEngine(SequentialEngine):
 
     def _heartbeat_phase(self) -> tuple[list[StatusReport], int]:
         # The upload energy was already part of the frame's merged
-        # draw; the heartbeat proper is only the observation: count the
-        # living units, diff quantised levels against the last report
-        # and let the cells rest.
-        bank = self.bank
-        unit_alive = bank.alive & ~self._killed
-        heartbeats = int(np.count_nonzero(unit_alive))
-        levels = self.quantizer.levels
-        soc = bank.soc_vector()
-        raw = np.minimum(levels - 1, (soc * levels).astype(np.int64))
-        raw = np.where(soc <= 0.0, 0, raw)
-        level = np.where(unit_alive, raw, 0)
-        changed = (level != self._last_level) | (
-            unit_alive != self._last_alive
-        )
-        if changed.any():
-            reports = [
-                StatusReport(
-                    node=int(node),
-                    level=int(level[node]),
-                    alive=bool(unit_alive[node]),
-                )
-                for node in np.flatnonzero(changed)
-            ]
-        else:
-            reports = []
-        self._last_level = level
-        self._last_alive = unit_alive
-        bank.rest(self._frame_rest_cycles, unit_alive)
-        return reports, heartbeats
+        # draw: only the level compare and the rest remain.
+        living = self.bank.alive & ~self._killed
+        reports = self._status_reports(living, [])
+        self.bank.rest(self.schedule.frame_cycles, living)
+        return reports, int(np.count_nonzero(living))
 
     def _apply_harvest(self, frame: int) -> None:
         income = self.harvest_schedule.income(frame)
@@ -411,7 +298,6 @@ class VectorEngine(SequentialEngine):
             stats.packets_relayed += int(self._packets_relayed[node])
             stats.data_tx_pj += float(self._data_pj[node])
             stats.compute_pj += float(self._compute_pj[node])
-            stats.upload_pj += float(self._upload_pj[node])
             stats.harvested_pj += float(self._harvest_pj[node])
 
     def _assert_conservation(self) -> None:

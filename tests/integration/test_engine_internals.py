@@ -8,6 +8,7 @@ from repro.config import PlatformConfig, SimulationConfig
 from repro.sim.base_engine import SystemDead
 from repro.sim.concurrent_engine import ConcurrentEngine
 from repro.sim.sequential_engine import SequentialEngine
+from repro.telemetry.recorder import TraceRecorder
 
 
 def sequential_engine(**platform_kwargs) -> SequentialEngine:
@@ -157,6 +158,56 @@ class TestConcurrentInternals:
         assert engine.slots_per_frame == (
             engine.schedule.frame_cycles // engine.slot_cycles
         )
+
+
+class TestHeartbeatOrder:
+    """One heartbeat in which node ``i`` dies on its status upload while
+    nodes ``j < i < k`` carry pending deadlock reports: the frame's
+    events, reports and levels must come out in node order."""
+
+    def test_deaths_and_deadlock_reports_interleave_by_node(self):
+        recorder = TraceRecorder()
+        engine = ConcurrentEngine(
+            make_config(mesh_width=4, kind="concurrent", battery="ideal"),
+            recorder,
+        )
+        j, i, k = 2, 5, 9
+        capacity = engine.nodes[i].battery.nominal_capacity_pj
+        # Less than one upload's energy left: the heartbeat kills i.
+        engine.nodes[i].battery.draw(capacity - 1.0, 100)
+        # Half a cell: j and k drop from level 7 to level 3.
+        for node in (j, k):
+            engine.nodes[node].battery.draw(capacity / 2, 100)
+        engine.pending_deadlock.update({j: 3, k: 13})
+
+        reports, heartbeats = engine._heartbeat_phase()
+
+        assert heartbeats == 16
+        events = [
+            (line["event"], line["node"])
+            for line in recorder.events
+            if line["kind"] == "event"
+        ]
+        assert events == [
+            ("deadlock-report", j),
+            ("node-death", i),
+            ("deadlock-report", k),
+        ]
+        assert [report.node for report in reports] == [j, i, k]
+        by_node = {report.node: report for report in reports}
+        # A deadlock report carries the level last reported, not the
+        # level the node fell to this frame.
+        for node, port in ((j, 3), (k, 13)):
+            assert by_node[node].blocked_port == port
+            assert by_node[node].level == 7
+            assert by_node[node].alive
+        assert not by_node[i].alive and by_node[i].level == 0
+        assert engine.deadlocks_reported == 2
+        assert not engine.pending_deadlock
+        # The levels j and k fell to were still recorded as observed, so
+        # the next frame has nothing new to report.
+        reports, heartbeats = engine._heartbeat_phase()
+        assert reports == [] and heartbeats == 15
 
 
 def _quick_point(scenario: str, label: str):

@@ -1,9 +1,10 @@
 """Unit tests for the ideal and thin-film battery models."""
 
+import numpy as np
 import pytest
 
 from repro.battery.ideal import IdealBattery
-from repro.battery.monitor import BatteryLevelQuantizer, LevelTracker
+from repro.battery.monitor import BatteryLevelQuantizer
 from repro.battery.thin_film import ThinFilmBattery, ThinFilmParameters
 from repro.errors import BatteryError, ConfigurationError
 
@@ -182,52 +183,14 @@ class TestQuantizer:
         battery.draw(30.0, 10)  # 70 % -> level 2
         assert quantizer.level_of(battery) == 2
 
-
-class TestLevelTracker:
-    def test_detects_level_changes(self):
-        quantizer = BatteryLevelQuantizer(levels=4)
-        tracker = LevelTracker(quantizer)
-        battery = IdealBattery(capacity_pj=100.0)
-        assert tracker.observe(0, battery) is True  # first observation
-        assert tracker.observe(0, battery) is False  # unchanged
-        battery.draw(30.0, 10)  # 70 % -> level 2
-        assert tracker.observe(0, battery) is True
-        assert tracker.level(0) == 2
-
-    def test_detects_death(self):
-        quantizer = BatteryLevelQuantizer(levels=4)
-        tracker = LevelTracker(quantizer)
-        battery = IdealBattery(capacity_pj=100.0)
-        tracker.observe(0, battery)
-        battery.draw(100.0, 10)
-        assert tracker.observe(0, battery) is True
-
-    def test_snapshot(self):
-        quantizer = BatteryLevelQuantizer(levels=4)
-        tracker = LevelTracker(quantizer)
-        tracker.observe(3, IdealBattery())
-        assert tracker.snapshot() == {3: 3}
-
-    def test_unobserved_node_reports_level_zero(self):
-        tracker = LevelTracker(BatteryLevelQuantizer(levels=4))
-        assert tracker.level(42) == 0
-
-    def test_quantizer_accessor(self):
-        quantizer = BatteryLevelQuantizer(levels=4)
-        assert LevelTracker(quantizer).quantizer is quantizer
-
-    def test_observe_flags_revival_style_alive_flips(self):
-        # Liveness changes alone (same quantised level) must trigger a
-        # report: a fault-killed node with a charged cell still reports
-        # level 0 via level_of, so the alive flag is the discriminator.
-        quantizer = BatteryLevelQuantizer(levels=4)
-        tracker = LevelTracker(quantizer)
-
-        class Unit:
-            alive = True
-            state_of_charge = 0.05
-
-        unit = Unit()
-        assert tracker.observe(0, unit) is True
-        unit.alive = False
-        assert tracker.observe(0, unit) is True
+    def test_array_levels_match_the_scalar_rule(self):
+        quantizer = BatteryLevelQuantizer(levels=8)
+        socs = [-0.5, 0.0, 1e-12, 0.124999, 0.125, 0.5, 0.999999, 1.0, 1.5]
+        alive = [True] * len(socs)
+        alive[5] = False  # a dead (or fault-killed) node reports 0
+        levels = quantizer.levels_of(np.array(socs), np.array(alive))
+        expected = [
+            quantizer.level_of_fraction(soc) if up else 0
+            for soc, up in zip(socs, alive)
+        ]
+        assert levels.tolist() == expected

@@ -1,9 +1,12 @@
-"""The CI bench-regression guard must tolerate fleet-shaped documents."""
+"""The CI bench-regression guard: timing, behaviour lock, and document
+shapes (it must tolerate fleet-shaped documents)."""
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import json
+import math
 import pathlib
 
 import pytest
@@ -128,3 +131,59 @@ class TestMissingSections:
         baseline = write(tmp_path, "baseline.json", BENCH_RECORDS)
         fresh = write(tmp_path, "fresh.json", {"fleet_smoke": {"a": 1}})
         assert guard.main([baseline, fresh]) == 2
+
+
+#: Records as ``repro bench --json`` writes them: a timed point and a
+#: cached one (no ``elapsed_s``), each with its summary and parameters.
+LOCKED = {
+    "fig7": [
+        {
+            "label": "4x4/ear",
+            "elapsed_s": 0.5,
+            "death_cause": "module-unreachable",
+            "jobs_fractional": 79.467,
+            "upload_pj": 12249.7,
+            "hot_link_share": None,
+        },
+        {"label": "4x4/sdr", "jobs_fractional": 14.2, "upload_pj": 3000.1},
+    ],
+}
+
+
+class TestBehaviourLock:
+    """A baselined point's record must not move outside ``elapsed_s``."""
+
+    def run(self, guard, tmp_path, fresh):
+        baseline = write(tmp_path, "baseline.json", LOCKED)
+        return guard.main([baseline, write(tmp_path, "fresh.json", fresh)])
+
+    def test_identical_records_pass(self, guard, tmp_path):
+        fresh = copy.deepcopy(LOCKED)
+        fresh["fig7"][0]["elapsed_s"] = 0.55  # timing noise only
+        assert self.run(guard, tmp_path, fresh) == 0
+
+    def test_one_ulp_on_one_float_fails(self, guard, tmp_path, capsys):
+        fresh = copy.deepcopy(LOCKED)
+        record = fresh["fig7"][0]
+        record["upload_pj"] = math.nextafter(record["upload_pj"], math.inf)
+        assert self.run(guard, tmp_path, fresh) == 1
+        out = capsys.readouterr().out
+        assert "BEHAVIOUR  fig7/4x4/ear: upload_pj changed" in out
+
+    def test_changed_value_on_a_cached_point_fails(
+        self, guard, tmp_path, capsys
+    ):
+        fresh = copy.deepcopy(LOCKED)
+        fresh["fig7"][1]["jobs_fractional"] = 14.3
+        del fresh["fig7"][1]["upload_pj"]  # a key gone counts too
+        assert self.run(guard, tmp_path, fresh) == 1
+        out = capsys.readouterr().out
+        assert "fig7/4x4/sdr: jobs_fractional, upload_pj changed" in out
+
+    def test_fresh_only_points_stay_informational(self, guard, tmp_path):
+        fresh = copy.deepcopy(LOCKED)
+        fresh["fig7"].append(
+            {"label": "8x8/ear", "elapsed_s": 0.3, "jobs_fractional": 1.0}
+        )
+        fresh["brand-new"] = [{"label": "x", "jobs_fractional": 2.0}]
+        assert self.run(guard, tmp_path, fresh) == 0

@@ -1,8 +1,9 @@
 """Unit tests for the configuration layer (repro.config)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.battery.ideal import IdealBattery
 from repro.battery.thin_film import ThinFilmBattery
 from repro.config import (
     ControlConfig,
@@ -12,6 +13,11 @@ from repro.config import (
     WorkloadConfig,
 )
 from repro.errors import ConfigurationError
+from repro.sim.vector_bank import (
+    IdealBatteryBank,
+    ThinFilmBatteryBank,
+    build_battery_bank,
+)
 
 
 class TestPlatformConfig:
@@ -33,13 +39,20 @@ class TestPlatformConfig:
         assert topo.mesh_width == 5
 
     def test_battery_factory(self):
-        assert isinstance(PlatformConfig().make_battery(), ThinFilmBattery)
-        ideal = PlatformConfig(battery_model="ideal").make_battery()
-        assert isinstance(ideal, IdealBattery)
+        cells = build_battery_bank(PlatformConfig(), 3)
+        assert isinstance(cells, ThinFilmBatteryBank)
+        assert len(cells.alive) == 3
+        ideal = build_battery_bank(PlatformConfig(battery_model="ideal"), 3)
+        assert isinstance(ideal, IdealBatteryBank)
 
     def test_battery_capacity_flows_through(self):
         platform = PlatformConfig(battery_capacity_pj=1234.0)
-        assert platform.make_battery().nominal_capacity_pj == 1234.0
+        cells = build_battery_bank(platform, 1)
+        assert cells.capacity_pj == 1234.0
+        # Only the capacity is the platform's; the cell model is kept.
+        assert cells.parameters == replace(
+            platform.thin_film, capacity_pj=1234.0
+        )
 
     def test_hop_energy_near_paper_calibration(self):
         assert PlatformConfig().hop_energy_pj() == pytest.approx(

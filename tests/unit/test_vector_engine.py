@@ -2,8 +2,8 @@
 
 The cross-engine property suite pins the *observable* agreements
 (jobs, conservation, event counts); these tests reach into the
-engine itself: the node facade, the deferred draw buckets, the
-upload-vector cache and the finalisation-time conservation check.
+engine itself: its bank-backed mesh nodes, the deferred draw buckets,
+the upload-vector cache and the finalisation-time conservation check.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import pytest
 
 from helpers import build_engine, make_config
 from repro.errors import DeadNodeError, SimulationError
-from repro.sim.vector_engine import VectorEngine, VectorNode
+from repro.sim.node import NetworkNode
+from repro.sim.vector_engine import VectorEngine
 
 
 def vector_config(**kwargs):
@@ -94,26 +95,32 @@ class TestDeferredDraws:
         assert upload_req[victim] == 0.0
 
 
-class TestVectorNode:
-    def test_facade_tracks_the_shared_arrays(self):
+class TestMeshNodes:
+    """The vector engine keeps the base engine's mesh nodes: one node
+    object per bank cell and one shared kill record."""
+
+    def test_node_tracks_its_cell_and_the_kill_record(self):
         engine = build_engine(vector_config())
         node = engine.nodes[3]
-        assert isinstance(node, VectorNode)
+        assert isinstance(node, NetworkNode)
         assert node.alive and not node.fault_killed
         engine.bank.alive[3] = False
         assert not node.alive
         engine.bank.alive[3] = True
         node.fail()
+        assert engine._killed[3]
         assert node.fault_killed and not node.alive
 
-    def test_dead_facade_rejects_draws(self):
+    def test_killed_node_rejects_draws(self):
         engine = build_engine(vector_config())
         node = engine.nodes[3]
         node.fail()
         with pytest.raises(DeadNodeError):
             node.draw(10.0, 16.0)
 
-    def test_source_keeps_its_infinite_supply_node(self):
+    def test_source_has_no_cell(self):
         engine = build_engine(vector_config())
-        assert not isinstance(engine.nodes[engine.source], VectorNode)
-        assert engine.nodes[engine.source].has_infinite_supply
+        source = engine.nodes[engine.source]
+        assert source.battery is None and source.has_infinite_supply
+        with pytest.raises(SimulationError):
+            source.fail()
