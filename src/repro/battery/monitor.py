@@ -3,10 +3,11 @@
 The EAR weighting function consumes a *reported battery level*
 ``N_B(j)`` with ``0 <= N_B(j) < N_B`` (paper Sec 6) — an integer that the
 node uploads to the central controller during its TDMA slot.  The
-quantiser maps a battery's state of charge onto that integer scale and
-the tracker detects level changes, which is what triggers both an upload
-and, at the controller, a routing recomputation ("when the currently
-reported system information differs from the previous one").
+quantiser maps a battery's state of charge onto that integer scale.  A
+change of level is what triggers both an upload and, at the controller,
+a routing recomputation ("when the currently reported system information
+differs from the previous one"); the engines quantise a whole frame's
+cells at once with :meth:`BatteryLevelQuantizer.levels_of`.
 """
 
 from __future__ import annotations

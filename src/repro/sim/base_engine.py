@@ -397,7 +397,7 @@ class EngineBase:
         )
         heartbeats = int(np.count_nonzero(living))
         living &= ~died
-        reports = self._status_reports(living, np.flatnonzero(died).tolist())
+        reports = self._status_reports(living, died.nonzero()[0].tolist())
         self.bank.rest(self.schedule.frame_cycles, living)
         return reports, heartbeats
 
@@ -423,7 +423,7 @@ class EngineBase:
             return []
         dying = set(deaths)
         reports: list[StatusReport] = []
-        for node in sorted({*blocked_ports, *np.flatnonzero(changed).tolist()}):
+        for node in sorted({*blocked_ports, *changed.nonzero()[0].tolist()}):
             if node in dying:
                 self.on_node_death(node)
             blocked = blocked_ports.pop(node, None)

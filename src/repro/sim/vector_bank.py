@@ -464,9 +464,13 @@ class ThinFilmBatteryBank:
     def _ocv_one(self, consumed: float) -> float:
         return self._p.profile.voltage_at(min(1.0, consumed / self.capacity_pj))
 
+    @staticmethod
+    def _current_ma_one(ema: float, ocv: float) -> float:
+        return ema * _PJ_PER_CYCLE_TO_MW / ocv if ocv > 0 else 0.0
+
     def _loaded_one(self, ema: float, ocv: float) -> float:
-        current = ema * _PJ_PER_CYCLE_TO_MW / ocv if ocv > 0 else 0.0
-        return max(0.0, ocv - current * self._p.internal_resistance_ohm / 1e3)
+        sag = self._current_ma_one(ema, ocv) * self._p.internal_resistance_ohm / 1e3
+        return max(0.0, ocv - sag)
 
     def voltage_one(self, i: int) -> float:
         if not self.alive[i]:
@@ -494,8 +498,7 @@ class ThinFilmBatteryBank:
         ema += alpha * (energy_pj / duration_cycles - ema)
         consumed = float(self.consumed[i])
         ocv = self._ocv_one(consumed)
-        current = ema * _PJ_PER_CYCLE_TO_MW / ocv if ocv > 0 else 0.0
-        ratio = current / p.reference_current_ma
+        ratio = self._current_ma_one(ema, ocv) / p.reference_current_ma
         penalty = (
             1.0 + p.rate_penalty_coeff * ratio ** p.rate_penalty_exponent
         )
