@@ -278,8 +278,8 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=ENGINE_NAMES, default="auto",
         help="simulation engine (default auto = the workload kind's "
-        "historical engine; vector = the frame-batched NumPy engine "
-        "for large fabrics)",
+        "historical engine; vector = the sequential workload with one "
+        "merged battery draw per cell and frame)",
     )
 
 

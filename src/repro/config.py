@@ -428,7 +428,7 @@ class SimulationConfig:
             engine matching the workload kind, which is exactly what
             every pre-registry configuration got; name an engine
             explicitly to override (e.g. ``"vector"`` for the
-            NumPy frame-batch engine on large fabrics).
+            engine that merges each frame's draws into one).
     """
 
     platform: PlatformConfig = field(default_factory=PlatformConfig)

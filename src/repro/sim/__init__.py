@@ -5,8 +5,8 @@ This is the reproduction of the paper's by-product simulator (Sec 7):
 supports, in default mode, any 2D mesh network with the mapping technique
 described in Sec 5.2."
 
-Two engines share all platform models (batteries, lines, TDMA control,
-routing):
+Three engines share all platform models (batteries in one
+struct-of-arrays bank, lines, TDMA control, routing):
 
 * :class:`~repro.sim.sequential_engine.SequentialEngine` — exact engine
   for the paper's main workload, where "a new job is launched when the
@@ -15,10 +15,9 @@ routing):
 * :class:`~repro.sim.concurrent_engine.ConcurrentEngine` — slot-stepped
   engine with finite buffers, link contention and the deadlock-recovery
   protocol, used for the multi-job experiments.
-* :class:`~repro.sim.vector_engine.VectorEngine` — frame-batched NumPy
-  engine for large fabrics (16x16 and beyond): sequential-workload
-  semantics with all battery state in struct-of-arrays banks and one
-  vectorised draw per frame bucket.
+* :class:`~repro.sim.vector_engine.VectorEngine` — sequential-workload
+  semantics with every in-frame draw merged into one vectorised draw
+  per cell and frame: a little faster on large fabrics, not bit-exact.
 
 Engines are selected by name through
 :data:`~repro.sim.registry.ENGINE_REGISTRY`
