@@ -336,13 +336,9 @@ class EngineBase:
         # it skips the per-node ``alive`` property chain; the mesh
         # guard drops the battery-less source node, and the quantile
         # helper sorts, so set order cannot leak into the trace.
-        nodes = self.nodes
+        soc = self.bank.soc_vector().tolist()
         mesh = self.num_mesh_nodes
-        socs = [
-            nodes[node].battery.state_of_charge
-            for node in self._alive_set
-            if node < mesh
-        ]
+        socs = [soc[node] for node in self._alive_set if node < mesh]
         probe: dict = {
             "alive": len(socs),
             "soc": _soc_quantiles(socs),
