@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..battery.base import Battery, DrawResult
-from ..errors import DeadNodeError, SimulationError
+from ..errors import DeadNodeError
 
 
 class NetworkNode:
@@ -57,8 +57,6 @@ class NetworkNode:
 
     def fail(self) -> None:
         """Kill this node physically (cut trace, crushed module, ...)."""
-        if self._killed is None:
-            raise SimulationError(f"node {self.node_id} cannot fail")
         self._killed[self.node_id] = True
 
     @property

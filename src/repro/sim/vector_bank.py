@@ -245,8 +245,6 @@ class ThinFilmBatteryBank:
                 [0.0, *(b - a for a, b in zip(volts, volts[1:])), 0.0],
             ]
         )
-        #: False when the curve reaches 0 V, where the load current is 0.
-        self._powered = min(volts) > 0.0
         # Running knot minimum: ``_volts_cummin[k]`` bounds the curve
         # from below on every DoD up to knot ``k`` without assuming the
         # profile is monotonic — the healthy-bank fast paths of the
@@ -276,15 +274,10 @@ class ThinFilmBatteryBank:
         # would: no clamp needed.
         return self._voltage_at(consumed / self.capacity_pj)
 
-    def _current_ma_vector(
-        self, ema: np.ndarray, ocv: np.ndarray
-    ) -> np.ndarray:
-        current = ema * _PJ_PER_CYCLE_TO_MW
-        if self._powered:
-            return current / ocv
-        powered = ocv > 0.0
-        np.divide(current, ocv, out=current, where=powered)
-        return np.where(powered, current, 0.0)
+    @staticmethod
+    def _current_ma_vector(ema: np.ndarray, ocv: np.ndarray) -> np.ndarray:
+        # No load current at 0 V: dividing by inf gives exactly 0.
+        return ema * _PJ_PER_CYCLE_TO_MW / np.where(ocv > 0.0, ocv, np.inf)
 
     # -- vector operations (one call per frame) -------------------------
     def draw(
@@ -414,24 +407,18 @@ class ThinFilmBatteryBank:
         charge_needed = energy_pj * penalty
         available = self.capacity_pj - consumed
         exhausted = charge_needed >= available - 1e-9
-        if exhausted.any():
-            drawn = np.where(
-                exhausted, np.maximum(0.0, available / penalty), energy_pj
-            )
-            consumed = np.where(
-                exhausted, self.capacity_pj, consumed + charge_needed
-            )
-        else:
-            drawn = energy_pj
-            consumed += charge_needed
-        fatal = self._fatal(consumed, ema, exhausted)
+        drawn = np.where(
+            exhausted, np.maximum(0.0, available / penalty), energy_pj
+        )
+        consumed = np.where(
+            exhausted, self.capacity_pj, consumed + charge_needed
+        )
         self.ema[cells] = ema
         self.consumed[cells] = consumed
         self.delivered[cells] += drawn
         delivered[cells] = drawn
-        if fatal.any():
-            died[cells] = fatal
-            self.alive &= ~died
+        died[cells] = self._fatal(consumed, ema, exhausted)
+        self.alive &= ~died
         return delivered, died
 
     def recharge(

@@ -66,7 +66,7 @@ class VectorEngine(SequentialEngine):
         self._compute_cycles_acc: list[int] = []
 
         self._zero_income = [0.0] * mesh
-        # Per-frame constants, hoisted off the flush/heartbeat hot path.
+        # Per-frame constants, hoisted off the flush hot path.
         self._upload_energy = float(self.schedule.upload_energy_pj)
         self._upload_cycles = float(self.schedule.upload_slot_cycles)
         # Upload request/duration vectors only change when the living
