@@ -38,6 +38,7 @@ import json
 import statistics
 import sys
 
+
 def _labelled(document: dict):
     """``(scenario, record)`` for every labelled record in a document."""
     for scenario, records in document.items():
