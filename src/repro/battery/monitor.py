@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import Battery
 
 #: Default number of quantisation levels (3 bits of status payload).
 DEFAULT_LEVELS = 8
@@ -55,16 +54,11 @@ class BatteryLevelQuantizer:
         level = int(state_of_charge * self._levels)
         return min(self._levels - 1, level)
 
-    def level_of(self, battery: Battery) -> int:
-        """Quantise a battery object (0 if the battery is dead)."""
-        if not battery.alive:
-            return 0
-        return self.level_of_fraction(battery.state_of_charge)
-
     def levels_of(
         self, state_of_charge: np.ndarray, alive: np.ndarray
     ) -> np.ndarray:
-        """:meth:`level_of` over arrays of cells (0 where not alive)."""
+        """:meth:`level_of_fraction` over arrays of cells, 0 where a cell
+        (or its node) is not alive."""
         levels = np.minimum(
             self._levels - 1, (state_of_charge * self._levels).astype(np.int64)
         )

@@ -130,10 +130,6 @@ class EnergyLedger:
         """Transmissions paid by the external (infinite-supply) source."""
         self.source_tx_pj += energy_pj
 
-    def add_upload(self, node: int, energy_pj: float) -> None:
-        self.upload_pj += energy_pj
-        self.nodes[node].upload_pj += energy_pj
-
     def add_harvest(self, node: int, energy_pj: float) -> None:
         """External income accepted into ``node``'s cell."""
         self.harvested_pj += energy_pj

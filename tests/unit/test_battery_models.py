@@ -154,7 +154,10 @@ class TestQuantizer:
         quantizer = BatteryLevelQuantizer(levels=8)
         battery = IdealBattery(capacity_pj=10.0)
         battery.draw(10.0, 1)
-        assert quantizer.level_of(battery) == 0
+        levels = quantizer.levels_of(
+            np.array([battery.state_of_charge]), np.array([battery.alive])
+        )
+        assert levels.tolist() == [0]
 
     def test_bits(self):
         assert BatteryLevelQuantizer(levels=8).bits == 3
@@ -181,7 +184,10 @@ class TestQuantizer:
         quantizer = BatteryLevelQuantizer(levels=4)
         battery = IdealBattery(capacity_pj=100.0)
         battery.draw(30.0, 10)  # 70 % -> level 2
-        assert quantizer.level_of(battery) == 2
+        levels = quantizer.levels_of(
+            np.array([battery.state_of_charge]), np.array([battery.alive])
+        )
+        assert levels.tolist() == [2]
 
     def test_array_levels_match_the_scalar_rule(self):
         quantizer = BatteryLevelQuantizer(levels=8)

@@ -117,7 +117,7 @@ class TestEnergyLedger:
         ledger.add_compute(0, 100.0)
         ledger.add_data_tx(0, 50.0, relay=False)
         ledger.add_data_tx(1, 25.0, relay=True)
-        ledger.add_upload(2, 5.0)
+        ledger.upload_pj += 5.0  # the engines book uploads frame-wide
         assert ledger.compute_pj == 100.0
         assert ledger.data_tx_pj == 75.0
         assert ledger.node_total_pj == 180.0
@@ -135,7 +135,7 @@ class TestEnergyLedger:
         # The paper's Sec 7.1 metric counts only medium exchanges.
         ledger = EnergyLedger(2)
         ledger.add_compute(0, 900.0)
-        ledger.add_upload(0, 50.0)
+        ledger.upload_pj += 50.0
         ledger.add_controller({"rx": 1000.0, "download_tx": 50.0})
         assert ledger.control_medium_pj == 100.0
         assert ledger.control_overhead_fraction() == pytest.approx(0.1)
