@@ -171,9 +171,9 @@ class TestThinFilmUniformDraw:
             bank, cells = thin_film_cells(
                 params, [(consumed, 0.0, 0.0, ema, True)] * 3
             )
+            mask = np.ones(3, dtype=bool)
             assert_pass_is_scalar(
-                bank, cells, np.ones(3, dtype=bool), energy, duration,
-                FRAME_CYCLES,
+                bank, cells, mask, energy, duration, FRAME_CYCLES
             )
 
 
@@ -188,7 +188,8 @@ class TestIdealUniformDraw:
         for _ in range(size):
             recharged = data.draw(st.floats(0.0, capacity))
             consumed = data.draw(st.floats(0.0, capacity))
-            states.append((consumed + recharged, recharged, data.draw(st.booleans())))
+            alive = data.draw(st.booleans())
+            states.append((consumed + recharged, recharged, alive))
         mask = np.array(
             data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
         )
