@@ -373,7 +373,7 @@ class RoutingOptions:
             ``routing == "ear"``.
         congestion_q: Penalty base of the congestion weight (>= 1; 1 is
             measure-only — utilisation metrics are reported but the
-            weight matrix is untouched).
+            routing weights are untouched).
         congestion_quantum: Smoothed traversals per frame per quantised
             load level.
         ecmp: Round-robin over equal-cost next-hop groups instead of

@@ -22,7 +22,7 @@ from ..battery.base import Battery
 from ..core.costs import LevelChannel
 from ..core.engines import RoutingEngine
 from ..core.phase3 import NO_DESTINATION, SINK, RoutingPlan
-from ..core.trees import neighbor_table
+from ..core.trees import edge_lengths, neighbor_table
 from ..core.view import NetworkView
 from ..errors import ConfigurationError
 from ..mesh.mapping import ModuleMapping
@@ -142,6 +142,7 @@ class ControlPlane:
         # update_lengths hook (the controller routes on *known* state).
         self._lengths = np.array(lengths, dtype=float)
         self._neighbors = neighbor_table(self._lengths)
+        self._edge_lengths = edge_lengths(self._lengths, self._neighbors)
         self._num_nodes = int(self._lengths.shape[0])
         #: The source block finished jobs return to (root of the plan's
         #: sink column), or None for a sink-less fabric.
@@ -205,6 +206,7 @@ class ControlPlane:
         """
         self._lengths = np.array(lengths, dtype=float)
         self._neighbors = neighbor_table(self._lengths)
+        self._edge_lengths = edge_lengths(self._lengths, self._neighbors)
         self._links_changed = True
         if self._trace:
             self._change_causes.add("link-state")
@@ -234,6 +236,7 @@ class ControlPlane:
             channel_levels=self._channel_levels,
             sink=self._sink,
             neighbors=self._neighbors,
+            edge_lengths=self._edge_lengths,
         )
 
     # ------------------------------------------------------------------
@@ -269,7 +272,7 @@ class ControlPlane:
         """Per-term weight-attribution callback for the cost pipeline.
 
         Each applied term contributes one row summarising how it scaled
-        the running weight matrix: how many finite link weights it
+        the running edge weights: how many finite link weights it
         touched and the extreme scale factors.  Ratios are rounded so
         the rows are stable under bit-identical reruns.
         """
@@ -278,10 +281,10 @@ class ControlPlane:
             name: str, before: np.ndarray, after: np.ndarray
         ) -> None:
             # Terms scale finite link weights in place, so an entry
-            # differs iff the term touched it (inf stays inf, the zero
-            # diagonal stays zero) — comparing once and dividing only
-            # the changed entries keeps this cheap enough for the
-            # TraceRecorder overhead budget.
+            # differs iff the term touched it (inf stays inf) —
+            # comparing once and dividing only the changed entries
+            # keeps this cheap enough for the TraceRecorder overhead
+            # budget.
             changed = before != after
             scaled = int(np.count_nonzero(changed))
             if scaled:

@@ -5,13 +5,16 @@ Three-phase online routing (paper Sec 6):
 1. **Phase 1** — assign a weight to every directed interconnect:
    ``W^(SDR) = L_ij`` for the shortest-distance baseline,
    ``W^(EAR) = f(N_B(j)) * L_ij`` for the energy-aware algorithm, where
-   ``f`` is a decreasing function of the reported battery level.
+   ``f`` is a decreasing function of the reported battery level.  The
+   :class:`~repro.core.costs.CostPipeline` weighs only the lines that
+   exist: a ``(K, M)`` array laid out like the neighbour table.
 2. **Phase 2** — shortest paths toward what the job walk asks for: one
    multi-source tree per module (rooted at its live duplicates) plus one
    rooted at the sink, grown together by a vectorised Bellman–Ford over
    a ``(K, p + 1)`` block (:mod:`repro.core.trees`).  The paper's
-   all-pairs Floyd–Warshall (Fig 5) stays in
-   :mod:`repro.core.floyd_warshall` as the test oracle.
+   all-pairs Floyd–Warshall (Fig 5), the literal Fig 6 walk and the
+   dense ``K x K`` weight matrices live in the tests as the oracles the
+   package is pinned against.
 3. **Phase 3** — pick, for every node and every module type, the
    duplicate with the least (weighted) distance and the next hop toward
    it, avoiding ports that are currently deadlocked (paper Fig 6).
@@ -37,22 +40,17 @@ from .engines import (
     ShortestDistanceRouting,
     routing_engine,
 )
-from .floyd_warshall import (
-    equal_cost_successors,
-    extract_path,
-    floyd_warshall_successors,
-    reference_floyd_warshall,
-)
 from .parameters import ApplicationProfile
 from .phase3 import EcmpSelector, RoutingPlan, select_destinations
-from .trees import ShortestPathTrees, neighbor_table, shortest_path_trees
+from .trees import (
+    ShortestPathTrees,
+    edge_lengths,
+    neighbor_table,
+    shortest_path_trees,
+)
 from .upper_bound import UpperBoundResult, optimize_duplicates, theorem1
 from .view import NetworkView
-from .weights import (
-    BatteryWeightFunction,
-    ear_weight_matrix,
-    sdr_weight_matrix,
-)
+from .weights import BatteryWeightFunction
 
 __all__ = [
     "CONGESTION_CHANNEL",
@@ -72,15 +70,10 @@ __all__ = [
     "ShortestDistanceRouting",
     "ShortestPathTrees",
     "UpperBoundResult",
-    "ear_weight_matrix",
-    "equal_cost_successors",
-    "extract_path",
-    "floyd_warshall_successors",
+    "edge_lengths",
     "neighbor_table",
     "optimize_duplicates",
-    "reference_floyd_warshall",
     "routing_engine",
-    "sdr_weight_matrix",
     "select_destinations",
     "shortest_path_trees",
     "theorem1",

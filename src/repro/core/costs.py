@@ -1,13 +1,16 @@
 """Composable routing cost pipeline.
 
-A :class:`CostTerm` is one multiplicative adjustment to the base length
-matrix, and a :class:`CostPipeline` is an ordered composition of terms.
-Every term is a *scale* of the running matrix (never an addition), so
-the phase 2 conventions — ``inf`` for severed or masked lines,
-0 on the diagonal — survive each step by construction, and terms whose
-multipliers do not depend on the running matrix commute up to floating
-point rounding.  The pipeline applies terms in list order: battery,
-then wear, then harvest, then congestion for the standard EAR stack.
+The pipeline weighs the interconnects phase 2 relaxes and nothing
+else: the ``(K, M)`` edge array laid out like the view's neighbour
+table, entry ``[n, j]`` on the line from ``n`` to ``neighbors[n, j]``.
+A :class:`CostTerm` is one multiplicative adjustment to that array, and
+a :class:`CostPipeline` is an ordered composition of terms.  Every term
+is a *scale* of the running array (never an addition), so ``inf`` for
+severed, dead or padding edges survives each step by construction, and
+terms whose multipliers do not depend on the running array commute up
+to floating point rounding.  The pipeline applies terms in list order:
+battery, then wear, then harvest, then congestion for the standard EAR
+stack.
 
 Beyond the paper's battery weight, every term is a :class:`LevelChannel`:
 an engine-side estimator quantises a per-node or per-link signal into
@@ -27,21 +30,24 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .view import NetworkView
-from .weights import (
-    BatteryWeightFunction,
-    battery_scale,
-    sdr_weight_matrix,
-    scale_weights,
-)
+from .weights import BatteryWeightFunction
+
+
+def _at_receivers(multipliers: np.ndarray, view: NetworkView) -> np.ndarray:
+    """Per-node ``multipliers`` at every edge's receiving end.
+
+    Indexes the neighbour table into the vector with a sentinel 1.0
+    appended, so padding slots (value ``K``) are left unscaled.
+    """
+    return np.append(multipliers, 1.0)[view.neighbors]
 
 
 @runtime_checkable
 class CostTerm(Protocol):
-    """One multiplicative adjustment to the routing weight matrix.
+    """One multiplicative adjustment to the ``(K, M)`` edge weights.
 
-    Implementations must preserve the phase 2 conventions
-    (``inf`` entries stay ``inf``, the diagonal stays 0) and must not
-    mutate the input matrix.
+    Implementations must keep ``inf`` entries ``inf`` (severed lines,
+    dead endpoints, padding) and must not mutate the input array.
     """
 
     #: Short identifier used in reprs and reports.
@@ -52,13 +58,13 @@ class CostTerm(Protocol):
         ...
 
     def apply(self, weights: np.ndarray, view: NetworkView) -> np.ndarray:
-        """Return the scaled weight matrix (input left unchanged)."""
+        """Return the scaled edge weights (input left unchanged)."""
         ...
 
 
 @dataclass(frozen=True)
 class BatteryTerm:
-    """The paper's battery scale: column ``j`` grows by ``f(N_B(j))``.
+    """The paper's battery scale: an edge into ``j`` grows by ``f(N_B(j))``.
 
     Unlike the level channels this term always applies — battery levels
     are mandatory in every :class:`NetworkView`.
@@ -73,7 +79,15 @@ class BatteryTerm:
         return True
 
     def apply(self, weights: np.ndarray, view: NetworkView) -> np.ndarray:
-        return battery_scale(weights, view, self.function)
+        if self.function.levels != view.levels:
+            raise ConfigurationError(
+                f"weight function expects {self.function.levels} levels "
+                f"but the view reports {view.levels}"
+            )
+        # Battery levels are validated against the view, so no saturating
+        # cap is needed here.
+        multipliers = self.function.table()[view.battery_levels]
+        return weights * _at_receivers(multipliers, view)
 
 
 @dataclass(frozen=True)
@@ -82,8 +96,8 @@ class LevelChannel:
 
     The multiplier is ``m(l) = q ** (sign * min(l, levels - 1))``, where
     ``l`` is a quantised level the engine's estimator reports for every
-    node (``keyed="node"``: column ``j``, the receiver, is scaled) or
-    every link (``keyed="link"``).  Level 0 is unweighted, the factor
+    node (``keyed="node"``: edges into ``j``, the receiver, are scaled)
+    or every link (``keyed="link"``).  Level 0 is unweighted, the factor
     saturates at the level cap like battery levels, and ``q == 1`` is
     *neutral*: the signal is tracked but never reported, so the run
     routes exactly like reactive EAR.
@@ -161,14 +175,20 @@ class LevelChannel:
 
     def apply(self, weights: np.ndarray, view: NetworkView) -> np.ndarray:
         levels = view.channel_levels[self.name]
+        if self.keyed == "link":
+            # Gather the reported (K, K) levels at the slots.  A padding
+            # slot reads some real link instead; its weight is inf and
+            # stays inf under any positive multiplier.
+            slots = np.minimum(view.neighbors, view.num_nodes - 1)
+            levels = np.take_along_axis(levels, slots, axis=1)
         # Reported levels beyond the cap saturate at the table's end.
         multipliers = self.table()[np.minimum(levels, self.levels - 1)]
         if self.keyed == "node":
             if self.rich_band is not None:
                 rich = view.battery_levels >= view.levels - self.rich_band
                 multipliers = np.where(rich, multipliers, 1.0)
-            multipliers = multipliers[np.newaxis, :]
-        return scale_weights(weights, multipliers)
+            multipliers = _at_receivers(multipliers, view)
+        return weights * multipliers
 
 
 #: Wear prediction: a link's level is its traversal count in units of
@@ -220,9 +240,9 @@ CONGESTION_CHANNEL = LevelChannel(
 
 @dataclass(frozen=True)
 class CostPipeline:
-    """Ordered composition of cost terms over the masked length matrix.
+    """Ordered composition of cost terms over the live edge lengths.
 
-    The empty pipeline is exactly SDR: the weight matrix is the live
+    The empty pipeline is exactly SDR: the weights are the live
     subgraph's line lengths.  ``CostPipeline.ear(...)`` builds the EAR
     composition: the battery term, then the given level channels in
     order.
@@ -247,16 +267,30 @@ class CostPipeline:
         )
         return cls(terms=(battery, *channels))
 
+    # Returns edge weights under this name because the benchmark's
+    # ``cost-pipeline`` span wraps ``CostPipeline.weight_matrix``.
     def weight_matrix(self, view: NetworkView, observer=None) -> np.ndarray:
-        """Phase 1: compose all applicable terms over the base lengths.
+        """Phase 1: compose all applicable terms over the live edges.
+
+        Returns the ``(K, M)`` edge weights, entry ``[n, j]`` on the
+        interconnect from ``n`` to ``view.neighbors[n, j]``.  The seed
+        is the view's edge lengths with ``inf`` wherever either
+        endpoint is dead: a dead node can neither originate, relay nor
+        receive packets.
 
         ``observer`` is an optional telemetry callback invoked once per
         *applied* term with ``(name, before, after)`` — the running
-        matrix on either side of the term — so a trace can attribute a
-        re-plan's weight changes to individual cost terms.  The
-        composition itself is untouched by it.
+        edge weights on either side of the term — so a trace can
+        attribute a re-plan's weight changes to individual cost terms.
+        The composition itself is untouched by it.
         """
-        weights = sdr_weight_matrix(view)
+        # The padding value K indexes a sentinel False appended to alive.
+        alive = np.append(view.alive, False)
+        weights = np.where(
+            view.alive[:, np.newaxis] & alive[view.neighbors],
+            view.edge_lengths,
+            np.inf,
+        )
         for term in self.terms:
             if term.applies(view):
                 scaled = term.apply(weights, view)

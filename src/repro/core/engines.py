@@ -3,7 +3,7 @@
 "For a fair comparison, the proposed energy-aware routing strategy and
 its non-energy-aware counterpart are kept exactly the same except their
 routing algorithms" (paper Sec 5) — accordingly both engines share
-phases 2 and 3 verbatim and differ *only* in the phase 1 weight matrix,
+phases 2 and 3 verbatim and differ *only* in the phase 1 edge weights,
 which both obtain from a :class:`~repro.core.costs.CostPipeline` (empty
 for SDR; the battery term plus any level channels for EAR).
 """
@@ -20,9 +20,9 @@ from .costs import CostPipeline, LevelChannel
 from .phase3 import EcmpSelector, RoutingPlan, select_destinations
 
 # Phase 2 runs through this module-level name because the benchmark's
-# ``shortest-paths`` span wraps ``repro.core.engines.floyd_warshall_successors``;
-# the dense Floyd–Warshall of the same name in ``floyd_warshall`` is a
-# test oracle only.
+# ``shortest-paths`` span wraps ``repro.core.engines.floyd_warshall_successors``.
+# It is the tree kernel; the dense Floyd–Warshall lives in the tests as
+# the oracle the trees are pinned against.
 from .trees import shortest_path_trees as floyd_warshall_successors
 from .view import NetworkView
 from .weights import BatteryWeightFunction
@@ -41,12 +41,12 @@ class RoutingEngine(abc.ABC):
     @property
     @abc.abstractmethod
     def pipeline(self) -> CostPipeline:
-        """The phase 1 cost pipeline producing the weight matrix."""
+        """The phase 1 cost pipeline producing the edge weights."""
 
     def weight_matrix(
         self, view: NetworkView, observer=None
     ) -> np.ndarray:
-        """Phase 1: produce the directed interconnect weight matrix.
+        """Phase 1: the ``(K, M)`` weights of the directed interconnects.
 
         ``observer`` is the optional per-term telemetry callback of
         :meth:`~repro.core.costs.CostPipeline.weight_matrix`.
@@ -103,7 +103,7 @@ class RoutingEngine(abc.ABC):
 class ShortestDistanceRouting(RoutingEngine):
     """SDR: the non-energy-aware baseline (weights = line lengths).
 
-    The empty cost pipeline: no term touches the masked length matrix.
+    The empty cost pipeline: no term touches the live edge lengths.
     """
 
     name = "sdr"

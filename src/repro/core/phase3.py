@@ -17,7 +17,6 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import RoutingError, UnreachableModuleError
-from .floyd_warshall import NO_SUCCESSOR
 from .trees import ECMP_COST_TOLERANCE, ShortestPathTrees
 from .view import NetworkView
 
@@ -287,47 +286,3 @@ def select_destinations(
                 destinations[node, column] = NO_DESTINATION
     return destinations, hops
 
-
-def reference_select_destinations(
-    view: NetworkView,
-    distances: np.ndarray,
-    successors: np.ndarray,
-) -> np.ndarray:
-    """Literal per-(node, duplicate) transcription of the Fig 6 walk.
-
-    Reads the dense Floyd–Warshall matrices of
-    :mod:`~repro.core.floyd_warshall`.  O(K * |S_i|) in pure Python —
-    the test oracle :func:`select_destinations` is pinned against.
-    """
-    mapping = view.mapping
-    size = view.num_nodes
-    destinations = np.full(
-        (size, mapping.num_modules + 1), NO_DESTINATION, dtype=np.int64
-    )
-    blocked = view.blocked_ports
-    for module in range(1, mapping.num_modules + 1):
-        candidates = [
-            dup for dup in mapping.duplicates(module) if view.alive[dup]
-        ]
-        if not candidates:
-            continue
-        for node in range(size):
-            if not view.alive[node]:
-                continue
-            best_dest = NO_DESTINATION
-            best_dist = np.inf
-            for dup in candidates:
-                dist = distances[node, dup]
-                if not np.isfinite(dist):
-                    continue
-                if node != dup:
-                    first_hop = int(successors[node, dup])
-                    if first_hop == NO_SUCCESSOR:
-                        continue
-                    if (node, first_hop) in blocked:
-                        continue
-                if dist < best_dist:
-                    best_dist = dist
-                    best_dest = dup
-            destinations[node, module] = best_dest
-    return destinations

@@ -12,7 +12,9 @@ The kernel is a vectorised Bellman–Ford over a ``(K, p + 1)`` distance
 block, relaxed through a padded ``(K, max degree)`` neighbour table
 until a pass changes nothing; e-textile meshes have degree <= 5, so a
 pass is a few array operations and the whole tree costs O(K * depth)
-instead of Floyd–Warshall's O(K^3).
+instead of Floyd–Warshall's O(K^3).  Its input is phase 1's weight per
+neighbour-table slot, a ``(K, max degree)`` array laid out like the
+table (:func:`edge_lengths` gathers the line lengths the same way).
 
 Alongside each distance the kernel carries a *label*: the lowest node id
 among the nearest targets.  Labels propagate along exactly tight edges
@@ -59,6 +61,20 @@ def neighbor_table(lengths: np.ndarray) -> np.ndarray:
     return table
 
 
+def edge_lengths(lengths: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Line length behind every slot of a neighbour table.
+
+    Entry ``[n, j]`` is ``lengths[n, neighbors[n, j]]``, and ``inf`` on
+    the padding slots, so the ``(K, M)`` array holds exactly the
+    directed interconnects phase 1 weighs.
+    """
+    size = lengths.shape[0]
+    padded = neighbors == size
+    edges = lengths[np.arange(size)[:, None], np.where(padded, 0, neighbors)]
+    edges[padded] = np.inf
+    return edges
+
+
 @dataclass(frozen=True)
 class ShortestPathTrees:
     """Phase 2's output: one shortest-path tree per block column.
@@ -93,15 +109,16 @@ class ShortestPathTrees:
 
 
 def shortest_path_trees(
-    weights: np.ndarray,
+    edge_weights: np.ndarray,
     neighbors: np.ndarray,
     targets: np.ndarray,
 ) -> ShortestPathTrees:
     """Multi-source shortest-path trees toward each column's targets.
 
     Args:
-        weights: ``(K, K)`` phase 1 weight matrix (``inf`` for
-            non-edges, non-negative elsewhere).
+        edge_weights: ``(K, M)`` phase 1 weights, entry ``[n, j]`` on
+            the interconnect from ``n`` to ``neighbors[n, j]`` (``inf``
+            for severed lines and padding, non-negative elsewhere).
         neighbors: ``(K, M)`` table from :func:`neighbor_table`; an
             edge it omits is never relaxed.
         targets: ``(K, C)`` boolean mask; column ``c``'s tree is rooted
@@ -110,17 +127,15 @@ def shortest_path_trees(
     Returns:
         The converged :class:`ShortestPathTrees`.
     """
-    weights = np.asarray(weights, dtype=float)
+    edge_weights = np.asarray(edge_weights, dtype=float)
     size, columns = targets.shape
-    if weights.shape != (size, size) or neighbors.shape[0] != size:
+    if neighbors.shape[0] != size or edge_weights.shape != neighbors.shape:
         raise RoutingError(
-            f"weights {weights.shape}, neighbours {neighbors.shape} and "
-            f"targets {targets.shape} disagree on the node count"
+            f"edge weights {edge_weights.shape}, neighbours "
+            f"{neighbors.shape} and targets {targets.shape} disagree"
         )
     slots = np.ascontiguousarray(neighbors.T)
-    padded = slots == size
-    edges = weights[np.arange(size), np.where(padded, 0, slots)]
-    edges[padded] = np.inf
+    edges = np.ascontiguousarray(edge_weights.T)
     if np.any(edges < 0):
         raise RoutingError("negative interconnect weights are not allowed")
 

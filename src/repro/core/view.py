@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..mesh.mapping import ModuleMapping
-from .trees import neighbor_table
+from .trees import edge_lengths, neighbor_table
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,10 @@ class NetworkView:
             (:func:`~repro.core.trees.neighbor_table`).  The controller
             passes the table it rebuilds whenever its length picture
             changes; a view built without one derives it here.
+        edge_lengths: ``(K, M)`` line length behind every slot of
+            ``neighbors`` (:func:`~repro.core.trees.edge_lengths`,
+            ``inf`` on padding): the interconnects phase 1 weighs.
+            Passed and derived like ``neighbors``.
     """
 
     lengths: np.ndarray
@@ -58,6 +62,7 @@ class NetworkView:
     channel_levels: Mapping[str, np.ndarray] = field(default_factory=dict)
     sink: int | None = None
     neighbors: np.ndarray | None = field(default=None, repr=False)
+    edge_lengths: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         lengths = np.asarray(self.lengths, dtype=float)
@@ -106,6 +111,15 @@ class NetworkView:
             )
         if self.neighbors is None:
             object.__setattr__(self, "neighbors", neighbor_table(lengths))
+        if self.edge_lengths is None:
+            object.__setattr__(
+                self, "edge_lengths", edge_lengths(lengths, self.neighbors)
+            )
+        if self.edge_lengths.shape != self.neighbors.shape:
+            raise ConfigurationError(
+                f"edge lengths {self.edge_lengths.shape} do not match the "
+                f"neighbour table {self.neighbors.shape}"
+            )
 
     @property
     def num_nodes(self) -> int:
@@ -145,4 +159,5 @@ class NetworkView:
             channel_levels=self.channel_levels,
             sink=self.sink,
             neighbors=self.neighbors,
+            edge_lengths=self.edge_lengths,
         )

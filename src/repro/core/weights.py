@@ -1,4 +1,4 @@
-"""Phase 1 of EAR/SDR: interconnect weight matrices (paper Sec 6).
+"""Phase 1 of EAR/SDR: the battery weighting function (paper Sec 6).
 
 SDR weighs each directed interconnect by its physical length ``L_ij``.
 EAR multiplies the length by a decreasing function of the *receiving*
@@ -17,6 +17,11 @@ information").  The printed formula in the DATE'05 PDF is typeset
 ambiguously; this reconstruction is monotone, equals unity at full
 charge, and reproduces the paper's qualitative behaviour — it is kept
 pluggable, and the weighting ablation bench sweeps ``Q``.
+
+:class:`~repro.core.costs.BatteryTerm` applies ``f`` to the
+``(K, M)`` edge array the cost pipeline weighs; the dense ``K x K``
+weight matrices live in the tests as the oracle the pipeline is pinned
+against.
 """
 
 from __future__ import annotations
@@ -26,28 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from .view import NetworkView
 
 #: Default strengthening constant; calibrated so EAR lands in the
 #: paper's 44.5-48.2 % band of the analytical bound (see EXPERIMENTS.md).
 DEFAULT_Q = 1.6
-
-
-# ----------------------------------------------------------------------
-# Shared scale helper (the cost-pipeline primitive)
-# ----------------------------------------------------------------------
-def scale_weights(weights: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-    """Scale a weight matrix elementwise and re-zero the diagonal.
-
-    ``multipliers`` is either a dense per-link ``(K, K)`` matrix or a
-    ``(1, K)`` row that scales column ``j`` — the receiving endpoint.
-    ``inf`` entries stay ``inf`` (``inf * x == inf`` for positive
-    multipliers) and the diagonal is re-zeroed, so the phase 2
-    conventions survive.  Returns a new matrix; the input is unchanged.
-    """
-    weights = weights * multipliers
-    np.fill_diagonal(weights, 0.0)
-    return weights
 
 
 @dataclass(frozen=True)
@@ -82,47 +69,3 @@ class BatteryWeightFunction:
     def table(self) -> np.ndarray:
         """Vector of multipliers indexed by level (used for vectorising)."""
         return np.array([self(level) for level in range(self.levels)])
-
-
-def _masked_lengths(view: NetworkView) -> np.ndarray:
-    """Length matrix with rows/columns of dead nodes removed (set inf).
-
-    A dead node can neither originate, relay, nor receive packets, so
-    every interconnect touching it disappears from the graph.  Diagonal
-    stays 0 (the Floyd–Warshall convention W_ii = 0).
-    """
-    weights = np.array(view.lengths, dtype=float, copy=True)
-    dead = ~view.alive
-    weights[dead, :] = np.inf
-    weights[:, dead] = np.inf
-    np.fill_diagonal(weights, 0.0)
-    return weights
-
-
-def sdr_weight_matrix(view: NetworkView) -> np.ndarray:
-    """``W^(SDR)``: pure line lengths over the live subgraph."""
-    return _masked_lengths(view)
-
-
-def battery_scale(
-    weights: np.ndarray,
-    view: NetworkView,
-    weight_function: BatteryWeightFunction,
-) -> np.ndarray:
-    """Scale column ``j`` (the receiving endpoint) by ``f(N_B(j))``."""
-    if weight_function.levels != view.levels:
-        raise ConfigurationError(
-            f"weight function expects {weight_function.levels} levels but "
-            f"the view reports {view.levels}"
-        )
-    # Battery levels are validated against the view, so no saturating
-    # cap is needed here.
-    multipliers = weight_function.table()[view.battery_levels]
-    return scale_weights(weights, multipliers[np.newaxis, :])
-
-
-def ear_weight_matrix(
-    view: NetworkView, weight_function: BatteryWeightFunction
-) -> np.ndarray:
-    """``W^(EAR)``: lengths scaled by the receiver's battery weight."""
-    return battery_scale(_masked_lengths(view), view, weight_function)

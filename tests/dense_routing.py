@@ -1,35 +1,130 @@
-"""The paper's phase 2: all-pairs shortest paths with successor matrices.
+"""The dense routing path: the oracles the package is pinned against.
 
-The paper uses "a variation of the Floyd–Warshall algorithm of complexity
-O(n^3)" that produces both the distance matrix ``D`` and the *successor*
-matrix ``S`` where ``S_ij`` is the next hop of node ``i`` on a shortest
-path to node ``j`` (Fig 5).  Ties keep the incumbent successor (the
-pseudo-code only replaces on strict improvement), which makes the result
-deterministic.
+The package routes on ``(K, M)`` edge arrays laid out like the
+neighbour table (:mod:`repro.core.costs`, :mod:`repro.core.trees`).
+This module keeps the paper's formulation over dense ``K x K``
+matrices, so the property suites can compare the two on random views:
 
-The simulator routes on :mod:`repro.core.trees` instead: the job walk
-only asks for next hops toward the nearest duplicate of a module or
-toward the sink, which per-module trees answer in O(K * depth).  This
-module is the **test oracle** those trees are pinned against
-(``tests/property/test_tree_properties.py``):
-
-* :func:`floyd_warshall_successors` — numpy-vectorised over the inner two
-  loops;
-* :func:`reference_floyd_warshall` — a line-by-line transcription of the
-  paper's pseudo-code in pure Python, the semantic reference the
-  vectorised version is tested against;
+* phase 1 — :func:`sdr_weight_matrix` and :func:`ear_weight_matrix`,
+  the masked length matrix and its receiver-column battery scale
+  (paper Sec 6), with 0 on the diagonal and ``inf`` for non-edges;
+* phase 2 — the paper's all-pairs Floyd–Warshall with successor
+  matrices (Fig 5): :func:`floyd_warshall_successors`, numpy-vectorised
+  over the inner two loops, and :func:`reference_floyd_warshall`, a
+  line-by-line transcription of the pseudo-code in pure Python that the
+  vectorised version is tested against.  Ties keep the incumbent
+  successor (the pseudo-code only replaces on strict improvement), which
+  makes the result deterministic;
 * :func:`equal_cost_successors` and :func:`extract_path` — the ECMP
-  group and the path walk over the dense matrices.
+  group and the path walk over the dense matrices;
+* phase 3 — :func:`reference_select_destinations`, the literal
+  per-(node, duplicate) Fig 6 walk.
+
+:func:`at_slots` gathers a dense matrix at a neighbour table's slots,
+the layout the package weighs and routes on, and :func:`dense_of`
+scatters an edge array back into a matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import RoutingError
-from .trees import ECMP_COST_TOLERANCE
+from repro.core.phase3 import NO_DESTINATION
+from repro.core.trees import ECMP_COST_TOLERANCE
+from repro.core.view import NetworkView
+from repro.core.weights import BatteryWeightFunction
+from repro.errors import ConfigurationError, RoutingError
 
-#: Sentinel for "no successor" (unreachable destination).
+
+# ----------------------------------------------------------------------
+# Dense matrices and the neighbour-table layout
+# ----------------------------------------------------------------------
+def at_slots(matrix: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """``matrix[n, neighbors[n, j]]`` per slot, ``inf`` on padding."""
+    size = matrix.shape[0]
+    edges = np.full(neighbors.shape, np.inf)
+    for node in range(size):
+        for slot, neighbor in enumerate(neighbors[node]):
+            if neighbor < size:
+                edges[node, slot] = matrix[node, neighbor]
+    return edges
+
+
+def dense_of(edge_weights: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """The ``K x K`` matrix of an edge array: 0 on the diagonal, ``inf``
+    between nodes the neighbour table does not link."""
+    size = neighbors.shape[0]
+    matrix = np.full((size, size), np.inf)
+    np.fill_diagonal(matrix, 0.0)
+    for node in range(size):
+        for slot, neighbor in enumerate(neighbors[node]):
+            if neighbor < size:
+                matrix[node, neighbor] = edge_weights[node, slot]
+    return matrix
+
+
+# ----------------------------------------------------------------------
+# Phase 1 over dense matrices
+# ----------------------------------------------------------------------
+def scale_weights(weights: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+    """Scale a weight matrix elementwise and re-zero the diagonal.
+
+    ``multipliers`` is either a dense per-link ``(K, K)`` matrix or a
+    ``(1, K)`` row that scales column ``j`` — the receiving endpoint.
+    ``inf`` entries stay ``inf`` (``inf * x == inf`` for positive
+    multipliers) and the diagonal is re-zeroed, so the Floyd–Warshall
+    conventions survive.  Returns a new matrix; the input is unchanged.
+    """
+    weights = weights * multipliers
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
+def _masked_lengths(view: NetworkView) -> np.ndarray:
+    """Length matrix with rows/columns of dead nodes removed (set inf).
+
+    A dead node can neither originate, relay, nor receive packets, so
+    every interconnect touching it disappears from the graph.  Diagonal
+    stays 0 (the Floyd–Warshall convention W_ii = 0).
+    """
+    weights = np.array(view.lengths, dtype=float, copy=True)
+    dead = ~view.alive
+    weights[dead, :] = np.inf
+    weights[:, dead] = np.inf
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
+def sdr_weight_matrix(view: NetworkView) -> np.ndarray:
+    """``W^(SDR)``: pure line lengths over the live subgraph."""
+    return _masked_lengths(view)
+
+
+def battery_scale(
+    weights: np.ndarray,
+    view: NetworkView,
+    weight_function: BatteryWeightFunction,
+) -> np.ndarray:
+    """Scale column ``j`` (the receiving endpoint) by ``f(N_B(j))``."""
+    if weight_function.levels != view.levels:
+        raise ConfigurationError(
+            f"weight function expects {weight_function.levels} levels but "
+            f"the view reports {view.levels}"
+        )
+    multipliers = weight_function.table()[view.battery_levels]
+    return scale_weights(weights, multipliers[np.newaxis, :])
+
+
+def ear_weight_matrix(
+    view: NetworkView, weight_function: BatteryWeightFunction
+) -> np.ndarray:
+    """``W^(EAR)``: lengths scaled by the receiver's battery weight."""
+    return battery_scale(_masked_lengths(view), view, weight_function)
+
+
+# ----------------------------------------------------------------------
+# Phase 2: all-pairs Floyd–Warshall (paper Fig 5)
+# ----------------------------------------------------------------------
 NO_SUCCESSOR = -1
 
 
@@ -203,3 +298,51 @@ def path_length(lengths: np.ndarray, path: list[int]) -> float:
             raise RoutingError(f"path uses missing edge {u} -> {v}")
         total += float(hop)
     return total
+
+
+# ----------------------------------------------------------------------
+# Phase 3: the literal Fig 6 walk
+# ----------------------------------------------------------------------
+def reference_select_destinations(
+    view: NetworkView,
+    distances: np.ndarray,
+    successors: np.ndarray,
+) -> np.ndarray:
+    """Literal per-(node, duplicate) transcription of the Fig 6 walk.
+
+    Reads the dense Floyd–Warshall matrices above.  O(K * |S_i|) in pure
+    Python — the oracle :func:`repro.core.phase3.select_destinations` is
+    pinned against.
+    """
+    mapping = view.mapping
+    size = view.num_nodes
+    destinations = np.full(
+        (size, mapping.num_modules + 1), NO_DESTINATION, dtype=np.int64
+    )
+    blocked = view.blocked_ports
+    for module in range(1, mapping.num_modules + 1):
+        candidates = [
+            dup for dup in mapping.duplicates(module) if view.alive[dup]
+        ]
+        if not candidates:
+            continue
+        for node in range(size):
+            if not view.alive[node]:
+                continue
+            best_dest = NO_DESTINATION
+            best_dist = np.inf
+            for dup in candidates:
+                dist = distances[node, dup]
+                if not np.isfinite(dist):
+                    continue
+                if node != dup:
+                    first_hop = int(successors[node, dup])
+                    if first_hop == NO_SUCCESSOR:
+                        continue
+                    if (node, first_hop) in blocked:
+                        continue
+                if dist < best_dist:
+                    best_dist = dist
+                    best_dest = dup
+            destinations[node, module] = best_dest
+    return destinations

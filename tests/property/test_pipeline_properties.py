@@ -5,7 +5,9 @@ composing the battery term with the wear, harvest and congestion level
 channels must reproduce, on randomised views, a literal per-entry
 reference written out below — the battery weight, then
 ``q_w ** min(w, cap)`` per link, ``q_h ** -min(r, cap)`` per nearly-full
-receiver, ``q_c ** min(l, cap)`` per link, in that order.  The ECMP
+receiver, ``q_c ** min(l, cap)`` per link, in that order.  The pipeline
+weighs ``(K, M)`` edge arrays, so each dense reference is gathered at
+the view's neighbour-table slots before the comparison.  The ECMP
 properties pin the group-validity invariants (strict distance progress,
 cost within tolerance, canonical membership) that keep round-robin
 spreading loop-free on any weight matrix.
@@ -19,23 +21,22 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_routing import (
+    NO_SUCCESSOR,
+    at_slots,
+    ear_weight_matrix,
+    equal_cost_successors,
+    floyd_warshall_successors,
+    sdr_weight_matrix,
+)
 from repro.core.costs import (
     CONGESTION_CHANNEL,
     HARVEST_CHANNEL,
     WEAR_CHANNEL,
     CostPipeline,
 )
-from repro.core.floyd_warshall import (
-    NO_SUCCESSOR,
-    equal_cost_successors,
-    floyd_warshall_successors,
-)
 from repro.core.view import NetworkView
-from repro.core.weights import (
-    BatteryWeightFunction,
-    ear_weight_matrix,
-    sdr_weight_matrix,
-)
+from repro.core.weights import BatteryWeightFunction
 from repro.mesh.mapping import checkerboard_mapping
 from repro.mesh.topology import mesh2d
 
@@ -117,7 +118,8 @@ class TestPipelineBitIdentity:
     @given(random_views())
     def test_empty_pipeline_matches_sdr(self, view):
         assert np.array_equal(
-            CostPipeline().weight_matrix(view), sdr_weight_matrix(view)
+            CostPipeline().weight_matrix(view),
+            at_slots(sdr_weight_matrix(view), view.neighbors),
         )
 
     @settings(max_examples=40, deadline=None)
@@ -129,7 +131,7 @@ class TestPipelineBitIdentity:
         fn = BatteryWeightFunction(q=q)
         assert np.array_equal(
             CostPipeline.ear(fn).weight_matrix(view),
-            ear_weight_matrix(view, fn),
+            at_slots(ear_weight_matrix(view, fn), view.neighbors),
         )
 
     @settings(max_examples=30, deadline=None)
@@ -151,9 +153,9 @@ class TestPipelineBitIdentity:
                 replace(CONGESTION_CHANNEL, q=q_load),
             ),
         )
+        reference = reference_weights(view, battery, q_wear, q_harvest, q_load)
         assert np.array_equal(
-            pipeline.weight_matrix(view),
-            reference_weights(view, battery, q_wear, q_harvest, q_load),
+            pipeline.weight_matrix(view), at_slots(reference, view.neighbors)
         )
 
 
@@ -161,10 +163,10 @@ class TestTermOrderIndependence:
     @settings(max_examples=30, deadline=None)
     @given(random_views(with_channels=True))
     def test_wear_and_harvest_commute(self, view):
-        """Wear (link scale) and harvest (column scale) are both
+        """Wear (link scale) and harvest (receiver scale) are both
         elementwise multiplications, so their order changes results
         only by float rounding."""
-        base = ear_weight_matrix(view, BatteryWeightFunction())
+        base = CostPipeline.ear().weight_matrix(view)
         wear_first = HARVEST_CHANNEL.apply(
             WEAR_CHANNEL.apply(base, view), view
         )

@@ -1,4 +1,5 @@
-"""Property-based tests for the routing core against networkx."""
+"""Property-based tests for the dense Floyd–Warshall oracle (against
+networkx) and the battery weight function."""
 
 import networkx as nx
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.floyd_warshall import (
+from dense_routing import (
     NO_SUCCESSOR,
     extract_path,
     floyd_warshall_successors,

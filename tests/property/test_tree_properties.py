@@ -3,8 +3,9 @@
 Random meshes (3x3 to 8x8, the source block attached at a random node)
 with dead nodes, cut lines, random battery levels and optional
 deadlocked ports are routed twice: through the per-module trees and
-phase 3 the engines use, and through the all-pairs Floyd–Warshall and
-the literal Fig 6 walk kept as oracles.
+phase 3 the engines use, fed the dense EAR weights gathered at the
+neighbour-table slots, and through the all-pairs Floyd–Warshall and
+the literal Fig 6 walk kept as oracles in ``tests/dense_routing.py``.
 """
 
 import numpy as np
@@ -12,20 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.floyd_warshall import (
+from dense_routing import (
+    at_slots,
+    ear_weight_matrix,
     equal_cost_successors,
     floyd_warshall_successors,
+    reference_select_destinations,
 )
 from repro.core.phase3 import (
     NO_DESTINATION,
     SINK,
     EcmpSelector,
-    reference_select_destinations,
     select_destinations,
 )
 from repro.core.trees import shortest_path_trees
 from repro.core.view import NetworkView
-from repro.core.weights import BatteryWeightFunction, ear_weight_matrix
+from repro.core.weights import BatteryWeightFunction
 from repro.mesh.mapping import checkerboard_mapping
 from repro.mesh.topology import attach_external_node, mesh2d
 
@@ -99,7 +102,9 @@ def mesh_views(draw, exact=False, blocking=False):
 
 
 def route(view, weights):
-    trees = shortest_path_trees(weights, view.neighbors, view.targets())
+    trees = shortest_path_trees(
+        at_slots(weights, view.neighbors), view.neighbors, view.targets()
+    )
     destinations, hops = select_destinations(view, trees)
     return trees, destinations, hops
 

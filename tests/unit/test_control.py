@@ -1,5 +1,6 @@
 """Unit tests for the TDMA control mechanism (repro.control)."""
 
+import numpy as np
 import pytest
 
 from repro.battery.ideal import IdealBattery
@@ -10,7 +11,15 @@ from repro.control.controller_power import (
 )
 from repro.control.deadlock import BlockedPortRegistry, DeadlockPolicy
 from repro.control.tdma import TdmaSchedule
+from repro.core.costs import (
+    CONGESTION_CHANNEL,
+    HARVEST_CHANNEL,
+    WEAR_CHANNEL,
+    CostPipeline,
+)
 from repro.core.engines import EnergyAwareRouting
+from repro.core.view import NetworkView
+from repro.core.weights import BatteryWeightFunction
 from repro.errors import ConfigurationError
 from repro.mesh.mapping import checkerboard_mapping
 from repro.mesh.topology import mesh2d
@@ -97,11 +106,11 @@ class TestDeadlockRegistry:
             DeadlockPolicy(blocked_expiry_frames=0)
 
 
-def make_control_plane(batteries=None):
+def make_control_plane(batteries=None, lengths=None):
     topo = mesh2d(4)
     mapping = checkerboard_mapping(topo)
     return ControlPlane(
-        lengths=topo.length_matrix(),
+        lengths=topo.length_matrix() if lengths is None else lengths,
         mapping=mapping,
         engine=EnergyAwareRouting(),
         levels=8,
@@ -312,10 +321,6 @@ class TestIdleLeakAccounting:
 
 class TestWearHook:
     def test_update_wear_triggers_recompute(self):
-        import numpy as np
-
-        from repro.core.costs import WEAR_CHANNEL
-
         plane = make_control_plane()
         plane.bootstrap()
         wear = np.zeros((16, 16), dtype=int)
@@ -327,3 +332,95 @@ class TestWearHook:
         # No further change, no further recompute.
         outcome = plane.process_frame(1, reports=[], heartbeat_count=16)
         assert not outcome.recomputed
+
+
+class TestLengthUpdates:
+    def test_a_length_update_replans_like_a_fresh_controller(self):
+        lengths = mesh2d(4).length_matrix()
+        degraded = lengths.copy()
+        degraded[1, 5] = degraded[5, 1] = 3.0 * lengths[1, 5]
+        cut = degraded.copy()
+        cut[4, 5] = cut[5, 4] = np.inf
+        plane = make_control_plane()
+        plane.bootstrap()
+        for frame, new_lengths in enumerate((degraded, cut)):
+            before = plane.plan.distances
+            plane.update_lengths(new_lengths)
+            outcome = plane.process_frame(frame, reports=[], heartbeat_count=16)
+            assert outcome.recomputed
+            assert not np.array_equal(plane.plan.distances, before)
+            fresh = make_control_plane(lengths=new_lengths)
+            fresh.bootstrap()
+            for table in ("distances", "destinations", "hops"):
+                assert np.array_equal(
+                    getattr(plane.plan, table), getattr(fresh.plan, table)
+                ), table
+
+
+class TestTermAttribution:
+    def test_rows_count_the_edges_each_term_scaled(self):
+        # Node 5 is dead, six nodes report below full, and every channel
+        # has a level on a link or receiver touching the dead node, which
+        # must not count.  Harvest pays only the rich receivers 0 and 14
+        # (battery 7 and 6); 6 and 11 are below the band.
+        topology = mesh2d(4)
+        alive = np.ones(16, dtype=bool)
+        alive[5] = False
+        battery = np.array([7, 6, 7, 5, 7, 7, 4, 7, 6, 7, 7, 3, 7, 7, 6, 7])
+        wear = np.zeros((16, 16), dtype=int)
+        congestion = np.zeros((16, 16), dtype=int)
+        for levels, u, v, level in (
+            (wear, 0, 1, 2),
+            (wear, 9, 10, 9),  # past the cap
+            (wear, 4, 5, 3),
+            (congestion, 2, 3, 1),
+            (congestion, 10, 14, 4),
+            (congestion, 1, 5, 2),
+        ):
+            levels[u, v] = levels[v, u] = level
+        income = np.zeros(16, dtype=int)
+        income[[0, 6, 11, 14]] = [2, 3, 5, 1]
+        view = NetworkView(
+            lengths=topology.length_matrix(),
+            alive=alive,
+            battery_levels=battery,
+            levels=8,
+            mapping=checkerboard_mapping(topology),
+            channel_levels={
+                "wear": wear,
+                "harvest": income,
+                "congestion": congestion,
+            },
+        )
+        pipeline = CostPipeline.ear(
+            BatteryWeightFunction(),
+            (WEAR_CHANNEL, HARVEST_CHANNEL, CONGESTION_CHANNEL),
+        )
+        rows = []
+        pipeline.weight_matrix(view, observer=ControlPlane._term_observer(rows))
+        assert rows == [
+            {
+                "term": "battery",
+                "links_scaled": 16,
+                "max_factor": 42.949673,
+                "min_factor": 2.56,
+            },
+            {
+                "term": "wear",
+                "links_scaled": 4,
+                "max_factor": 1.948717,
+                "min_factor": 1.21,
+            },
+            {
+                "term": "harvest",
+                "links_scaled": 5,
+                "max_factor": 0.769231,
+                "min_factor": 0.591716,
+            },
+            {
+                "term": "congestion",
+                "links_scaled": 4,
+                "max_factor": 2.441406,
+                "min_factor": 1.25,
+            },
+        ]

@@ -1,33 +1,32 @@
-"""Unit tests for the routing core: weights, Floyd-Warshall, phase 3,
-engines (repro.core)."""
+"""Unit tests for the routing core: weights, the dense Floyd-Warshall
+oracle, phase 3, engines (repro.core)."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dense_routing import (
+    NO_SUCCESSOR,
+    at_slots,
+    dense_of,
+    extract_path,
+    floyd_warshall_successors,
+    path_length,
+    reference_floyd_warshall,
+    sdr_weight_matrix,
+)
 from helpers import make_view
-from repro.core.costs import WEAR_CHANNEL
+from repro.core.costs import WEAR_CHANNEL, CostPipeline
 from repro.core.engines import (
     EnergyAwareRouting,
     ShortestDistanceRouting,
     routing_engine,
 )
-from repro.core.floyd_warshall import (
-    NO_SUCCESSOR,
-    extract_path,
-    floyd_warshall_successors,
-    path_length,
-    reference_floyd_warshall,
-)
 from repro.core.phase3 import NO_DESTINATION, SINK, select_destinations
-from repro.core.trees import shortest_path_trees
+from repro.core.trees import edge_lengths, neighbor_table, shortest_path_trees
 from repro.core.view import NetworkView
-from repro.core.weights import (
-    BatteryWeightFunction,
-    ear_weight_matrix,
-    sdr_weight_matrix,
-)
+from repro.core.weights import BatteryWeightFunction
 from repro.errors import (
     ConfigurationError,
     RoutingError,
@@ -94,19 +93,20 @@ class TestWearWeightFunction:
     def test_apply_wear_penalty_preserves_conventions(
         self, mesh4, mapping4, full_view
     ):
-        weights = sdr_weight_matrix(full_view)
+        weights = CostPipeline().weight_matrix(full_view)
         wear = np.zeros((16, 16), dtype=int)
         wear[0, 1] = wear[1, 0] = 2
         wear[3, 3] = 5  # diagonal wear must stay inert
         g = replace(WEAR_CHANNEL, q=1.5)
         worn = with_channel_levels(full_view, wear=wear)
         penalised = g.apply(weights, worn)
+        scaled = dense_of(penalised, worn.neighbors)
         pitch = mesh4.edge_length(0, 1)
-        assert penalised[0, 1] == pytest.approx(pitch * 1.5**2)
-        assert penalised[1, 0] == pytest.approx(pitch * 1.5**2)
-        assert penalised[0, 4] == pytest.approx(pitch)  # untouched
-        assert penalised[3, 3] == 0.0
-        assert np.isinf(penalised[0, 5])  # non-edges stay inf
+        assert scaled[0, 1] == pytest.approx(pitch * 1.5**2)
+        assert scaled[1, 0] == pytest.approx(pitch * 1.5**2)
+        assert scaled[0, 4] == pytest.approx(pitch)  # untouched
+        # Padding slots stay inf.
+        assert np.array_equal(np.isinf(penalised), np.isinf(weights))
 
     def test_ear_engine_applies_wear_from_the_view(
         self, mesh4, mapping4, full_view
@@ -116,8 +116,11 @@ class TestWearWeightFunction:
         worn_view = with_channel_levels(make_view(mesh4, mapping4), wear=wear)
         g = replace(WEAR_CHANNEL, q=1.5)
         engine = EnergyAwareRouting(channels=(g,))
-        weights = engine.weight_matrix(worn_view)
-        reactive = EnergyAwareRouting().weight_matrix(worn_view)
+        neighbors = worn_view.neighbors
+        weights = dense_of(engine.weight_matrix(worn_view), neighbors)
+        reactive = dense_of(
+            EnergyAwareRouting().weight_matrix(worn_view), neighbors
+        )
         assert weights[0, 1] == pytest.approx(reactive[0, 1] * 1.5**3)
         assert weights[2, 3] == pytest.approx(reactive[2, 3])
         # Without wear data in the view, the wear engine is reactive.
@@ -140,24 +143,27 @@ def with_channel_levels(view, **channel_levels):
 
 class TestWeightMatrices:
     def test_sdr_weights_are_lengths(self, mesh4, mapping4, full_view):
-        weights = sdr_weight_matrix(full_view)
+        weights = CostPipeline().weight_matrix(full_view)
         lengths = mesh4.length_matrix()
-        assert np.array_equal(weights, lengths)
+        assert np.array_equal(
+            weights, at_slots(lengths, full_view.neighbors)
+        )
 
     def test_dead_node_removed_from_graph(self, mesh4, mapping4):
         alive = np.ones(16, dtype=bool)
         alive[5] = False
         view = make_view(mesh4, mapping4, alive=alive)
-        weights = sdr_weight_matrix(view)
+        weights = dense_of(CostPipeline().weight_matrix(view), view.neighbors)
         assert np.isinf(weights[5, 6]) and np.isinf(weights[4, 5])
-        assert weights[5, 5] == 0.0
 
     def test_ear_scales_by_receiver_level(self, mesh4, mapping4):
         levels = np.full(16, 7)
         levels[1] = 0  # depleted node
         view = make_view(mesh4, mapping4, levels_vector=levels)
         f = BatteryWeightFunction(q=1.5, levels=8)
-        weights = ear_weight_matrix(view, f)
+        weights = dense_of(
+            CostPipeline.ear(f).weight_matrix(view), view.neighbors
+        )
         pitch = mesh4.edge_length(0, 1)
         assert weights[0, 1] == pytest.approx(pitch * f(0))
         assert weights[1, 0] == pytest.approx(pitch * 1.0)
@@ -165,13 +171,14 @@ class TestWeightMatrices:
     def test_ear_full_battery_equals_sdr(self, full_view):
         f = BatteryWeightFunction(q=1.7, levels=8)
         assert np.array_equal(
-            ear_weight_matrix(full_view, f), sdr_weight_matrix(full_view)
+            CostPipeline.ear(f).weight_matrix(full_view),
+            CostPipeline().weight_matrix(full_view),
         )
 
     def test_level_count_mismatch_rejected(self, full_view):
         f = BatteryWeightFunction(q=1.5, levels=16)
         with pytest.raises(ConfigurationError):
-            ear_weight_matrix(full_view, f)
+            CostPipeline.ear(f).weight_matrix(full_view)
 
 
 class TestFloydWarshall:
@@ -235,8 +242,9 @@ class TestFloydWarshall:
         assert successors[0, 2] == 1
 
 
-def phase3_destinations(view, weights):
-    """Phase 3's destination table over the phase 2 trees of ``weights``."""
+def phase3_destinations(view):
+    """Phase 3's destination table over the phase 2 trees of SDR."""
+    weights = CostPipeline().weight_matrix(view)
     trees = shortest_path_trees(weights, view.neighbors, view.targets())
     destinations, _ = select_destinations(view, trees)
     return destinations
@@ -244,15 +252,13 @@ def phase3_destinations(view, weights):
 
 class TestPhase3:
     def test_module_node_selects_itself(self, full_view):
-        weights = sdr_weight_matrix(full_view)
-        dests = phase3_destinations(full_view, weights)
+        dests = phase3_destinations(full_view)
         for module in (1, 2, 3):
             for node in full_view.mapping.duplicates(module):
                 assert dests[node, module] == node
 
     def test_nearest_duplicate_chosen(self, mesh4, mapping4, full_view):
-        weights = sdr_weight_matrix(full_view)
-        dests = phase3_destinations(full_view, weights)
+        dests = phase3_destinations(full_view)
         origin = node_id(2, 1, 4)  # module 3 node
         # Nearest module-1 duplicates are (1,1) and (3,1), both 1 hop;
         # the tie breaks to the lower node id = (1,1) = 0.
@@ -262,8 +268,7 @@ class TestPhase3:
         alive = np.ones(16, dtype=bool)
         alive[node_id(1, 1, 4)] = False
         view = make_view(mesh4, mapping4, alive=alive)
-        weights = sdr_weight_matrix(view)
-        dests = phase3_destinations(view, weights)
+        dests = phase3_destinations(view)
         origin = node_id(2, 1, 4)
         assert dests[origin, 1] == node_id(3, 1, 4)
 
@@ -272,8 +277,7 @@ class TestPhase3:
         for dup in mapping4.duplicates(2):
             alive[dup] = False
         view = make_view(mesh4, mapping4, alive=alive)
-        weights = sdr_weight_matrix(view)
-        dests = phase3_destinations(view, weights)
+        dests = phase3_destinations(view)
         assert np.all(dests[:, 2] == NO_DESTINATION)
 
     def test_blocked_port_redirects(self, mesh4, mapping4):
@@ -281,14 +285,35 @@ class TestPhase3:
         preferred = node_id(1, 1, 4)
         blocked = frozenset({(origin, preferred)})
         view = make_view(mesh4, mapping4, blocked=blocked)
-        weights = sdr_weight_matrix(view)
-        dests = phase3_destinations(view, weights)
+        dests = phase3_destinations(view)
         # The first hop to (1,1) is blocked, so another duplicate whose
         # first hop differs must be chosen.
         assert dests[origin, 1] != preferred
 
 
 class TestShortestPathTrees:
+    def test_edge_lengths_follow_the_neighbour_table(self, mesh4):
+        lengths = mesh4.length_matrix()
+        neighbors = neighbor_table(lengths)
+        edges = edge_lengths(lengths, neighbors)
+        assert np.array_equal(edges, at_slots(lengths, neighbors))
+        # No node lists itself, so no term ever scales a diagonal.
+        assert not (neighbors == np.arange(16)[:, None]).any()
+        # Corner 0 links to 1 and 4 only; its padding slots read inf.
+        assert list(neighbors[0, :2]) == [1, 4]
+        assert np.isinf(edges[0, 2:]).all()
+
+    def test_kernel_rejects_bad_edge_weights(self, full_view):
+        weights = CostPipeline().weight_matrix(full_view)
+        neighbors, targets = full_view.neighbors, full_view.targets()
+        with pytest.raises(RoutingError):
+            shortest_path_trees(weights[:, :-1], neighbors, targets)
+        with pytest.raises(RoutingError):
+            shortest_path_trees(sdr_weight_matrix(full_view), neighbors, targets)
+        weights[0, 0] = -1.0
+        with pytest.raises(RoutingError):
+            shortest_path_trees(weights, neighbors, targets)
+
     def test_canonical_tie_is_exact(self):
         # Node 0 reaches the sink (3) via node 1 at 0.1 + 0.2, one ulp
         # above 0.3, and via node 2 at 0.25 + 0.05 == 0.3 exactly.  Like
@@ -326,7 +351,9 @@ class TestShortestPathTrees:
             mapping=ModuleMapping({0: 1, 2: 1, 11: 1}, num_modules=1),
         )
         weights = sdr_weight_matrix(view)
-        trees = shortest_path_trees(weights, view.neighbors, view.targets())
+        trees = shortest_path_trees(
+            at_slots(weights, view.neighbors), view.neighbors, view.targets()
+        )
         dense, _ = floyd_warshall_successors(weights)
         assert np.array_equal(trees.distances[:, 1], dense[:, [0, 2, 11]].min(axis=1))
         unreachable = np.isinf(trees.distances)

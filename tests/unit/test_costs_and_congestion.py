@@ -12,6 +12,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dense_routing import (
+    at_slots,
+    dense_of,
+    ear_weight_matrix,
+    equal_cost_successors,
+    floyd_warshall_successors,
+    sdr_weight_matrix,
+)
 from helpers import build_engine, make_config, make_view
 from repro.core import (
     CONGESTION_CHANNEL,
@@ -23,17 +31,11 @@ from repro.core import (
     EcmpSelector,
     LevelChannel,
     ShortestDistanceRouting,
-    equal_cost_successors,
     select_destinations,
     shortest_path_trees,
 )
-from repro.core.floyd_warshall import floyd_warshall_successors
 from repro.core.phase3 import SINK
-from repro.core.weights import (
-    BatteryWeightFunction,
-    ear_weight_matrix,
-    sdr_weight_matrix,
-)
+from repro.core.weights import BatteryWeightFunction
 from repro.errors import ConfigurationError
 from repro.mesh.mapping import checkerboard_mapping
 from repro.mesh.topology import mesh2d
@@ -131,18 +133,20 @@ class TestCongestionWeightFunction:
 class TestApplyCongestionPenalty:
     def test_scales_loaded_links_only(self):
         view = build_view()
-        weights = sdr_weight_matrix(view)
+        edges = CostPipeline().weight_matrix(view)
         load = np.zeros((16, 16), dtype=int)
         load[0, 1] = load[1, 0] = 2
         f = replace(CONGESTION_CHANNEL, q=2.0)
-        penalised = f.apply(weights.copy(), with_levels(view, congestion=load))
+        penalised = dense_of(
+            f.apply(edges.copy(), with_levels(view, congestion=load)),
+            view.neighbors,
+        )
+        weights = dense_of(edges, view.neighbors)
         assert penalised[0, 1] == pytest.approx(weights[0, 1] * 4.0)
         assert penalised[1, 0] == pytest.approx(weights[1, 0] * 4.0)
         mask = np.ones_like(weights, dtype=bool)
         mask[0, 1] = mask[1, 0] = False
-        np.fill_diagonal(mask, False)
         assert np.array_equal(penalised[mask], weights[mask])
-        assert np.all(np.diag(penalised) == 0.0)
 
 
 class TestCostPipeline:
@@ -153,7 +157,8 @@ class TestCostPipeline:
     def test_empty_pipeline_is_sdr(self):
         view = build_view()
         assert np.array_equal(
-            CostPipeline().weight_matrix(view), sdr_weight_matrix(view)
+            CostPipeline().weight_matrix(view),
+            at_slots(sdr_weight_matrix(view), view.neighbors),
         )
 
     def test_ear_composition_and_lookup(self):
@@ -182,7 +187,8 @@ class TestCostPipeline:
         fn = BatteryWeightFunction()
         pipeline = CostPipeline.ear(fn)
         assert np.array_equal(
-            pipeline.weight_matrix(view), ear_weight_matrix(view, fn)
+            pipeline.weight_matrix(view),
+            at_slots(ear_weight_matrix(view, fn), view.neighbors),
         )
 
     def test_a_new_channel_is_one_instance(self):
@@ -196,8 +202,10 @@ class TestCostPipeline:
             build_view(), resistance=np.ones((16, 16), dtype=int)
         )
         pipeline = CostPipeline.ear(BatteryWeightFunction(), (extra,))
-        base = ear_weight_matrix(view, BatteryWeightFunction())
-        finite = np.isfinite(base) & (base > 0)
+        base = at_slots(
+            ear_weight_matrix(view, BatteryWeightFunction()), view.neighbors
+        )
+        finite = np.isfinite(base)
         assert np.array_equal(
             pipeline.weight_matrix(view)[finite], base[finite] * 2.0
         )
@@ -331,7 +339,7 @@ class TestEcmpSelector:
         # ``sink``, so each group is that of a (node, sink) pair.
         view = build_view(blocked=blocked, sink=sink)
         trees = shortest_path_trees(
-            sdr_weight_matrix(view), view.neighbors, view.targets()
+            CostPipeline().weight_matrix(view), view.neighbors, view.targets()
         )
         destinations, _ = select_destinations(view, trees)
         return EcmpSelector(trees, destinations, blocked, seed)

@@ -8,10 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dense_routing import dense_of
 from helpers import build_engine, make_config, make_view
 from repro.config import SimulationConfig
-from repro.core.costs import HARVEST_CHANNEL
-from repro.core.weights import BatteryWeightFunction, ear_weight_matrix
+from repro.core.costs import HARVEST_CHANNEL, CostPipeline
 from repro.errors import ConfigurationError
 from repro.harvest import (
     HARVEST_PROFILES,
@@ -366,9 +366,12 @@ class TestApplyHarvestBonus:
         income[0] = 3
         income[1] = 3
         view = make_view(topology, mapping, levels_vector=levels_vector)
-        base = ear_weight_matrix(view, BatteryWeightFunction())
+        edges = CostPipeline.ear().weight_matrix(view)
         view_income = replace_income(view, income)
-        boosted = channel.apply(base.copy(), view_income)
+        boosted = dense_of(
+            channel.apply(edges.copy(), view_income), view.neighbors
+        )
+        base = dense_of(edges, view.neighbors)
         assert boosted[3, 0] == pytest.approx(base[3, 0] * channel(3))
         # Node 1 is below the rich band: untouched.
         assert boosted[0, 1] == pytest.approx(base[0, 1])
@@ -382,10 +385,11 @@ class TestApplyHarvestBonus:
         income = np.full(9, 5, dtype=int)
         view = make_view(topology, mapping)
         view_income = replace_income(view, income)
-        base = ear_weight_matrix(view, BatteryWeightFunction())
+        base = CostPipeline.ear().weight_matrix(view)
         boosted = channel.apply(base.copy(), view_income)
+        # The corners' padding slots stay inf.
+        assert np.isinf(base).any()
         assert np.all(np.isinf(boosted) == np.isinf(base))
-        assert np.all(np.diag(boosted) == 0.0)
 
 
 def replace_income(view, income):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.trees import edge_lengths
 from repro.core.view import NetworkView
 from repro.errors import ConfigurationError
 from repro.mesh.mapping import checkerboard_mapping
@@ -44,6 +45,22 @@ class TestNetworkView:
         assert updated.blocked_ports == blocked
         assert view.blocked_ports == frozenset()
         assert updated.levels == view.levels
+
+    def test_edge_lengths_follow_the_neighbour_table(self):
+        view = build_view()
+        assert np.array_equal(
+            view.edge_lengths, edge_lengths(view.lengths, view.neighbors)
+        )
+        updated = view.with_blocked_ports(frozenset({(0, 1)}))
+        assert updated.edge_lengths is view.edge_lengths
+
+    def test_edge_lengths_shape_mismatch_rejected(self):
+        view = build_view()
+        with pytest.raises(ConfigurationError):
+            build_view(
+                neighbors=view.neighbors,
+                edge_lengths=view.edge_lengths[:, :-1],
+            )
 
     def test_non_square_lengths_rejected(self):
         with pytest.raises(ConfigurationError):
