@@ -42,12 +42,7 @@ from .engines import (
 )
 from .parameters import ApplicationProfile
 from .phase3 import EcmpSelector, RoutingPlan, select_destinations
-from .trees import (
-    ShortestPathTrees,
-    edge_lengths,
-    neighbor_table,
-    shortest_path_trees,
-)
+from .trees import ShortestPathTrees, neighbor_table, shortest_path_trees
 from .upper_bound import UpperBoundResult, optimize_duplicates, theorem1
 from .view import NetworkView
 from .weights import BatteryWeightFunction
@@ -70,7 +65,6 @@ __all__ = [
     "ShortestDistanceRouting",
     "ShortestPathTrees",
     "UpperBoundResult",
-    "edge_lengths",
     "neighbor_table",
     "optimize_duplicates",
     "routing_engine",
