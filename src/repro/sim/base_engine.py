@@ -6,12 +6,19 @@ versus buffered packets with contention).  Everything platform-related
 lives here.
 
 Mesh cells live in one struct-of-arrays battery bank
-(:mod:`repro.sim.vector_bank`).  The frame's heartbeat is one exact
-array pass over it — a uniform upload draw on the living cells, one
-level compare against the last report, one masked rest — and per-hop,
-compute, harvest and power-bus energy reach single cells through the
-bank's scalar code path.  Both round exactly as the scalar battery
-models do, so the bank changes speed, not results.
+(:mod:`repro.sim.vector_bank`), and the engines address each cell by
+its node id.  The frame's heartbeat is one exact array pass over it — a
+uniform upload draw on the living cells, one level compare against the
+last report, one masked rest — and per-hop, compute, harvest and
+power-bus energy reach single cells through the bank's scalar code
+path.  Both round exactly as the scalar battery models do, so the bank
+changes speed, not results.
+
+A node is alive while it is in the engine's live-node set
+(``_alive_set``): its cell has charge and fault injection has not
+killed it.  Every death — a cell a draw exhausts, a fault kill — calls
+:meth:`EngineBase.on_node_death` the moment it happens, and that hook is
+the set's only writer.
 """
 
 from __future__ import annotations
@@ -22,12 +29,13 @@ from operator import add
 
 import numpy as np
 
+from ..battery.base import DrawResult
 from ..battery.monitor import BatteryLevelQuantizer
 from ..config import SimulationConfig
 from ..control.controller import ControlPlane, StatusReport
 from ..core.engines import EnergyAwareRouting, ShortestDistanceRouting
 from ..core.parameters import ApplicationProfile
-from ..errors import SimulationError
+from ..errors import DeadNodeError, SimulationError
 from ..faults.schedule import FaultRuntime, build_fault_schedule
 from ..harvest.schedule import build_harvest_schedule
 from ..mesh.connectivity import reachable_set, system_is_alive
@@ -35,9 +43,8 @@ from ..mesh.geometry import node_id as mesh_node_id
 from ..mesh.topology import attach_external_node
 from ..telemetry.recorder import NULL_RECORDER, Recorder
 from .level_estimators import ESTIMATORS
-from .node import NetworkNode
 from .stats import EnergyLedger, SimulationStats
-from .vector_bank import BankBatteryView, build_battery_bank
+from .vector_bank import build_battery_bank
 from .workload import JobFactory
 
 #: Frames a dispatch may wait for a fresh plan before retrying.
@@ -112,16 +119,13 @@ class EngineBase:
         )
         self.num_mesh_nodes = mesh = platform.num_mesh_nodes
 
-        #: Every mesh node's cell, one bank index per node.
+        #: Every mesh node's cell, one bank index per node.  The source
+        #: block has an infinite supply and no cell.
         self.bank = build_battery_bank(platform, mesh)
-        #: Kill record: True once fault injection failed a mesh node.
+        #: Kill record: True once fault injection failed a mesh node,
+        #: which is then dead with a charged cell.  The source cannot
+        #: fail and has no entry.
         self._killed = np.zeros(mesh, dtype=bool)
-        self.nodes: dict[int, NetworkNode] = {}
-        for node in range(mesh):
-            cell = BankBatteryView(self.bank, node)
-            module = self.mapping.module_of(node)
-            self.nodes[node] = NetworkNode(node, module, cell, self._killed)
-        self.nodes[self.source] = NetworkNode(self.source, None, None)
 
         # --- links --------------------------------------------------------
         self.link_model = platform.link_energy_model()
@@ -182,9 +186,11 @@ class EngineBase:
         self._upload_pj = np.zeros(mesh)
 
         # --- bookkeeping ------------------------------------------------------
-        #: Live node ids, maintained incrementally by on_node_death so
-        #: reachability checks never rescan every battery.
-        self._alive_set: set[int] = set(self.nodes)
+        #: Live node ids: every mesh node whose cell is alive and that
+        #: no fault killed, plus the source.  on_node_death is its only
+        #: writer, so liveness is one set lookup and reachability
+        #: checks never rescan every battery.
+        self._alive_set: set[int] = {*range(mesh), self.source}
         self.ledger = EnergyLedger(self.topology.num_nodes)
         self.factory = JobFactory(
             key=config.workload.aes_key,
@@ -331,11 +337,10 @@ class EngineBase:
         crossings).  Pure observation: nothing here mutates simulation
         state, which is what keeps traced runs bit-identical.
         """
-        # _alive_set is kept in sync by on_node_death (every death
-        # path funnels through it before the probe runs), so iterating
-        # it skips the per-node ``alive`` property chain; the mesh
-        # guard drops the battery-less source node, and the quantile
-        # helper sorts, so set order cannot leak into the trace.
+        # Every death path calls on_node_death before the probe runs,
+        # so the live set is exact here; the mesh guard drops the
+        # cell-less source, and the quantile helper sorts, so set order
+        # cannot leak into the trace.
         soc = self.bank.soc_vector().tolist()
         mesh = self.num_mesh_nodes
         socs = [soc[node] for node in self._alive_set if node < mesh]
@@ -526,10 +531,9 @@ class EngineBase:
                         link=[u, v],
                     )
             elif event.kind == "node-kill":
-                unit = self.nodes[event.node_a]
-                if not unit.alive:
+                if event.node_a not in self._alive_set:
                     continue
-                unit.fail()
+                self._killed[event.node_a] = True
                 self.on_node_death(event.node_a)
                 self.nodes_fault_killed += 1
                 self.faults_injected += 1
@@ -600,14 +604,13 @@ class EngineBase:
                     continue
                 if trace:
                     offered_pj += offered
-                unit = self.nodes[node]
                 # A fault-killed node's generator is as torn as its
                 # module: only living nodes can harvest.
-                if not unit.alive:
+                if node not in self._alive_set:
                     if trace:
                         rejecting_nodes += 1
                     continue
-                accepted = unit.battery.recharge(offered)
+                accepted = self.bank.recharge_one(node, offered)
                 if trace:
                     accepted_pj += accepted
                     if accepted < offered:
@@ -656,8 +659,7 @@ class EngineBase:
                             paths[v] = paths[u] + (v,)
                             lengths_to[v] = candidate_len
                         continue
-                    unit = self.nodes[v]
-                    if not unit.alive:
+                    if v not in self._alive_set:
                         continue
                     paths[v] = paths[u] + (v,)
                     lengths_to[v] = candidate_len
@@ -692,11 +694,11 @@ class EngineBase:
             return
         threshold = config.share_threshold
         efficiency = config.share_efficiency
+        bank = self.bank
         for donor in range(self.num_mesh_nodes):
-            unit = self.nodes[donor]
-            if not unit.alive:
+            if donor not in self._alive_set:
                 continue
-            soc = unit.battery.state_of_charge
+            soc = bank.soc_one(donor)
             poorest = None
             poorest_soc = soc - threshold
             if poorest_soc <= 0.0:
@@ -708,7 +710,7 @@ class EngineBase:
                 donor, config.share_max_hops
             )
             for node in candidates:
-                other_soc = self.nodes[node].battery.state_of_charge
+                other_soc = bank.soc_one(node)
                 if other_soc < poorest_soc:
                     poorest = node
                     poorest_soc = other_soc
@@ -716,16 +718,12 @@ class EngineBase:
                 continue
             # Never push more than half the gap: the bus equalises, it
             # must not overshoot and slosh charge back next frame.
-            gap_pj = (
-                (soc - poorest_soc)
-                * unit.battery.nominal_capacity_pj
-                / 2.0
-            )
+            gap_pj = (soc - poorest_soc) * bank.capacity_pj / 2.0
             transfer = min(rate, gap_pj)
             if transfer <= 0.0:
                 continue
-            result = unit.battery.draw(
-                transfer, self.schedule.frame_cycles
+            result = bank.draw_one(
+                donor, transfer, self.schedule.frame_cycles
             )
             energy = result.delivered_pj
             prev = donor
@@ -738,7 +736,7 @@ class EngineBase:
                     self.ledger.note_share_relay(hop, arrived)
                 energy = arrived
                 prev = hop
-            accepted = self.nodes[poorest].battery.recharge(energy)
+            accepted = bank.recharge_one(poorest, energy)
             self.ledger.add_share(
                 donor,
                 result.delivered_pj,
@@ -790,7 +788,8 @@ class EngineBase:
     # Shared helpers
     # ------------------------------------------------------------------
     def on_node_death(self, node: int) -> None:
-        """Hook invoked the moment a node's battery dies."""
+        """Hook invoked the moment a node dies: its cell was exhausted
+        or fault injection killed it."""
         self._alive_set.discard(node)
         self.ledger.mark_death(node, self.frames_done)
         if self._trace:
@@ -798,18 +797,15 @@ class EngineBase:
                 "node-death", frame=self.frames_done, node=node
             )
 
-    def _alive_ids(self) -> set[int]:
-        return set(self._alive_set)
-
     def _check_reachability(self, origin: int, cause: str) -> None:
         """Raise system death if some module is unreachable from origin."""
         if not system_is_alive(
-            self.topology, self._alive_ids(), self.mapping, origin
+            self.topology, self._alive_set, self.mapping, origin
         ):
             raise SystemDead(cause)
 
     def _source_reachable_from(self, node: int) -> bool:
-        reachable = reachable_set(self.topology, self._alive_ids(), node)
+        reachable = reachable_set(self.topology, self._alive_set, node)
         return self.source in reachable
 
     def _transmit(self, sender: int, receiver: int, holder: int) -> bool:
@@ -826,23 +822,31 @@ class EngineBase:
         if self._traversal_sinks:
             for note in self._traversal_sinks:
                 note(sender, receiver)
-        unit = self.nodes[sender]
-        result = unit.draw(energy, self.hop_cycles)
-        if unit.has_infinite_supply:
-            self.ledger.add_source_tx(result.delivered_pj)
+        died = False
+        if sender == self.source:
+            # The source block has an infinite supply.
+            self.ledger.add_source_tx(energy)
         else:
+            result = self._draw(sender, energy, self.hop_cycles)
             self.ledger.add_data_tx(
                 sender, result.delivered_pj, relay=sender != holder
             )
-        if result.died:
-            self.on_node_death(sender)
+            died = result.died
+            if died:
+                self.on_node_death(sender)
         self.total_hops += 1
-        return not result.died
+        return not died
 
-    def _module_energy(self, module: int) -> float:
-        from ..aes.energy import module_energy_pj
+    def _draw(self, node: int, energy_pj: float, cycles: float) -> DrawResult:
+        """Draw from mesh node ``node``'s cell.
 
-        return module_energy_pj(module)
+        Raises :class:`DeadNodeError` for a dead or fault-killed node:
+        engines check liveness first, so hitting it is a simulator bug,
+        not a modelling event.
+        """
+        if node not in self._alive_set:
+            raise DeadNodeError(node, "draw energy")
+        return self.bank.draw_one(node, energy_pj, cycles)
 
     def _compute_cycles(self, module: int) -> int:
         return self.config.platform.compute_cycles.get(module, 12)
@@ -865,16 +869,16 @@ class EngineBase:
         wasted = 0.0
         stranded = 0.0
         loss = 0.0
+        bank = self.bank
         for node in range(self.num_mesh_nodes):
-            unit = self.nodes[node]
-            battery = unit.battery
+            residual = max(0.0, bank.capacity_pj - bank.consumed_one(node))
             # A fault-killed node's residual charge is as unreachable as
             # a depleted cell's, so it counts as wasted, not stranded.
-            if unit.alive:
-                stranded += battery.wasted_pj
+            if node in self._alive_set:
+                stranded += residual
             else:
-                wasted += battery.wasted_pj
-            loss += battery.loss_pj
+                wasted += residual
+            loss += bank.loss_one(node)
         # The textile power bus loses energy in conversion too: drawn
         # from donors minus accepted by receivers.
         loss += self.ledger.share_loss_pj

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from ..aes.energy import module_energy_pj
 from ..core.phase3 import SINK
 from .base_engine import EngineBase, SystemDead
 from .job import Job
@@ -62,8 +63,11 @@ class ConcurrentEngine(EngineBase):
     def __init__(self, config, recorder=None):
         super().__init__(config, recorder)
         capacity = config.platform.node_buffer_packets
+        # Mesh nodes first, then the source: the key order is the slot
+        # service order (see run).
         self.buffers: dict[int, deque[_Packet]] = {
-            node: deque() for node in self.nodes
+            node: deque()
+            for node in (*range(self.num_mesh_nodes), self.source)
         }
         self.capacity: dict[int, int] = {
             node: capacity for node in range(self.num_mesh_nodes)
@@ -183,7 +187,7 @@ class ConcurrentEngine(EngineBase):
     ) -> bool:
         """Contention rules for one hop this slot."""
         return (
-            self.nodes[next_hop].alive
+            next_hop in self._alive_set
             and self._link_alive(node, next_hop)
             and len(self.buffers[next_hop]) < self.capacity[next_hop]
             and (node, next_hop) not in used_links
@@ -201,7 +205,7 @@ class ConcurrentEngine(EngineBase):
         plan = self.control.plan
         candidates = []
         for neighbor in self.topology.neighbors(node):
-            if not self.nodes[neighbor].alive:
+            if neighbor not in self._alive_set:
                 continue
             distance = plan.distances[neighbor, column]
             if distance != float("inf"):
@@ -241,7 +245,9 @@ class ConcurrentEngine(EngineBase):
             if not self._link_alive(node, next_hop):
                 self._note_fault_block(node, next_hop)
                 packet.fault_blocked = True
-            elif self.nodes[next_hop].fault_killed:
+            elif next_hop not in self._alive_set and self._killed[next_hop]:
+                # The live-set test comes first: a to-sink packet's next
+                # hop may be the source, which has no kill-record entry.
                 packet.fault_blocked = True
             self._note_wait(node, packet, next_hop)
             return False
@@ -287,8 +293,7 @@ class ConcurrentEngine(EngineBase):
         """
         if node in self.computing or not self.buffers[node]:
             return False
-        unit = self.nodes[node]
-        if not unit.alive:
+        if node not in self._alive_set:
             return False
         packet = self.buffers[node][0]
         plan = self.control.plan
@@ -320,9 +325,8 @@ class ConcurrentEngine(EngineBase):
             return False
         destination = plan.destination(node, module)
         if destination == node:
-            energy = self._module_energy(module)
             cycles = self._compute_cycles(module)
-            result = unit.draw(energy, cycles)
+            result = self._draw(node, module_energy_pj(module), cycles)
             self.ledger.add_compute(node, result.delivered_pj)
             if result.died:
                 self.on_node_death(node)

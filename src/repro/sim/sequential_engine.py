@@ -28,6 +28,7 @@ when every controller is dead, or when the frame safety budget expires.
 
 from __future__ import annotations
 
+from ..aes.energy import module_energy_pj
 from ..core.phase3 import NO_DESTINATION, SINK
 from ..errors import SimulationError
 from .base_engine import (
@@ -66,11 +67,12 @@ class SequentialEngine(EngineBase):
         hops = 0
         fault_blocked = False
         hop_guard = HOP_GUARD_FACTOR * self.topology.num_nodes
+        alive = self._alive_set
         while True:
             plan = self.control.plan
             if plan is None:
                 raise SimulationError("routing plan missing after bootstrap")
-            if not self.nodes[current].alive:
+            if current not in alive:
                 return None  # mid-route relay death; retry upstream
             if not plan.has_destination(current, module):
                 # Stale or genuinely dead: wait for the control plane to
@@ -87,7 +89,7 @@ class SequentialEngine(EngineBase):
                     self.packets_rerouted += 1
                 return current
             next_hop = plan.next_hop(current, module)
-            if not self.nodes[next_hop].alive or not self._link_alive(
+            if next_hop not in alive or not self._link_alive(
                 current, next_hop
             ):
                 # The table still points at a node or line that just
@@ -95,7 +97,7 @@ class SequentialEngine(EngineBase):
                 if not self._link_alive(current, next_hop):
                     self._note_fault_block(current, next_hop)
                     fault_blocked = True
-                elif self.nodes[next_hop].fault_killed:
+                elif self._killed[next_hop]:
                     fault_blocked = True
                 waited += 1
                 if waited > MAX_WAIT_FRAMES:
@@ -118,12 +120,13 @@ class SequentialEngine(EngineBase):
         hops = 0
         fault_blocked = False
         hop_guard = HOP_GUARD_FACTOR * self.topology.num_nodes
+        alive = self._alive_set
         while current != self.source:
             plan = self.control.plan
             successor = plan.hop(current, SINK)
             if (
                 successor == NO_DESTINATION
-                or not self.nodes[successor].alive
+                or successor not in alive
                 or not self._link_alive(current, successor)
             ):
                 if not self._source_reachable_from(current):
@@ -132,7 +135,7 @@ class SequentialEngine(EngineBase):
                     if not self._link_alive(current, successor):
                         self._note_fault_block(current, successor)
                         fault_blocked = True
-                    elif self.nodes[successor].fault_killed:
+                    elif self._killed[successor]:
                         fault_blocked = True
                 waited += 1
                 if waited > MAX_WAIT_FRAMES:
@@ -153,10 +156,8 @@ class SequentialEngine(EngineBase):
 
     def _compute(self, job: Job, node: int, module: int) -> bool:
         """Execute the job's current operation at ``node``."""
-        energy = self._module_energy(module)
         cycles = self._compute_cycles(module)
-        unit = self.nodes[node]
-        result = unit.draw(energy, cycles)
+        result = self._draw(node, module_energy_pj(module), cycles)
         self.ledger.add_compute(node, result.delivered_pj)
         if result.died:
             self.on_node_death(node)
@@ -178,14 +179,15 @@ class SequentialEngine(EngineBase):
         Returns ``"completed"`` or ``"lost"``; raises :class:`SystemDead`
         on system death.
         """
+        alive = self._alive_set
         while not job.completed:
             module = job.current_operation.module
-            if not self.nodes[job.holder].alive:
+            if job.holder not in alive:
                 return "lost"
             arrival = self._route_to_module(job, module)
             if arrival is None:
                 self.op_retries += 1
-                if not self.nodes[job.holder].alive:
+                if job.holder not in alive:
                     return "lost"
                 continue
             if not self._compute(job, arrival, module):
@@ -194,7 +196,7 @@ class SequentialEngine(EngineBase):
         if self.config.platform.return_to_sink:
             delivered = False
             while not delivered:
-                if not self.nodes[job.holder].alive:
+                if job.holder not in alive:
                     return "lost"
                 delivered = self._route_to_sink(job)
                 if not delivered:

@@ -7,11 +7,10 @@ every cell alike run as array passes.  Each bank is the *same* battery
 model as its scalar class, arithmetic line by line — EMA smoothing,
 discharge-curve interpolation, rate-capacity penalty, death conditions:
 
-* ``draw_one`` / ``recharge_one`` / ``rest_one`` run the scalar code
-  path on one index (per-hop and compute draws, harvest, the power
-  bus), and :class:`BankBatteryView` adapts one index to the
-  :class:`~repro.battery.base.Battery` interface, so everything written
-  against per-node batteries reads bank-backed nodes unchanged;
+* ``draw_one`` / ``recharge_one`` run the scalar code path on one
+  index (per-hop and compute draws, harvest, the power bus), and the
+  other ``*_one`` methods read one cell's charge, voltage and losses:
+  the engines address each mesh cell by its node id;
 * ``draw_uniform`` and ``rest`` apply one draw or rest to every masked
   cell (the frame's status uploads) and match the scalar model bit for
   bit: the EMA factor comes from one ``math.exp`` and the rate penalty
@@ -31,59 +30,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..battery.base import Battery, DrawResult
+from ..battery.base import DrawResult
 from ..battery.ideal import DEFAULT_VOLTAGE
 from ..battery.thin_film import _PJ_PER_CYCLE_TO_MW, ThinFilmParameters
 from ..errors import BatteryError, ConfigurationError
-
-
-class BankBatteryView(Battery):
-    """One bank index presented through the scalar Battery interface."""
-
-    def __init__(self, bank: "IdealBatteryBank | ThinFilmBatteryBank", index: int):
-        self._bank = bank
-        self._index = index
-
-    @property
-    def nominal_capacity_pj(self) -> float:
-        return self._bank.capacity_pj
-
-    @property
-    def delivered_pj(self) -> float:
-        return float(self._bank.delivered[self._index])
-
-    @property
-    def recharged_pj(self) -> float:
-        return float(self._bank.recharged[self._index])
-
-    @property
-    def consumed_pj(self) -> float:
-        return self._bank.consumed_one(self._index)
-
-    @property
-    def loss_pj(self) -> float:
-        return self._bank.loss_one(self._index)
-
-    @property
-    def alive(self) -> bool:
-        return bool(self._bank.alive[self._index])
-
-    @property
-    def voltage(self) -> float:
-        return self._bank.voltage_one(self._index)
-
-    @property
-    def state_of_charge(self) -> float:
-        return self._bank.soc_one(self._index)
-
-    def draw(self, energy_pj: float, duration_cycles: float) -> DrawResult:
-        return self._bank.draw_one(self._index, energy_pj, duration_cycles)
-
-    def recharge(self, energy_pj: float) -> float:
-        return self._bank.recharge_one(self._index, energy_pj)
-
-    def rest(self, duration_cycles: float) -> None:
-        self._bank.rest_one(self._index, duration_cycles)
 
 
 def _check_draw_args(energy_pj: float, duration_cycles: float) -> None:
@@ -166,7 +116,7 @@ class IdealBatteryBank:
         consumed = self.delivered - self.recharged
         return np.minimum(1.0, np.maximum(0.0, 1.0 - consumed / self.capacity_pj))
 
-    # -- scalar access (power sharing, views) ---------------------------
+    # -- scalar access (per-hop draws, harvest, power sharing) ----------
     def consumed_one(self, i: int) -> float:
         return float(self.delivered[i] - self.recharged[i])
 
@@ -208,12 +158,6 @@ class IdealBatteryBank:
         accepted = min(energy_pj, max(0.0, self.consumed_one(i)))
         self.recharged[i] += accepted
         return accepted
-
-    def rest_one(self, i: int, duration_cycles: float) -> None:
-        if duration_cycles < 0:
-            raise ConfigurationError(
-                f"rest duration must be non-negative, got {duration_cycles}"
-            )
 
 
 class ThinFilmBatteryBank:
@@ -441,7 +385,7 @@ class ThinFilmBatteryBank:
     def soc_vector(self) -> np.ndarray:
         return 1.0 - np.minimum(1.0, self.consumed / self.capacity_pj)
 
-    # -- scalar access (per-hop draws, harvest, power sharing, views) ---
+    # -- scalar access (per-hop draws, harvest, power sharing) ----------
     def consumed_one(self, i: int) -> float:
         return float(self.consumed[i])
 
@@ -529,15 +473,6 @@ class ThinFilmBatteryBank:
         self.consumed[i] -= accepted
         self.recharged[i] += accepted
         return accepted
-
-    def rest_one(self, i: int, duration_cycles: float) -> None:
-        if duration_cycles < 0:
-            raise ConfigurationError(
-                f"rest duration must be non-negative, got {duration_cycles}"
-            )
-        if duration_cycles == 0:
-            return
-        self.ema[i] *= math.exp(-duration_cycles / self._p.ema_window_cycles)
 
 
 def build_battery_bank(platform, count: int):

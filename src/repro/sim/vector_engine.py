@@ -34,6 +34,7 @@ import time
 
 import numpy as np
 
+from ..aes.energy import module_energy_pj
 from ..control.controller import StatusReport
 from ..errors import SimulationError
 from .sequential_engine import SequentialEngine
@@ -96,10 +97,9 @@ class VectorEngine(SequentialEngine):
         if self._traversal_sinks:
             for note in self._traversal_sinks:
                 note(sender, receiver)
-        unit = self.nodes[sender]
-        if unit.has_infinite_supply:
-            result = unit.draw(energy, self.hop_cycles)
-            self.ledger.add_source_tx(result.delivered_pj)
+        if sender == self.source:
+            # The source block has an infinite supply.
+            self.ledger.add_source_tx(energy)
         else:
             self._hop_senders.append(sender)
             self._hop_energies.append(energy)
@@ -116,14 +116,13 @@ class VectorEngine(SequentialEngine):
         fault) killed the node, the result is wasted and the operation
         retries from the holder — the sequential engine's rule.
         """
-        energy = self._module_energy(module)
         cycles = self._compute_cycles(module)
         self._compute_nodes.append(node)
-        self._compute_energies.append(energy)
+        self._compute_energies.append(module_energy_pj(module))
         self._compute_cycles_acc.append(cycles)
         self._operations[node] += 1
         self._advance_time(cycles)
-        if not self.nodes[node].alive:
+        if node not in self._alive_set:
             return False
         job.execute_current(node)
         return True
@@ -132,7 +131,7 @@ class VectorEngine(SequentialEngine):
         """Apply the frame's whole load as one vectorised draw.
 
         Hop and compute buckets — plus, at a frame boundary, every
-        living unit's status-upload energy — merge into a single
+        living node's status-upload energy — merge into a single
         per-node ``(request, duration)`` pair, so a cell absorbs its
         frame as one aggregate draw.  Delivered energy is split back
         into the ledger's data/compute/upload columns in proportion to
@@ -144,10 +143,10 @@ class VectorEngine(SequentialEngine):
         bank = self.bank
         if upload:
             if self._upload_vectors is None:
-                unit_alive = bank.alive & ~self._killed
+                living = bank.alive & ~self._killed
                 self._upload_vectors = (
-                    np.where(unit_alive, self._upload_energy, 0.0),
-                    np.where(unit_alive, self._upload_cycles, 0.0),
+                    np.where(living, self._upload_energy, 0.0),
+                    np.where(living, self._upload_cycles, 0.0),
                 )
             upload_req, upload_dur = self._upload_vectors
             requests = upload_req.copy()

@@ -1,6 +1,8 @@
 """Integration tests: the concurrent (buffered) engine and deadlock
 recovery."""
 
+from dataclasses import replace
+
 import pytest
 
 from helpers import build_engine, make_config
@@ -98,9 +100,7 @@ class TestConcurrencyThroughput:
     def test_energy_conservation_concurrent(self):
         engine = build_engine(concurrent_config(concurrency=4))
         stats = engine.run()
-        delivered = sum(
-            engine.nodes[n].battery.delivered_pj for n in range(16)
-        )
+        delivered = engine.bank.delivered.sum()
         assert delivered == pytest.approx(
             stats.energy.node_total_pj, rel=1e-9
         )
@@ -111,3 +111,33 @@ class TestConcurrencyThroughput:
         # Contention wastes energy on waiting/detours but the system
         # still completes a substantial job count.
         assert heavy.jobs_completed > 0.3 * light.jobs_completed
+
+
+class TestReturnToSink:
+    def test_finished_packets_walk_back_into_the_source(self):
+        """With return on, every finished packet walks back into the
+        source, the one node with no cell and no kill-record entry."""
+        hops = {}
+        for return_to_sink in (False, True):
+            config = make_config(
+                kind="concurrent", concurrency=3, battery="ideal", max_jobs=40
+            )
+            config = replace(
+                config,
+                platform=replace(config.platform, return_to_sink=return_to_sink),
+            )
+            engine = build_engine(config)
+            stats = engine.run()
+            assert stats.death_cause == "job-budget"
+            assert stats.jobs_completed == 40
+            assert stats.verification_failures == 0
+            ledger = stats.energy
+            delivered = engine.bank.delivered.sum()
+            assert delivered == pytest.approx(ledger.node_total_pj, rel=1e-9)
+            nominal = 16 * config.platform.battery_capacity_pj
+            residual = stats.wasted_at_death_pj + stats.stranded_alive_pj
+            assert nominal == pytest.approx(
+                delivered + stats.conversion_loss_pj + residual, rel=1e-9
+            )
+            hops[return_to_sink] = stats.total_hops
+        assert hops[True] > hops[False]

@@ -1,12 +1,17 @@
 """Integration tests of engine internals: platform construction, frame
-protocol, reporting, and the concurrent engine's recovery mechanics."""
+protocol, reporting, the live-node set, and the concurrent engine's
+recovery mechanics."""
+
+from dataclasses import replace
 
 import pytest
 
 from helpers import make_config
 from repro.config import PlatformConfig, SimulationConfig
+from repro.harvest import HarvestConfig
 from repro.sim.base_engine import SystemDead
 from repro.sim.concurrent_engine import ConcurrentEngine
+from repro.sim.registry import build_engine
 from repro.sim.sequential_engine import SequentialEngine
 from repro.telemetry.recorder import TraceRecorder
 
@@ -28,7 +33,9 @@ class TestPlatformConstruction:
         assert engine.num_mesh_nodes == 16
         assert engine.topology.num_nodes == 17  # mesh + source
         assert engine.source == 16
-        assert engine.nodes[engine.source].has_infinite_supply
+        # The source has an infinite supply: no cell, no kill record.
+        assert len(engine.bank.alive) == len(engine._killed) == 16
+        assert engine.source in engine._alive_set
 
     def test_source_link_length_respected(self):
         engine = sequential_engine(source_link_cm=25.0)
@@ -39,7 +46,8 @@ class TestPlatformConstruction:
         engine = sequential_engine()
         for node in range(16):
             assert engine.mapping.module_of(node) in (1, 2, 3)
-            assert engine.nodes[node].battery is not None
+            assert engine.bank.alive[node]
+            assert node in engine._alive_set
 
     def test_hop_cycles_from_packet_format(self):
         engine = sequential_engine()
@@ -84,12 +92,12 @@ class TestTransmitAccounting:
     def test_transmit_charges_the_sender(self):
         engine = sequential_engine()
         engine.control.bootstrap()
-        node_before = engine.nodes[0].battery.delivered_pj
+        node_before = engine.bank.delivered[0]
         assert engine._transmit(0, 1, holder=0)
         hop = engine.link_model.hop_energy_pj(
             float(engine.lengths[0, 1])
         )
-        assert engine.nodes[0].battery.delivered_pj == pytest.approx(
+        assert engine.bank.delivered[0] == pytest.approx(
             node_before + hop
         )
         assert engine.ledger.data_tx_pj == pytest.approx(hop)
@@ -172,12 +180,13 @@ class TestHeartbeatOrder:
             recorder,
         )
         j, i, k = 2, 5, 9
-        capacity = engine.nodes[i].battery.nominal_capacity_pj
+        bank = engine.bank
+        capacity = bank.capacity_pj
         # Less than one upload's energy left: the heartbeat kills i.
-        engine.nodes[i].battery.draw(capacity - 1.0, 100)
+        bank.draw_one(i, capacity - 1.0, 100)
         # Half a cell: j and k drop from level 7 to level 3.
         for node in (j, k):
-            engine.nodes[node].battery.draw(capacity / 2, 100)
+            bank.draw_one(node, capacity / 2, 100)
         engine.pending_deadlock.update({j: 3, k: 13})
 
         reports, heartbeats = engine._heartbeat_phase()
@@ -208,6 +217,79 @@ class TestHeartbeatOrder:
         # the next frame has nothing new to report.
         reports, heartbeats = engine._heartbeat_phase()
         assert reports == [] and heartbeats == 15
+
+
+class _LiveSetProbe:
+    """A recorder whose frame probe checks the engine's live-node set
+    against the cells and the kill record, and counts deaths."""
+
+    active = True
+    times = False
+
+    def __init__(self):
+        self.engine = None
+        self.frames = 0
+        self.deaths = 0
+        self.kills = 0
+
+    def check(self) -> None:
+        engine = self.engine
+        expected = {
+            node
+            for node in range(engine.num_mesh_nodes)
+            if engine.bank.alive[node] and not engine._killed[node]
+        }
+        assert engine._alive_set == expected | {engine.source}
+
+    def frame(self, frame, **fields):
+        self.check()
+        self.frames += 1
+
+    def event(self, event, frame, **fields):
+        if event == "node-death":
+            self.deaths += 1
+        elif fields.get("fault") == "node-kill":
+            self.kills += 1
+
+    def timing(self, name, seconds):
+        pass
+
+
+class TestLiveSet:
+    """The live-node set is the engines' one liveness record: at every
+    frame it holds exactly the mesh nodes whose cell is alive and that
+    no fault killed, plus the source."""
+
+    @pytest.mark.parametrize("harvest", [None, "bus"])
+    @pytest.mark.parametrize(
+        "fault_profile", [None, "node-dropout", "link-attrition"]
+    )
+    @pytest.mark.parametrize("engine_name", ["sequential", "concurrent", "vector"])
+    def test_live_set_mirrors_the_cells_and_the_kill_record(
+        self, engine_name, fault_profile, harvest
+    ):
+        kind = "concurrent" if engine_name == "concurrent" else "sequential"
+        config = make_config(
+            kind=kind,
+            engine=engine_name,
+            concurrency=3 if kind == "concurrent" else 1,
+            fault_profile=fault_profile,
+            fault_seed=3,
+            harvest=HarvestConfig(profile=harvest, seed=3) if harvest else None,
+        )
+        config = replace(
+            config,
+            platform=replace(config.platform, battery_capacity_pj=8_000.0),
+        )
+        probe = _LiveSetProbe()
+        engine = build_engine(config, probe)
+        probe.engine = engine
+        engine.run()
+        probe.check()
+        assert probe.frames > 0
+        # Cells die in every run, not only fault-killed nodes.
+        assert probe.deaths > probe.kills
+        assert probe.kills == engine.nodes_fault_killed
 
 
 def _quick_point(scenario: str, label: str):

@@ -114,25 +114,17 @@ class TestEngineStateUnderFaults:
         config = make_config(fault_profile="node-dropout", fault_seed=3)
         engine = build_engine(config)
         stats = engine.run()
-        killed = [
-            node
-            for node in range(engine.num_mesh_nodes)
-            if engine.nodes[node].fault_killed
-        ]
+        killed = engine._killed.nonzero()[0].tolist()
         assert len(killed) == stats.nodes_fault_killed
         for node in killed:
-            assert not engine.nodes[node].alive
-            assert engine.nodes[node].battery.alive  # cell still charged
-            assert node not in engine._alive_ids()
+            assert node not in engine._alive_set
+            assert engine.bank.alive[node]  # cell still charged
 
     def test_energy_conservation_holds_under_faults(self):
         config = make_config(fault_profile="link-attrition", fault_seed=7)
         engine = build_engine(config)
         stats = engine.run()
-        delivered = sum(
-            engine.nodes[n].battery.delivered_pj
-            for n in range(engine.num_mesh_nodes)
-        )
+        delivered = engine.bank.delivered.sum()
         assert delivered == pytest.approx(
             stats.energy.node_total_pj, rel=1e-9
         )

@@ -91,10 +91,10 @@ class TestHarvestRuns:
             node.harvested_pj for node in ledger.nodes.values()
         )
         assert per_node == pytest.approx(ledger.harvested_pj)
+        bank = engine.bank
         for node in range(engine.num_mesh_nodes):
-            battery = engine.nodes[node].battery
-            if not battery.alive:
-                assert battery.recharge(100.0) == 0.0
+            if not bank.alive[node]:
+                assert bank.recharge_one(node, 100.0) == 0.0
 
 
 class TestPowerBus:

@@ -64,10 +64,7 @@ class TestEnergyAccounting:
         stats = engine.run()
         ledger = stats.energy
 
-        delivered = sum(
-            engine.nodes[n].battery.delivered_pj
-            for n in range(16)
-        )
+        delivered = engine.bank.delivered.sum()
         # Everything delivered by node batteries is accounted in the
         # node-side buckets.
         assert delivered == pytest.approx(ledger.node_total_pj, rel=1e-9)

@@ -129,12 +129,8 @@ class TestConservationAgreement:
         ledger = stats.energy
         mesh = config.platform.num_mesh_nodes
         nominal = config.platform.battery_capacity_pj * mesh
-        delivered = sum(
-            engine.nodes[n].battery.delivered_pj for n in range(mesh)
-        )
-        recharged = sum(
-            engine.nodes[n].battery.recharged_pj for n in range(mesh)
-        )
+        delivered = engine.bank.delivered.sum()
+        recharged = engine.bank.recharged.sum()
         residual = stats.wasted_at_death_pj + stats.stranded_alive_pj
         assert delivered == approx(ledger.node_total_pj)
         assert recharged == approx(ledger.harvested_pj + ledger.shared_pj)
@@ -223,7 +219,7 @@ class TestEventCountAgreement:
         assert harvest.amplitude_pj <= engine.schedule.upload_energy_pj
         stats = engine.run()
         mesh = config.platform.num_mesh_nodes
-        assume(all(engine.nodes[n].alive for n in range(mesh)))
+        assume(set(range(mesh)) <= engine._alive_set)
         oracle_schedule = build_harvest_schedule(
             harvest, config.platform.make_topology(), mesh
         )

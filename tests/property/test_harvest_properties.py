@@ -156,14 +156,8 @@ def test_energy_conservation_includes_the_harvested_term(
     nominal = (
         config.platform.battery_capacity_pj * config.platform.num_mesh_nodes
     )
-    delivered = sum(
-        engine.nodes[n].battery.delivered_pj
-        for n in range(config.platform.num_mesh_nodes)
-    )
-    recharged = sum(
-        engine.nodes[n].battery.recharged_pj
-        for n in range(config.platform.num_mesh_nodes)
-    )
+    delivered = engine.bank.delivered.sum()
+    recharged = engine.bank.recharged.sum()
     residual = stats.wasted_at_death_pj + stats.stranded_alive_pj
     # Per-battery draws all land in ledger buckets (incl. bus draws).
     assert delivered == pytest.approx(ledger.node_total_pj, rel=1e-9)
@@ -293,7 +287,7 @@ def test_non_equipped_nodes_never_harvest(
         engine.harvest_schedule.income(frame) is not None
         for frame in range(1, stats.lifetime_frames)
     )
-    if offered and all(engine.nodes[n].alive for n in range(mesh)):
+    if offered and set(range(mesh)) <= engine._alive_set:
         assert stats.harvested_pj > 0
 
 

@@ -60,10 +60,7 @@ def test_energy_conservation_holds(config):
         config.platform.battery_capacity_pj
         * config.platform.num_mesh_nodes
     )
-    delivered = sum(
-        engine.nodes[n].battery.delivered_pj
-        for n in range(config.platform.num_mesh_nodes)
-    )
+    delivered = engine.bank.delivered.sum()
     residual = stats.wasted_at_death_pj + stats.stranded_alive_pj
     assert delivered == pytest.approx(stats.energy.node_total_pj, rel=1e-9)
     assert nominal == pytest.approx(

@@ -1,44 +1,14 @@
-"""Unit tests for the simulator building blocks: nodes, jobs, workload,
-stats (repro.sim)."""
+"""Unit tests for the simulator building blocks: jobs, workload, stats
+(repro.sim)."""
 
 import pytest
 
 from repro.aes.cipher import encrypt_block
 from repro.aes.dataflow import AesJobDataflow
-from repro.battery.ideal import IdealBattery
-from repro.errors import DeadNodeError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.job import Job
-from repro.sim.node import NetworkNode
 from repro.sim.stats import EnergyLedger, NodeStats, SimulationStats
 from repro.sim.workload import JobFactory
-
-
-class TestNetworkNode:
-    def test_battery_node(self):
-        node = NetworkNode(0, module=1, battery=IdealBattery(100.0))
-        assert node.alive
-        result = node.draw(40.0, 10)
-        assert result.complete
-        assert node.state_of_charge == pytest.approx(0.6)
-
-    def test_infinite_node(self):
-        node = NetworkNode(0, module=None, battery=None)
-        node.draw(1e9, 10)
-        assert node.alive
-        assert node.infinite_drawn_pj == 1e9
-        assert node.state_of_charge == 1.0
-
-    def test_drawing_from_dead_node_is_a_bug(self):
-        node = NetworkNode(0, module=1, battery=IdealBattery(10.0))
-        node.draw(10.0, 1)
-        assert not node.alive
-        with pytest.raises(DeadNodeError):
-            node.draw(1.0, 1)
-
-    def test_repr(self):
-        assert "module=2" in repr(
-            NetworkNode(3, module=2, battery=IdealBattery())
-        )
 
 
 class TestJob:

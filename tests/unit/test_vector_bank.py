@@ -16,7 +16,6 @@ from repro.battery.thin_film import ThinFilmBattery, ThinFilmParameters
 from repro.config import PlatformConfig
 from repro.errors import BatteryError, ConfigurationError
 from repro.sim.vector_bank import (
-    BankBatteryView,
     IdealBatteryBank,
     ThinFilmBatteryBank,
     build_battery_bank,
@@ -100,19 +99,18 @@ class TestThinFilmParity:
                 battery._ema_power, rel=1e-12
             )
 
-    def test_view_draw_is_the_scalar_code_path(self):
+    def test_draw_one_is_the_scalar_code_path(self):
         bank, scalars = thin_film_pair(count=2)
-        view = BankBatteryView(bank, 0)
         reference = scalars[0]
         for energy, duration in ((150.0, 128.0), (90.0, 64.0), (0.0, 32.0)):
-            mine = view.draw(energy, duration)
+            mine = bank.draw_one(0, energy, duration)
             theirs = reference.draw(energy, duration)
             assert mine.delivered_pj == theirs.delivered_pj
             assert mine.voltage == theirs.voltage
             assert mine.died == theirs.died
-        assert view.consumed_pj == reference.consumed_pj
-        assert view.state_of_charge == reference.state_of_charge
-        assert view.voltage == reference.voltage
+        assert bank.consumed_one(0) == reference.consumed_pj
+        assert bank.soc_one(0) == reference.state_of_charge
+        assert bank.voltage_one(0) == reference.voltage
 
     def test_dead_cell_scalar_draw_raises(self):
         bank, _ = thin_film_pair(count=1)

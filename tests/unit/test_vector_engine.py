@@ -2,8 +2,9 @@
 
 The cross-engine property suite pins the *observable* agreements
 (jobs, conservation, event counts); these tests reach into the
-engine itself: its bank-backed mesh nodes, the deferred draw buckets,
-the upload-vector cache and the finalisation-time conservation check.
+engine itself: its mesh cells and live-node set, the deferred draw
+buckets, the upload-vector cache and the finalisation-time
+conservation check.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import pytest
 
 from helpers import build_engine, make_config
 from repro.errors import DeadNodeError, SimulationError
-from repro.sim.node import NetworkNode
 from repro.sim.vector_engine import VectorEngine
 
 
@@ -88,7 +88,7 @@ class TestDeferredDraws:
     def test_fault_killed_nodes_pay_no_upload(self):
         engine = build_engine(vector_config())
         victim = 7
-        engine.nodes[victim].fail()
+        engine._killed[victim] = True
         engine.on_node_death(victim)
         engine._flush_buckets(upload=True)
         upload_req, _ = engine._upload_vectors
@@ -96,30 +96,24 @@ class TestDeferredDraws:
 
 
 class TestMeshNodes:
-    """The vector engine keeps the base engine's mesh nodes: one node
-    object per bank cell and one shared kill record."""
-
-    def test_node_tracks_its_cell_and_the_kill_record(self):
-        engine = build_engine(vector_config())
-        node = engine.nodes[3]
-        assert isinstance(node, NetworkNode)
-        assert node.alive and not node.fault_killed
-        engine.bank.alive[3] = False
-        assert not node.alive
-        engine.bank.alive[3] = True
-        node.fail()
-        assert engine._killed[3]
-        assert node.fault_killed and not node.alive
+    """The vector engine keeps the base engine's mesh cells: one bank
+    index per node id, one kill record and one live-node set."""
 
     def test_killed_node_rejects_draws(self):
+        """A fault-killed node and a node whose cell a draw exhausted
+        both reject draws: drawing from either is a simulator bug."""
         engine = build_engine(vector_config())
-        node = engine.nodes[3]
-        node.fail()
-        with pytest.raises(DeadNodeError):
-            node.draw(10.0, 16.0)
+        engine._killed[3] = True
+        engine.on_node_death(3)
+        assert engine._draw(4, engine.bank.capacity_pj, 16.0).died
+        engine.on_node_death(4)
+        for node in (3, 4):
+            with pytest.raises(DeadNodeError):
+                engine._draw(node, 1.0, 16.0)
 
     def test_source_has_no_cell(self):
         engine = build_engine(vector_config())
-        source = engine.nodes[engine.source]
-        assert source.battery is None and source.has_infinite_supply
-        assert not source.fault_killed
+        mesh = engine.num_mesh_nodes
+        assert engine.source == mesh
+        assert len(engine.bank.alive) == len(engine._killed) == mesh
+        assert engine.source in engine._alive_set
