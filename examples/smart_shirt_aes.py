@@ -74,9 +74,7 @@ def main() -> None:
         by_module: dict[int, list[float]] = {1: [], 2: [], 3: []}
         for node in range(engine.num_mesh_nodes):
             module = engine.mapping.module_of(node)
-            by_module[module].append(
-                engine.ledger.nodes[node].operations
-            )
+            by_module[module].append(engine.ledger.nodes.operations[node])
         for module, ops in by_module.items():
             total = sum(ops)
             spread = max(ops) - min(ops)

@@ -9,10 +9,16 @@ Mesh cells live in one struct-of-arrays battery bank
 (:mod:`repro.sim.vector_bank`), and the engines address each cell by
 its node id.  The frame's heartbeat is one exact array pass over it — a
 uniform upload draw on the living cells, one level compare against the
-last report, one masked rest — and per-hop, compute, harvest and
-power-bus energy reach single cells through the bank's scalar code
-path.  Both round exactly as the scalar battery models do, so the bank
-changes speed, not results.
+last report, one masked rest — and so is its harvest income, one masked
+recharge; per-hop, compute and power-bus energy reach single cells
+through the bank's scalar code path, which returns ``(delivered,
+died)``.  Both round exactly as the scalar battery models do, so the
+bank changes speed, not results.
+
+Every draw and recharge is booked straight into the ledger's per-node
+arrays (:class:`~repro.sim.stats.NodeStats`), and finalisation
+re-asserts conservation against the bank, in total and node by node,
+on every engine.
 
 A node is alive while it is in the engine's live-node set
 (``_alive_set``): its cell has charge and fault injection has not
@@ -23,13 +29,13 @@ the set's only writer.
 
 from __future__ import annotations
 
+import math
 import time
 from functools import reduce
 from operator import add
 
 import numpy as np
 
-from ..battery.base import DrawResult
 from ..battery.monitor import BatteryLevelQuantizer
 from ..config import SimulationConfig
 from ..control.controller import ControlPlane, StatusReport
@@ -181,9 +187,6 @@ class EngineBase:
             mesh, platform.battery_levels - 1, dtype=np.int64
         )
         self._last_alive = np.ones(mesh, dtype=bool)
-        #: Upload energy per mesh node, merged into the ledger's node
-        #: stats at finalisation.
-        self._upload_pj = np.zeros(mesh)
 
         # --- bookkeeping ------------------------------------------------------
         #: Live node ids: every mesh node whose cell is alive and that
@@ -191,7 +194,7 @@ class EngineBase:
         #: writer, so liveness is one set lookup and reachability
         #: checks never rescan every battery.
         self._alive_set: set[int] = {*range(mesh), self.source}
-        self.ledger = EnergyLedger(self.topology.num_nodes)
+        self.ledger = EnergyLedger(mesh)
         self.factory = JobFactory(
             key=config.workload.aes_key,
             seed=config.workload.seed,
@@ -259,8 +262,8 @@ class EngineBase:
         )
         self._wear = self.estimators.get("wear")
         self._income = self.estimators.get("harvest")
-        #: Reusable per-frame accepted-income buffer for the estimator.
-        self._accepted_income = [0.0] * self.num_mesh_nodes
+        #: The estimator's accepted income on a frame without any.
+        self._zero_income = [0.0] * mesh
 
     # ------------------------------------------------------------------
     # Time and control frames
@@ -390,11 +393,12 @@ class EngineBase:
             self.schedule.upload_slot_cycles,
             living,
         )
-        self._upload_pj += delivered
+        ledger = self.ledger
+        ledger.nodes.upload_pj += delivered
         # One add per node, in node order: a pairwise or compensated
         # sum could move the total's last bits.
-        self.ledger.upload_pj = reduce(
-            add, delivered[living].tolist(), self.ledger.upload_pj
+        ledger.upload_pj = reduce(
+            add, delivered[living].tolist(), ledger.upload_pj
         )
         heartbeats = int(np.count_nonzero(living))
         living &= ~died
@@ -581,51 +585,46 @@ class EngineBase:
     def _apply_harvest(self, frame: int) -> None:
         """Recharge batteries from this frame's harvest income.
 
-        Income lands at frame boundaries: each mesh node's cell accepts
-        as much of its scheduled income as its headroom allows (a full
-        cell accepts nothing, a dead cell rejects everything).  Bus
-        profiles then run one power-sharing pass.  When harvest-aware
-        routing is on, the accepted income feeds the per-node estimator
-        whose quantised levels the controller learns.
+        Income lands at frame boundaries as one masked array recharge:
+        each living mesh node's cell accepts as much of its scheduled
+        income as its headroom allows (a full cell accepts nothing, a
+        dead or fault-killed node rejects everything).  Bus profiles
+        then run one power-sharing pass.  When harvest-aware routing is
+        on, the accepted income feeds the per-node estimator whose
+        quantised levels the controller learns.
         """
         income = self.harvest_schedule.income(frame)
-        tracking = self._income is not None
-        trace = self._trace
-        offered_pj = 0.0
-        accepted_pj = 0.0
-        rejecting_nodes = 0
-        accepted_income = self._accepted_income
-        if tracking:
-            for node in range(self.num_mesh_nodes):
-                accepted_income[node] = 0.0
+        accepted_income = self._zero_income
         if income is not None:
-            for node, offered in enumerate(income):
-                if offered <= 0.0:
-                    continue
-                if trace:
-                    offered_pj += offered
-                # A fault-killed node's generator is as torn as its
-                # module: only living nodes can harvest.
-                if node not in self._alive_set:
-                    if trace:
-                        rejecting_nodes += 1
-                    continue
-                accepted = self.bank.recharge_one(node, offered)
-                if trace:
-                    accepted_pj += accepted
-                    if accepted < offered:
-                        rejecting_nodes += 1
-                if accepted > 0.0:
-                    self.ledger.add_harvest(node, accepted)
-                    if tracking:
-                        accepted_income[node] = accepted
-        if trace and offered_pj - accepted_pj > 1e-9:
-            self._record_harvest_rejection(
-                frame, offered_pj, accepted_pj, rejecting_nodes
+            offers = np.asarray(income, dtype=float)
+            # A fault-killed node's generator is as torn as its module:
+            # only living nodes can harvest.
+            accepted = self.bank.recharge(offers, ~self._killed)
+            ledger = self.ledger
+            ledger.nodes.harvested_pj += accepted
+            gained = accepted > 0.0
+            ledger.harvest_events += int(np.count_nonzero(gained))
+            # Totals add one node at a time, in node order: a pairwise
+            # or compensated sum could move their last bits.
+            ledger.harvested_pj = reduce(
+                add, accepted[gained].tolist(), ledger.harvested_pj
             )
+            if self._trace:
+                offering = offers > 0.0
+                offered_pj = reduce(add, offers[offering].tolist(), 0.0)
+                accepted_pj = reduce(add, accepted[offering].tolist(), 0.0)
+                if offered_pj - accepted_pj > 1e-9:
+                    self._record_harvest_rejection(
+                        frame,
+                        offered_pj,
+                        accepted_pj,
+                        int(np.count_nonzero(offering & (accepted < offers))),
+                    )
+            if self._income is not None:
+                accepted_income = accepted.tolist()
         if self.config.harvest.shares_power:
             self._apply_power_sharing()
-        if tracking:
+        if self._income is not None:
             self._income.observe_frame(accepted_income)
 
     def _bus_reachable(
@@ -722,10 +721,10 @@ class EngineBase:
             transfer = min(rate, gap_pj)
             if transfer <= 0.0:
                 continue
-            result = bank.draw_one(
+            drawn, died = bank.draw_one(
                 donor, transfer, self.schedule.frame_cycles
             )
-            energy = result.delivered_pj
+            energy = drawn
             prev = donor
             for hop in paths[poorest]:
                 arrived = energy * self._share_arrival_factor(
@@ -738,13 +737,9 @@ class EngineBase:
                 prev = hop
             accepted = bank.recharge_one(poorest, energy)
             self.ledger.add_share(
-                donor,
-                result.delivered_pj,
-                poorest,
-                accepted,
-                arrived_pj=energy,
+                donor, drawn, poorest, accepted, arrived_pj=energy
             )
-            if result.died:
+            if died:
                 self.on_node_death(donor)
 
     def _share_arrival_factor(self, length: float, efficiency: float) -> float:
@@ -827,18 +822,19 @@ class EngineBase:
             # The source block has an infinite supply.
             self.ledger.add_source_tx(energy)
         else:
-            result = self._draw(sender, energy, self.hop_cycles)
+            delivered, died = self._draw(sender, energy, self.hop_cycles)
             self.ledger.add_data_tx(
-                sender, result.delivered_pj, relay=sender != holder
+                sender, delivered, relay=sender != holder
             )
-            died = result.died
             if died:
                 self.on_node_death(sender)
         self.total_hops += 1
         return not died
 
-    def _draw(self, node: int, energy_pj: float, cycles: float) -> DrawResult:
-        """Draw from mesh node ``node``'s cell.
+    def _draw(
+        self, node: int, energy_pj: float, cycles: float
+    ) -> tuple[float, bool]:
+        """Draw from mesh node ``node``'s cell: ``(delivered, died)``.
 
         Raises :class:`DeadNodeError` for a dead or fault-killed node:
         engines check liveness first, so hitting it is a simulator bug,
@@ -852,9 +848,46 @@ class EngineBase:
         return self.config.platform.compute_cycles.get(module, 12)
 
     # ------------------------------------------------------------------
+    def _assert_conservation(self) -> None:
+        """Re-derive the energy identity from the bank arrays.
+
+        Everything the cells delivered must appear in the ledger's load
+        buckets, and everything they accepted must be harvest or bus
+        income, in total and node by node: every engine books its
+        energy into arrays, and that bookkeeping is only trusted
+        because this closes on every run.
+        """
+        bank = self.bank
+        ledger = self.ledger
+        nodes = ledger.nodes
+        for verb, cells, total, column in (
+            ("delivered", bank.delivered, ledger.node_total_pj, nodes.total_pj),
+            (
+                "accepted",
+                bank.recharged,
+                ledger.harvested_pj + ledger.shared_pj,
+                nodes.harvested_pj + nodes.shared_pj,
+            ),
+        ):
+            cells_pj = float(np.sum(cells))
+            if not math.isclose(cells_pj, total, rel_tol=1e-9, abs_tol=1e-6):
+                raise SimulationError(
+                    f"conservation violation: cells {verb} {cells_pj} pJ "
+                    f"but the ledger booked {total} pJ"
+                )
+            close = np.isclose(cells, column, rtol=1e-9, atol=1e-6)
+            if not close.all():
+                node = int(np.argmin(close))
+                raise SimulationError(
+                    f"conservation violation at node {node}: its cell "
+                    f"{verb} {cells[node]} pJ but the ledger booked "
+                    f"{column[node]} pJ"
+                )
+
     def _finalize(
         self, jobs_completed: int, partial: float, death: str
     ) -> SimulationStats:
+        self._assert_conservation()
         if self._trace:
             self.recorder.event(
                 "run-end",
@@ -864,8 +897,6 @@ class EngineBase:
                 jobs_lost=self.jobs_lost,
                 total_hops=self.total_hops,
             )
-        for node, energy in enumerate(self._upload_pj.tolist()):
-            self.ledger.nodes[node].upload_pj += energy
         wasted = 0.0
         stranded = 0.0
         loss = 0.0

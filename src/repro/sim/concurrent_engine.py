@@ -326,9 +326,11 @@ class ConcurrentEngine(EngineBase):
         destination = plan.destination(node, module)
         if destination == node:
             cycles = self._compute_cycles(module)
-            result = self._draw(node, module_energy_pj(module), cycles)
-            self.ledger.add_compute(node, result.delivered_pj)
-            if result.died:
+            delivered, died = self._draw(
+                node, module_energy_pj(module), cycles
+            )
+            self.ledger.add_compute(node, delivered)
+            if died:
                 self.on_node_death(node)
                 return True
             self.buffers[node].popleft()

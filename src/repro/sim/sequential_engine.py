@@ -157,12 +157,12 @@ class SequentialEngine(EngineBase):
     def _compute(self, job: Job, node: int, module: int) -> bool:
         """Execute the job's current operation at ``node``."""
         cycles = self._compute_cycles(module)
-        result = self._draw(node, module_energy_pj(module), cycles)
-        self.ledger.add_compute(node, result.delivered_pj)
-        if result.died:
+        delivered, died = self._draw(node, module_energy_pj(module), cycles)
+        self.ledger.add_compute(node, delivered)
+        if died:
             self.on_node_death(node)
         self._advance_time(cycles)
-        if result.died:
+        if died:
             # Even a fully-powered transform is useless if the node died
             # before it could forward the result: the energy is wasted
             # and the operation re-dispatches from the holder.

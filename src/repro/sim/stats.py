@@ -4,8 +4,9 @@ The paper's headline metric is the number of completed jobs at system
 death; supporting numbers are the energy split between application and
 control ("the percentage of energy consumed on exchanging the control
 information", Sec 7.1) and the battery state at death.  The ledger
-accumulates every picojoule by bucket and by node, so energy
-conservation can be asserted by the test suite:
+accumulates every picojoule by bucket and, in one array per counter, by
+mesh node, so energy conservation can be asserted in total and node by
+node:
 
     delivered_by_batteries == compute + data_tx + control_upload + share_tx
     nominal + harvested == delivered_to_loads + conversion_loss
@@ -21,10 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 
-@dataclass
+
 class NodeStats:
-    """Per-node counters.
+    """Per-node counters, one array over the mesh nodes each.
+
+    ``ledger.nodes.operations[n]`` is node ``n``'s operation count, and
+    so on.  The source block has no entry: its hops are booked to
+    :attr:`EnergyLedger.source_tx_pj`.
 
     Attributes:
         operations: Acts of computation executed.
@@ -41,23 +47,25 @@ class NodeStats:
         share_relay_pj: Bus energy that passed *through* this node on a
             multi-hop transfer (post-conversion at the inbound hop; it
             never touches the node's own cell).
-        died_at_frame: Frame of death (None while alive).
+        died_at_frame: Frame of death (-1 while alive).
     """
 
-    operations: int = 0
-    packets_sent: int = 0
-    packets_relayed: int = 0
-    compute_pj: float = 0.0
-    data_tx_pj: float = 0.0
-    upload_pj: float = 0.0
-    share_tx_pj: float = 0.0
-    harvested_pj: float = 0.0
-    shared_pj: float = 0.0
-    share_relay_pj: float = 0.0
-    died_at_frame: int | None = None
+    def __init__(self, num_nodes: int):
+        self.operations = np.zeros(num_nodes, dtype=np.int64)
+        self.packets_sent = np.zeros(num_nodes, dtype=np.int64)
+        self.packets_relayed = np.zeros(num_nodes, dtype=np.int64)
+        self.compute_pj = np.zeros(num_nodes)
+        self.data_tx_pj = np.zeros(num_nodes)
+        self.upload_pj = np.zeros(num_nodes)
+        self.share_tx_pj = np.zeros(num_nodes)
+        self.harvested_pj = np.zeros(num_nodes)
+        self.shared_pj = np.zeros(num_nodes)
+        self.share_relay_pj = np.zeros(num_nodes)
+        self.died_at_frame = np.full(num_nodes, -1, dtype=np.int64)
 
     @property
-    def total_pj(self) -> float:
+    def total_pj(self) -> np.ndarray:
+        """Everything drawn from each node's cell."""
         return (
             self.compute_pj
             + self.data_tx_pj
@@ -79,9 +87,8 @@ class EnergyLedger:
     )
 
     def __init__(self, num_nodes: int):
-        self.nodes: dict[int, NodeStats] = {
-            node: NodeStats() for node in range(num_nodes)
-        }
+        #: Per-node columns over the ``num_nodes`` mesh nodes.
+        self.nodes = NodeStats(num_nodes)
         self.compute_pj = 0.0
         self.data_tx_pj = 0.0
         self.upload_pj = 0.0
@@ -112,29 +119,23 @@ class EnergyLedger:
     # ------------------------------------------------------------------
     def add_compute(self, node: int, energy_pj: float) -> None:
         self.compute_pj += energy_pj
-        stats = self.nodes[node]
-        stats.compute_pj += energy_pj
-        stats.operations += 1
+        nodes = self.nodes
+        nodes.compute_pj[node] += energy_pj
+        nodes.operations[node] += 1
 
     def add_data_tx(
         self, node: int, energy_pj: float, relay: bool
     ) -> None:
         self.data_tx_pj += energy_pj
-        stats = self.nodes[node]
-        stats.data_tx_pj += energy_pj
-        stats.packets_sent += 1
+        nodes = self.nodes
+        nodes.data_tx_pj[node] += energy_pj
+        nodes.packets_sent[node] += 1
         if relay:
-            stats.packets_relayed += 1
+            nodes.packets_relayed[node] += 1
 
     def add_source_tx(self, energy_pj: float) -> None:
         """Transmissions paid by the external (infinite-supply) source."""
         self.source_tx_pj += energy_pj
-
-    def add_harvest(self, node: int, energy_pj: float) -> None:
-        """External income accepted into ``node``'s cell."""
-        self.harvested_pj += energy_pj
-        self.nodes[node].harvested_pj += energy_pj
-        self.harvest_events += 1
 
     def add_share_hop(self, loss_pj: float) -> None:
         """One line segment of a bus transfer: ``loss_pj`` of what
@@ -146,7 +147,7 @@ class EnergyLedger:
     def note_share_relay(self, node: int, energy_pj: float) -> None:
         """``energy_pj`` passed through ``node`` on a multi-hop
         transfer without touching its cell."""
-        self.nodes[node].share_relay_pj += energy_pj
+        self.nodes.share_relay_pj[node] += energy_pj
 
     def add_share(
         self,
@@ -162,9 +163,9 @@ class EnergyLedger:
         reached the receiving cell after the per-hop losses — splits
         that difference into hop loss and headroom rejection."""
         self.share_tx_pj += drawn_pj
-        self.nodes[donor].share_tx_pj += drawn_pj
+        self.nodes.share_tx_pj[donor] += drawn_pj
         self.shared_pj += accepted_pj
-        self.nodes[receiver].shared_pj += accepted_pj
+        self.nodes.shared_pj[receiver] += accepted_pj
         self.share_loss_pj += drawn_pj - accepted_pj
         if arrived_pj is not None:
             self.share_rejected_pj += arrived_pj - accepted_pj
@@ -176,8 +177,8 @@ class EnergyLedger:
             )
 
     def mark_death(self, node: int, frame: int) -> None:
-        if self.nodes[node].died_at_frame is None:
-            self.nodes[node].died_at_frame = frame
+        if self.nodes.died_at_frame[node] < 0:
+            self.nodes.died_at_frame[node] = frame
 
     # ------------------------------------------------------------------
     @property

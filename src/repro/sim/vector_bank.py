@@ -8,15 +8,19 @@ model as its scalar class, arithmetic line by line — EMA smoothing,
 discharge-curve interpolation, rate-capacity penalty, death conditions:
 
 * ``draw_one`` / ``recharge_one`` run the scalar code path on one
-  index (per-hop and compute draws, harvest, the power bus), and the
-  other ``*_one`` methods read one cell's charge, voltage and losses:
-  the engines address each mesh cell by its node id;
-* ``draw_uniform`` and ``rest`` apply one draw or rest to every masked
-  cell (the frame's status uploads) and match the scalar model bit for
-  bit: the EMA factor comes from one ``math.exp`` and the rate penalty
-  from Python's ``**`` per cell, because numpy's array ``exp`` and
-  ``**`` round differently; every other step is + - * / min max, which
-  numpy rounds exactly as Python does.
+  index (per-hop and compute draws, the power bus), and the other
+  ``*_one`` methods read one cell's charge, voltage and losses: the
+  engines address each mesh cell by its node id.  ``draw_one`` returns
+  ``(delivered, died)`` as a Python float and bool, like ``draw`` and
+  ``draw_uniform`` return their arrays, rather than the scalar models'
+  ``DrawResult``;
+* ``draw_uniform``, ``recharge`` and ``rest`` apply one draw, recharge
+  or rest to every masked cell (the frame's status uploads and harvest
+  income) and match the scalar model bit for bit: the EMA factor comes
+  from one ``math.exp`` and the rate penalty from Python's ``**`` per
+  cell, because numpy's array ``exp`` and ``**`` round differently;
+  every other step is + - * / min max, which numpy rounds exactly as
+  Python does.
 
 Only ``draw`` differs: the vector engine's merged per-frame draw takes a
 different duration per cell and keeps numpy's ``exp`` and ``**``, so
@@ -30,7 +34,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..battery.base import DrawResult
 from ..battery.ideal import DEFAULT_VOLTAGE
 from ..battery.thin_film import _PJ_PER_CYCLE_TO_MW, ThinFilmParameters
 from ..errors import BatteryError, ConfigurationError
@@ -131,7 +134,8 @@ class IdealBatteryBank:
 
     def draw_one(
         self, i: int, energy_pj: float, duration_cycles: float
-    ) -> DrawResult:
+    ) -> tuple[float, bool]:
+        """``IdealBattery.draw`` on cell ``i``: ``(delivered, died)``."""
         if not self.alive[i]:
             raise BatteryError("cannot draw from a dead battery")
         _check_draw_args(energy_pj, duration_cycles)
@@ -141,12 +145,7 @@ class IdealBatteryBank:
         died = self.consumed_one(i) >= self.capacity_pj - 1e-9
         if died:
             self.alive[i] = False
-        return DrawResult(
-            requested_pj=energy_pj,
-            delivered_pj=delivered,
-            died=died,
-            voltage=self._voltage,
-        )
+        return delivered, died
 
     def recharge_one(self, i: int, energy_pj: float) -> float:
         if energy_pj < 0:
@@ -414,14 +413,14 @@ class ThinFilmBatteryBank:
 
     def draw_one(
         self, i: int, energy_pj: float, duration_cycles: float
-    ) -> DrawResult:
+    ) -> tuple[float, bool]:
         """``ThinFilmBattery.draw`` on cell ``i``, reading and writing
-        each of the cell's floats once."""
+        each of the cell's floats once: ``(delivered, died)``."""
         if not self.alive[i]:
             raise BatteryError("cannot draw from a dead battery")
         _check_draw_args(energy_pj, duration_cycles)
         if energy_pj == 0:
-            return DrawResult(0.0, 0.0, died=False, voltage=self.voltage_one(i))
+            return 0.0, False
         p = self._p
         capacity = self.capacity_pj
         alpha = 1.0 - math.exp(-duration_cycles / p.ema_window_cycles)
@@ -455,12 +454,7 @@ class ThinFilmBatteryBank:
         died = exhausted or voltage_death or ocv < p.cutoff_voltage
         if died:
             self.alive[i] = False
-        return DrawResult(
-            requested_pj=energy_pj,
-            delivered_pj=delivered,
-            died=died,
-            voltage=loaded_voltage,
-        )
+        return delivered, died
 
     def recharge_one(self, i: int, energy_pj: float) -> float:
         if energy_pj < 0:

@@ -8,28 +8,28 @@ requests accumulate into per-frame buckets and merge with the
 status-upload energy into a *single* vectorised draw at the frame
 boundary, immediately before the frame's fault/harvest/heartbeat
 processing.  Harvest income lands as one masked vector recharge, the
-heartbeat is the shared level compare, and the per-node ledger is
-merged from arrays once at the end of the run.
+heartbeat is the shared level compare, and every flush and recharge
+adds straight into the ledger's per-node columns; the run's totals are
+the column sums at the end of the run.
 
 The observable protocol is unchanged: the controller sees the same kind
 of status reports (quantised level transitions and deaths), fault
 events apply identically (the schedule is a pure function of the
-configuration), and the conservation identity closes exactly — it is
-re-asserted against the bank arrays at finalisation.  What differs from
-the sequential engine is the merged draw alone.  Deaths caused by
-data/compute draws surface at the frame boundary rather than mid-walk,
-a cell absorbs its whole frame load (data, compute and upload together)
-as one aggregate draw with numpy's ``exp`` and ``**``, and the upload
-share lands before the boundary's fault/harvest events instead of
-after, so EMA trajectories (and therefore exact death frames) can drift
-between the engines.  The cross-engine property suite pins the
+configuration), and the conservation identity closes exactly — the
+base engine re-asserts it against the bank arrays, in total and per
+node, at finalisation.  What differs from the sequential engine is the
+merged draw alone.  Deaths caused by data/compute draws surface at the
+frame boundary rather than mid-walk, a cell absorbs its whole frame
+load (data, compute and upload together) as one aggregate draw with
+numpy's ``exp`` and ``**``, and the upload share lands before the
+boundary's fault/harvest events instead of after, so EMA trajectories
+(and therefore exact death frames) can drift between the engines.  The cross-engine property suite pins the
 quantities that must not drift: delivered jobs under a budget,
 conservation, and fault/harvest event counts.
 """
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -46,18 +46,6 @@ class VectorEngine(SequentialEngine):
 
     def __init__(self, config, recorder=None):
         super().__init__(config, recorder)
-        mesh = self.num_mesh_nodes
-        # Deferred per-node ledger columns, merged once at finalisation
-        # (upload energy books into the base engine's column).
-        self._data_pj = np.zeros(mesh, dtype=float)
-        self._compute_pj = np.zeros(mesh, dtype=float)
-        self._harvest_pj = np.zeros(mesh, dtype=float)
-        self._packets_sent = np.zeros(mesh, dtype=np.int64)
-        self._packets_relayed = np.zeros(mesh, dtype=np.int64)
-        self._operations = np.zeros(mesh, dtype=np.int64)
-        self._harvest_events = 0
-        self._ledger_merged = False
-
         # Current frame's draw buckets.
         self._hop_senders: list[int] = []
         self._hop_energies: list[float] = []
@@ -66,7 +54,6 @@ class VectorEngine(SequentialEngine):
         self._compute_energies: list[float] = []
         self._compute_cycles_acc: list[int] = []
 
-        self._zero_income = [0.0] * mesh
         # Per-frame constants, hoisted off the flush hot path.
         self._upload_energy = float(self.schedule.upload_energy_pj)
         self._upload_cycles = float(self.schedule.upload_slot_cycles)
@@ -120,7 +107,6 @@ class VectorEngine(SequentialEngine):
         self._compute_nodes.append(node)
         self._compute_energies.append(module_energy_pj(module))
         self._compute_cycles_acc.append(cycles)
-        self._operations[node] += 1
         self._advance_time(cycles)
         if node not in self._alive_set:
             return False
@@ -141,6 +127,7 @@ class VectorEngine(SequentialEngine):
         """
         mesh = self.num_mesh_nodes
         bank = self.bank
+        nodes = self.ledger.nodes
         if upload:
             if self._upload_vectors is None:
                 living = bank.alive & ~self._killed
@@ -165,10 +152,10 @@ class VectorEngine(SequentialEngine):
             np.add.at(data_req, senders, energies)
             counts = np.zeros(mesh, dtype=np.int64)
             np.add.at(counts, senders, 1)
-            self._packets_sent += counts
+            nodes.packets_sent += counts
             if self._hop_relayers:
                 relayers = np.asarray(self._hop_relayers, dtype=np.int64)
-                np.add.at(self._packets_relayed, relayers, 1)
+                np.add.at(nodes.packets_relayed, relayers, 1)
             requests += data_req
             durations += counts * float(self.hop_cycles)
             self._hop_senders.clear()
@@ -176,17 +163,18 @@ class VectorEngine(SequentialEngine):
             self._hop_relayers.clear()
         compute_req = None
         if self._compute_nodes:
-            nodes = np.asarray(self._compute_nodes, dtype=np.int64)
+            computing = np.asarray(self._compute_nodes, dtype=np.int64)
+            np.add.at(nodes.operations, computing, 1)
             compute_req = np.zeros(mesh, dtype=float)
             np.add.at(
                 compute_req,
-                nodes,
+                computing,
                 np.asarray(self._compute_energies, dtype=float),
             )
             compute_dur = np.zeros(mesh, dtype=float)
             np.add.at(
                 compute_dur,
-                nodes,
+                computing,
                 np.asarray(self._compute_cycles_acc, dtype=float),
             )
             requests += compute_req
@@ -207,20 +195,20 @@ class VectorEngine(SequentialEngine):
             # the proportional split is exact everywhere else.
             factor = delivered / np.where(requests > 0.0, requests, 1.0)
             if upload_req is not None:
-                self._upload_pj += upload_req * factor
+                nodes.upload_pj += upload_req * factor
             if data_req is not None:
-                self._data_pj += data_req * factor
+                nodes.data_tx_pj += data_req * factor
             if compute_req is not None:
-                self._compute_pj += compute_req * factor
+                nodes.compute_pj += compute_req * factor
             for idx in np.flatnonzero(died):
                 self.on_node_death(int(idx))
         else:
             if upload_req is not None:
-                self._upload_pj += upload_req
+                nodes.upload_pj += upload_req
             if data_req is not None:
-                self._data_pj += data_req
+                nodes.data_tx_pj += data_req
             if compute_req is not None:
-                self._compute_pj += compute_req
+                nodes.compute_pj += compute_req
 
     def on_node_death(self, node: int) -> None:
         self._upload_vectors = None
@@ -246,16 +234,18 @@ class VectorEngine(SequentialEngine):
         return reports, int(np.count_nonzero(living))
 
     def _apply_harvest(self, frame: int) -> None:
+        # The base engine's array pass, except that the run's harvest
+        # total is the column sum at finalisation and the trace sums
+        # with numpy.
         income = self.harvest_schedule.income(frame)
-        tracking = self._income is not None
-        accepted_list = None
+        accepted_income = self._zero_income
         if income is not None:
             offers = np.asarray(income, dtype=float)
             accepted = self.bank.recharge(offers, ~self._killed)
             events = int(np.count_nonzero(accepted > 0.0))
             if events:
-                self._harvest_pj += accepted
-                self._harvest_events += events
+                self.ledger.nodes.harvested_pj += accepted
+                self.ledger.harvest_events += events
             if self._trace:
                 offered_pj = float(offers.sum())
                 accepted_pj = float(accepted.sum())
@@ -266,69 +256,27 @@ class VectorEngine(SequentialEngine):
                         accepted_pj,
                         int(np.count_nonzero(accepted < offers)),
                     )
-            if tracking:
-                accepted_list = accepted.tolist()
+            if self._income is not None:
+                accepted_income = accepted.tolist()
         if self.config.harvest.shares_power:
             self._apply_power_sharing()
-        if tracking:
-            self._income.observe_frame(
-                accepted_list if accepted_list is not None
-                else self._zero_income
-            )
+        if self._income is not None:
+            self._income.observe_frame(accepted_income)
 
     # ------------------------------------------------------------------
     # Finalisation
     # ------------------------------------------------------------------
-    def _merge_ledger(self) -> None:
-        """Fold the deferred per-node array columns into the ledger."""
-        if self._ledger_merged:
-            return
-        self._ledger_merged = True
-        ledger = self.ledger
-        ledger.data_tx_pj += float(self._data_pj.sum())
-        ledger.compute_pj += float(self._compute_pj.sum())
-        ledger.upload_pj += float(self._upload_pj.sum())
-        ledger.harvested_pj += float(self._harvest_pj.sum())
-        ledger.harvest_events += self._harvest_events
-        for node in range(self.num_mesh_nodes):
-            stats = ledger.nodes[node]
-            stats.operations += int(self._operations[node])
-            stats.packets_sent += int(self._packets_sent[node])
-            stats.packets_relayed += int(self._packets_relayed[node])
-            stats.data_tx_pj += float(self._data_pj[node])
-            stats.compute_pj += float(self._compute_pj[node])
-            stats.harvested_pj += float(self._harvest_pj[node])
-
-    def _assert_conservation(self) -> None:
-        """Re-derive the energy identity from the bank arrays.
-
-        Everything the cells delivered must appear in the ledger's load
-        buckets, and everything they accepted must be harvest or bus
-        income — the vectorised bookkeeping is only trusted because
-        this closes on every run.
-        """
-        delivered = float(np.sum(self.bank.delivered))
-        recharged = float(np.sum(self.bank.recharged))
-        if not math.isclose(
-            delivered, self.ledger.node_total_pj, rel_tol=1e-9, abs_tol=1e-6
-        ):
-            raise SimulationError(
-                "vector engine conservation violation: cells delivered "
-                f"{delivered} pJ but the ledger booked "
-                f"{self.ledger.node_total_pj} pJ of load"
-            )
-        income = self.ledger.harvested_pj + self.ledger.shared_pj
-        if not math.isclose(recharged, income, rel_tol=1e-9, abs_tol=1e-6):
-            raise SimulationError(
-                "vector engine conservation violation: cells accepted "
-                f"{recharged} pJ but the ledger booked {income} pJ of "
-                "income"
-            )
-
     def _finalize(
         self, jobs_completed: int, partial: float, death: str
     ) -> SimulationStats:
         self._flush_buckets()
-        self._merge_ledger()
-        self._assert_conservation()
+        # The flushes and recharges booked only the per-node columns:
+        # each run total is its column's sum, assigned rather than
+        # added, so finalising twice books the same totals.
+        ledger = self.ledger
+        nodes = ledger.nodes
+        ledger.data_tx_pj = float(nodes.data_tx_pj.sum())
+        ledger.compute_pj = float(nodes.compute_pj.sum())
+        ledger.upload_pj = float(nodes.upload_pj.sum())
+        ledger.harvested_pj = float(nodes.harvested_pj.sum())
         return super()._finalize(jobs_completed, partial, death)

@@ -1,13 +1,15 @@
 """Integration tests of engine internals: platform construction, frame
-protocol, reporting, the live-node set, and the concurrent engine's
-recovery mechanics."""
+protocol, reporting, the live-node set, finalisation, and the
+concurrent engine's recovery mechanics."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from helpers import make_config
 from repro.config import PlatformConfig, SimulationConfig
+from repro.errors import SimulationError
 from repro.harvest import HarvestConfig
 from repro.sim.base_engine import SystemDead
 from repro.sim.concurrent_engine import ConcurrentEngine
@@ -101,13 +103,13 @@ class TestTransmitAccounting:
             node_before + hop
         )
         assert engine.ledger.data_tx_pj == pytest.approx(hop)
-        assert engine.ledger.nodes[0].packets_relayed == 0
+        assert engine.ledger.nodes.packets_relayed[0] == 0
 
     def test_relay_counted(self):
         engine = sequential_engine()
         engine.control.bootstrap()
         engine._transmit(1, 2, holder=0)  # sender != holder -> relay
-        assert engine.ledger.nodes[1].packets_relayed == 1
+        assert engine.ledger.nodes.packets_relayed[1] == 1
 
     def test_source_transmissions_not_in_node_budget(self):
         engine = sequential_engine()
@@ -290,6 +292,81 @@ class TestLiveSet:
         # Cells die in every run, not only fault-killed nodes.
         assert probe.deaths > probe.kills
         assert probe.kills == engine.nodes_fault_killed
+        # The ledger's death record names exactly the nodes that left.
+        died = np.flatnonzero(engine.ledger.nodes.died_at_frame >= 0)
+        mesh = set(range(engine.num_mesh_nodes))
+        assert set(died.tolist()) == mesh - engine._alive_set
+
+
+def _finished_run(engine_name: str):
+    """An engine that ran a harvesting workload to its job budget."""
+    kind = "concurrent" if engine_name == "concurrent" else "sequential"
+    config = make_config(
+        kind=kind,
+        engine=engine_name,
+        concurrency=2 if kind == "concurrent" else 1,
+        max_jobs=5,
+        seed=11,
+        harvest=HarvestConfig(profile="bus", seed=3),
+    )
+    engine = build_engine(config)
+    engine.run()
+    return engine
+
+
+def _cook_a_total(ledger) -> None:
+    ledger.data_tx_pj += 123.0
+
+
+def _cook_a_node(ledger) -> None:
+    """Move 50 pJ of data energy between two nodes: every total holds."""
+    column = ledger.nodes.data_tx_pj
+    donor = int(np.argmax(column))
+    column[donor] -= 50.0
+    column[(donor + 1) % len(column)] += 50.0
+
+
+class TestFinalisation:
+    """Every engine books its energy into the ledger's per-node arrays
+    and re-asserts conservation against its cells at finalisation."""
+
+    @pytest.mark.parametrize(
+        "cook", [_cook_a_total, _cook_a_node], ids=["total", "node"]
+    )
+    @pytest.mark.parametrize("engine_name", ["sequential", "concurrent", "vector"])
+    def test_conservation_check_trips_on_a_cooked_ledger(
+        self, engine_name, cook
+    ):
+        engine = _finished_run(engine_name)
+        engine._assert_conservation()  # closes on an honest run
+        cook(engine.ledger)
+        with pytest.raises(SimulationError, match="conservation"):
+            engine._assert_conservation()
+
+    @pytest.mark.parametrize("engine_name", ["sequential", "concurrent", "vector"])
+    def test_finalising_twice_books_the_same_totals(self, engine_name):
+        engine = _finished_run(engine_name)
+        ledger = engine.ledger
+        assert ledger.harvested_pj > 0.0
+
+        def booked():
+            columns = {
+                name: column.tolist()
+                for name, column in vars(ledger.nodes).items()
+            }
+            totals = (
+                ledger.compute_pj,
+                ledger.data_tx_pj,
+                ledger.upload_pj,
+                ledger.harvested_pj,
+                ledger.shared_pj,
+                ledger.harvest_events,
+            )
+            return columns, totals
+
+        before = booked()
+        engine._finalize(5, 0.0, "job-budget")
+        assert booked() == before
 
 
 def _quick_point(scenario: str, label: str):

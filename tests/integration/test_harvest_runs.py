@@ -87,9 +87,7 @@ class TestHarvestRuns:
         engine = build_engine(motion_config())
         stats = engine.run()
         ledger = stats.energy
-        per_node = sum(
-            node.harvested_pj for node in ledger.nodes.values()
-        )
+        per_node = ledger.nodes.harvested_pj.sum()
         assert per_node == pytest.approx(ledger.harvested_pj)
         bank = engine.bank
         for node in range(engine.num_mesh_nodes):

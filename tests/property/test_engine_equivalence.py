@@ -12,7 +12,9 @@ configurations (Hypothesis):
 * **Conservation** — the energy identity
   ``nominal + harvested == loads + conversion_loss + wasted + stranded``
   must close on every engine, whatever mix of faults, heterogeneous
-  harvest hardware and multi-hop bus sharing is active.
+  harvest hardware and multi-hop bus sharing is active; each per-node
+  ledger column sums to its bucket, and the ledger's death record
+  names exactly the nodes that left the live set.
 * **Event counts** — fault schedules are pure functions of the
   configuration, so once the runs outlive the last scheduled event
   they must have applied identical fault counts; harvest events are
@@ -26,6 +28,9 @@ engine; the properties above are exactly the quantities that must not.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -138,6 +143,23 @@ class TestConservationAgreement:
         assert nominal + stats.harvested_pj == approx(
             loads + stats.conversion_loss_pj + residual
         )
+        nodes = ledger.nodes
+        for bucket in (
+            "compute_pj",
+            "data_tx_pj",
+            "upload_pj",
+            "share_tx_pj",
+            "harvested_pj",
+            "shared_pj",
+        ):
+            assert math.isclose(
+                getattr(nodes, bucket).sum(),
+                getattr(ledger, bucket),
+                rel_tol=1e-9,
+                abs_tol=1e-6,
+            ), bucket
+        dead = set(range(mesh)) - engine._alive_set
+        assert set(np.flatnonzero(nodes.died_at_frame >= 0).tolist()) == dead
 
 
 class TestEventCountAgreement:

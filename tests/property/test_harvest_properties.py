@@ -228,7 +228,7 @@ def test_multi_hop_bus_per_hop_losses_sum_exactly(
         assert ledger.shared_pj <= efficiency * ledger.share_tx_pj + 1e-6
     # Relayed energy only ever appears on intermediate nodes, which a
     # single-hop bus does not have.
-    relayed = sum(node.share_relay_pj for node in ledger.nodes.values())
+    relayed = ledger.nodes.share_relay_pj.sum()
     if max_hops == 1:
         assert relayed == 0.0
     # The whole-run identity closes with any hop count.
@@ -279,7 +279,7 @@ def test_non_equipped_nodes_never_harvest(
     )
     for node in range(mesh):
         if equipped[node] == 0.0:
-            assert stats.energy.nodes[node].harvested_pj == 0.0
+            assert stats.energy.nodes.harvested_pj[node] == 0.0
     # When the schedule offered income past frame 0 and everyone lived
     # to accept it, some equipped node must have harvested (a short
     # run can land entirely in idle activity windows).

@@ -91,8 +91,9 @@ class TestEnergyLedger:
         assert ledger.compute_pj == 100.0
         assert ledger.data_tx_pj == 75.0
         assert ledger.node_total_pj == 180.0
-        assert ledger.nodes[0].operations == 1
-        assert ledger.nodes[1].packets_relayed == 1
+        assert ledger.nodes.operations.tolist() == [1, 0, 0, 0]
+        assert ledger.nodes.packets_sent.tolist() == [1, 1, 0, 0]
+        assert ledger.nodes.packets_relayed.tolist() == [0, 1, 0, 0]
 
     def test_controller_breakdown(self):
         ledger = EnergyLedger(2)
@@ -114,7 +115,7 @@ class TestEnergyLedger:
         ledger = EnergyLedger(2)
         ledger.mark_death(0, 10)
         ledger.mark_death(0, 20)
-        assert ledger.nodes[0].died_at_frame == 10
+        assert ledger.nodes.died_at_frame.tolist() == [10, -1]
 
 
 class TestSimulationStats:
@@ -129,5 +130,9 @@ class TestSimulationStats:
         json.dumps(stats.summary())
 
     def test_node_stats_total(self):
-        stats = NodeStats(compute_pj=1.0, data_tx_pj=2.0, upload_pj=3.0)
-        assert stats.total_pj == 6.0
+        stats = NodeStats(2)
+        stats.compute_pj[0] = 1.0
+        stats.data_tx_pj[0] = 2.0
+        stats.upload_pj[1] = 3.0
+        stats.share_tx_pj[1] = 4.0
+        assert stats.total_pj.tolist() == [3.0, 7.0]

@@ -103,11 +103,12 @@ class TestThinFilmParity:
         bank, scalars = thin_film_pair(count=2)
         reference = scalars[0]
         for energy, duration in ((150.0, 128.0), (90.0, 64.0), (0.0, 32.0)):
-            mine = bank.draw_one(0, energy, duration)
+            delivered, died = bank.draw_one(0, energy, duration)
             theirs = reference.draw(energy, duration)
-            assert mine.delivered_pj == theirs.delivered_pj
-            assert mine.voltage == theirs.voltage
-            assert mine.died == theirs.died
+            assert type(delivered) is float and type(died) is bool
+            assert delivered == theirs.delivered_pj
+            assert bank.voltage_one(0) == theirs.voltage
+            assert died == theirs.died
         assert bank.consumed_one(0) == reference.consumed_pj
         assert bank.soc_one(0) == reference.state_of_charge
         assert bank.voltage_one(0) == reference.voltage
@@ -145,6 +146,18 @@ class TestIdealParity:
                 battery.delivered_pj, rel=1e-12
             )
             assert bool(bank.alive[i]) == battery.alive
+
+    def test_draw_one_is_the_scalar_code_path(self):
+        bank = IdealBatteryBank(1, capacity_pj=500.0)
+        reference = IdealBattery(capacity_pj=500.0)
+        for energy in (200.0, 0.0, 450.0):
+            theirs = reference.draw(energy, 64.0)
+            assert bank.draw_one(0, energy, 64.0) == (
+                theirs.delivered_pj,
+                theirs.died,
+            )
+            assert bank.voltage_one(0) == reference.voltage
+        assert not bank.alive[0]
 
     def test_exhaustion_delivers_the_remainder_and_dies(self):
         bank = IdealBatteryBank(1, capacity_pj=100.0)

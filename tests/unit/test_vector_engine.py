@@ -3,8 +3,9 @@
 The cross-engine property suite pins the *observable* agreements
 (jobs, conservation, event counts); these tests reach into the
 engine itself: its mesh cells and live-node set, the deferred draw
-buckets, the upload-vector cache and the finalisation-time
-conservation check.
+buckets and the upload-vector cache.  The finalisation-time
+conservation check, which every engine runs, is tested in
+``tests/integration/test_engine_internals.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import build_engine, make_config
-from repro.errors import DeadNodeError, SimulationError
+from repro.errors import DeadNodeError
 from repro.sim.vector_engine import VectorEngine
 
 
@@ -43,21 +44,6 @@ class TestRunBehaviour:
             results["vector"]["jobs_completed"]
             == results["sequential"]["jobs_completed"]
         )
-
-    def test_ledger_merge_is_idempotent(self):
-        engine = build_engine(vector_config())
-        engine.run()
-        booked = engine.ledger.node_total_pj
-        engine._merge_ledger()  # _finalize already merged once
-        assert engine.ledger.node_total_pj == booked
-
-    def test_conservation_check_trips_on_a_cooked_ledger(self):
-        engine = build_engine(vector_config())
-        engine.run()
-        engine._assert_conservation()  # closes on an honest run
-        engine.ledger.data_tx_pj += 123.0
-        with pytest.raises(SimulationError, match="conservation"):
-            engine._assert_conservation()
 
 
 class TestDeferredDraws:
@@ -105,7 +91,8 @@ class TestMeshNodes:
         engine = build_engine(vector_config())
         engine._killed[3] = True
         engine.on_node_death(3)
-        assert engine._draw(4, engine.bank.capacity_pj, 16.0).died
+        _, died = engine._draw(4, engine.bank.capacity_pj, 16.0)
+        assert died
         engine.on_node_death(4)
         for node in (3, 4):
             with pytest.raises(DeadNodeError):
