@@ -11,7 +11,7 @@ the active controller burns energy per control action, idle spares leak
 slowly, and when the active one dies the next takes over.
 """
 
-from .controller import ControlPlane, FrameOutcome, StatusReport
+from .controller import ControlPlane, FrameOutcome
 from .controller_power import ControllerEnergyModel, ControllerPowerReference
 from .deadlock import BlockedPortRegistry, DeadlockPolicy
 from .tdma import TdmaSchedule
@@ -23,6 +23,5 @@ __all__ = [
     "ControllerPowerReference",
     "DeadlockPolicy",
     "FrameOutcome",
-    "StatusReport",
     "TdmaSchedule",
 ]

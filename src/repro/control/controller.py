@@ -5,10 +5,11 @@ One :class:`ControlPlane` owns the controller-side state of the TDMA
 mechanism (paper Sec 5.3): the last reported battery level and liveness
 of every node, the blocked-port registry of the deadlock-recovery
 protocol, the cached routing plan, and the chain of controller units.
-Each simulated frame the engine feeds it the node status reports; the
-plane re-runs the routing algorithm *only when the reported information
-differs from the previous one* — the paper's trigger — and accounts for
-every picojoule the controllers spend.
+Each simulated frame the engine hands it the frame's uploads as arrays;
+the plane diffs them against its record and re-runs the routing
+algorithm *only when the reported information differs from the previous
+one* — the paper's trigger — and accounts for every picojoule the
+controllers spend.
 """
 
 from __future__ import annotations
@@ -33,32 +34,11 @@ from .tdma import TdmaSchedule
 
 
 @dataclass(frozen=True)
-class StatusReport:
-    """One node's upload-slot payload.
-
-    Attributes:
-        node: Reporting node id.
-        level: Quantised battery level.
-        alive: Whether the node is still alive.
-        blocked_port: Successor id of a port the node reports as
-            deadlocked, or None.
-    """
-
-    node: int
-    level: int
-    alive: bool
-    blocked_port: int | None = None
-
-
-@dataclass(frozen=True)
 class FrameOutcome:
     """What the control plane did during one frame.
 
     Attributes:
-        frame: Frame index.
-        plan: The routing plan in force after this frame.
         recomputed: True when the routing algorithm was re-executed.
-        reports_processed: Status uploads ingested this frame.
         table_entries_sent: Routing-table entries downloaded to nodes.
         controller_energy_pj: Energy breakdown (rx / compute /
             download_tx / housekeeping / idle_leak).
@@ -68,10 +48,7 @@ class FrameOutcome:
         failed_over: True when the active unit died during this frame.
     """
 
-    frame: int
-    plan: RoutingPlan | None
     recomputed: bool
-    reports_processed: int
     table_entries_sent: int
     controller_energy_pj: dict[str, float] = field(default_factory=dict)
     controllers_alive: int = 0
@@ -192,17 +169,13 @@ class ControlPlane:
         """Total routing recomputations so far."""
         return self._recompute_count
 
-    @property
-    def deadlock_reports(self) -> int:
-        return self._registry.total_reports
-
     def update_lengths(self, lengths: np.ndarray) -> None:
         """Hook: the physical link state changed (cut or degraded lines).
 
         The engine calls this when fault injection rewrites the length
         matrix (``inf`` for severed lines, scaled lengths for degraded
         ones).  The next processed frame recomputes routing from the new
-        picture — the same trigger discipline as changed status reports.
+        picture — the same trigger discipline as a changed upload.
         """
         self._lengths = np.array(lengths, dtype=float)
         self._neighbors = neighbor_table(self._lengths)
@@ -354,20 +327,26 @@ class ControlPlane:
     def process_frame(
         self,
         frame: int,
-        reports: list[StatusReport],
-        heartbeat_count: int | None = None,
+        levels: np.ndarray,
+        alive: np.ndarray,
+        flags: dict[int, int],
+        heartbeat_count: int,
     ) -> FrameOutcome:
         """Run one TDMA frame of the control protocol.
 
         Args:
             frame: Frame index (monotonically increasing).
-            reports: Status uploads whose content *changed* this frame
-                (level transitions, deaths, deadlock flags).
+            levels: The frame's uploaded quantised battery level of
+                every mesh node (nodes ``0 .. len(levels) - 1``; 0 for a
+                dead one).
+            alive: The same nodes' uploaded liveness.
+            flags: Deadlock flags of living nodes, ``node -> blocked
+                successor``, in node order.
             heartbeat_count: Total uploads physically received this
                 frame (every live node reports in its slot each frame,
-                paper Sec 5.3).  Defaults to ``len(reports)``.  Node-side
-                transmit energy is charged by the engine; this method
-                charges the controller's receive side.
+                paper Sec 5.3).  Node-side transmit energy is charged by
+                the engine; this method charges the controller's receive
+                side.
         """
         if self._plan is None:
             raise ConfigurationError("bootstrap() must run before frames")
@@ -381,10 +360,7 @@ class ControlPlane:
         }
         if not self._advance_active():
             return FrameOutcome(
-                frame=frame,
-                plan=self._plan,
                 recomputed=False,
-                reports_processed=0,
                 table_entries_sent=0,
                 controller_energy_pj=energy,
                 controllers_alive=0,
@@ -395,26 +371,24 @@ class ControlPlane:
 
         trace = self._trace
         changed = False
-        for report in reports:
-            if not 0 <= report.node < self._num_nodes:
-                raise ConfigurationError(
-                    f"report from unknown node {report.node}"
-                )
-            if self._node_levels[report.node] != report.level:
-                self._node_levels[report.node] = report.level
+        mesh = len(levels)
+        moved = levels != self._node_levels[:mesh]
+        flipped = alive != self._node_alive[:mesh]
+        if moved.any():
+            self._node_levels[:mesh] = levels
+            changed = True
+            if trace:
+                self._change_causes.add("battery-level")
+        if flipped.any():
+            self._node_alive[:mesh] = alive
+            changed = True
+            if trace:
+                self._change_causes.add("liveness")
+        for node, port in flags.items():
+            if self._registry.report(node, port, frame):
                 changed = True
                 if trace:
-                    self._change_causes.add("battery-level")
-            if self._node_alive[report.node] != report.alive:
-                self._node_alive[report.node] = report.alive
-                changed = True
-                if trace:
-                    self._change_causes.add("liveness")
-            if report.blocked_port is not None:
-                if self._registry.report(report.node, report.blocked_port, frame):
-                    changed = True
-                    if trace:
-                        self._change_causes.add("deadlock-report")
+                    self._change_causes.add("deadlock-report")
         if self._registry.expire(frame):
             changed = True
             if trace:
@@ -423,8 +397,7 @@ class ControlPlane:
             changed = True
             self._links_changed = False
 
-        received = heartbeat_count if heartbeat_count is not None else len(reports)
-        energy["rx"] = self._energy_model.rx_energy_pj(received)
+        energy["rx"] = self._energy_model.rx_energy_pj(heartbeat_count)
         energy["housekeeping"] = self._energy_model.housekeeping_energy_pj(
             self._num_nodes
         )
@@ -459,11 +432,15 @@ class ControlPlane:
                 entries_sent * self._schedule.table_entry_energy_pj
             )
             if trace:
+                # The nodes that reported: every upload that differs
+                # from the record, and every deadlock flag.
+                reported = moved | flipped
+                reported[list(flags)] = True
                 self._recorder.event(
                     "replan",
                     frame=frame,
                     causes=causes,
-                    reports=len(reports),
+                    reports=int(np.count_nonzero(reported)),
                     entries_sent=entries_sent,
                     terms=attribution,
                 )
@@ -499,10 +476,7 @@ class ControlPlane:
             self._advance_active()
 
         return FrameOutcome(
-            frame=frame,
-            plan=self._plan,
             recomputed=recomputed,
-            reports_processed=len(reports),
             table_entries_sent=entries_sent,
             controller_energy_pj=energy,
             controllers_alive=sum(1 for u in self._units if u.alive),

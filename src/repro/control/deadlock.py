@@ -51,16 +51,6 @@ class BlockedPortRegistry:
     def __init__(self, policy: DeadlockPolicy):
         self._policy = policy
         self._blocked: dict[tuple[int, int], int] = {}
-        self._total_reports = 0
-
-    @property
-    def policy(self) -> DeadlockPolicy:
-        return self._policy
-
-    @property
-    def total_reports(self) -> int:
-        """Deadlock reports accepted since construction."""
-        return self._total_reports
 
     def report(self, node: int, port: int, frame: int) -> bool:
         """Register a deadlock report for port ``node -> port``.
@@ -72,7 +62,6 @@ class BlockedPortRegistry:
         expiry = frame + self._policy.blocked_expiry_frames
         changed = key not in self._blocked
         self._blocked[key] = expiry
-        self._total_reports += 1
         return changed
 
     def expire(self, frame: int) -> bool:

@@ -52,7 +52,10 @@ from ..errors import ConfigurationError
 #: hop is the lowest-id tight neighbour (not Floyd–Warshall's first-found
 #: successor), a deadlocked node falls back to its best unblocked
 #: downhill neighbour, and deadlock escape hops read the module column.
-CACHE_SCHEMA_VERSION = 7
+#: v8: a node that flags a deadlock uploads its current level (it used
+#: to upload the level it last reported), so concurrent runs with a flag
+#: at a level crossing re-plan on the level the node fell to.
+CACHE_SCHEMA_VERSION = 8
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "ETSIM_CACHE_DIR"

@@ -8,10 +8,11 @@ lives here.
 Mesh cells live in one struct-of-arrays battery bank
 (:mod:`repro.sim.vector_bank`), and the engines address each cell by
 its node id.  The frame's heartbeat is one exact array pass over it — a
-uniform upload draw on the living cells, one level compare against the
-last report, one masked rest — and so is its harvest income, one masked
-recharge; per-hop, compute and power-bus energy reach single cells
-through the bank's scalar code path, which returns ``(delivered,
+uniform upload draw on the living cells, every mesh node's quantised
+level uploaded as one array (the controller diffs the uploads against
+its own record), one masked rest — and so is its harvest income, one
+masked recharge; per-hop, compute and power-bus energy reach single
+cells through the bank's scalar code path, which returns ``(delivered,
 died)``.  Both round exactly as the scalar battery models do, so the
 bank changes speed, not results.
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from ..battery.monitor import BatteryLevelQuantizer
 from ..config import SimulationConfig
-from ..control.controller import ControlPlane, StatusReport
+from ..control.controller import ControlPlane
 from ..core.engines import EnergyAwareRouting, ShortestDistanceRouting
 from ..core.parameters import ApplicationProfile
 from ..errors import DeadNodeError, SimulationError
@@ -181,12 +182,6 @@ class EngineBase:
             sink=self.source,
         )
         self.quantizer = BatteryLevelQuantizer(platform.battery_levels)
-        #: Last reported level and liveness per mesh node, primed with
-        #: full living cells.
-        self._last_level = np.full(
-            mesh, platform.battery_levels - 1, dtype=np.int64
-        )
-        self._last_alive = np.ones(mesh, dtype=bool)
 
         # --- bookkeeping ------------------------------------------------------
         #: Live node ids: every mesh node whose cell is alive and that
@@ -295,7 +290,7 @@ class EngineBase:
         # raised by fresh charge is reported this very frame.
         if self.harvest_active:
             self._apply_harvest(frame)
-        reports, heartbeats = self._heartbeat_phase()
+        levels, living, flags, heartbeats = self._heartbeat_phase()
         if self._link_report_pending:
             # A node discovered a dead line since the last frame and
             # reports it in its upload slot: the controller updates its
@@ -316,7 +311,9 @@ class EngineBase:
                     channel, estimator.levels(self.topology.num_nodes)
                 )
                 estimator.dirty = False
-        outcome = self.control.process_frame(frame, reports, heartbeats)
+        outcome = self.control.process_frame(
+            frame, levels, living, flags, heartbeats
+        )
         self.ledger.add_controller(outcome.controller_energy_pj)
         if self._trace:
             self._record_frame_probe(frame)
@@ -379,13 +376,17 @@ class EngineBase:
             nodes=rejecting_nodes,
         )
 
-    def _heartbeat_phase(self) -> tuple[list[StatusReport], int]:
+    def _heartbeat_phase(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, int], int]:
         """Upload phase of one frame, as one pass over the battery bank.
 
-        Every living node pays the upload energy (one uniform draw), its
-        deadlock flag or level/liveness change becomes a status report,
-        and living cells rest for the frame.  Returns the reports plus
-        the heartbeat count the controller bills for.
+        Every living node pays the upload energy (one uniform draw) and
+        uploads its quantised level, and living cells rest for the
+        frame.  Returns the frame's uploads — every mesh node's level
+        and liveness (a fault-killed node is dead with a charged cell),
+        the living nodes' deadlock flags — plus the heartbeat count the
+        controller bills for.
         """
         living = self.bank.alive & ~self._killed
         delivered, died = self.bank.draw_uniform(
@@ -402,36 +403,30 @@ class EngineBase:
         )
         heartbeats = int(np.count_nonzero(living))
         living &= ~died
-        reports = self._status_reports(living, died.nonzero()[0].tolist())
+        levels = self.quantizer.levels_of(self.bank.soc_vector(), living)
+        flags = self._deadlock_flags(living, died.nonzero()[0].tolist())
         self.bank.rest(self.schedule.frame_cycles, living)
-        return reports, heartbeats
+        return levels, living, flags, heartbeats
 
-    def _status_reports(
+    def _deadlock_flags(
         self, living: np.ndarray, deaths: list[int]
-    ) -> list[StatusReport]:
-        """The frame's status reports, in node order.
+    ) -> dict[int, int]:
+        """Pop the pending deadlock flags the living nodes upload.
 
-        A living node with a pending deadlock flag reports it with its
-        previous level; any other node reports when its quantised level
-        or liveness (the node's: a fault-killed node is dead with a
-        charged cell) changed since its last report.  The death hooks of
-        ``deaths`` fire here, in node order between the deadlock reports.
+        Walks the flagged and the dying nodes in node order: the death
+        hooks of ``deaths`` fire here, between the deadlock reports, and
+        a flag of a node that is not alive is dropped.  Returns the
+        living nodes' flags, ``node -> blocked successor``.
         """
-        level = self.quantizer.levels_of(self.bank.soc_vector(), living)
-        changed = (level != self._last_level) | (living != self._last_alive)
-        previous = self._last_level
-        self._last_level = level
-        self._last_alive = living
-        blocked_ports = self.pending_deadlock
-        # A death always changes liveness, so it is among the changed.
-        if not blocked_ports and not changed.any():
-            return []
+        pending = self.pending_deadlock
+        flags: dict[int, int] = {}
+        if not pending and not deaths:
+            return flags
         dying = set(deaths)
-        reports: list[StatusReport] = []
-        for node in sorted({*blocked_ports, *changed.nonzero()[0].tolist()}):
+        for node in sorted({*pending, *dying}):
             if node in dying:
                 self.on_node_death(node)
-            blocked = blocked_ports.pop(node, None)
+            blocked = pending.pop(node, None)
             if blocked is not None and living[node]:
                 self.deadlocks_reported += 1
                 if self._trace:
@@ -441,23 +436,8 @@ class EngineBase:
                         node=node,
                         blocked=blocked,
                     )
-                reports.append(
-                    StatusReport(
-                        node=node,
-                        level=int(previous[node]),
-                        alive=True,
-                        blocked_port=blocked,
-                    )
-                )
-            elif changed[node]:
-                reports.append(
-                    StatusReport(
-                        node=node,
-                        level=int(level[node]),
-                        alive=bool(living[node]),
-                    )
-                )
-        return reports
+                flags[node] = blocked
+        return flags
 
     # ------------------------------------------------------------------
     # Fault injection

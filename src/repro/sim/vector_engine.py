@@ -8,12 +8,12 @@ requests accumulate into per-frame buckets and merge with the
 status-upload energy into a *single* vectorised draw at the frame
 boundary, immediately before the frame's fault/harvest/heartbeat
 processing.  Harvest income lands as one masked vector recharge, the
-heartbeat is the shared level compare, and every flush and recharge
-adds straight into the ledger's per-node columns; the run's totals are
-the column sums at the end of the run.
+heartbeat uploads every node's quantised level as one array, and every
+flush and recharge adds straight into the ledger's per-node columns;
+the run's totals are the column sums at the end of the run.
 
-The observable protocol is unchanged: the controller sees the same kind
-of status reports (quantised level transitions and deaths), fault
+The observable protocol is unchanged: the controller receives the same
+uploads (every node's quantised level and liveness each frame), fault
 events apply identically (the schedule is a pure function of the
 configuration), and the conservation identity closes exactly — the
 base engine re-asserts it against the bank arrays, in total and per
@@ -35,7 +35,6 @@ import time
 import numpy as np
 
 from ..aes.energy import module_energy_pj
-from ..control.controller import StatusReport
 from ..errors import SimulationError
 from .sequential_engine import SequentialEngine
 from .stats import SimulationStats
@@ -225,13 +224,16 @@ class VectorEngine(SequentialEngine):
         self._flush_buckets(upload=True)
         super()._run_frame(frame)
 
-    def _heartbeat_phase(self) -> tuple[list[StatusReport], int]:
+    def _heartbeat_phase(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, int], int]:
         # The upload energy was already part of the frame's merged
-        # draw: only the level compare and the rest remain.
+        # draw, and its deaths fired at the flush: only the levels and
+        # the rest remain.  The sequential workload raises no flags.
         living = self.bank.alive & ~self._killed
-        reports = self._status_reports(living, [])
+        levels = self.quantizer.levels_of(self.bank.soc_vector(), living)
         self.bank.rest(self.schedule.frame_cycles, living)
-        return reports, int(np.count_nonzero(living))
+        return levels, living, {}, int(np.count_nonzero(living))
 
     def _apply_harvest(self, frame: int) -> None:
         # The base engine's array pass, except that the run's harvest

@@ -173,7 +173,8 @@ class TestConcurrentInternals:
 class TestHeartbeatOrder:
     """One heartbeat in which node ``i`` dies on its status upload while
     nodes ``j < i < k`` carry pending deadlock reports: the frame's
-    events, reports and levels must come out in node order."""
+    events and flags must come out in node order, and the uploads carry
+    the level each node fell to."""
 
     def test_deaths_and_deadlock_reports_interleave_by_node(self):
         recorder = TraceRecorder()
@@ -191,7 +192,7 @@ class TestHeartbeatOrder:
             bank.draw_one(node, capacity / 2, 100)
         engine.pending_deadlock.update({j: 3, k: 13})
 
-        reports, heartbeats = engine._heartbeat_phase()
+        levels, living, flags, heartbeats = engine._heartbeat_phase()
 
         assert heartbeats == 16
         events = [
@@ -204,26 +205,27 @@ class TestHeartbeatOrder:
             ("node-death", i),
             ("deadlock-report", k),
         ]
-        assert [report.node for report in reports] == [j, i, k]
-        by_node = {report.node: report for report in reports}
-        # A deadlock report carries the level last reported, not the
-        # level the node fell to this frame.
-        for node, port in ((j, 3), (k, 13)):
-            assert by_node[node].blocked_port == port
-            assert by_node[node].level == 7
-            assert by_node[node].alive
-        assert not by_node[i].alive and by_node[i].level == 0
+        assert list(flags.items()) == [(j, 3), (k, 13)]
+        # The flagged nodes upload the level they fell to this frame.
+        assert levels[j] == levels[k] == 3
+        assert living[j] and living[k]
+        assert not living[i] and levels[i] == 0
         assert engine.deadlocks_reported == 2
         assert not engine.pending_deadlock
-        # The levels j and k fell to were still recorded as observed, so
-        # the next frame has nothing new to report.
-        reports, heartbeats = engine._heartbeat_phase()
-        assert reports == [] and heartbeats == 15
+        engine.control.bootstrap()
+        engine.control.process_frame(0, levels, living, flags, heartbeats)
+        view = engine.control.view()
+        assert view.battery_levels[j] == view.battery_levels[k] == 3
+        assert not view.alive[i]
+        # The next heartbeat has no flags, and the dead node no upload.
+        _, _, flags, heartbeats = engine._heartbeat_phase()
+        assert flags == {} and heartbeats == 15
 
 
 class _LiveSetProbe:
     """A recorder whose frame probe checks the engine's live-node set
-    against the cells and the kill record, and counts deaths."""
+    and the controller's reported picture against the cells and the
+    kill record, and counts deaths."""
 
     active = True
     times = False
@@ -245,6 +247,17 @@ class _LiveSetProbe:
 
     def frame(self, frame, **fields):
         self.check()
+        # Nothing changes a mesh cell's charge between the heartbeat and
+        # this probe, so the controller must hold exactly the levels and
+        # liveness the cells give now.  (Only here: a node that dies
+        # mid-walk has not uploaded yet when the run returns.)
+        engine = self.engine
+        mesh = engine.num_mesh_nodes
+        living = engine.bank.alive & ~engine._killed
+        view = engine.control.view()
+        expected = engine.quantizer.levels_of(engine.bank.soc_vector(), living)
+        assert np.array_equal(view.battery_levels[:mesh], expected)
+        assert np.array_equal(view.alive[:mesh], living)
         self.frames += 1
 
     def event(self, event, frame, **fields):
@@ -260,7 +273,8 @@ class _LiveSetProbe:
 class TestLiveSet:
     """The live-node set is the engines' one liveness record: at every
     frame it holds exactly the mesh nodes whose cell is alive and that
-    no fault killed, plus the source."""
+    no fault killed, plus the source, and the controller holds exactly
+    the cells' quantised levels and liveness."""
 
     @pytest.mark.parametrize("harvest", [None, "bus"])
     @pytest.mark.parametrize(
@@ -296,6 +310,23 @@ class TestLiveSet:
         died = np.flatnonzero(engine.ledger.nodes.died_at_frame >= 0)
         mesh = set(range(engine.num_mesh_nodes))
         assert set(died.tolist()) == mesh - engine._alive_set
+
+    @pytest.mark.parametrize("battery", ["thin-film", "ideal"])
+    @pytest.mark.parametrize("concurrency", [4, 6, 8])
+    def test_flagged_nodes_upload_their_current_level(
+        self, concurrency, battery
+    ):
+        # Contended runs to death, where nodes flag deadlocks in frames
+        # in which they also cross a level.
+        config = make_config(
+            kind="concurrent", battery=battery, concurrency=concurrency
+        )
+        probe = _LiveSetProbe()
+        engine = build_engine(config, probe)
+        probe.engine = engine
+        engine.run()
+        assert probe.frames > 0
+        assert engine.deadlocks_reported > 0
 
 
 def _finished_run(engine_name: str):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.battery.ideal import IdealBattery
-from repro.control.controller import ControlPlane, StatusReport
+from repro.control.controller import ControlPlane
 from repro.control.controller_power import (
     ControllerEnergyModel,
     ControllerPowerReference,
@@ -23,6 +23,7 @@ from repro.core.weights import BatteryWeightFunction
 from repro.errors import ConfigurationError
 from repro.mesh.mapping import checkerboard_mapping
 from repro.mesh.topology import mesh2d
+from repro.telemetry.recorder import TraceRecorder
 
 
 class TestTdmaSchedule:
@@ -93,12 +94,6 @@ class TestDeadlockRegistry:
         assert registry.expire(frame=16) is True
         assert not registry.is_blocked(3, 4)
 
-    def test_total_reports_counted(self):
-        registry = BlockedPortRegistry(DeadlockPolicy())
-        registry.report(0, 1, 0)
-        registry.report(0, 1, 1)
-        assert registry.total_reports == 2
-
     def test_policy_validation(self):
         with pytest.raises(ConfigurationError):
             DeadlockPolicy(wait_threshold_frames=0)
@@ -106,7 +101,7 @@ class TestDeadlockRegistry:
             DeadlockPolicy(blocked_expiry_frames=0)
 
 
-def make_control_plane(batteries=None, lengths=None):
+def make_control_plane(batteries=None, lengths=None, recorder=None):
     topo = mesh2d(4)
     mapping = checkerboard_mapping(topo)
     return ControlPlane(
@@ -118,6 +113,28 @@ def make_control_plane(batteries=None, lengths=None):
         energy_model=ControllerEnergyModel(),
         deadlock_policy=DeadlockPolicy(),
         controller_batteries=batteries if batteries is not None else [None],
+        recorder=recorder,
+    )
+
+
+def process(
+    plane, frame, levels=None, dead=(), flags=None, heartbeat_count=16
+):
+    """Run one frame on the uploads of a full, all-living 4x4 mesh.
+
+    ``levels`` overrides single nodes' uploaded levels (``node ->
+    level``), every node in ``dead`` uploads as dead (level 0), and
+    ``flags`` are the living nodes' deadlock flags (``node -> blocked
+    successor``).
+    """
+    uploaded = np.full(16, 7, dtype=np.int64)
+    for node, level in (levels or {}).items():
+        uploaded[node] = level
+    alive = np.ones(16, dtype=bool)
+    uploaded[list(dead)] = 0
+    alive[list(dead)] = False
+    return plane.process_frame(
+        frame, uploaded, alive, flags or {}, heartbeat_count
     )
 
 
@@ -131,7 +148,7 @@ class TestControlPlane:
     def test_frame_without_changes_keeps_plan(self):
         plane = make_control_plane()
         plane.bootstrap()
-        outcome = plane.process_frame(0, reports=[], heartbeat_count=16)
+        outcome = process(plane, 0)
         assert outcome.recomputed is False
         assert outcome.table_entries_sent == 0
         assert plane.recompute_count == 0
@@ -139,11 +156,7 @@ class TestControlPlane:
     def test_level_change_triggers_recompute(self):
         plane = make_control_plane()
         plane.bootstrap()
-        outcome = plane.process_frame(
-            0,
-            reports=[StatusReport(node=5, level=2, alive=True)],
-            heartbeat_count=16,
-        )
+        outcome = process(plane, 0, levels={5: 2})
         assert outcome.recomputed is True
         assert plane.recompute_count == 1
 
@@ -151,47 +164,44 @@ class TestControlPlane:
         plane = make_control_plane()
         plane.bootstrap()
         before = plane.plan.destination(1, 1)  # nearest module-1 node
-        outcome = plane.process_frame(
-            0,
-            reports=[StatusReport(node=before, level=0, alive=False)],
-            heartbeat_count=16,
-        )
+        outcome = process(plane, 0, dead=[before])
         assert outcome.recomputed
         assert plane.plan.destination(1, 1) != before
 
     def test_deadlock_report_blocks_port(self):
         plane = make_control_plane()
         plane.bootstrap()
-        outcome = plane.process_frame(
-            0,
-            reports=[
-                StatusReport(node=1, level=7, alive=True, blocked_port=0)
-            ],
-            heartbeat_count=16,
-        )
+        outcome = process(plane, 0, flags={1: 0})
         assert outcome.recomputed
         assert (1, 0) in plane.view().blocked_ports
-        assert plane.deadlock_reports == 1
 
     def test_blocked_port_expires_and_recomputes(self):
         plane = make_control_plane()
         plane.bootstrap()
-        plane.process_frame(
-            0,
-            reports=[
-                StatusReport(node=1, level=7, alive=True, blocked_port=0)
-            ],
-        )
+        process(plane, 0, flags={1: 0})
         expiry = DeadlockPolicy().blocked_expiry_frames
-        outcome = plane.process_frame(expiry, reports=[])
+        outcome = process(plane, expiry)
         assert outcome.recomputed  # expiry changes the view
         assert (1, 0) not in plane.view().blocked_ports
+
+    def test_replan_counts_the_nodes_that_reported(self):
+        recorder = TraceRecorder()
+        plane = make_control_plane(recorder=recorder)
+        plane.bootstrap()
+        # Node 5 fell a level, node 1 fell and flagged, node 2 only
+        # flagged: three nodes reported, node 1 once.
+        process(plane, 0, levels={5: 6, 1: 3}, flags={1: 0, 2: 3})
+        assert plane.view().battery_levels[1] == 3
+        replan = recorder.events[-1]
+        assert replan["event"] == "replan" and replan["frame"] == 0
+        assert replan["causes"] == ["battery-level", "deadlock-report"]
+        assert replan["reports"] == 3
 
     def test_energy_charged_to_active_controller(self):
         battery = IdealBattery(capacity_pj=1e9)
         plane = make_control_plane(batteries=[battery])
         plane.bootstrap()
-        plane.process_frame(0, reports=[], heartbeat_count=16)
+        process(plane, 0)
         assert battery.delivered_pj > 0
 
     def test_failover_chain(self):
@@ -200,34 +210,26 @@ class TestControlPlane:
         spare = IdealBattery(capacity_pj=1e9)
         plane = make_control_plane(batteries=[tiny, spare])
         plane.bootstrap()
-        outcome = plane.process_frame(0, reports=[], heartbeat_count=16)
+        outcome = process(plane, 0)
         assert outcome.failed_over is True
         assert plane.alive
-        outcome = plane.process_frame(1, reports=[], heartbeat_count=16)
+        outcome = process(plane, 1)
         assert outcome.active_controller == 1
 
     def test_all_controllers_dead(self):
         tiny = IdealBattery(capacity_pj=1.0)
         plane = make_control_plane(batteries=[tiny])
         plane.bootstrap()
-        plane.process_frame(0, reports=[], heartbeat_count=16)
+        process(plane, 0)
         assert not plane.alive
-        outcome = plane.process_frame(1, reports=[], heartbeat_count=16)
+        outcome = process(plane, 1)
         assert outcome.controllers_alive == 0
         assert outcome.active_controller is None
-
-    def test_unknown_report_rejected(self):
-        plane = make_control_plane()
-        plane.bootstrap()
-        with pytest.raises(ConfigurationError):
-            plane.process_frame(
-                0, reports=[StatusReport(node=99, level=0, alive=True)]
-            )
 
     def test_frames_before_bootstrap_rejected(self):
         plane = make_control_plane()
         with pytest.raises(ConfigurationError):
-            plane.process_frame(0, reports=[])
+            process(plane, 0)
 
 
 class TestDeadNodeTableAccounting:
@@ -243,11 +245,7 @@ class TestDeadNodeTableAccounting:
         plane.bootstrap()
         victim = 5
         before = plane._tables_of(plane.plan)
-        outcome = plane.process_frame(
-            0,
-            reports=[StatusReport(node=victim, level=0, alive=False)],
-            heartbeat_count=15,
-        )
+        outcome = process(plane, 0, dead=[victim], heartbeat_count=15)
         assert outcome.recomputed
         after = plane._tables_of(plane.plan)
         # The corpse's row flipped to -1 — a non-empty stale diff that
@@ -265,11 +263,7 @@ class TestDeadNodeTableAccounting:
     def test_download_energy_matches_masked_entries(self):
         plane = make_control_plane()
         plane.bootstrap()
-        outcome = plane.process_frame(
-            0,
-            reports=[StatusReport(node=10, level=0, alive=False)],
-            heartbeat_count=15,
-        )
+        outcome = process(plane, 0, dead=[10], heartbeat_count=15)
         schedule = TdmaSchedule(num_nodes=16)
         assert outcome.controller_energy_pj["download_tx"] == pytest.approx(
             outcome.table_entries_sent * schedule.table_entry_energy_pj
@@ -286,7 +280,7 @@ class TestIdleLeakAccounting:
         idle = IdealBattery(capacity_pj=1e9)
         plane = make_control_plane(batteries=[active, idle])
         plane.bootstrap()
-        outcome = plane.process_frame(0, reports=[], heartbeat_count=16)
+        outcome = process(plane, 0)
         idle_cost = ControllerEnergyModel().idle_energy_pj(16)
         assert outcome.controller_energy_pj["idle_leak"] == pytest.approx(
             idle_cost
@@ -300,7 +294,7 @@ class TestIdleLeakAccounting:
         dying = IdealBattery(capacity_pj=idle_cost / 2)
         plane = make_control_plane(batteries=[active, dying])
         plane.bootstrap()
-        outcome = plane.process_frame(0, reports=[], heartbeat_count=16)
+        outcome = process(plane, 0)
         assert outcome.controller_energy_pj["idle_leak"] == pytest.approx(
             idle_cost / 2
         )
@@ -315,7 +309,7 @@ class TestIdleLeakAccounting:
         assert not dead.alive
         plane = make_control_plane(batteries=[active, dead])
         plane.bootstrap()
-        outcome = plane.process_frame(0, reports=[], heartbeat_count=16)
+        outcome = process(plane, 0)
         assert outcome.controller_energy_pj["idle_leak"] == 0.0
 
 
@@ -326,11 +320,11 @@ class TestWearHook:
         wear = np.zeros((16, 16), dtype=int)
         wear[0, 1] = wear[1, 0] = 3
         plane.update_levels(WEAR_CHANNEL, wear)
-        outcome = plane.process_frame(0, reports=[], heartbeat_count=16)
+        outcome = process(plane, 0)
         assert outcome.recomputed
         assert plane.view().channel_levels["wear"][0, 1] == 3
         # No further change, no further recompute.
-        outcome = plane.process_frame(1, reports=[], heartbeat_count=16)
+        outcome = process(plane, 1)
         assert not outcome.recomputed
 
 
@@ -346,7 +340,7 @@ class TestLengthUpdates:
         for frame, new_lengths in enumerate((degraded, cut)):
             before = plane.plan.distances
             plane.update_lengths(new_lengths)
-            outcome = plane.process_frame(frame, reports=[], heartbeat_count=16)
+            outcome = process(plane, frame)
             assert outcome.recomputed
             assert not np.array_equal(plane.plan.distances, before)
             fresh = make_control_plane(lengths=new_lengths)

@@ -477,7 +477,7 @@ class TestSweepCacheInvalidation:
         )
         assert config_hash(one) != config_hash(two)
 
-    def test_schema_v6_invalidates_v5_entries(self, tmp_path):
+    def test_schema_bump_invalidates_older_entries(self, tmp_path):
         import json
 
         from repro.orchestration.cache import (
@@ -485,14 +485,14 @@ class TestSweepCacheInvalidation:
             SweepCache,
         )
 
-        assert CACHE_SCHEMA_VERSION == 7
+        assert CACHE_SCHEMA_VERSION == 8
         cache = SweepCache(tmp_path)
         key = config_hash(make_config())
         cache.store(key, {"summary": {"jobs_fractional": 1.0}})
         record = dict(cache.lookup(key))
-        # Rewrite the entry as a v5 or v6 record: it must no longer be
-        # served (v7 routes on shortest-path trees).
-        for stale in (5, 6):
+        # Rewrite the entry as an older record: it must no longer be
+        # served (v8 re-plans on a flagged node's current level).
+        for stale in (5, 6, 7):
             record["schema"] = stale
             (tmp_path / f"{key}.json").write_text(json.dumps(record))
             cache.reset_counters()
