@@ -9,9 +9,10 @@ its record outside ``elapsed_s``.
 
 The second check locks behaviour: a record is the point's summary and
 parameters, so a perf change must leave it byte-identical, cached points
-included (they carry everything but ``elapsed_s``).  The changed keys are
-named; a baseline refresh that moves them is a behaviour change to
-review, not a timing update.
+included (they carry everything but ``elapsed_s``).  Each moved key is
+printed as ``key old -> new`` (``missing`` for a key one side lacks); a
+baseline refresh that moves them is a behaviour change to review, not a
+timing update.
 
 Two guards keep the timing check meaningful on shared CI runners:
 
@@ -90,20 +91,26 @@ def load_records(path: str) -> dict[str, dict]:
     }
 
 
+def _shown(record: dict, key: str) -> str:
+    """One record value as its JSON text, or ``missing``."""
+    return json.dumps(record[key]) if key in record else "missing"
+
+
 def behaviour_changes(
     baseline: dict[str, dict], fresh: dict[str, dict]
 ) -> dict[str, list[str]]:
-    """The keys whose values differ, per point present on both sides."""
+    """``key old -> new`` for every key whose value differs, per point
+    present on both sides."""
     changes: dict[str, list[str]] = {}
     for name in sorted(baseline.keys() & fresh.keys()):
         old, new = baseline[name], fresh[name]
-        keys = sorted(
-            key
-            for key in old.keys() | new.keys()
+        moved = [
+            f"{key} {_shown(old, key)} -> {_shown(new, key)}"
+            for key in sorted(old.keys() | new.keys())
             if key not in old or key not in new or old[key] != new[key]
-        )
-        if keys:
-            changes[name] = keys
+        ]
+        if moved:
+            changes[name] = moved
     return changes
 
 
@@ -174,8 +181,9 @@ def main(argv: list[str] | None = None) -> int:
     changed = behaviour_changes(
         load_records(args.baseline), load_records(args.fresh)
     )
-    for name, keys in changed.items():
-        print(f"  BEHAVIOUR  {name}: {', '.join(keys)} changed")
+    for name, moved in changed.items():
+        for change in moved:
+            print(f"  BEHAVIOUR  {name}: {change}")
 
     scale = machine_factor(baseline, fresh, args.floor)
     print(f"machine factor {scale:.3f} (fresh times divided by this)")

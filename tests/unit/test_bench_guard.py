@@ -168,7 +168,10 @@ class TestBehaviourLock:
         record["upload_pj"] = math.nextafter(record["upload_pj"], math.inf)
         assert self.run(guard, tmp_path, fresh) == 1
         out = capsys.readouterr().out
-        assert "BEHAVIOUR  fig7/4x4/ear: upload_pj changed" in out
+        assert (
+            "BEHAVIOUR  fig7/4x4/ear: upload_pj 12249.7 -> 12249.700000000003"
+            in out
+        )
 
     def test_changed_value_on_a_cached_point_fails(
         self, guard, tmp_path, capsys
@@ -178,7 +181,8 @@ class TestBehaviourLock:
         del fresh["fig7"][1]["upload_pj"]  # a key gone counts too
         assert self.run(guard, tmp_path, fresh) == 1
         out = capsys.readouterr().out
-        assert "fig7/4x4/sdr: jobs_fractional, upload_pj changed" in out
+        assert "fig7/4x4/sdr: jobs_fractional 14.2 -> 14.3" in out
+        assert "fig7/4x4/sdr: upload_pj 3000.1 -> missing" in out
 
     def test_fresh_only_points_stay_informational(self, guard, tmp_path):
         fresh = copy.deepcopy(LOCKED)
