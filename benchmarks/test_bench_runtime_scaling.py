@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.core.engines import EnergyAwareRouting
+from repro.core.trees import line_slots
 from repro.core.view import NetworkView
 from repro.mesh.mapping import checkerboard_mapping
 from repro.mesh.topology import mesh2d
@@ -28,8 +29,10 @@ def make_view(width: int) -> NetworkView:
     mapping = checkerboard_mapping(topology)
     size = topology.num_nodes
     rng = np.random.default_rng(width)
+    neighbors, lengths = line_slots(topology)
     return NetworkView(
-        lengths=topology.length_matrix(),
+        neighbors=neighbors,
+        edge_lengths=lengths,
         alive=np.ones(size, dtype=bool),
         battery_levels=rng.integers(0, 8, size=size),
         levels=8,

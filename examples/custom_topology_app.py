@@ -18,6 +18,7 @@ Run:  python examples/custom_topology_app.py
 import numpy as np
 
 from repro import ApplicationProfile, EnergyAwareRouting, theorem1
+from repro.core.trees import line_slots
 from repro.core.view import NetworkView
 from repro.core.weights import BatteryWeightFunction
 from repro.mesh.mapping import ModuleMapping
@@ -66,10 +67,13 @@ def main() -> None:
     )
 
     engine = EnergyAwareRouting(BatteryWeightFunction(q=1.8, levels=8))
+    # The fabric's neighbour table and line lengths, built once.
+    neighbors, lengths = line_slots(sleeve)
 
     def plan_for(levels: list[int]):
         view = NetworkView(
-            lengths=sleeve.length_matrix(),
+            neighbors=neighbors,
+            edge_lengths=lengths,
             alive=np.ones(8, dtype=bool),
             battery_levels=np.array(levels),
             levels=8,

@@ -3,8 +3,9 @@ table dissemination, controller fail-over.
 
 One :class:`ControlPlane` owns the controller-side state of the TDMA
 mechanism (paper Sec 5.3): the last reported battery level and liveness
-of every node, the blocked-port registry of the deadlock-recovery
-protocol, the cached routing plan, and the chain of controller units.
+of every node, the known length of every line, the blocked-port registry
+of the deadlock-recovery protocol, the cached routing plan, and the
+chain of controller units.
 Each simulated frame the engine hands it the frame's uploads as arrays;
 the plane diffs them against its record and re-runs the routing
 algorithm *only when the reported information differs from the previous
@@ -23,7 +24,7 @@ from ..battery.base import Battery
 from ..core.costs import LevelChannel
 from ..core.engines import RoutingEngine
 from ..core.phase3 import NO_DESTINATION, SINK, RoutingPlan
-from ..core.trees import edge_lengths, neighbor_table
+from ..core.trees import slot_of
 from ..core.view import NetworkView
 from ..errors import ConfigurationError
 from ..mesh.mapping import ModuleMapping
@@ -93,7 +94,8 @@ class ControlPlane:
 
     def __init__(
         self,
-        lengths: np.ndarray,
+        neighbors: np.ndarray,
+        edge_lengths: np.ndarray,
         mapping: ModuleMapping,
         engine: RoutingEngine,
         levels: int,
@@ -114,13 +116,13 @@ class ControlPlane:
         #: Re-plan causes accumulated since the last recomputation
         #: (trace-only; the update_* hooks feed it).
         self._change_causes: set[str] = set()
-        # Own copy: the engine's working matrix mutates under fault
-        # injection and must only reach the controller via the
-        # update_lengths hook (the controller routes on *known* state).
-        self._lengths = np.array(lengths, dtype=float)
-        self._neighbors = neighbor_table(self._lengths)
-        self._edge_lengths = edge_lengths(self._lengths, self._neighbors)
-        self._num_nodes = int(self._lengths.shape[0])
+        #: The fabric's fixed ``(K, M)`` neighbour table.
+        self._neighbors = neighbors
+        #: The known length of every line, one per slot of the table:
+        #: the only record of it.  Fault injection reaches it only
+        #: through update_line (the controller routes on *known* state).
+        self._edge_lengths = np.array(edge_lengths, dtype=float)
+        self._num_nodes = int(neighbors.shape[0])
         #: The source block finished jobs return to (root of the plan's
         #: sink column), or None for a sink-less fabric.
         self._sink = sink
@@ -169,17 +171,21 @@ class ControlPlane:
         """Total routing recomputations so far."""
         return self._recompute_count
 
-    def update_lengths(self, lengths: np.ndarray) -> None:
-        """Hook: the physical link state changed (cut or degraded lines).
+    def update_line(self, u: int, v: int, length: float) -> None:
+        """Hook: the controller learned the ``u -> v`` line's length.
 
-        The engine calls this when fault injection rewrites the length
-        matrix (``inf`` for severed lines, scaled lengths for degraded
-        ones).  The next processed frame recomputes routing from the new
-        picture — the same trigger discipline as a changed upload.
+        The engine calls this for one direction of a line at a time:
+        ``inf`` for a cut some node discovered, a finite length for a
+        degradation, its expiry or a repair.  The next processed frame
+        recomputes routing from the new picture — the same trigger
+        discipline as a changed upload, even when the length is the one
+        already known.
         """
-        self._lengths = np.array(lengths, dtype=float)
-        self._neighbors = neighbor_table(self._lengths)
-        self._edge_lengths = edge_lengths(self._lengths, self._neighbors)
+        # Every plan keeps the view it was computed from, so the write
+        # goes to a fresh copy rather than into a snapshot.
+        edges = self._edge_lengths.copy()
+        edges[u, slot_of(self._neighbors, u, v)] = length
+        self._edge_lengths = edges
         self._links_changed = True
         if self._trace:
             self._change_causes.add("link-state")
@@ -188,9 +194,10 @@ class ControlPlane:
         """Hook: a level channel's quantised picture changed.
 
         The engine pushes a fresh level vector (node channels) or
-        matrix (link channels) only when some level actually changed,
-        so this triggers a recomputation exactly as a changed battery
-        report would — not on every traversal or harvested picojoule.
+        ``(K, M)`` slot array (link channels) only when some level
+        actually changed, so this triggers a recomputation exactly as a
+        changed battery report would — not on every traversal or
+        harvested picojoule.
         """
         self._channel_levels[channel.name] = np.array(levels, dtype=int)
         self._links_changed = True
@@ -200,7 +207,8 @@ class ControlPlane:
     def view(self) -> NetworkView:
         """Current reported-state snapshot."""
         return NetworkView(
-            lengths=self._lengths,
+            neighbors=self._neighbors,
+            edge_lengths=self._edge_lengths,
             alive=self._node_alive.copy(),
             battery_levels=self._node_levels.copy(),
             levels=self._levels,
@@ -208,8 +216,6 @@ class ControlPlane:
             blocked_ports=self._registry.blocked_ports(),
             channel_levels=self._channel_levels,
             sink=self._sink,
-            neighbors=self._neighbors,
-            edge_lengths=self._edge_lengths,
         )
 
     # ------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .engines import (
 )
 from .parameters import ApplicationProfile
 from .phase3 import EcmpSelector, RoutingPlan, select_destinations
-from .trees import ShortestPathTrees, neighbor_table, shortest_path_trees
+from .trees import ShortestPathTrees, line_slots, shortest_path_trees
 from .upper_bound import UpperBoundResult, optimize_duplicates, theorem1
 from .view import NetworkView
 from .weights import BatteryWeightFunction
@@ -65,7 +65,7 @@ __all__ = [
     "ShortestDistanceRouting",
     "ShortestPathTrees",
     "UpperBoundResult",
-    "neighbor_table",
+    "line_slots",
     "optimize_duplicates",
     "routing_engine",
     "select_destinations",

@@ -174,13 +174,9 @@ class LevelChannel:
         return self.name in view.channel_levels
 
     def apply(self, weights: np.ndarray, view: NetworkView) -> np.ndarray:
+        # Link levels arrive laid out like the neighbour table, node
+        # levels as one per node.
         levels = view.channel_levels[self.name]
-        if self.keyed == "link":
-            # Gather the reported (K, K) levels at the slots.  A padding
-            # slot reads some real link instead; its weight is inf and
-            # stays inf under any positive multiplier.
-            slots = np.minimum(view.neighbors, view.num_nodes - 1)
-            levels = np.take_along_axis(levels, slots, axis=1)
         # Reported levels beyond the cap saturate at the table's end.
         multipliers = self.table()[np.minimum(levels, self.levels - 1)]
         if self.keyed == "node":

@@ -14,7 +14,8 @@ until a pass changes nothing; e-textile meshes have degree <= 5, so a
 pass is a few array operations and the whole tree costs O(K * depth)
 instead of Floyd–Warshall's O(K^3).  Its input is phase 1's weight per
 neighbour-table slot, a ``(K, max degree)`` array laid out like the
-table (:func:`edge_lengths` gathers the line lengths the same way).
+table (:func:`line_slots` builds the table and its line lengths once
+from the fabric; a cut line is an ``inf`` slot, never a missing one).
 
 Alongside each distance the kernel carries a *label*: the lowest node id
 among the nearest targets.  Labels propagate along exactly tight edges
@@ -40,39 +41,39 @@ from ..errors import RoutingError
 ECMP_COST_TOLERANCE = 1e-9
 
 
-def neighbor_table(lengths: np.ndarray) -> np.ndarray:
-    """Out-neighbours of every node, padded to the maximum degree.
+def line_slots(topology) -> tuple[np.ndarray, np.ndarray]:
+    """The fabric's padded neighbour table and the length behind each slot.
 
-    Row ``n`` lists the nodes ``h != n`` with a finite ``lengths[n, h]``
-    in ascending id order (so "first qualifying slot" means "lowest
-    id"), followed by the padding value ``K``, which indexes the
-    sentinel row the kernel appends to its blocks.  The table has at
-    least one column so an isolated fabric still relaxes cleanly.
+    Row ``n`` of the ``(K, M)`` table lists ``n``'s out-neighbours in
+    ascending id order (so "first qualifying slot" means "lowest id"),
+    followed by the padding value ``K``, which indexes the sentinel row
+    the kernel appends to its blocks; ``M`` is the largest degree, and
+    at least 1 so an isolated fabric still relaxes cleanly.  The second
+    array holds the line length behind every slot, ``inf`` on padding:
+    exactly the directed interconnects phase 1 weighs.
     """
-    lengths = np.asarray(lengths, dtype=float)
-    size = lengths.shape[0]
-    linked = np.isfinite(lengths)
-    np.fill_diagonal(linked, False)
-    degree = linked.sum(axis=1)
-    table = np.full((size, max(1, int(degree.max(initial=0)))), size)
-    rows, cols = np.nonzero(linked)
-    starts = np.cumsum(degree) - degree
-    table[rows, np.arange(rows.size) - np.repeat(starts, degree)] = cols
-    return table
+    size = topology.num_nodes
+    # Node ids are exact in float64, so one array holds every triple.
+    edges = np.array(topology.edges(), dtype=float).reshape(-1, 3)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    tails = edges[:, 0].astype(np.int64)
+    degree = np.bincount(tails, minlength=size)
+    slots = np.arange(tails.size) - np.repeat(np.cumsum(degree) - degree, degree)
+    width = max(1, int(degree.max(initial=0)))
+    neighbors = np.full((size, width), size)
+    neighbors[tails, slots] = edges[:, 1].astype(np.int64)
+    lengths = np.full((size, width), np.inf)
+    lengths[tails, slots] = edges[:, 2]
+    return neighbors, lengths
 
 
-def edge_lengths(lengths: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """Line length behind every slot of a neighbour table.
+def slot_of(neighbors: np.ndarray, u: int, v: int) -> int:
+    """Column of the ``u -> v`` line in row ``u`` of a neighbour table.
 
-    Entry ``[n, j]`` is ``lengths[n, neighbors[n, j]]``, and ``inf`` on
-    the padding slots, so the ``(K, M)`` array holds exactly the
-    directed interconnects phase 1 weighs.
+    A row holds at most the largest degree, so a list search beats a
+    numpy comparison here.
     """
-    size = lengths.shape[0]
-    padded = neighbors == size
-    edges = lengths[np.arange(size)[:, None], np.where(padded, 0, neighbors)]
-    edges[padded] = np.inf
-    return edges
+    return neighbors[u].tolist().index(v)
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class ShortestPathTrees:
     ``[j, n, c]`` concerns node ``n``'s ``j``-th neighbour slot.
 
     Attributes:
-        neighbors: ``(K, M)`` neighbour table (:func:`neighbor_table`).
+        neighbors: ``(K, M)`` neighbour table (:func:`line_slots`).
         distances: ``(K, C)`` least weight from each node to the nearest
             target of column ``c`` (``inf`` when unreachable).
         labels: ``(K, C)`` lowest id among those nearest targets
@@ -119,8 +120,8 @@ def shortest_path_trees(
         edge_weights: ``(K, M)`` phase 1 weights, entry ``[n, j]`` on
             the interconnect from ``n`` to ``neighbors[n, j]`` (``inf``
             for severed lines and padding, non-negative elsewhere).
-        neighbors: ``(K, M)`` table from :func:`neighbor_table`; an
-            edge it omits is never relaxed.
+        neighbors: ``(K, M)`` table from :func:`line_slots`; an edge
+            it omits, or weighs ``inf``, is never relaxed.
         targets: ``(K, C)`` boolean mask; column ``c``'s tree is rooted
             at every node marked in it.
 

@@ -2,10 +2,12 @@
 
 Routing decisions are made centrally from *reported* information (paper
 Sec 5.3): quantised battery levels, liveness, and deadlock flags arrive
-over the TDMA control medium; the physical line lengths are static
-knowledge.  A :class:`NetworkView` is an immutable snapshot of exactly
-that information — the only input a routing engine is allowed to see,
-which keeps EAR honest (it cannot peek at exact battery state).
+over the TDMA control medium, and so do the line lengths the controller
+knows — degradations, their expiry and repairs as they happen, a cut
+only once a node discovers it.  A :class:`NetworkView` is an immutable
+snapshot of exactly that information — the only input a routing engine
+is allowed to see, which keeps EAR honest (it cannot peek at exact
+battery state or at a cut nobody has found).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..mesh.mapping import ModuleMapping
-from .trees import edge_lengths, neighbor_table
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,11 @@ class NetworkView:
     """Snapshot of reported system state used for one routing computation.
 
     Attributes:
-        lengths: Dense ``(K, K)`` matrix of line lengths in cm
-            (``inf`` for non-edges, 0 on the diagonal).
+        neighbors: The fabric's padded ``(K, M)`` neighbour table
+            (:func:`~repro.core.trees.line_slots`).
+        edge_lengths: ``(K, M)`` known line length in cm behind every
+            slot of ``neighbors``: ``inf`` on padding and on a known
+            cut.  These are the interconnects phase 1 weighs.
         alive: Boolean vector of length ``K``.
         battery_levels: Integer vector of reported levels ``N_B(j)``,
             each in ``0 .. levels-1``.
@@ -36,22 +40,16 @@ class NetworkView:
             deadlock state; phase 3 avoids choosing them.
         channel_levels: Quantised levels reported per level channel,
             keyed by channel name: a length-``K`` vector for node
-            channels, a symmetric ``(K, K)`` matrix for link channels.
-            A channel is absent until its first report arrives.
+            channels, a ``(K, M)`` array laid out like ``neighbors`` for
+            link channels.  A channel is absent until its first report
+            arrives.
         sink: Node id of the source block that finished jobs return
             to (the root of the sink column of the routing trees), or
             None when the view has no sink.
-        neighbors: Padded ``(K, M)`` neighbour table of ``lengths``
-            (:func:`~repro.core.trees.neighbor_table`).  The controller
-            passes the table it rebuilds whenever its length picture
-            changes; a view built without one derives it here.
-        edge_lengths: ``(K, M)`` line length behind every slot of
-            ``neighbors`` (:func:`~repro.core.trees.edge_lengths`,
-            ``inf`` on padding): the interconnects phase 1 weighs.
-            Passed and derived like ``neighbors``.
     """
 
-    lengths: np.ndarray
+    neighbors: np.ndarray = field(repr=False)
+    edge_lengths: np.ndarray = field(repr=False)
     alive: np.ndarray
     battery_levels: np.ndarray
     levels: int
@@ -61,18 +59,18 @@ class NetworkView:
     )
     channel_levels: Mapping[str, np.ndarray] = field(default_factory=dict)
     sink: int | None = None
-    neighbors: np.ndarray | None = field(default=None, repr=False)
-    edge_lengths: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        lengths = np.asarray(self.lengths, dtype=float)
+        neighbors = np.asarray(self.neighbors)
+        edge_lengths = np.asarray(self.edge_lengths, dtype=float)
         alive = np.asarray(self.alive, dtype=bool)
         levels_vec = np.asarray(self.battery_levels, dtype=int)
-        size = lengths.shape[0]
-        if lengths.shape != (size, size):
+        if neighbors.ndim != 2 or edge_lengths.shape != neighbors.shape:
             raise ConfigurationError(
-                f"lengths must be square, got {lengths.shape}"
+                f"edge lengths {edge_lengths.shape} do not match the "
+                f"neighbour table {neighbors.shape}"
             )
+        size = neighbors.shape[0]
         if alive.shape != (size,) or levels_vec.shape != (size,):
             raise ConfigurationError(
                 "alive and battery_levels must be vectors of length "
@@ -90,16 +88,18 @@ class NetworkView:
                 f"0..{self.levels - 1}, got range "
                 f"[{levels_vec.min()}, {levels_vec.max()}]"
             )
-        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "neighbors", neighbors)
+        object.__setattr__(self, "edge_lengths", edge_lengths)
         object.__setattr__(self, "alive", alive)
         object.__setattr__(self, "battery_levels", levels_vec)
         channel_levels = {}
         for name, raw in self.channel_levels.items():
             levels = np.asarray(raw, dtype=int)
-            if levels.shape not in ((size,), (size, size)):
+            if levels.shape not in ((size,), neighbors.shape):
                 raise ConfigurationError(
-                    f"{name} levels must be a length-{size} vector or a "
-                    f"{size}x{size} matrix, got {levels.shape}"
+                    f"{name} levels must be a length-{size} vector or "
+                    f"shaped like the neighbour table {neighbors.shape}, "
+                    f"got {levels.shape}"
                 )
             if levels.min(initial=0) < 0:
                 raise ConfigurationError(f"{name} levels must be >= 0")
@@ -109,22 +109,11 @@ class NetworkView:
             raise ConfigurationError(
                 f"sink {self.sink} outside 0..{size - 1}"
             )
-        if self.neighbors is None:
-            object.__setattr__(self, "neighbors", neighbor_table(lengths))
-        if self.edge_lengths is None:
-            object.__setattr__(
-                self, "edge_lengths", edge_lengths(lengths, self.neighbors)
-            )
-        if self.edge_lengths.shape != self.neighbors.shape:
-            raise ConfigurationError(
-                f"edge lengths {self.edge_lengths.shape} do not match the "
-                f"neighbour table {self.neighbors.shape}"
-            )
 
     @property
     def num_nodes(self) -> int:
         """Number of nodes ``K`` in the view."""
-        return int(self.lengths.shape[0])
+        return int(self.neighbors.shape[0])
 
     def alive_nodes(self) -> tuple[int, ...]:
         """Ids of live nodes."""
@@ -150,7 +139,8 @@ class NetworkView:
     ) -> "NetworkView":
         """Copy of the view with a different blocked-port set."""
         return NetworkView(
-            lengths=self.lengths,
+            neighbors=self.neighbors,
+            edge_lengths=self.edge_lengths,
             alive=self.alive,
             battery_levels=self.battery_levels,
             levels=self.levels,
@@ -158,6 +148,4 @@ class NetworkView:
             blocked_ports=blocked,
             channel_levels=self.channel_levels,
             sink=self.sink,
-            neighbors=self.neighbors,
-            edge_lengths=self.edge_lengths,
         )

@@ -1,16 +1,15 @@
 """Graph representation of the e-textile communication network.
 
 A :class:`Topology` is a directed graph whose edges carry physical line
-lengths in centimetres.  The routing engines consume its dense numpy
-length matrix; the simulator walks its adjacency lists.  The paper's
+lengths in centimetres.  The routing engines consume the neighbour
+table :func:`~repro.core.trees.line_slots` builds once from its
+adjacency; the simulator walks its adjacency lists.  The paper's
 default platform is a 2-D mesh (Sec 5.2) built by :func:`mesh2d`;
 arbitrary fabrics (e.g. the smart-shirt block diagram of Fig 3a) can be
 assembled edge by edge or imported from networkx.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..errors import TopologyError
 from ..units import require_positive
@@ -169,23 +168,8 @@ class Topology:
         return ((pu[0] + pv[0]) / 2.0, (pu[1] + pv[1]) / 2.0)
 
     # ------------------------------------------------------------------
-    # Matrix and interop views
+    # Interop
     # ------------------------------------------------------------------
-    def length_matrix(self) -> np.ndarray:
-        """Dense ``(K, K)`` matrix of line lengths.
-
-        Entry ``[u, v]`` is the edge length, ``inf`` for non-edges and
-        0 on the diagonal — exactly the W-matrix convention of the
-        paper's Sec 6.
-        """
-        size = self._num_nodes
-        matrix = np.full((size, size), np.inf, dtype=float)
-        np.fill_diagonal(matrix, 0.0)
-        for u in self.nodes:
-            for v, length in self._adjacency[u].items():
-                matrix[u, v] = length
-        return matrix
-
     def to_networkx(self):
         """Export as a ``networkx.DiGraph`` with ``length`` edge data."""
         import networkx as nx

@@ -42,6 +42,7 @@ from ..config import SimulationConfig
 from ..control.controller import ControlPlane
 from ..core.engines import EnergyAwareRouting, ShortestDistanceRouting
 from ..core.parameters import ApplicationProfile
+from ..core.trees import line_slots, slot_of
 from ..errors import DeadNodeError, SimulationError
 from ..faults.schedule import FaultRuntime, build_fault_schedule
 from ..harvest.schedule import build_harvest_schedule
@@ -136,15 +137,18 @@ class EngineBase:
 
         # --- links --------------------------------------------------------
         self.link_model = platform.link_energy_model()
-        self.lengths = self.topology.length_matrix()
-        #: Pristine lengths, kept so transient degradations can restore
-        #: a line after expiry (self.lengths is the working matrix that
-        #: fault injection rewrites in place).
-        self._base_lengths = self.lengths.copy()
-        #: The controller's picture of the link state: cuts appear here
-        #: only once *discovered* (a node failed to use the line), so a
-        #: degradation report never leaks knowledge of unrelated cuts.
-        self._known_lengths = self.lengths.copy()
+        #: The fabric's fixed neighbour table and the pristine length of
+        #: the line behind every slot, built once; the controller routes
+        #: on the same table.
+        self._neighbors, self._pristine_lengths = line_slots(self.topology)
+        #: Working length of every directed line, ``lengths[u][v]``: the
+        #: pristine length scaled while the line is degraded, ``inf``
+        #: while it is cut.  Per-node dicts of plain numbers, not one
+        #: dict keyed by ``(u, v)`` tuples, which the garbage collector
+        #: would track.
+        self.lengths: list[dict[int, float]] = [{} for _ in self.topology.nodes]
+        for u, v, length in self.topology.edges():
+            self.lengths[u][v] = length
         self.hop_cycles = self.link_model.hop_cycles()
         # Per-hop packet energy depends only on the (static) line length,
         # and _transmit sits on the per-hop hot path: memoise by length.
@@ -170,7 +174,8 @@ class EngineBase:
         if config.routing_opts.ecmp:
             routing_engine.configure_ecmp(config.routing_opts.ecmp_seed)
         self.control = ControlPlane(
-            lengths=self.lengths,
+            neighbors=self._neighbors,
+            edge_lengths=self._pristine_lengths,
             mapping=self.mapping,
             engine=routing_engine,
             levels=platform.battery_levels,
@@ -228,7 +233,6 @@ class EngineBase:
         #: is invisible to the control plane until some node fails to
         #: use the line and reports it (see _note_fault_block).
         self._undiscovered: set[tuple[int, int]] = set()
-        self._link_report_pending = False
 
         # --- energy harvesting --------------------------------------------
         #: True when the frame hook has any work at all: income to
@@ -291,13 +295,6 @@ class EngineBase:
         if self.harvest_active:
             self._apply_harvest(frame)
         levels, living, flags, heartbeats = self._heartbeat_phase()
-        if self._link_report_pending:
-            # A node discovered a dead line since the last frame and
-            # reports it in its upload slot: the controller updates its
-            # length picture (only the *discovered* state) and re-plans
-            # this frame.
-            self.control.update_lengths(self._known_lengths)
-            self._link_report_pending = False
         for channel, estimator in self._channels:
             # Fold the frame's signal into quantised levels; when some
             # level changed, push the new picture so the controller
@@ -308,7 +305,7 @@ class EngineBase:
             estimator.end_frame()
             if estimator.dirty and not channel.is_neutral:
                 self.control.update_levels(
-                    channel, estimator.levels(self.topology.num_nodes)
+                    channel, estimator.levels(self._neighbors)
                 )
                 estimator.dirty = False
         outcome = self.control.process_frame(
@@ -445,24 +442,20 @@ class EngineBase:
     def _apply_faults(self, frame: int) -> None:
         """Fire every fault event due at ``frame`` and expire transients.
 
-        Cuts sever the topology edge and mark the working length matrix
-        ``inf``; degradations scale the line length (and therefore the
-        per-hop packet energy); node kills go through the regular death
-        hook so resident state is cleaned up identically to a battery
-        death.  Any link-state change is pushed to the control plane,
-        which re-plans on its next processed frame.
+        Cuts sever the topology edge and mark the working length ``inf``;
+        degradations scale the line length (and therefore the per-hop
+        packet energy); node kills go through the regular death hook so
+        resident state is cleaned up identically to a battery death.
+        Degradations, their expiry and repairs reach the control plane
+        at once (see :meth:`_rescale_line`), which re-plans on its next
+        processed frame; a cut only once a node discovers it.
         """
         runtime = self.faults
         events = runtime.due(frame)
         restored = runtime.expire_degradations(frame)
         trace = self._trace
-        lengths_changed = False
         for u, v in restored:
-            self.lengths[u, v] = self._base_lengths[u, v]
-            self.lengths[v, u] = self._base_lengths[v, u]
-            self._known_lengths[u, v] = self._base_lengths[u, v]
-            self._known_lengths[v, u] = self._base_lengths[v, u]
-            lengths_changed = True
+            self._rescale_line(u, v)
             if trace:
                 self.recorder.event(
                     "link-restored", frame=frame, link=[u, v]
@@ -474,7 +467,7 @@ class EngineBase:
                     continue
                 self.topology.remove_edge(u, v)
                 runtime.mark_cut(u, v)
-                self.lengths[u, v] = self.lengths[v, u] = float("inf")
+                self.lengths[u][v] = self.lengths[v][u] = math.inf
                 self.links_cut += 1
                 self.faults_injected += 1
                 # The cut is physical, not reported: the controller keeps
@@ -490,23 +483,18 @@ class EngineBase:
                 u, v = event.node_a, event.node_b
                 if not runtime.is_cut(u, v):
                     continue  # never cut (budget/horizon) or already re-sewn
-                base = float(self._base_lengths[u, v])
-                self.topology.add_edge(u, v, base)
-                runtime.mark_repaired(u, v)
-                if self._wear is not None:
-                    self._wear.forget(u, v)
-                self.lengths[u, v] = self._base_lengths[u, v]
-                self.lengths[v, u] = self._base_lengths[v, u]
                 # A repair is a deliberate physical intervention, so the
                 # controller learns of the restored line immediately —
                 # including one it never discovered as cut.
-                self._known_lengths[u, v] = self._base_lengths[u, v]
-                self._known_lengths[v, u] = self._base_lengths[v, u]
+                self._rescale_line(u, v)
+                self.topology.add_edge(u, v, self.lengths[u][v])
+                runtime.mark_repaired(u, v)
+                if self._wear is not None:
+                    self._wear.forget(u, v)
                 self._undiscovered.discard((u, v))
                 self._undiscovered.discard((v, u))
                 self.links_repaired += 1
                 self.faults_injected += 1
-                lengths_changed = True
                 if trace:
                     self.recorder.event(
                         "fault",
@@ -532,12 +520,9 @@ class EngineBase:
                 u, v = event.node_a, event.node_b
                 if runtime.is_cut(u, v) or not self.topology.has_edge(u, v):
                     continue
-                self.lengths[u, v] = self._base_lengths[u, v] * event.factor
-                self.lengths[v, u] = self._base_lengths[v, u] * event.factor
                 # Degradations are measurable line quality: the frame's
                 # status exchange carries them to the controller.
-                self._known_lengths[u, v] = self.lengths[u, v]
-                self._known_lengths[v, u] = self.lengths[v, u]
+                self._rescale_line(u, v, event.factor)
                 runtime.degraded[(min(u, v), max(u, v))] = (
                     event.factor,
                     frame + event.duration_frames,
@@ -546,7 +531,6 @@ class EngineBase:
                     self._wear.note_degraded(u, v)
                 self.links_degraded += 1
                 self.faults_injected += 1
-                lengths_changed = True
                 if trace:
                     self.recorder.event(
                         "fault",
@@ -556,8 +540,16 @@ class EngineBase:
                         factor=event.factor,
                         duration_frames=event.duration_frames,
                     )
-        if lengths_changed:
-            self.control.update_lengths(self._known_lengths)
+
+    def _rescale_line(self, u: int, v: int, factor: float = 1.0) -> None:
+        """Set both directions of the ``u - v`` line to ``factor`` times
+        their pristine length, in the working record and in the
+        controller's picture."""
+        for a, b in ((u, v), (v, u)):
+            slot = slot_of(self._neighbors, a, b)
+            length = float(self._pristine_lengths[a, slot]) * factor
+            self.lengths[a][b] = length
+            self.control.update_line(a, b, length)
 
     # ------------------------------------------------------------------
     # Energy harvesting
@@ -618,7 +610,7 @@ class EngineBase:
         nearer layers first, adjacency order within a layer, exactly
         the single-hop neighbour scan when ``max_hops == 1`` — plus the
         cheapest-loss path to each: fewest hops, ties broken by total
-        line length from the working length matrix.
+        working line length.
         """
         paths: dict[int, tuple[int, ...]] = {donor: ()}
         lengths_to: dict[int, float] = {donor: 0.0}
@@ -630,7 +622,7 @@ class EngineBase:
                 for v in self.topology.neighbors(u):
                     if v >= self.num_mesh_nodes:
                         continue
-                    candidate_len = lengths_to[u] + float(self.lengths[u, v])
+                    candidate_len = lengths_to[u] + self.lengths[u][v]
                     if v in paths:
                         # Same-layer rediscovery: keep the physically
                         # shorter line run (hop count is equal).
@@ -708,7 +700,7 @@ class EngineBase:
             prev = donor
             for hop in paths[poorest]:
                 arrived = energy * self._share_arrival_factor(
-                    float(self.lengths[prev, hop]), efficiency
+                    self.lengths[prev][hop], efficiency
                 )
                 self.ledger.add_share_hop(energy - arrived)
                 if hop != poorest:
@@ -748,16 +740,16 @@ class EngineBase:
     def _note_fault_block(self, u: int, v: int) -> None:
         """A node failed to use the ``u -> v`` line: discovery.
 
-        The discovering node reports the dead line during the next
-        frame's upload phase, at which point the controller re-plans —
-        the fault-model counterpart of the paper's deadlock reports.
+        The discovering node reports the dead line in its next upload
+        slot: the controller marks both directions ``inf`` and re-plans
+        at its next processed frame — the fault-model counterpart of
+        the paper's deadlock reports.
         """
         if (u, v) in self._undiscovered:
             self._undiscovered.discard((u, v))
             self._undiscovered.discard((v, u))
-            self._known_lengths[u, v] = float("inf")
-            self._known_lengths[v, u] = float("inf")
-            self._link_report_pending = True
+            self.control.update_line(u, v, math.inf)
+            self.control.update_line(v, u, math.inf)
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -789,7 +781,7 @@ class EngineBase:
             raise SimulationError(
                 f"packet transmitted over cut link {sender} -> {receiver}"
             )
-        length = float(self.lengths[sender, receiver])
+        length = self.lengths[sender][receiver]
         energy = self._hop_energy_by_length.get(length)
         if energy is None:
             energy = self.link_model.hop_energy_pj(length)

@@ -8,8 +8,9 @@ Every estimator has the same interface:
   change (not on a snapshot diff — a repair can clear a level raised
   earlier in the same frame interval, and that still counts) and is
   reset by the engine after it pushes the picture to the controller;
-* :meth:`~LevelEstimator.levels` is the dense picture the controller
-  sees (a length-``K`` vector or a symmetric ``(K, K)`` matrix);
+* :meth:`~LevelEstimator.levels` is the picture the controller sees: a
+  length-``K`` vector, or a ``(K, M)`` array laid out like the fabric's
+  neighbour table with both directions of a line at its level;
 * :meth:`~LevelEstimator.snapshot` is the sparse nonzero map the trace
   probes record;
 * :meth:`~LevelEstimator.end_frame` folds the frame's signal, and
@@ -24,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.costs import LevelChannel
+from ..core.trees import slot_of
 
 #: Per-frame smoothing factor of the income moving average.  One time
 #: constant spans ~50 frames — several motion windows — so the estimate
@@ -54,8 +56,9 @@ class LevelEstimator:
     def end_frame(self) -> None:
         """Fold the frame's signal into levels (default: nothing to do)."""
 
-    def levels(self, num_nodes: int) -> np.ndarray:
-        """Dense quantised levels, zero-padded to ``num_nodes`` nodes."""
+    def levels(self, neighbors: np.ndarray) -> np.ndarray:
+        """Quantised levels over the nodes or the slots of the
+        ``(K, M)`` neighbour table, zero where nothing was stored."""
         raise NotImplementedError
 
     def snapshot(self) -> dict:
@@ -68,7 +71,7 @@ class LinkLevelStore(LevelEstimator):
 
     Level 0 is the implicit default and is never stored.  Sparsity
     matters: on a K-node mesh only O(K) links ever carry traffic, so
-    the map stays small while the dense matrix is materialised only at
+    the map stays small while the slot array is materialised only at
     report time (once per level change, not per packet).
     """
 
@@ -86,12 +89,12 @@ class LinkLevelStore(LevelEstimator):
             del self._levels[pair]
         self.dirty = True
 
-    def levels(self, num_nodes: int) -> np.ndarray:
-        matrix = np.zeros((num_nodes, num_nodes), dtype=np.int64)
+    def levels(self, neighbors: np.ndarray) -> np.ndarray:
+        slots = np.zeros(neighbors.shape, dtype=np.int64)
         for (u, v), level in self._levels.items():
-            matrix[u, v] = level
-            matrix[v, u] = level
-        return matrix
+            slots[u, slot_of(neighbors, u, v)] = level
+            slots[v, slot_of(neighbors, v, u)] = level
+        return slots
 
     def snapshot(self) -> dict[tuple[int, int], int]:
         return dict(self._levels)
@@ -247,8 +250,8 @@ class IncomeEstimator(LevelEstimator):
                 levels[node] = level
                 self.dirty = True
 
-    def levels(self, num_nodes: int) -> np.ndarray:
-        vector = np.zeros(num_nodes, dtype=np.int64)
+    def levels(self, neighbors: np.ndarray) -> np.ndarray:
+        vector = np.zeros(neighbors.shape[0], dtype=np.int64)
         vector[: len(self._levels)] = self._levels
         return vector
 

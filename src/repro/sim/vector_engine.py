@@ -75,7 +75,7 @@ class VectorEngine(SequentialEngine):
             raise SimulationError(
                 f"packet transmitted over cut link {sender} -> {receiver}"
             )
-        length = float(self.lengths[sender, receiver])
+        length = self.lengths[sender][receiver]
         energy = self._hop_energy_by_length.get(length)
         if energy is None:
             energy = self.link_model.hop_energy_pj(length)

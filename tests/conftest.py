@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from helpers import make_config
-from repro.core.view import NetworkView
+from helpers import make_config, make_view
 from repro.mesh.mapping import checkerboard_mapping
 from repro.mesh.topology import mesh2d
 
@@ -26,13 +24,7 @@ def mapping4(mesh4):
 @pytest.fixture
 def full_view(mesh4, mapping4):
     """A network view with every node alive at full battery."""
-    return NetworkView(
-        lengths=mesh4.length_matrix(),
-        alive=np.ones(16, dtype=bool),
-        battery_levels=np.full(16, 7, dtype=int),
-        levels=8,
-        mapping=mapping4,
-    )
+    return make_view(mesh4, mapping4)
 
 
 @pytest.fixture

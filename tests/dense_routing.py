@@ -22,7 +22,10 @@ matrices, so the property suites can compare the two on random views:
 
 :func:`at_slots` gathers a dense matrix at a neighbour table's slots,
 the layout the package weighs and routes on, and :func:`dense_of`
-scatters an edge array back into a matrix.
+scatters an edge array back into a matrix.  :func:`neighbor_table` and
+:func:`edge_lengths` compact a length matrix into a table of its finite
+lines only, the layout the package used before it routed on the
+fabric's fixed table with ``inf`` slots for known cuts.
 """
 
 from __future__ import annotations
@@ -39,10 +42,13 @@ from repro.errors import ConfigurationError, RoutingError
 # ----------------------------------------------------------------------
 # Dense matrices and the neighbour-table layout
 # ----------------------------------------------------------------------
-def at_slots(matrix: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """``matrix[n, neighbors[n, j]]`` per slot, ``inf`` on padding."""
+def at_slots(
+    matrix: np.ndarray, neighbors: np.ndarray, fill: float = np.inf
+) -> np.ndarray:
+    """``matrix[n, neighbors[n, j]]`` per slot, ``fill`` on padding
+    (``inf`` for lengths and weights, 0 for channel levels)."""
     size = matrix.shape[0]
-    edges = np.full(neighbors.shape, np.inf)
+    edges = np.full(neighbors.shape, fill)
     for node in range(size):
         for slot, neighbor in enumerate(neighbors[node]):
             if neighbor < size:
@@ -61,6 +67,49 @@ def dense_of(edge_weights: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
             if neighbor < size:
                 matrix[node, neighbor] = edge_weights[node, slot]
     return matrix
+
+
+def length_matrix(topology) -> np.ndarray:
+    """Dense ``K x K`` line lengths of a fabric, read straight from its
+    edges: ``inf`` for non-edges and 0 on the diagonal, the W-matrix
+    convention of paper Sec 6."""
+    size = topology.num_nodes
+    matrix = np.full((size, size), np.inf)
+    np.fill_diagonal(matrix, 0.0)
+    for u, v, length in topology.edges():
+        matrix[u, v] = length
+    return matrix
+
+
+def neighbor_table(lengths: np.ndarray) -> np.ndarray:
+    """Out-neighbours of every node with a finite line, padded to the
+    maximum degree.
+
+    Row ``n`` lists the nodes ``h != n`` with a finite ``lengths[n, h]``
+    in ascending id order, followed by the padding value ``K``; the
+    table has at least one column.  A line of ``inf`` length has no
+    slot at all.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    size = lengths.shape[0]
+    linked = np.isfinite(lengths)
+    np.fill_diagonal(linked, False)
+    degree = linked.sum(axis=1)
+    table = np.full((size, max(1, int(degree.max(initial=0)))), size)
+    rows, cols = np.nonzero(linked)
+    starts = np.cumsum(degree) - degree
+    table[rows, np.arange(rows.size) - np.repeat(starts, degree)] = cols
+    return table
+
+
+def edge_lengths(lengths: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Line length behind every slot of a neighbour table: entry
+    ``[n, j]`` is ``lengths[n, neighbors[n, j]]``, ``inf`` on padding."""
+    size = lengths.shape[0]
+    padded = neighbors == size
+    edges = lengths[np.arange(size)[:, None], np.where(padded, 0, neighbors)]
+    edges[padded] = np.inf
+    return edges
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +136,7 @@ def _masked_lengths(view: NetworkView) -> np.ndarray:
     every interconnect touching it disappears from the graph.  Diagonal
     stays 0 (the Floyd–Warshall convention W_ii = 0).
     """
-    weights = np.array(view.lengths, dtype=float, copy=True)
+    weights = dense_of(view.edge_lengths, view.neighbors)
     dead = ~view.alive
     weights[dead, :] = np.inf
     weights[:, dead] = np.inf

@@ -18,6 +18,7 @@ from repro.config import (
     SimulationConfig,
     WorkloadConfig,
 )
+from repro.core.trees import line_slots
 from repro.core.view import NetworkView
 from repro.faults import FaultConfig
 from repro.harvest import HarvestConfig
@@ -42,8 +43,10 @@ def make_view(
         if levels_vector is None
         else np.asarray(levels_vector)
     )
+    neighbors, lengths = line_slots(topology)
     return NetworkView(
-        lengths=topology.length_matrix(),
+        neighbors=neighbors,
+        edge_lengths=lengths,
         alive=alive_vec,
         battery_levels=level_vec,
         levels=levels,

@@ -2,14 +2,16 @@
 protocol, reporting, the live-node set, finalisation, and the
 concurrent engine's recovery mechanics."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import make_config
-from repro.config import PlatformConfig, SimulationConfig
+from repro.config import ControlConfig, PlatformConfig, SimulationConfig
 from repro.errors import SimulationError
+from repro.faults import FaultConfig
 from repro.harvest import HarvestConfig
 from repro.sim.base_engine import SystemDead
 from repro.sim.concurrent_engine import ConcurrentEngine
@@ -55,6 +57,27 @@ class TestPlatformConstruction:
         engine = sequential_engine()
         assert engine.hop_cycles == 128  # 128-bit packet, serial line
 
+    def test_no_dense_link_state_at_64x64(self):
+        # Every link record lives on the (K, M) slots of the neighbour
+        # table or on the topology's adjacency, so a 4097-node build
+        # holds a few MiB; one dense K x K float array alone would be
+        # 128 MiB.
+        config = SimulationConfig(
+            platform=PlatformConfig(mesh_width=64, battery_model="ideal"),
+            control=ControlConfig(frame_cycles=65_536),
+            routing="ear",
+        )
+        SequentialEngine(config)  # warm-up: imports and memoised tables
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            engine = SequentialEngine(config)
+            retained = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert engine.topology.num_nodes == 64 * 64 + 1
+        assert retained < 10 * 2**20
+
 
 class TestFrameProtocol:
     def test_frames_fire_on_cycle_boundaries(self):
@@ -96,9 +119,7 @@ class TestTransmitAccounting:
         engine.control.bootstrap()
         node_before = engine.bank.delivered[0]
         assert engine._transmit(0, 1, holder=0)
-        hop = engine.link_model.hop_energy_pj(
-            float(engine.lengths[0, 1])
-        )
+        hop = engine.link_model.hop_energy_pj(engine.lengths[0][1])
         assert engine.bank.delivered[0] == pytest.approx(
             node_before + hop
         )
@@ -224,8 +245,8 @@ class TestHeartbeatOrder:
 
 class _LiveSetProbe:
     """A recorder whose frame probe checks the engine's live-node set
-    and the controller's reported picture against the cells and the
-    kill record, and counts deaths."""
+    and the controller's reported picture against the cells, the kill
+    record and the physical lines, and counts deaths and expiries."""
 
     active = True
     times = False
@@ -235,6 +256,9 @@ class _LiveSetProbe:
         self.frames = 0
         self.deaths = 0
         self.kills = 0
+        #: Discovered cuts seen, one per directed line per frame.
+        self.known_cuts = 0
+        self.expiries = 0
 
     def check(self) -> None:
         engine = self.engine
@@ -258,11 +282,29 @@ class _LiveSetProbe:
         expected = engine.quantizer.levels_of(engine.bank.soc_vector(), living)
         assert np.array_equal(view.battery_levels[:mesh], expected)
         assert np.array_equal(view.alive[:mesh], living)
+        # The controller's link picture against the physical lines: an
+        # intact line at its working length, a cut some node discovered
+        # at inf, a cut nobody discovered still at a finite length.
+        size = engine.topology.num_nodes
+        for u, row in enumerate(view.neighbors.tolist()):
+            for slot, v in enumerate(row):
+                if v == size:
+                    continue
+                known = view.edge_lengths[u, slot]
+                if (u, v) not in engine.faults.cut_links:
+                    assert known == engine.lengths[u][v]
+                elif (u, v) in engine._undiscovered:
+                    assert np.isfinite(known)
+                else:
+                    assert known == np.inf
+                    self.known_cuts += 1
         self.frames += 1
 
     def event(self, event, frame, **fields):
         if event == "node-death":
             self.deaths += 1
+        elif event == "link-restored":
+            self.expiries += 1
         elif fields.get("fault") == "node-kill":
             self.kills += 1
 
@@ -274,23 +316,36 @@ class TestLiveSet:
     """The live-node set is the engines' one liveness record: at every
     frame it holds exactly the mesh nodes whose cell is alive and that
     no fault killed, plus the source, and the controller holds exactly
-    the cells' quantised levels and liveness."""
+    the cells' quantised levels and liveness, and the physical line
+    lengths except for cuts no node has discovered yet."""
 
     @pytest.mark.parametrize("harvest", [None, "bus"])
     @pytest.mark.parametrize(
-        "fault_profile", [None, "node-dropout", "link-attrition"]
+        "faults",
+        [
+            pytest.param(None, id="None"),
+            *(
+                pytest.param(FaultConfig(profile=profile, seed=3), id=profile)
+                for profile in ("node-dropout", "link-attrition", "wash-cycle")
+            ),
+            # Seed 0, as in the fault suite's tear-and-repair runs: the
+            # seed-3 tear cuts the fabric apart before any cell dies.
+            pytest.param(
+                FaultConfig(profile="tear", seed=0, repair_after_frames=24),
+                id="tear-repair24",
+            ),
+        ],
     )
     @pytest.mark.parametrize("engine_name", ["sequential", "concurrent", "vector"])
     def test_live_set_mirrors_the_cells_and_the_kill_record(
-        self, engine_name, fault_profile, harvest
+        self, engine_name, faults, harvest
     ):
         kind = "concurrent" if engine_name == "concurrent" else "sequential"
         config = make_config(
             kind=kind,
             engine=engine_name,
             concurrency=3 if kind == "concurrent" else 1,
-            fault_profile=fault_profile,
-            fault_seed=3,
+            faults=faults,
             harvest=HarvestConfig(profile=harvest, seed=3) if harvest else None,
         )
         config = replace(
@@ -310,6 +365,27 @@ class TestLiveSet:
         died = np.flatnonzero(engine.ledger.nodes.died_at_frame >= 0)
         mesh = set(range(engine.num_mesh_nodes))
         assert set(died.tolist()) == mesh - engine._alive_set
+
+    @pytest.mark.parametrize("engine_name", ["sequential", "concurrent", "vector"])
+    def test_link_picture_follows_every_link_event(self, engine_name):
+        # Full cells live long enough for every kind of link event:
+        # degradations, their expiry, discovered cuts and repairs.
+        kind = "concurrent" if engine_name == "concurrent" else "sequential"
+        config = make_config(
+            kind=kind,
+            engine=engine_name,
+            concurrency=3 if kind == "concurrent" else 1,
+            faults=FaultConfig(
+                profile="wash-cycle", seed=3, repair_after_frames=12
+            ),
+        )
+        probe = _LiveSetProbe()
+        engine = build_engine(config, probe)
+        probe.engine = engine
+        engine.run()
+        assert engine.links_degraded > 0 and probe.expiries > 0
+        assert probe.known_cuts > 0
+        assert engine.links_repaired > 0
 
     @pytest.mark.parametrize("battery", ["thin-film", "ideal"])
     @pytest.mark.parametrize("concurrency", [4, 6, 8])

@@ -7,6 +7,7 @@ faulty runs stay bit-identical.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from helpers import build_engine, make_config
@@ -15,8 +16,27 @@ from repro.analysis.faults import (
     fault_impact,
     fault_impact_for,
 )
+from repro.core.trees import slot_of
 from repro.faults import FaultConfig
 from repro.sim.et_sim import run_simulation
+
+
+def pristine_length(engine, u: int, v: int) -> float:
+    """The ``u -> v`` line's length as the engine's fabric was built."""
+    return engine._pristine_lengths[u, slot_of(engine._neighbors, u, v)]
+
+
+def known_length(engine, u: int, v: int) -> float:
+    """The controller's picture of the ``u -> v`` line's length."""
+    view = engine.control.view()
+    return view.edge_lengths[u, slot_of(view.neighbors, u, v)]
+
+
+def knows_the_pristine_fabric(engine) -> bool:
+    """True when the controller holds every line at its built length."""
+    return np.array_equal(
+        engine.control.view().edge_lengths, engine._pristine_lengths
+    )
 
 
 class TestFaultyVersusTwin:
@@ -86,17 +106,16 @@ class TestDegradationSemantics:
         assert worn_tx > base_tx
 
     def test_degradation_expires_and_restores_lengths(self):
-        engine = build_engine(
-            make_config(faults=wash_only(frames=4), max_jobs=8)
-        )
+        config = make_config(faults=wash_only(frames=4), max_jobs=8)
+        engine = build_engine(config)
         engine.run()
         assert engine.links_degraded > 0
         # Flush any still-active transients the way a frame would, then
-        # check the working matrix is back to pristine (no cuts here).
+        # check both pictures are back to pristine (no cuts here).
         for u, v in engine.faults.expire_degradations(10**9):
-            engine.lengths[u, v] = engine._base_lengths[u, v]
-            engine.lengths[v, u] = engine._base_lengths[v, u]
-        assert (engine.lengths == engine._base_lengths).all()
+            engine._rescale_line(u, v)
+        assert engine.lengths == build_engine(config).lengths
+        assert knows_the_pristine_fabric(engine)
 
 
 class TestEngineStateUnderFaults:
@@ -108,7 +127,7 @@ class TestEngineStateUnderFaults:
         engine.run()
         for u, v in engine.faults.cut_links:
             assert not engine.topology.has_edge(u, v)
-            assert engine.lengths[u, v] == float("inf")
+            assert engine.lengths[u][v] == float("inf")
 
     def test_fault_killed_nodes_report_dead_with_charged_cells(self):
         config = make_config(fault_profile="node-dropout", fault_seed=3)
@@ -156,24 +175,23 @@ class TestEngineStateUnderFaults:
                 ]
             )
         )
-        base = engine._base_lengths[u, v]
+        base = pristine_length(engine, u, v)
         engine.run()
         assert engine.links_cut == 1
         assert engine.nodes_fault_killed == 2
-        # Never discovered: the report flag is clear, the cut is still
-        # in the undiscovered set, and the controller's picture still
-        # carries the pristine length.
-        assert engine._link_report_pending is False
+        # Never discovered: the cut is still in the undiscovered set,
+        # and the controller's picture still carries the pristine
+        # length.
         assert (u, v) in engine._undiscovered
-        assert engine._known_lengths[u, v] == base
-        # The physical matrices are severed all the same.
-        assert engine.lengths[u, v] == float("inf")
+        assert known_length(engine, u, v) == base
+        # The physical record is severed all the same.
+        assert engine.lengths[u][v] == float("inf")
         assert not engine.topology.has_edge(u, v)
 
     def test_degrade_expiry_on_cut_frame_does_not_resurrect_the_line(self):
         """A transient degradation expiring on the very frame its line
         is cut must not restore the severed line in either length
-        matrix — and discovery afterwards must stick."""
+        picture — and discovery afterwards must stick."""
         from repro.faults.schedule import (
             FaultEvent,
             FaultRuntime,
@@ -182,7 +200,7 @@ class TestEngineStateUnderFaults:
 
         engine = build_engine(make_config())
         u, v = 5, 6
-        base = engine._base_lengths[u, v]
+        base = pristine_length(engine, u, v)
         engine.faults = FaultRuntime(
             FaultSchedule(
                 [
@@ -195,21 +213,22 @@ class TestEngineStateUnderFaults:
             )
         )
         engine._apply_faults(4)
-        assert engine.lengths[u, v] == pytest.approx(base * 3.0)
-        assert engine._known_lengths[u, v] == pytest.approx(base * 3.0)
+        assert engine.lengths[u][v] == pytest.approx(base * 3.0)
+        assert known_length(engine, u, v) == pytest.approx(base * 3.0)
         # Frame 8: the degradation expires *and* the cut fires.
         engine._apply_faults(8)
-        assert engine.lengths[u, v] == float("inf")
+        assert engine.lengths[u][v] == float("inf")
         # The cut is undiscovered, so the controller's picture holds the
         # restored pristine length — not the degraded one, not inf.
-        assert engine._known_lengths[u, v] == pytest.approx(base)
+        assert known_length(engine, u, v) == pytest.approx(base)
         # Discovery writes inf; later frames must never restore it.
         engine._note_fault_block(u, v)
-        assert engine._known_lengths[u, v] == float("inf")
+        assert known_length(engine, u, v) == float("inf")
         for frame in range(9, 30):
             engine._apply_faults(frame)
-        assert engine.lengths[u, v] == float("inf")
-        assert engine._known_lengths[u, v] == float("inf")
+        assert engine.lengths[u][v] == float("inf")
+        assert known_length(engine, u, v) == float("inf")
+        assert known_length(engine, v, u) == float("inf")
 
     def test_deadlock_recovery_survives_attrition(self):
         # Buffered congestion plus live topology changes: the recovery
@@ -239,15 +258,16 @@ def tear_repair_config(**kwargs):
 
 class TestRepairSemantics:
     def test_repair_restores_topology_and_length_state(self):
-        engine = build_engine(tear_repair_config(max_jobs=8))
+        config = tear_repair_config(max_jobs=8)
+        engine = build_engine(config)
         engine.run()
         assert engine.links_cut > 0
         assert engine.links_repaired == engine.links_cut
         # Every cut was re-sewn: no severed state left anywhere.
         assert engine.faults.cut_links == set()
         assert engine._undiscovered == set()
-        assert (engine.lengths == engine._base_lengths).all()
-        assert (engine._known_lengths == engine._base_lengths).all()
+        assert engine.lengths == build_engine(config).lengths
+        assert knows_the_pristine_fabric(engine)
         for u, v, _ in engine.topology.edges():
             assert engine.topology.has_edge(u, v)
 

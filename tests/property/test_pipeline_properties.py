@@ -7,7 +7,9 @@ reference written out below — the battery weight, then
 ``q_w ** min(w, cap)`` per link, ``q_h ** -min(r, cap)`` per nearly-full
 receiver, ``q_c ** min(l, cap)`` per link, in that order.  The pipeline
 weighs ``(K, M)`` edge arrays, so each dense reference is gathered at
-the view's neighbour-table slots before the comparison.  The ECMP
+the view's neighbour-table slots before the comparison; link levels are
+drawn as dense ``K x K`` matrices for the reference and gathered at the
+slots for the view.  The ECMP
 properties pin the group-validity invariants (strict distance progress,
 cost within tolerance, canonical membership) that keep round-robin
 spreading loop-free on any weight matrix.
@@ -35,6 +37,7 @@ from repro.core.costs import (
     WEAR_CHANNEL,
     CostPipeline,
 )
+from repro.core.trees import line_slots
 from repro.core.view import NetworkView
 from repro.core.weights import BatteryWeightFunction
 from repro.mesh.mapping import checkerboard_mapping
@@ -46,9 +49,8 @@ CAP = 7
 
 
 @st.composite
-def random_views(draw, with_channels=False):
-    """Randomised small-mesh views: batteries, deaths, blocked ports,
-    and optional wear / income / load levels."""
+def random_views(draw):
+    """Randomised small-mesh views: batteries, deaths, blocked ports."""
     width = draw(st.integers(min_value=3, max_value=6))
     topo = mesh2d(width)
     size = topo.num_nodes
@@ -65,33 +67,50 @@ def random_views(draw, with_channels=False):
         )
         if u != v
     )
-    channel_levels = {}
-    if with_channels:
-        for name in ("wear", "congestion"):
-            matrix = rng.integers(0, CAP + 3, size=(size, size))
-            matrix = np.minimum(matrix, matrix.T)
-            np.fill_diagonal(matrix, 0)
-            channel_levels[name] = matrix
-        channel_levels["harvest"] = rng.integers(0, CAP + 3, size=size) * (
-            rng.random(size) < 0.5
-        )
+    neighbors, lengths = line_slots(topo)
     return NetworkView(
-        lengths=topo.length_matrix(),
+        neighbors=neighbors,
+        edge_lengths=lengths,
         alive=alive,
         battery_levels=battery,
         levels=levels,
         mapping=checkerboard_mapping(topo),
         blocked_ports=blocked,
-        channel_levels=channel_levels,
     )
 
 
-def reference_weights(view, battery, q_wear, q_harvest, q_load):
+@st.composite
+def channel_views(draw):
+    """A random view with wear, income and load levels: ``(view,
+    links)``, where ``links`` holds the dense ``K x K`` wear and load
+    levels the view reports at its neighbour-table slots."""
+    view = draw(random_views())
+    rng = np.random.default_rng(
+        draw(st.integers(min_value=0, max_value=2**31 - 1))
+    )
+    size = view.num_nodes
+    links = {}
+    for name in ("wear", "congestion"):
+        matrix = rng.integers(0, CAP + 3, size=(size, size))
+        matrix = np.minimum(matrix, matrix.T)
+        np.fill_diagonal(matrix, 0)
+        links[name] = matrix
+    channel_levels = {
+        name: at_slots(matrix, view.neighbors, fill=0)
+        for name, matrix in links.items()
+    }
+    channel_levels["harvest"] = rng.integers(0, CAP + 3, size=size) * (
+        rng.random(size) < 0.5
+    )
+    return replace(view, channel_levels=channel_levels), links
+
+
+def reference_weights(view, links, battery, q_wear, q_harvest, q_load):
     """The EAR weight matrix, entry by entry."""
     weights = ear_weight_matrix(view, battery)
-    wear = view.channel_levels["wear"]
+    wear = links["wear"]
     income = view.channel_levels["harvest"]
-    load = view.channel_levels["congestion"]
+    load = links["congestion"]
     size = view.num_nodes
     for i in range(size):
         for j in range(size):
@@ -136,14 +155,15 @@ class TestPipelineBitIdentity:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        view=random_views(with_channels=True),
+        drawn=channel_views(),
         q_wear=q_values,
         q_harvest=q_values,
         q_load=q_values,
     )
     def test_full_pipeline_matches_manual_composition(
-        self, view, q_wear, q_harvest, q_load
+        self, drawn, q_wear, q_harvest, q_load
     ):
+        view, links = drawn
         battery = BatteryWeightFunction()
         pipeline = CostPipeline.ear(
             battery,
@@ -153,7 +173,9 @@ class TestPipelineBitIdentity:
                 replace(CONGESTION_CHANNEL, q=q_load),
             ),
         )
-        reference = reference_weights(view, battery, q_wear, q_harvest, q_load)
+        reference = reference_weights(
+            view, links, battery, q_wear, q_harvest, q_load
+        )
         assert np.array_equal(
             pipeline.weight_matrix(view), at_slots(reference, view.neighbors)
         )
@@ -161,11 +183,12 @@ class TestPipelineBitIdentity:
 
 class TestTermOrderIndependence:
     @settings(max_examples=30, deadline=None)
-    @given(random_views(with_channels=True))
-    def test_wear_and_harvest_commute(self, view):
+    @given(channel_views())
+    def test_wear_and_harvest_commute(self, drawn):
         """Wear (link scale) and harvest (receiver scale) are both
         elementwise multiplications, so their order changes results
         only by float rounding."""
+        view, _ = drawn
         base = CostPipeline.ear().weight_matrix(view)
         wear_first = HARVEST_CHANNEL.apply(
             WEAR_CHANNEL.apply(base, view), view

@@ -6,7 +6,11 @@ deadlocked ports are routed twice: through the per-module trees and
 phase 3 the engines use, fed the dense EAR weights gathered at the
 neighbour-table slots, and through the all-pairs Floyd–Warshall and
 the literal Fig 6 walk kept as oracles in ``tests/dense_routing.py``.
+A cut line is an ``inf`` slot of the fabric's fixed table, and routes
+exactly like a table that has no slot for it.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,18 +19,24 @@ from hypothesis import strategies as st
 
 from dense_routing import (
     at_slots,
+    dense_of,
     ear_weight_matrix,
+    edge_lengths,
     equal_cost_successors,
     floyd_warshall_successors,
+    neighbor_table,
     reference_select_destinations,
 )
+from repro.control.controller import ControlPlane
+from repro.core.costs import WEAR_CHANNEL
+from repro.core.engines import EnergyAwareRouting, ShortestDistanceRouting
 from repro.core.phase3 import (
     NO_DESTINATION,
     SINK,
     EcmpSelector,
     select_destinations,
 )
-from repro.core.trees import shortest_path_trees
+from repro.core.trees import line_slots, shortest_path_trees, slot_of
 from repro.core.view import NetworkView
 from repro.core.weights import BatteryWeightFunction
 from repro.mesh.mapping import checkerboard_mapping
@@ -55,24 +65,24 @@ def mesh_views(draw, exact=False, blocking=False):
         topology, int(rng.integers(mesh_nodes)), 2.0 if exact else 1.5
     )
     size = topology.num_nodes
-    lengths = topology.length_matrix()
-    pairs = [
-        (u, v)
-        for u in range(size)
-        for v in range(u + 1, size)
-        if np.isfinite(lengths[u, v])
-    ]
+    pairs = sorted((u, v) for u, v, _ in topology.edges() if u < v)
     # Few distinct lengths and levels make exact ties common, which is
     # where the canonical tie-break is decided.
     spread = draw(st.sampled_from((1, 2, 9)))
+    cuts = []
     for u, v in pairs:
         if exact:
             length = float(rng.integers(1, 1 + spread))
         else:
             length = float(rng.choice(DECIMAL_LENGTHS[: 1 + spread]))
+        topology.add_edge(u, v, length)
         if v != sink and rng.random() < draw(st.sampled_from((0.0, 0.1))):
-            length = np.inf  # a cut line
-        lengths[u, v] = lengths[v, u] = length
+            cuts.append((u, v))
+    # A known cut stays in the fixed table as an inf slot.
+    neighbors, lengths = line_slots(topology)
+    for u, v in cuts:
+        lengths[u, slot_of(neighbors, u, v)] = np.inf
+        lengths[v, slot_of(neighbors, v, u)] = np.inf
     alive = np.ones(size, dtype=bool)
     alive[:mesh_nodes] = rng.random(mesh_nodes) >= draw(
         st.sampled_from((0.0, 0.1, 0.3))
@@ -86,7 +96,8 @@ def mesh_views(draw, exact=False, blocking=False):
             if rng.random() < 0.15
         )
     view = NetworkView(
-        lengths=lengths,
+        neighbors=neighbors,
+        edge_lengths=lengths,
         alive=alive,
         battery_levels=rng.integers(
             draw(st.sampled_from((0, 6, 7))), 8, size=size
@@ -209,3 +220,57 @@ def test_blocked_ports_are_skipped_downhill(routed):
     # The sink route ignores deadlock reports.
     _, _, free_hops = route(view.with_blocked_ports(frozenset()), weights)
     assert np.array_equal(hops[:, SINK], free_hops[:, SINK])
+
+
+def compacted(view: NetworkView, wear: np.ndarray) -> NetworkView:
+    """The view on a table of its finite lines only, with ``wear``
+    gathered at that table's slots."""
+    dense = dense_of(view.edge_lengths, view.neighbors)
+    neighbors = neighbor_table(dense)
+    return replace(
+        view,
+        neighbors=neighbors,
+        edge_lengths=edge_lengths(dense, neighbors),
+        channel_levels={"wear": at_slots(wear, neighbors, fill=0)},
+    )
+
+
+def plan_record(engine, view):
+    """Everything a plan routes by, plus the per-term attribution rows."""
+    rows = []
+    plan = engine.compute_plan(
+        view, term_observer=ControlPlane._term_observer(rows)
+    )
+    groups = [
+        plan.ecmp.group(node, column)
+        for node in view.alive_nodes()
+        for column in range(plan.destinations.shape[1])
+    ]
+    return (
+        plan.distances.tobytes(),
+        plan.destinations.tolist(),
+        plan.hops.tolist(),
+        groups,
+        rows,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh_views(blocking=True), st.integers(min_value=0, max_value=2**31 - 1))
+def test_an_inf_slot_routes_exactly_like_a_missing_slot(routed, seed):
+    view, _ = routed
+    rng = np.random.default_rng(seed)
+    size = view.num_nodes
+    wear = np.triu(rng.integers(0, 9, size=(size, size)), 1)
+    wear += wear.T
+    fixed = replace(
+        view, channel_levels={"wear": at_slots(wear, view.neighbors, fill=0)}
+    )
+    compact = compacted(view, wear)
+    sdr = ShortestDistanceRouting()
+    ear = EnergyAwareRouting(
+        BatteryWeightFunction(q=1.5, levels=8), channels=(WEAR_CHANNEL,)
+    )
+    for engine in (sdr, ear):
+        engine.configure_ecmp(seed)
+        assert plan_record(engine, fixed) == plan_record(engine, compact)

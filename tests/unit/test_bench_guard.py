@@ -191,3 +191,34 @@ class TestBehaviourLock:
         )
         fresh["brand-new"] = [{"label": "x", "jobs_fractional": 2.0}]
         assert self.run(guard, tmp_path, fresh) == 0
+
+
+FINGERPRINT = SCRIPT.with_name("behaviour_fingerprint.py")
+
+
+class TestBehaviourFingerprint:
+    """``scripts/behaviour_fingerprint.py``: one hash per record that
+    moves on a single ulp of any ledger column."""
+
+    def test_a_record_hash_is_stable_and_ulp_sensitive(self):
+        from helpers import make_config
+        from repro.sim.et_sim import run_simulation
+        from repro.telemetry.recorder import TraceRecorder
+
+        spec = importlib.util.spec_from_file_location(
+            "behaviour_fingerprint", FINGERPRINT
+        )
+        fingerprint = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fingerprint)
+
+        def traced_run():
+            recorder = TraceRecorder()
+            stats = run_simulation(make_config(max_jobs=3), recorder)
+            return stats, recorder.lines()
+
+        stats, trace = traced_run()
+        digest = fingerprint.record_hash(stats, trace)
+        assert fingerprint.record_hash(*traced_run()) == digest
+        column = stats.energy.nodes.data_tx_pj
+        column[3] = math.nextafter(column[3], math.inf)
+        assert fingerprint.record_hash(stats, trace) != digest

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_routing import at_slots, length_matrix
 from repro.battery.ideal import IdealBattery
 from repro.control.controller import ControlPlane
 from repro.control.controller_power import (
@@ -18,6 +19,7 @@ from repro.core.costs import (
     CostPipeline,
 )
 from repro.core.engines import EnergyAwareRouting
+from repro.core.trees import line_slots
 from repro.core.view import NetworkView
 from repro.core.weights import BatteryWeightFunction
 from repro.errors import ConfigurationError
@@ -101,11 +103,13 @@ class TestDeadlockRegistry:
             DeadlockPolicy(blocked_expiry_frames=0)
 
 
-def make_control_plane(batteries=None, lengths=None, recorder=None):
+def make_control_plane(batteries=None, edge_lengths=None, recorder=None):
     topo = mesh2d(4)
     mapping = checkerboard_mapping(topo)
+    neighbors, lengths = line_slots(topo)
     return ControlPlane(
-        lengths=topo.length_matrix() if lengths is None else lengths,
+        neighbors=neighbors,
+        edge_lengths=lengths if edge_lengths is None else edge_lengths,
         mapping=mapping,
         engine=EnergyAwareRouting(),
         levels=8,
@@ -319,10 +323,12 @@ class TestWearHook:
         plane.bootstrap()
         wear = np.zeros((16, 16), dtype=int)
         wear[0, 1] = wear[1, 0] = 3
-        plane.update_levels(WEAR_CHANNEL, wear)
+        neighbors = plane.view().neighbors
+        plane.update_levels(WEAR_CHANNEL, at_slots(wear, neighbors, fill=0))
         outcome = process(plane, 0)
         assert outcome.recomputed
-        assert plane.view().channel_levels["wear"][0, 1] == 3
+        # Node 0's first slot is the line to node 1.
+        assert plane.view().channel_levels["wear"][0, 0] == 3
         # No further change, no further recompute.
         outcome = process(plane, 1)
         assert not outcome.recomputed
@@ -330,25 +336,45 @@ class TestWearHook:
 
 class TestLengthUpdates:
     def test_a_length_update_replans_like_a_fresh_controller(self):
-        lengths = mesh2d(4).length_matrix()
+        lengths = length_matrix(mesh2d(4))
         degraded = lengths.copy()
         degraded[1, 5] = degraded[5, 1] = 3.0 * lengths[1, 5]
         cut = degraded.copy()
         cut[4, 5] = cut[5, 4] = np.inf
         plane = make_control_plane()
         plane.bootstrap()
-        for frame, new_lengths in enumerate((degraded, cut)):
-            before = plane.plan.distances
-            plane.update_lengths(new_lengths)
+        neighbors = plane.view().neighbors
+        for frame, (u, v, new_lengths) in enumerate(
+            ((1, 5, degraded), (4, 5, cut))
+        ):
+            before = plane.plan
+            known = before.view.edge_lengths.copy()
+            plane.update_line(u, v, new_lengths[u, v])
+            plane.update_line(v, u, new_lengths[v, u])
             outcome = process(plane, frame)
             assert outcome.recomputed
-            assert not np.array_equal(plane.plan.distances, before)
-            fresh = make_control_plane(lengths=new_lengths)
+            assert not np.array_equal(plane.plan.distances, before.distances)
+            # The write went to a copy: the old plan's view is intact.
+            assert np.array_equal(before.view.edge_lengths, known)
+            edges = at_slots(new_lengths, neighbors)
+            assert np.array_equal(plane.view().edge_lengths, edges)
+            fresh = make_control_plane(edge_lengths=edges)
             fresh.bootstrap()
             for table in ("distances", "destinations", "hops"):
                 assert np.array_equal(
                     getattr(plane.plan, table), getattr(fresh.plan, table)
                 ), table
+
+    def test_writing_the_known_length_still_replans(self):
+        # An expiry, or the repair of a cut no node discovered, writes
+        # the length the controller already holds; it re-plans anyway.
+        plane = make_control_plane()
+        plane.bootstrap()
+        known = plane.view().edge_lengths.copy()
+        plane.update_line(0, 1, known[0, 0])
+        assert process(plane, 0).recomputed
+        assert np.array_equal(plane.view().edge_lengths, known)
+        assert not process(plane, 1).recomputed
 
 
 class TestTermAttribution:
@@ -374,16 +400,18 @@ class TestTermAttribution:
             levels[u, v] = levels[v, u] = level
         income = np.zeros(16, dtype=int)
         income[[0, 6, 11, 14]] = [2, 3, 5, 1]
+        neighbors, lengths = line_slots(topology)
         view = NetworkView(
-            lengths=topology.length_matrix(),
+            neighbors=neighbors,
+            edge_lengths=lengths,
             alive=alive,
             battery_levels=battery,
             levels=8,
             mapping=checkerboard_mapping(topology),
             channel_levels={
-                "wear": wear,
+                "wear": at_slots(wear, neighbors, fill=0),
                 "harvest": income,
-                "congestion": congestion,
+                "congestion": at_slots(congestion, neighbors, fill=0),
             },
         )
         pipeline = CostPipeline.ear(

@@ -10,8 +10,11 @@ from dense_routing import (
     NO_SUCCESSOR,
     at_slots,
     dense_of,
+    edge_lengths,
     extract_path,
     floyd_warshall_successors,
+    length_matrix,
+    neighbor_table,
     path_length,
     reference_floyd_warshall,
     sdr_weight_matrix,
@@ -24,8 +27,7 @@ from repro.core.engines import (
     routing_engine,
 )
 from repro.core.phase3 import NO_DESTINATION, SINK, select_destinations
-from repro.core.trees import edge_lengths, neighbor_table, shortest_path_trees
-from repro.core.view import NetworkView
+from repro.core.trees import line_slots, shortest_path_trees
 from repro.core.weights import BatteryWeightFunction
 from repro.errors import (
     ConfigurationError,
@@ -34,7 +36,7 @@ from repro.errors import (
 )
 from repro.mesh.geometry import node_id
 from repro.mesh.mapping import ModuleMapping
-from repro.mesh.topology import attach_external_node, mesh2d
+from repro.mesh.topology import Topology, attach_external_node, mesh2d
 
 
 class TestWeightFunction:
@@ -94,19 +96,20 @@ class TestWearWeightFunction:
         self, mesh4, mapping4, full_view
     ):
         weights = CostPipeline().weight_matrix(full_view)
+        neighbors = full_view.neighbors
         wear = np.zeros((16, 16), dtype=int)
         wear[0, 1] = wear[1, 0] = 2
-        wear[3, 3] = 5  # diagonal wear must stay inert
+        levels = at_slots(wear, neighbors, fill=0)
+        levels[neighbors == 16] = 5  # padding wear must stay inert
         g = replace(WEAR_CHANNEL, q=1.5)
-        worn = with_channel_levels(full_view, wear=wear)
+        worn = with_channel_levels(full_view, wear=levels)
         penalised = g.apply(weights, worn)
-        scaled = dense_of(penalised, worn.neighbors)
+        scaled = dense_of(penalised, neighbors)
         pitch = mesh4.edge_length(0, 1)
         assert scaled[0, 1] == pytest.approx(pitch * 1.5**2)
         assert scaled[1, 0] == pytest.approx(pitch * 1.5**2)
         assert scaled[0, 4] == pytest.approx(pitch)  # untouched
-        # Only the two 0-1 slots moved: padding stays inf and the
-        # diagonal wear has no slot to scale.
+        # Only the two 0-1 slots moved: padding stays inf.
         assert np.count_nonzero(penalised != weights) == 2
 
     def test_ear_engine_applies_wear_from_the_view(
@@ -114,10 +117,13 @@ class TestWearWeightFunction:
     ):
         wear = np.zeros((16, 16), dtype=int)
         wear[0, 1] = wear[1, 0] = 3
-        worn_view = with_channel_levels(make_view(mesh4, mapping4), wear=wear)
+        view = make_view(mesh4, mapping4)
+        neighbors = view.neighbors
+        worn_view = with_channel_levels(
+            view, wear=at_slots(wear, neighbors, fill=0)
+        )
         g = replace(WEAR_CHANNEL, q=1.5)
         engine = EnergyAwareRouting(channels=(g,))
-        neighbors = worn_view.neighbors
         weights = dense_of(engine.weight_matrix(worn_view), neighbors)
         reactive = dense_of(
             EnergyAwareRouting().weight_matrix(worn_view), neighbors
@@ -133,7 +139,8 @@ class TestWearWeightFunction:
 
 def with_channel_levels(view, **channel_levels):
     return type(view)(
-        lengths=view.lengths,
+        neighbors=view.neighbors,
+        edge_lengths=view.edge_lengths,
         alive=view.alive,
         battery_levels=view.battery_levels,
         levels=view.levels,
@@ -145,9 +152,8 @@ def with_channel_levels(view, **channel_levels):
 class TestWeightMatrices:
     def test_sdr_weights_are_lengths(self, mesh4, mapping4, full_view):
         weights = CostPipeline().weight_matrix(full_view)
-        lengths = mesh4.length_matrix()
         assert np.array_equal(
-            weights, at_slots(lengths, full_view.neighbors)
+            weights, at_slots(length_matrix(mesh4), full_view.neighbors)
         )
 
     def test_dead_node_removed_from_graph(self, mesh4, mapping4):
@@ -203,12 +209,12 @@ class TestFloydWarshall:
             for j in range(16):
                 assert distances[i, j] == pytest.approx(nx_lengths[i][j])
 
-    def test_successor_walk_reaches_destination(self, full_view):
+    def test_successor_walk_reaches_destination(self, mesh4, full_view):
         weights = sdr_weight_matrix(full_view)
         distances, successors = floyd_warshall_successors(weights)
         path = extract_path(successors, 0, 15)
         assert path[0] == 0 and path[-1] == 15
-        assert path_length(full_view.lengths, path) == pytest.approx(
+        assert path_length(length_matrix(mesh4), path) == pytest.approx(
             distances[0, 15]
         )
 
@@ -294,9 +300,12 @@ class TestPhase3:
 
 class TestShortestPathTrees:
     def test_edge_lengths_follow_the_neighbour_table(self, mesh4):
-        lengths = mesh4.length_matrix()
-        neighbors = neighbor_table(lengths)
-        edges = edge_lengths(lengths, neighbors)
+        # The slot builder gives exactly the table and lengths the dense
+        # length matrix compacts to on a pristine fabric.
+        neighbors, edges = line_slots(mesh4)
+        lengths = length_matrix(mesh4)
+        assert np.array_equal(neighbors, neighbor_table(lengths))
+        assert np.array_equal(edges, edge_lengths(lengths, neighbors))
         assert np.array_equal(edges, at_slots(lengths, neighbors))
         # No node lists itself, so no term ever scales a diagonal.
         assert not (neighbors == np.arange(16)[:, None]).any()
@@ -320,16 +329,12 @@ class TestShortestPathTrees:
         # above 0.3, and via node 2 at 0.25 + 0.05 == 0.3 exactly.  Like
         # Floyd–Warshall's strict `<`, the tree keeps the shorter route;
         # a tie tolerance would take the lower-id node 1.
-        lengths = np.full((4, 4), np.inf)
-        np.fill_diagonal(lengths, 0.0)
+        topology = Topology(4)
         for u, v, length in ((0, 1, 0.1), (1, 3, 0.2), (0, 2, 0.25), (2, 3, 0.05)):
-            lengths[u, v] = lengths[v, u] = length
-        view = NetworkView(
-            lengths=lengths,
-            alive=np.ones(4, dtype=bool),
-            battery_levels=np.full(4, 7),
-            levels=8,
-            mapping=ModuleMapping({0: 1, 1: 1, 2: 1}, num_modules=1),
+            topology.add_edge(u, v, length)
+        view = make_view(
+            topology,
+            ModuleMapping({0: 1, 1: 1, 2: 1}, num_modules=1),
             sink=3,
         )
         plan = ShortestDistanceRouting().compute_plan(view)
@@ -344,12 +349,10 @@ class TestShortestPathTrees:
         # between unreachable nodes and keep the passes from settling.
         alive = np.ones(16, dtype=bool)
         alive[[4, 5, 7, 12, 13]] = False
-        view = NetworkView(
-            lengths=mesh2d(4).length_matrix(),
+        view = make_view(
+            mesh2d(4),
+            ModuleMapping({0: 1, 2: 1, 11: 1}, num_modules=1),
             alive=alive,
-            battery_levels=np.full(16, 7),
-            levels=8,
-            mapping=ModuleMapping({0: 1, 2: 1, 11: 1}, num_modules=1),
         )
         weights = sdr_weight_matrix(view)
         trees = shortest_path_trees(
@@ -367,13 +370,10 @@ class TestShortestPathTrees:
         # wait there instead of bouncing over the source link.
         topology = mesh2d(4)
         source = attach_external_node(topology, 0, 2.0)
-        view = NetworkView(
-            lengths=topology.length_matrix(),
-            alive=np.ones(17, dtype=bool),
-            battery_levels=np.full(17, 7),
-            levels=8,
-            mapping=mapping4,
-            blocked_ports=frozenset({(0, 1), (0, 4)}),
+        view = make_view(
+            topology,
+            mapping4,
+            blocked=frozenset({(0, 1), (0, 4)}),
             sink=source,
         )
         plan = ShortestDistanceRouting().compute_plan(view)

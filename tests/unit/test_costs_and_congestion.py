@@ -35,6 +35,7 @@ from repro.core import (
     shortest_path_trees,
 )
 from repro.core.phase3 import SINK
+from repro.core.trees import line_slots
 from repro.core.weights import BatteryWeightFunction
 from repro.errors import ConfigurationError
 from repro.mesh.mapping import checkerboard_mapping
@@ -42,6 +43,9 @@ from repro.mesh.topology import mesh2d
 from repro.sim.level_estimators import LinkLevelStore, LoadEstimator
 
 DEFAULT_CHANNELS = (WEAR_CHANNEL, HARVEST_CHANNEL, CONGESTION_CHANNEL)
+
+#: Neighbour table of a 2x2 mesh: rows [1, 2], [0, 3], [0, 3], [1, 2].
+SQUARE = line_slots(mesh2d(2))[0]
 
 
 def build_view(**overrides):
@@ -51,7 +55,8 @@ def build_view(**overrides):
 
 def with_levels(view, **channel_levels):
     return type(view)(
-        lengths=view.lengths,
+        neighbors=view.neighbors,
+        edge_lengths=view.edge_lengths,
         alive=view.alive,
         battery_levels=view.battery_levels,
         levels=view.levels,
@@ -101,8 +106,9 @@ class TestLevelChannel:
         assert all(neutral(level) == 1.0 for level in range(channel.levels))
 
     def test_applies_only_once_reported(self, channel):
-        shape = (16,) if channel.keyed == "node" else (16, 16)
-        assert not channel.applies(build_view())
+        view = build_view()
+        shape = (16,) if channel.keyed == "node" else view.neighbors.shape
+        assert not channel.applies(view)
         reported = with_levels(
             build_view(), **{channel.name: np.zeros(shape, dtype=int)}
         )
@@ -137,8 +143,9 @@ class TestApplyCongestionPenalty:
         load = np.zeros((16, 16), dtype=int)
         load[0, 1] = load[1, 0] = 2
         f = replace(CONGESTION_CHANNEL, q=2.0)
+        levels = at_slots(load, view.neighbors, fill=0)
         penalised = dense_of(
-            f.apply(edges.copy(), with_levels(view, congestion=load)),
+            f.apply(edges.copy(), with_levels(view, congestion=levels)),
             view.neighbors,
         )
         weights = dense_of(edges, view.neighbors)
@@ -178,7 +185,9 @@ class TestCostPipeline:
         assert BatteryTerm(BatteryWeightFunction()).applies(view)
         assert not WEAR_CHANNEL.applies(view)
         assert not CONGESTION_CHANNEL.applies(view)
-        loaded = with_levels(view, congestion=np.zeros((16, 16), dtype=int))
+        loaded = with_levels(
+            view, congestion=np.zeros(view.neighbors.shape, dtype=int)
+        )
         assert CONGESTION_CHANNEL.applies(loaded)
         assert not WEAR_CHANNEL.applies(loaded)
 
@@ -198,8 +207,9 @@ class TestCostPipeline:
             name="resistance", signal="resistance", keyed="link",
             q=2.0, quantum=1.0,
         )
+        view = build_view()
         view = with_levels(
-            build_view(), resistance=np.ones((16, 16), dtype=int)
+            view, resistance=np.ones(view.neighbors.shape, dtype=int)
         )
         pipeline = CostPipeline.ear(BatteryWeightFunction(), (extra,))
         base = at_slots(
@@ -242,9 +252,11 @@ class TestLinkLevelStore:
     def test_matrix_and_max(self):
         store = LinkLevelStore(CONGESTION_CHANNEL)
         store.set_level((0, 2), 4)
-        matrix = store.levels(4)
-        assert matrix[0, 2] == 4 and matrix[2, 0] == 4
-        assert matrix.sum() == 8
+        levels = store.levels(SQUARE)
+        # Both directions' slots: node 2 is node 0's second neighbour,
+        # node 0 is node 2's first.
+        assert levels[0, 1] == 4 and levels[2, 0] == 4
+        assert levels.sum() == 8
         assert store.snapshot() == {(0, 2): 4}
 
 
@@ -266,7 +278,7 @@ class TestCongestionRuntime:
         runtime.end_frame()
         # rate = 0 + 0.5 * (4 - 0) = 2.0 -> level 2
         assert runtime.dirty
-        assert runtime.levels(2)[0, 1] == 2
+        assert runtime.levels(SQUARE)[0, 0] == 2
         assert runtime.max_link_traversals() == 4
 
     def test_quiet_links_decay(self):
@@ -274,10 +286,10 @@ class TestCongestionRuntime:
         for _ in range(8):
             runtime.note_traversal(0, 1)
         runtime.end_frame()
-        level0 = runtime.levels(2)[0, 1]
+        level0 = runtime.levels(SQUARE)[0, 0]
         for _ in range(6):
             runtime.end_frame()
-        assert runtime.levels(2)[0, 1] < level0
+        assert runtime.levels(SQUARE)[0, 0] < level0
 
     def test_hot_link_share(self):
         runtime = self.estimator(alpha=0.2)

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import build_engine, make_config
 from repro.core.costs import WEAR_CHANNEL
+from repro.core.trees import line_slots
 from repro.errors import ConfigurationError
 from repro.faults import (
     FAULT_PROFILES,
@@ -395,6 +396,10 @@ class TestWashCycleBudget:
         assert len(set(cuts)) == len(cuts)
 
 
+#: Neighbour table of a 2x2 mesh: rows [1, 2], [0, 3], [0, 3], [1, 2].
+SQUARE = line_slots(mesh2d(2))[0]
+
+
 def wear_estimator(quantum: int, levels: int = 8) -> WearEstimator:
     channel = replace(WEAR_CHANNEL, quantum=quantum, levels=levels)
     return WearEstimator(channel, num_mesh_nodes=4)
@@ -408,21 +413,23 @@ class TestWearTracking:
         assert not wear.dirty  # still level 0
         wear.note_traversal(1, 0)  # 4th crossing, either direction
         assert wear.dirty
-        matrix = wear.levels(4)
-        assert matrix[0, 1] == 1
-        assert matrix[1, 0] == 1
+        # Both directions: node 1 is node 0's first neighbour and node
+        # 0 is node 1's.
+        levels = wear.levels(SQUARE)
+        assert levels[0, 0] == 1
+        assert levels[1, 0] == 1
 
     def test_degradation_counts_as_a_full_level(self):
         wear = wear_estimator(quantum=100)
         wear.note_degraded(2, 3)
         assert wear.dirty
-        assert wear.levels(4)[2, 3] == 1
+        assert wear.levels(SQUARE)[2, 1] == 1
 
     def test_levels_saturate(self):
         wear = wear_estimator(quantum=1, levels=4)
         for _ in range(100):
             wear.note_traversal(0, 1)
-        assert wear.levels(2)[0, 1] == 3
+        assert wear.levels(SQUARE)[0, 0] == 3
 
     def test_disabled_tracking_is_inert(self):
         # Without the wear channel the engine builds no estimator and
@@ -439,7 +446,7 @@ class TestWearTracking:
         wear.forget(1, 0)
         assert wear.traversals == {}
         assert wear.dirty  # the level dropped back to 0
-        assert wear.levels(2)[0, 1] == 0
+        assert wear.levels(SQUARE)[0, 0] == 0
         runtime = FaultRuntime(FaultSchedule())
         runtime.mark_cut(0, 1)
         runtime.mark_repaired(0, 1)

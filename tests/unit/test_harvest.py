@@ -12,6 +12,7 @@ from dense_routing import dense_of
 from helpers import build_engine, make_config, make_view
 from repro.config import SimulationConfig
 from repro.core.costs import HARVEST_CHANNEL, CostPipeline
+from repro.core.trees import line_slots
 from repro.errors import ConfigurationError
 from repro.harvest import (
     HARVEST_PROFILES,
@@ -22,7 +23,7 @@ from repro.harvest import (
     hardware_scale,
 )
 from repro.mesh.mapping import checkerboard_mapping
-from repro.mesh.topology import Topology, mesh2d
+from repro.mesh.topology import Topology, attach_external_node, mesh2d
 from repro.orchestration import config_hash
 from repro.sim.level_estimators import IncomeEstimator
 
@@ -308,7 +309,9 @@ class TestHarvestRuntime:
         for _ in range(400):
             runtime.observe_frame([20.0] * 16)
         assert runtime.dirty
-        vector = runtime.levels(17)
+        fabric = mesh2d(4)
+        attach_external_node(fabric, 0, 10.0)
+        vector = runtime.levels(line_slots(fabric)[0])
         assert vector.shape == (17,)
         assert vector[16] == 0  # the external source never harvests
         # The moving average converges on 20 pJ/frame from below, so
@@ -320,7 +323,7 @@ class TestHarvestRuntime:
         runtime = self.runtime()
         for _ in range(1000):
             runtime.observe_frame([10_000.0] * 16)
-        assert all(runtime.levels(16) == 7)
+        assert all(runtime.levels(line_slots(mesh2d(4))[0]) == 7)
 
     def test_dirty_only_on_level_crossings(self):
         runtime = self.runtime()
@@ -394,7 +397,8 @@ class TestApplyHarvestBonus:
 
 def replace_income(view, income):
     return type(view)(
-        lengths=view.lengths,
+        neighbors=view.neighbors,
+        edge_lengths=view.edge_lengths,
         alive=view.alive,
         battery_levels=view.battery_levels,
         levels=view.levels,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.trees import line_slots
 from repro.errors import MappingError, TopologyError
 from repro.mesh.connectivity import (
     articulation_points,
@@ -23,7 +24,12 @@ from repro.mesh.mapping import (
     proportional_mapping,
     uniform_mapping,
 )
-from repro.mesh.topology import Topology, attach_external_node, mesh2d
+from repro.mesh.topology import (
+    DEFAULT_LINK_PITCH_CM,
+    Topology,
+    attach_external_node,
+    mesh2d,
+)
 
 
 class TestGeometry:
@@ -76,11 +82,18 @@ class TestMesh2d:
         assert topo.edge_length(0, 1) == 3.0
 
     def test_length_matrix_conventions(self):
-        matrix = mesh2d(3).length_matrix()
-        assert matrix.shape == (9, 9)
-        assert np.all(np.diag(matrix) == 0.0)
-        assert np.isinf(matrix[0, 8])  # non-adjacent
-        assert np.isfinite(matrix[0, 1])
+        # The slot builder's conventions: one row per node, neighbours
+        # in ascending id order, then the padding value K behind an
+        # inf length; the width is the largest degree.
+        neighbors, lengths = line_slots(mesh2d(3))
+        assert neighbors.shape == lengths.shape == (9, 4)
+        assert neighbors[0].tolist() == [1, 3, 9, 9]  # a corner
+        assert neighbors[4].tolist() == [1, 3, 5, 7]  # the centre
+        assert not (neighbors == np.arange(9)[:, None]).any()
+        assert np.isinf(lengths[neighbors == 9]).all()
+        assert np.all(lengths[neighbors < 9] == DEFAULT_LINK_PITCH_CM)
+        # A fabric without lines still has one (padding) column.
+        assert line_slots(Topology(3))[0].tolist() == [[3], [3], [3]]
 
     def test_coordinates_require_mesh(self):
         topo = Topology(3)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.trees import edge_lengths
+from dense_routing import at_slots, length_matrix
+from repro.core.trees import line_slots
 from repro.core.view import NetworkView
 from repro.errors import ConfigurationError
 from repro.mesh.mapping import checkerboard_mapping
@@ -13,8 +14,10 @@ from repro.mesh.topology import mesh2d
 def build_view(**overrides):
     topo = mesh2d(4)
     mapping = checkerboard_mapping(topo)
+    neighbors, lengths = line_slots(topo)
     kwargs = dict(
-        lengths=topo.length_matrix(),
+        neighbors=neighbors,
+        edge_lengths=lengths,
         alive=np.ones(16, dtype=bool),
         battery_levels=np.full(16, 7, dtype=int),
         levels=8,
@@ -49,7 +52,8 @@ class TestNetworkView:
     def test_edge_lengths_follow_the_neighbour_table(self):
         view = build_view()
         assert np.array_equal(
-            view.edge_lengths, edge_lengths(view.lengths, view.neighbors)
+            view.edge_lengths,
+            at_slots(length_matrix(mesh2d(4)), view.neighbors),
         )
         updated = view.with_blocked_ports(frozenset({(0, 1)}))
         assert updated.edge_lengths is view.edge_lengths
@@ -62,9 +66,9 @@ class TestNetworkView:
                 edge_lengths=view.edge_lengths[:, :-1],
             )
 
-    def test_non_square_lengths_rejected(self):
+    def test_one_dimensional_table_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_view(lengths=np.zeros((4, 5)))
+            build_view(neighbors=np.arange(16), edge_lengths=np.ones(16))
 
     def test_vector_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -86,20 +90,26 @@ class TestNetworkView:
         assert build_view().channel_levels == {}
 
     def test_wear_matrix_accepted_and_propagated(self):
-        wear = np.zeros((16, 16), dtype=int)
-        wear[0, 1] = wear[1, 0] = 2
+        # Link levels sit on the neighbour-table slots: node 0's first
+        # slot is the line to node 1, and node 1's first slot the line
+        # back to node 0.
+        wear = np.zeros(line_slots(mesh2d(4))[0].shape, dtype=int)
+        wear[0, 0] = wear[1, 0] = 2
         view = build_view(channel_levels={"wear": wear})
-        assert view.channel_levels["wear"][0, 1] == 2
+        assert view.channel_levels["wear"][0, 0] == 2
         blocked = view.with_blocked_ports(frozenset({(0, 1)}))
         assert np.array_equal(blocked.channel_levels["wear"], wear)
 
     def test_wear_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             build_view(channel_levels={"wear": np.zeros((4, 4), dtype=int)})
+        # A dense K x K picture is not the slot layout either.
+        with pytest.raises(ConfigurationError):
+            build_view(channel_levels={"wear": np.zeros((16, 16), dtype=int)})
 
     def test_negative_wear_rejected(self):
-        wear = np.zeros((16, 16), dtype=int)
-        wear[3, 4] = -1
+        wear = np.zeros(line_slots(mesh2d(4))[0].shape, dtype=int)
+        wear[3, 1] = -1
         with pytest.raises(ConfigurationError):
             build_view(channel_levels={"wear": wear})
 
