@@ -12,8 +12,11 @@ This package implements the complete cipher (encryption and decryption,
 all three key sizes), the module partitioning, the per-job operation
 dataflow ``(f1, f2, f3) = (10, 9, 11)`` used by the routing formulation,
 and the paper's measured per-operation energies.  The simulator carries
-real cipher state through the network, so every completed job can be
-verified bit-for-bit against :func:`repro.aes.cipher.encrypt_block`.
+real cipher state through the network, so every completed job is
+verified bit-for-bit against Fig 1's monolithic cipher
+(:func:`repro.aes.cipher.encrypt_with_schedule`, on the dataflow's one
+key schedule).  The forward transforms are whole-block table operations;
+the test suite pins them to a per-byte FIPS-197 transcription.
 """
 
 from .cipher import decrypt_block, encrypt_block, expand_key

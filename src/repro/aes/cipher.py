@@ -2,11 +2,15 @@
 
 ``encrypt_block`` follows the exact pseudo-code reproduced in the paper's
 Fig 1; ``decrypt_block`` implements the straightforward inverse cipher.
-The distributed execution in :mod:`repro.sim` must produce byte-identical
-results to ``encrypt_block`` — this is asserted for every completed job.
+``encrypt_with_schedule`` is the same Fig 1 loop on an expanded key
+schedule: every simulated job computes its reference ciphertext with it,
+on its dataflow's one schedule, and a completed job's carried state must
+equal that ciphertext byte for byte.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from .key_expansion import round_keys, rounds_for_key
 from .state import validate_block
@@ -35,19 +39,27 @@ def encrypt_block(plaintext: bytes, key: bytes) -> bytes:
     operations, 9 MixColumns operations and 11 AddRoundKey operations —
     the paper's ``(f1, f2, f3) = (10, 9, 11)``.
     """
-    state = validate_block(plaintext, name="plaintext")
-    keys = round_keys(key)
-    nr = rounds_for_key(key)
+    return encrypt_with_schedule(plaintext, round_keys(key))
 
-    state = add_round_key(state, keys[0])
+
+def encrypt_with_schedule(plaintext: bytes, schedule: Sequence[bytes]) -> bytes:
+    """Fig 1's encryption under an already expanded key schedule.
+
+    ``schedule`` holds the ``Nr + 1`` round keys of :func:`expand_key`,
+    so a caller that encrypts many blocks under one key expands it once.
+    """
+    state = validate_block(plaintext, name="plaintext")
+    nr = len(schedule) - 1
+
+    state = add_round_key(state, schedule[0])
     for rnd in range(1, nr):
         state = sub_bytes(state)
         state = shift_rows(state)
         state = mix_columns(state)
-        state = add_round_key(state, keys[rnd])
+        state = add_round_key(state, schedule[rnd])
     state = sub_bytes(state)
     state = shift_rows(state)
-    state = add_round_key(state, keys[nr])
+    state = add_round_key(state, schedule[nr])
     return state
 
 

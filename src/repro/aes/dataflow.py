@@ -25,7 +25,9 @@ hard-coding them.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from .key_expansion import round_keys, rounds_for_key
 from .transforms import add_round_key, mix_columns, sub_bytes_shift_rows
@@ -109,6 +111,10 @@ class AesJobDataflow:
     network/topology concept: the simulator asks *what* must be computed,
     the routing strategy decides *where*.
 
+    The key is expanded once, and each operation is bound once to its
+    transform, round key included: :attr:`steps` holds one one-argument
+    callable per operation, in order.
+
     Args:
         key: AES cipher key (16, 24 or 32 bytes).
 
@@ -125,13 +131,28 @@ class AesJobDataflow:
     def __init__(self, key: bytes):
         self._key = bytes(key)
         self._rounds = rounds_for_key(self._key)
-        self._schedule = round_keys(self._key)
+        self._schedule = tuple(round_keys(self._key))
         self._operations = operation_sequence(self._rounds)
+        self._steps = tuple(self._bind(op) for op in self._operations)
+
+    def _bind(self, op: Operation) -> Callable[[bytes], bytes]:
+        if op.module == MODULE_SUBBYTES_SHIFTROWS:
+            return sub_bytes_shift_rows
+        if op.module == MODULE_MIXCOLUMNS:
+            return mix_columns
+        if op.module == MODULE_ADDROUNDKEY:
+            return partial(add_round_key, round_key=self._schedule[op.round])
+        raise ValueError(f"operation {op} references unknown module {op.module}")
 
     @property
     def key(self) -> bytes:
         """The cipher key this dataflow encrypts under."""
         return self._key
+
+    @property
+    def schedule(self) -> tuple[bytes, ...]:
+        """The ``Nr + 1`` round keys, expanded once from :attr:`key`."""
+        return self._schedule
 
     @property
     def rounds(self) -> int:
@@ -142,6 +163,11 @@ class AesJobDataflow:
     def operations(self) -> tuple[Operation, ...]:
         """The ordered operation sequence of one job."""
         return self._operations
+
+    @property
+    def steps(self) -> tuple[Callable[[bytes], bytes], ...]:
+        """Each operation's transform, bound to its round key, in order."""
+        return self._steps
 
     @property
     def total_operations(self) -> int:
@@ -158,25 +184,21 @@ class AesJobDataflow:
 
     def apply(self, op: Operation, state: bytes) -> bytes:
         """Execute one operation on a 16-byte state and return the result."""
-        if op.module == MODULE_SUBBYTES_SHIFTROWS:
-            return sub_bytes_shift_rows(state)
-        if op.module == MODULE_MIXCOLUMNS:
-            return mix_columns(state)
-        if op.module == MODULE_ADDROUNDKEY:
-            return add_round_key(state, self._schedule[op.round])
-        raise ValueError(f"operation {op} references unknown module {op.module}")
+        return self._steps[op.index](state)
 
     def apply_index(self, op_index: int, state: bytes) -> bytes:
         """Execute the operation at position ``op_index`` on ``state``."""
-        return self.apply(self._operations[op_index], state)
+        return self._steps[op_index](state)
 
     def run_reference(self, plaintext: bytes) -> bytes:
         """Run the whole dataflow locally (no network) on ``plaintext``.
 
-        Used by tests and by job verification: the result must equal
-        :func:`repro.aes.cipher.encrypt_block`.
+        The tests compare the result with
+        :func:`repro.aes.cipher.encrypt_block`; a simulated job checks
+        its walk against :func:`repro.aes.cipher.encrypt_with_schedule`
+        instead, which never reads these bindings.
         """
         state = bytes(plaintext)
-        for op in self._operations:
-            state = self.apply(op, state)
+        for step in self._steps:
+            state = step(state)
         return state

@@ -2,10 +2,9 @@
 
 FIPS-197 arranges the 16 input bytes into a 4x4 *state* array column by
 column: ``state[r][c] = input[r + 4*c]``.  The transforms in this package
-operate directly on the flat 16-byte representation using the index
-formula above, which keeps the hot path allocation-free; this module
-provides the explicit conversions plus validation helpers used at the
-package boundary.
+take and return the flat 16-byte representation in that layout, as whole
+immutable blocks; this module provides the explicit conversions plus the
+validation every transform applies to its input.
 """
 
 from __future__ import annotations

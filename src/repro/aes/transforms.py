@@ -6,21 +6,24 @@ column-major layout (``state[r][c] == block[r + 4*c]``, see
 each as the unit of computation performed by one e-textile module
 (Sec 5.1.1 of the paper), so keeping them side-effect free makes the
 distributed execution trivially checkable against the monolithic cipher.
+
+The forward transforms run inside every simulated act of computation,
+so each is a whole-block operation on tables built once at import:
+SubBytes is one ``bytes.translate`` through the S-box, ShiftRows one
+fixed byte permutation, AddRoundKey one 128-bit integer XOR, and
+MixColumns a ``x2`` translate plus byte rotations within each column of
+the block read as one 128-bit integer.  The test suite pins every one of
+them, byte for byte, to a per-byte FIPS-197 transcription.  The inverse
+transforms are not on the simulator's path and keep the per-byte form.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .gf import gf_mul
 from .sbox import INV_SBOX, SBOX
 from .state import BLOCK_BYTES, NB, validate_block
-
-#: MixColumns circulant matrix rows (FIPS-197 Sec 5.1.3).
-_MIX_ROWS = (
-    (0x02, 0x03, 0x01, 0x01),
-    (0x01, 0x02, 0x03, 0x01),
-    (0x01, 0x01, 0x02, 0x03),
-    (0x03, 0x01, 0x01, 0x02),
-)
 
 #: InvMixColumns circulant matrix rows (FIPS-197 Sec 5.3.3).
 _INV_MIX_ROWS = (
@@ -30,22 +33,41 @@ _INV_MIX_ROWS = (
     (0x0B, 0x0D, 0x09, 0x0E),
 )
 
-#: Precomputed GF(2^8) multiplication rows for the fixed (Inv)MixColumns
-#: coefficients, built once from the first-principles :func:`gf_mul` (the
-#: test suite verifies the two against each other).  MixColumns runs
-#: inside every simulated act of computation, so the simulator hot path
-#: reduces to table lookups and XORs.
-_MUL_TABLE: dict[int, tuple[int, ...]] = {
+#: GF(2^8) multiplication rows for the InvMixColumns coefficients, built
+#: once from the first-principles :func:`gf_mul`.
+_INV_MUL_TABLE: dict[int, tuple[int, ...]] = {
     coeff: tuple(gf_mul(coeff, value) for value in range(256))
-    for row in _MIX_ROWS + _INV_MIX_ROWS
-    for coeff in row
+    for coeff in _INV_MIX_ROWS[0]
 }
+
+#: The S-box as a ``bytes.translate`` table.
+_SUB_TABLE = bytes(SBOX)
+
+#: ``gf_mul(2, b)`` for every byte, as a ``bytes.translate`` table.
+_DOUBLE_TABLE = bytes(gf_mul(2, value) for value in range(256))
+
+#: ShiftRows as a gather: output byte ``r + 4c`` is input byte
+#: ``r + 4((c + r) mod 4)``.
+_SHIFT_ROWS = itemgetter(
+    *((i % 4) + 4 * ((i // 4 + i % 4) % 4) for i in range(BLOCK_BYTES))
+)
+
+
+# Read big-endian, each column is one 32-bit word with row 0 as its most
+# significant byte.  Rotating every column by ``k`` rows moves row
+# ``r + k`` into row ``r``: the bytes shifted up stay inside their column
+# under the HIGH mask, and the ones that would cross into the next column
+# come back in from below under the LOW mask.  Multiplying a 32-bit
+# pattern by ``_COLUMNS`` repeats it over the four columns.
+_COLUMNS = 0x00000001_00000001_00000001_00000001
+_ROT1_HIGH, _ROT1_LOW = 0xFFFFFF00 * _COLUMNS, 0x000000FF * _COLUMNS
+_ROT2_HIGH, _ROT2_LOW = 0xFFFF0000 * _COLUMNS, 0x0000FFFF * _COLUMNS
+_ROT3_HIGH, _ROT3_LOW = 0xFF000000 * _COLUMNS, 0x00FFFFFF * _COLUMNS
 
 
 def sub_bytes(block: bytes) -> bytes:
     """Apply the S-box to every byte of the state."""
-    validate_block(block)
-    return bytes(SBOX[b] for b in block)
+    return validate_block(block).translate(_SUB_TABLE)
 
 
 def inv_sub_bytes(block: bytes) -> bytes:
@@ -56,12 +78,7 @@ def inv_sub_bytes(block: bytes) -> bytes:
 
 def shift_rows(block: bytes) -> bytes:
     """Cyclically shift row ``r`` of the state left by ``r`` positions."""
-    validate_block(block)
-    out = bytearray(BLOCK_BYTES)
-    for r in range(4):
-        for c in range(NB):
-            out[r + 4 * c] = block[r + 4 * ((c + r) % NB)]
-    return bytes(out)
+    return bytes(_SHIFT_ROWS(validate_block(block)))
 
 
 def inv_shift_rows(block: bytes) -> bytes:
@@ -79,8 +96,10 @@ def sub_bytes_shift_rows(block: bytes) -> bytes:
 
     The paper packages SubBytes and ShiftRows into a single hardware
     module, so one *act of computation* (one f1 operation) applies both.
+    SubBytes works byte by byte and ShiftRows only moves bytes, so the
+    two commute: the permutation runs first and one translate follows.
     """
-    return shift_rows(sub_bytes(block))
+    return bytes(_SHIFT_ROWS(validate_block(block))).translate(_SUB_TABLE)
 
 
 def inv_sub_bytes_shift_rows(block: bytes) -> bytes:
@@ -88,14 +107,41 @@ def inv_sub_bytes_shift_rows(block: bytes) -> bytes:
     return inv_sub_bytes(inv_shift_rows(block))
 
 
-def _mix_with(block: bytes, rows: tuple[tuple[int, ...], ...]) -> bytes:
+def mix_columns(block: bytes) -> bytes:
+    """Multiply each state column by the MixColumns matrix over GF(2^8).
+
+    This is the paper's Module 2 operation (one f2 act of computation).
+    Row ``r`` of a column becomes ``2 b[r] ^ 3 b[r+1] ^ b[r+2] ^ b[r+3]``;
+    with ``3 b = 2 b ^ b`` that is ``d ^ rot1(d ^ x) ^ rot2(x) ^ rot3(x)``
+    over the whole block, where ``x`` is the state and ``d`` its doubled
+    bytes.
+    """
+    state = validate_block(block)
+    x = int.from_bytes(state, "big")
+    d = int.from_bytes(state.translate(_DOUBLE_TABLE), "big")
+    t = d ^ x
+    mixed = (
+        d
+        ^ ((t << 8) & _ROT1_HIGH)
+        ^ ((t >> 24) & _ROT1_LOW)
+        ^ ((x << 16) & _ROT2_HIGH)
+        ^ ((x >> 16) & _ROT2_LOW)
+        ^ ((x << 24) & _ROT3_HIGH)
+        ^ ((x >> 8) & _ROT3_LOW)
+    )
+    return mixed.to_bytes(BLOCK_BYTES, "big")
+
+
+def inv_mix_columns(block: bytes) -> bytes:
+    """Multiply each state column by the InvMixColumns matrix."""
+    validate_block(block)
     out = bytearray(BLOCK_BYTES)
-    tables = _MUL_TABLE
+    tables = _INV_MUL_TABLE
     for c in range(NB):
         base = 4 * c
         b0, b1, b2, b3 = block[base : base + 4]
         for r in range(4):
-            m0, m1, m2, m3 = rows[r]
+            m0, m1, m2, m3 = _INV_MIX_ROWS[r]
             out[base + r] = (
                 tables[m0][b0]
                 ^ tables[m1][b1]
@@ -105,29 +151,14 @@ def _mix_with(block: bytes, rows: tuple[tuple[int, ...], ...]) -> bytes:
     return bytes(out)
 
 
-def mix_columns(block: bytes) -> bytes:
-    """Multiply each state column by the MixColumns matrix over GF(2^8).
-
-    This is the paper's Module 2 operation (one f2 act of computation).
-    """
-    validate_block(block)
-    return _mix_with(block, _MIX_ROWS)
-
-
-def inv_mix_columns(block: bytes) -> bytes:
-    """Multiply each state column by the InvMixColumns matrix."""
-    validate_block(block)
-    return _mix_with(block, _INV_MIX_ROWS)
-
-
 def add_round_key(block: bytes, round_key: bytes) -> bytes:
     """XOR the state with one 16-byte round key.
 
     This is the paper's Module 3 operation (one f3 act of computation);
     the key schedule itself is produced by
-    :func:`repro.aes.key_expansion.expand_key` which the paper likewise
+    :func:`repro.aes.key_expansion.round_keys`, which the paper likewise
     assigns to Module 3.
     """
-    validate_block(block)
-    validate_block(round_key, name="round_key")
-    return bytes(b ^ k for b, k in zip(block, round_key))
+    state = int.from_bytes(validate_block(block), "big")
+    key = int.from_bytes(validate_block(round_key, name="round_key"), "big")
+    return (state ^ key).to_bytes(BLOCK_BYTES, "big")

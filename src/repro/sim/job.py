@@ -1,16 +1,19 @@
 """Jobs: one AES encryption walking through the fabric.
 
 A job owns a real 16-byte state and steps through the
-:class:`~repro.aes.dataflow.AesJobDataflow` operation sequence.  When the
-last operation completes the ciphertext is verified against the
-monolithic reference cipher — functional verification the paper's
-simulator implies (it simulates the actual AES) and that this
-reproduction enforces on every single job.
+:class:`~repro.aes.dataflow.AesJobDataflow` operation sequence, one bound
+transform per executed operation.  When the last operation completes the
+ciphertext is verified against the monolithic reference cipher, run once
+per job on the dataflow's key schedule — functional verification the
+paper's simulator implies (it simulates the actual AES) and that this
+reproduction enforces on every single job.  The reference is Fig 1's
+round loop, not the dataflow's operation list, so a walk that skips or
+repeats an operation fails verification.
 """
 
 from __future__ import annotations
 
-from ..aes.cipher import encrypt_block
+from ..aes.cipher import encrypt_with_schedule
 from ..aes.dataflow import AesJobDataflow, Operation
 from ..errors import SimulationError
 
@@ -39,7 +42,8 @@ class Job:
         self.op_index = 0
         self.holder = origin
         self._dataflow = dataflow
-        self._expected = encrypt_block(self.plaintext, dataflow.key)
+        self._steps = dataflow.steps
+        self._expected = encrypt_with_schedule(self.plaintext, dataflow.schedule)
 
     # ------------------------------------------------------------------
     @property
@@ -48,18 +52,16 @@ class Job:
 
     @property
     def total_operations(self) -> int:
-        return self._dataflow.total_operations
+        return len(self._steps)
 
     @property
     def completed(self) -> bool:
-        return self.op_index >= self.total_operations
+        return self.op_index >= len(self._steps)
 
     @property
     def current_operation(self) -> Operation:
         if self.completed:
-            raise SimulationError(
-                f"job {self.job_id} already completed all operations"
-            )
+            raise self._completed_error()
         return self._dataflow.operations[self.op_index]
 
     @property
@@ -74,10 +76,17 @@ class Job:
         Updates the carried state, advances the operation pointer, and
         records the node as the new holder of the job's state.
         """
-        op = self.current_operation
-        self.state = self._dataflow.apply(op, self.state)
-        self.op_index += 1
+        index = self.op_index
+        if index >= len(self._steps):
+            raise self._completed_error()
+        self.state = self._steps[index](self.state)
+        self.op_index = index + 1
         self.holder = node
+
+    def _completed_error(self) -> SimulationError:
+        return SimulationError(
+            f"job {self.job_id} already completed all operations"
+        )
 
     def verify(self) -> bool:
         """Check the final state against the reference ciphertext."""

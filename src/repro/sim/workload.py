@@ -33,8 +33,8 @@ class JobFactory:
 
     def next_job(self) -> Job:
         """Create the next job with a fresh random plaintext."""
-        plaintext = bytes(
-            int(b) for b in self._rng.integers(0, 256, size=16)
+        plaintext = (
+            self._rng.integers(0, 256, size=16).astype(np.uint8).tobytes()
         )
         job = Job(
             job_id=self._created,

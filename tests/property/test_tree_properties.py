@@ -10,7 +10,7 @@ A cut line is an ``inf`` slot of the fabric's fixed table, and routes
 exactly like a table that has no slot for it.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -274,3 +274,29 @@ def test_an_inf_slot_routes_exactly_like_a_missing_slot(routed, seed):
     for engine in (sdr, ear):
         engine.configure_ecmp(seed)
         assert plan_record(engine, fixed) == plan_record(engine, compact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh_views(), st.integers(min_value=0, max_value=2**31 - 1))
+def test_trees_outlive_the_next_plan_of_the_same_shape(routed, seed):
+    """The kernel keeps its work arrays between plans of one shape; a
+    result must never alias them."""
+    view, weights = routed
+    rng = np.random.default_rng(seed)
+    other = replace(
+        view, battery_levels=rng.integers(0, 8, size=view.num_nodes)
+    )
+    other_weights = ear_weight_matrix(
+        other, BatteryWeightFunction(q=2.5, levels=8)
+    )
+
+    def contents(trees):
+        arrays = [getattr(trees, field.name) for field in fields(trees)]
+        return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+    kept, _, _ = route(view, weights)
+    rerouted, _, _ = route(other, other_weights)
+    assert rerouted.through.shape == kept.through.shape
+    # Read the kept result before a fresh run refills the work arrays.
+    kept_after = contents(kept)
+    assert kept_after == contents(route(view, weights)[0])

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.aes.cipher import decrypt_block, encrypt_block, expand_key
+import aes_reference
+from repro.aes.cipher import (
+    decrypt_block,
+    encrypt_block,
+    encrypt_with_schedule,
+    expand_key,
+)
 from repro.aes.key_expansion import (
     expand_key_words,
     round_keys,
@@ -52,6 +58,23 @@ class TestCipherKnownAnswers:
     )
     def test_encrypt(self, vector):
         assert encrypt_block(vector.plaintext, vector.key) == vector.ciphertext
+
+    @pytest.mark.parametrize(
+        "vector", KNOWN_ANSWER_VECTORS, ids=lambda v: v.name
+    )
+    def test_encrypt_with_schedule(self, vector):
+        schedule = round_keys(vector.key)
+        assert encrypt_with_schedule(vector.plaintext, schedule) == (
+            vector.ciphertext
+        )
+
+    @pytest.mark.parametrize(
+        "vector", KNOWN_ANSWER_VECTORS, ids=lambda v: v.name
+    )
+    def test_reference_transcription_encrypt(self, vector):
+        assert aes_reference.encrypt_block(vector.plaintext, vector.key) == (
+            vector.ciphertext
+        )
 
     @pytest.mark.parametrize(
         "vector", KNOWN_ANSWER_VECTORS, ids=lambda v: v.name

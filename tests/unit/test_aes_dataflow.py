@@ -12,6 +12,7 @@ from repro.aes.dataflow import (
     operations_per_module,
 )
 from repro.aes.energy import AES_MODULE_ENERGIES_PJ, module_energy_pj
+from repro.aes.key_expansion import round_keys
 from repro.errors import ConfigurationError
 
 
@@ -84,6 +85,32 @@ class TestAesJobDataflow:
         assert flow.run_reference(bytes(16)) == encrypt_block(
             bytes(16), bytes(32)
         )
+
+    def test_schedule_is_expanded_once_and_bound_per_operation(self):
+        key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+        flow = AesJobDataflow(key)
+        assert flow.schedule == tuple(round_keys(key))
+        assert len(flow.steps) == flow.total_operations == 30
+        state = bytes(range(16))
+        for op, step in zip(flow.operations, flow.steps):
+            assert step(state) == flow.apply(op, state)
+            assert step(state) == flow.apply_index(op.index, state)
+
+    def test_jobs_never_expand_the_key_again(self, monkeypatch):
+        from repro.aes import cipher, key_expansion
+        from repro.sim.workload import JobFactory
+
+        factory = JobFactory(bytes(16), seed=3, origin=0)
+
+        def expand(key):
+            raise AssertionError("key expanded again")
+
+        monkeypatch.setattr(cipher, "round_keys", expand)
+        monkeypatch.setattr(key_expansion, "round_keys", expand)
+        job = factory.next_job()
+        while not job.completed:
+            job.execute_current(0)
+        assert job.verify()
 
     def test_module_of(self):
         flow = AesJobDataflow(bytes(16))

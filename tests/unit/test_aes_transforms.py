@@ -2,6 +2,7 @@
 
 import pytest
 
+import aes_reference
 from repro.aes.state import bytes_to_grid, grid_to_bytes, state_index
 from repro.aes.transforms import (
     add_round_key,
@@ -115,3 +116,57 @@ class TestFusedModule1:
     def test_inverse_round_trip(self):
         fused = sub_bytes_shift_rows(START_R1)
         assert inv_sub_bytes_shift_rows(fused) == START_R1
+
+
+class TestReferenceTranscription:
+    """The per-byte oracle the fast path is pinned to, on the same
+    FIPS-197 Appendix B round states."""
+
+    def test_fips_appendix_b_round1(self):
+        assert aes_reference.sub_bytes(START_R1) == AFTER_SUB
+        assert aes_reference.shift_rows(AFTER_SUB) == AFTER_SHIFT
+        assert aes_reference.sub_bytes_shift_rows(START_R1) == AFTER_SHIFT
+        assert aes_reference.mix_columns(AFTER_SHIFT) == AFTER_MIX
+        assert aes_reference.add_round_key(AFTER_MIX, ROUND_KEY_1) == AFTER_ARK
+
+    def test_known_single_column(self):
+        column = bytes.fromhex("db135345") + bytes(12)
+        assert aes_reference.mix_columns(column)[:4] == bytes.fromhex("8e4da1bc")
+
+    def test_bad_block_rejected(self):
+        for transform in (
+            aes_reference.sub_bytes,
+            aes_reference.shift_rows,
+            aes_reference.mix_columns,
+        ):
+            with pytest.raises(ValueError):
+                transform(b"short")
+
+
+class TestFastPathValidation:
+    """Every fast transform still validates every input block."""
+
+    @pytest.mark.parametrize(
+        "transform",
+        [sub_bytes, shift_rows, sub_bytes_shift_rows, mix_columns],
+        ids=lambda f: f.__name__,
+    )
+    def test_rejects_bad_blocks(self, transform):
+        with pytest.raises(ValueError):
+            transform(bytes(15))
+        with pytest.raises(TypeError):
+            transform("0123456789abcdef")  # type: ignore[arg-type]
+
+    def test_add_round_key_rejects_bad_blocks_and_keys(self):
+        with pytest.raises(ValueError):
+            add_round_key(bytes(17), bytes(16))
+        with pytest.raises(ValueError):
+            add_round_key(bytes(16), bytes(15))
+        with pytest.raises(TypeError):
+            add_round_key(bytes(16), list(range(16)))  # type: ignore[arg-type]
+
+    def test_bytearray_input_gives_bytes(self):
+        block = bytearray(START_R1)
+        for transform in (sub_bytes, shift_rows, sub_bytes_shift_rows, mix_columns):
+            assert type(transform(block)) is bytes
+        assert type(add_round_key(block, bytearray(ROUND_KEY_1))) is bytes

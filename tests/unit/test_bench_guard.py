@@ -222,3 +222,71 @@ class TestBehaviourFingerprint:
         column = stats.energy.nodes.data_tx_pj
         column[3] = math.nextafter(column[3], math.inf)
         assert fingerprint.record_hash(stats, trace) != digest
+
+
+PERF_PAIRS = SCRIPT.with_name("perf_pairs.py")
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    spec = importlib.util.spec_from_file_location("perf_pairs", PERF_PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPerfPairsVerdict:
+    """``scripts/perf_pairs.py``: the gain rule (9 of 10 pair wins and a
+    median gap beyond the parent's IQR) and the regression rule."""
+
+    PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0, 101.0, 99.0]
+
+    def test_ten_wins_with_a_gap_is_a_gain(self, pairs):
+        change = [value - 10.0 for value in self.PARENT]
+        result = pairs.verdict(self.PARENT, change, "lower", 0.25)
+        assert (result.wins, result.ties, result.pairs) == (10, 0, 10)
+        assert result.gap == pytest.approx(10.0)
+        assert result.gain and not result.regression
+
+    def test_eight_wins_is_no_gain(self, pairs):
+        change = [value - 10.0 for value in self.PARENT]
+        change[0] = change[1] = 200.0
+        result = pairs.verdict(self.PARENT, change, "lower", 0.25)
+        assert result.wins == 8
+        assert result.gap > result.parent[2] - result.parent[0]
+        assert not result.gain
+
+    def test_a_gap_inside_the_parents_iqr_is_no_gain(self, pairs):
+        change = [value - 0.5 for value in self.PARENT]
+        result = pairs.verdict(self.PARENT, change, "lower", 0.25)
+        assert result.wins == 10
+        assert 0 < result.gap < result.parent[2] - result.parent[0]
+        assert not result.gain
+
+    def test_ties_count_for_neither_side(self, pairs):
+        change = list(self.PARENT)
+        change[0] -= 5.0
+        change[1] += 5.0
+        result = pairs.verdict(self.PARENT, change, "lower", 0.25)
+        assert (result.wins, result.ties) == (1, 8)
+        assert not result.gain and not result.regression
+
+    def test_higher_is_better(self, pairs):
+        parent = [2700.0 + 10 * i for i in range(10)]
+        faster = [value * 1.2 for value in parent]
+        result = pairs.verdict(parent, faster, "higher", 0.25)
+        assert result.wins == 10 and result.gain and not result.regression
+        slower = [value * 0.7 for value in parent]
+        result = pairs.verdict(parent, slower, "higher", 0.25)
+        assert result.wins == 0 and result.gap < 0
+        assert result.regression and not result.gain
+
+    def test_regression_beyond_the_bound(self, pairs):
+        worse = [value * 1.3 for value in self.PARENT]
+        assert pairs.verdict(self.PARENT, worse, "lower", 0.25).regression
+        within = [value * 1.2 for value in self.PARENT]
+        assert not pairs.verdict(self.PARENT, within, "lower", 0.25).regression
+
+    def test_unknown_direction_rejected(self, pairs):
+        with pytest.raises(ValueError):
+            pairs.verdict([1.0], [1.0], "faster", 0.25)

@@ -1,8 +1,10 @@
 """Unit tests for the simulator building blocks: jobs, workload, stats
 (repro.sim)."""
 
+import numpy as np
 import pytest
 
+import aes_reference
 from repro.aes.cipher import encrypt_block
 from repro.aes.dataflow import AesJobDataflow
 from repro.errors import SimulationError
@@ -64,6 +66,42 @@ class TestJob:
         assert job.state == encrypt_block(plaintext, key)
 
 
+    @pytest.mark.parametrize(
+        "key",
+        [bytes(range(16)), bytes(range(32))],
+        ids=["aes128", "aes256"],
+    )
+    def test_a_skipped_or_repeated_operation_fails_verification(self, key):
+        flow = AesJobDataflow(key)
+        plaintext = bytes(range(100, 116))
+        expected = aes_reference.encrypt_block(plaintext, key)
+        for faulty in range(flow.total_operations):
+            skipped = Job(0, plaintext, flow, origin=0)
+            repeated = Job(0, plaintext, flow, origin=0)
+            assert skipped._expected == repeated._expected == expected
+            while not skipped.completed:
+                if skipped.op_index == faulty:
+                    skipped.op_index += 1
+                    continue
+                skipped.execute_current(0)
+            while not repeated.completed:
+                if repeated.op_index == faulty:
+                    repeated.execute_current(0)
+                    repeated.op_index -= 1
+                repeated.execute_current(0)
+            assert not skipped.verify(), f"skipped operation {faulty}"
+            assert not repeated.verify(), f"repeated operation {faulty}"
+
+    def test_execute_after_completion_rejected(self):
+        flow = AesJobDataflow(bytes(16))
+        job = Job(0, bytes(16), flow, origin=0)
+        while not job.completed:
+            job.execute_current(0)
+        with pytest.raises(SimulationError):
+            job.execute_current(0)
+        assert job.op_index == flow.total_operations
+
+
 class TestJobFactory:
     def test_deterministic_given_seed(self):
         a = JobFactory(bytes(16), seed=7, origin=0)
@@ -74,6 +112,13 @@ class TestJobFactory:
         a = JobFactory(bytes(16), seed=7, origin=0).next_job()
         b = JobFactory(bytes(16), seed=8, origin=0).next_job()
         assert a.plaintext != b.plaintext
+
+    def test_plaintexts_are_the_generators_draws(self):
+        factory = JobFactory(bytes(16), seed=11, origin=0)
+        rng = np.random.default_rng(11)
+        for _ in range(1000):
+            draw = bytes(int(b) for b in rng.integers(0, 256, size=16))
+            assert factory.next_job().plaintext == draw
 
     def test_ids_sequential(self):
         factory = JobFactory(bytes(16), seed=1, origin=0)
