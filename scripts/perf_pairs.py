@@ -2,15 +2,16 @@
 """Compare two checkouts on the end-to-end benchmark in alternating pairs.
 
     python scripts/perf_pairs.py PARENT CHANGE --workload paper \\
-        [--pairs 10] [--seconds 8] [--seed 1]
+        [--pairs 10] [--seed 1]
 
 ``PARENT`` and ``CHANGE`` are checkout directories of this repository,
 for example a ``git archive`` copy of the parent commit and the working
-tree.  Each pair runs the benchmark command that ``BENCHMARK.json``
-declares (``perfbench/run.py``) once inside each checkout with
-``--trace 0``; the side that runs first alternates from pair to pair, so
-a drift in machine speed favours neither.  Every run's correct,
-attempted and failed counts and its metrics are printed as it finishes.
+tree.  Each pair runs the benchmark command that the parent's
+``BENCHMARK.json`` declares (``perfbench/run.py``) once inside each
+checkout, for the ``run_seconds`` it declares and with ``--trace 0``;
+the side that runs first alternates from pair to pair, so a drift in
+machine speed favours neither.  Every run's correct, attempted and
+failed counts and its metrics are printed as it finishes.
 
 Then, for each ``end_to_end`` metric of the parent's ``BENCHMARK.json``,
 it prints each side's median and quartiles, the pairs the change won
@@ -160,7 +161,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path, help="the change's checkout")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
@@ -175,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
                 sides[side],
                 args.workload,
                 args.seed,
-                args.seconds,
+                benchmark["run_seconds"],
             )
             runs[side].append(result)
             print(f"pair {pair + 1} {side}: {describe(result)}", flush=True)

@@ -113,7 +113,7 @@ class AesJobDataflow:
 
     The key is expanded once, and each operation is bound once to its
     transform, round key included: :attr:`steps` holds one one-argument
-    callable per operation, in order.
+    callable per operation, in order, and :meth:`apply_index` runs one.
 
     Args:
         key: AES cipher key (16, 24 or 32 bytes).
@@ -121,8 +121,8 @@ class AesJobDataflow:
     Example:
         >>> flow = AesJobDataflow(bytes(16))
         >>> state = bytes(16)
-        >>> for op in flow.operations:
-        ...     state = flow.apply(op, state)
+        >>> for step in flow.steps:
+        ...     state = step(state)
         >>> from repro.aes.cipher import encrypt_block
         >>> state == encrypt_block(bytes(16), bytes(16))
         True
@@ -181,10 +181,6 @@ class AesJobDataflow:
     def module_of(self, op_index: int) -> int:
         """Module id that must execute operation ``op_index``."""
         return self._operations[op_index].module
-
-    def apply(self, op: Operation, state: bytes) -> bytes:
-        """Execute one operation on a 16-byte state and return the result."""
-        return self._steps[op.index](state)
 
     def apply_index(self, op_index: int, state: bytes) -> bytes:
         """Execute the operation at position ``op_index`` on ``state``."""

@@ -40,14 +40,6 @@ from ..errors import RoutingError
 #: tie-break is exact.
 ECMP_COST_TOLERANCE = 1e-9
 
-#: The kernel's ``(M, K, C)`` complex work arrays ``(steps, ahead,
-#: through)``, kept from one plan to the next while the shape holds.
-#: Freed and allocated afresh on every plan, arrays this size go back to
-#: the operating system and are faulted in again each time.  The
-#: returned trees copy everything they keep, so they never alias these,
-#: and no two threads share them: parallel sweeps run in processes.
-_work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
 
 def line_slots(topology) -> tuple[np.ndarray, np.ndarray]:
     """The fabric's padded neighbour table and the length behind each slot.
@@ -117,14 +109,6 @@ class ShortestPathTrees:
     canonical: np.ndarray
 
 
-def _work_arrays(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The kernel's work arrays for ``shape``, replaced when it changes."""
-    global _work
-    if _work is None or _work[0].shape != shape:
-        _work = tuple(np.empty(shape, dtype=complex) for _ in range(3))
-    return _work
-
-
 def shortest_path_trees(
     edge_weights: np.ndarray,
     neighbors: np.ndarray,
@@ -171,10 +155,15 @@ def shortest_path_trees(
     block = np.full((size + 1, columns), nowhere)
     tree = block[:size]
     tree[...] = roots
-    steps, ahead, through = _work_arrays((*slots.shape, columns))
-    steps[...] = np.where(np.isfinite(edges), edges, complex(np.inf, np.inf))[
-        :, :, None
-    ]
+    steps = np.repeat(
+        np.where(np.isfinite(edges), edges, complex(np.inf, np.inf))[
+            :, :, None
+        ],
+        columns,
+        axis=2,
+    )
+    ahead = np.empty(steps.shape, dtype=complex)
+    through = np.empty_like(ahead)
     best = np.empty_like(roots)
     # Synchronous Bellman–Ford: distances only ever decrease and settle
     # within K passes, labels then follow the tight DAG within K more,

@@ -279,8 +279,8 @@ def test_an_inf_slot_routes_exactly_like_a_missing_slot(routed, seed):
 @settings(max_examples=40, deadline=None)
 @given(mesh_views(), st.integers(min_value=0, max_value=2**31 - 1))
 def test_trees_outlive_the_next_plan_of_the_same_shape(routed, seed):
-    """The kernel keeps its work arrays between plans of one shape; a
-    result must never alias them."""
+    """A kept result survives the next plan of the same shape, so a kernel
+    that carries state from plan to plan must not hand out views of it."""
     view, weights = routed
     rng = np.random.default_rng(seed)
     other = replace(
@@ -297,6 +297,7 @@ def test_trees_outlive_the_next_plan_of_the_same_shape(routed, seed):
     kept, _, _ = route(view, weights)
     rerouted, _, _ = route(other, other_weights)
     assert rerouted.through.shape == kept.through.shape
-    # Read the kept result before a fresh run refills the work arrays.
+    # Read the kept result before a fresh run on its view could refill
+    # anything it shares.
     kept_after = contents(kept)
     assert kept_after == contents(route(view, weights)[0])
