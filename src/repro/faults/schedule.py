@@ -1,19 +1,21 @@
 """Deterministic fault schedules and their runtime state.
 
-A *fault schedule* is the full, precomputed list of physical-failure
-events one run will experience: permanent link cuts, node failures
-independent of battery state, and transient link degradations.  It is a
-pure function of the :class:`~repro.faults.config.FaultConfig`, the
-fabric topology and the frame horizon — the same inputs always produce
-the same events, which is what makes fault-bearing runs replayable and
-cacheable.
+A *fault schedule* is the precomputed list of physical-failure events
+one run experiences before a frame horizon: permanent link cuts, node
+failures independent of battery state, and transient link
+degradations.  It is a pure function of the
+:class:`~repro.faults.config.FaultConfig`, the fabric topology and the
+horizon — the same inputs always produce the same events, which is what
+makes fault-bearing runs replayable and cacheable.  The events below a
+horizon never depend on it, so a longer schedule begins with a shorter
+one.
 
 The engines own a :class:`FaultRuntime` that walks the schedule frame by
-frame and tracks the resulting link state (cut set, active
-degradations); the actual mutation of the platform — severing topology
-edges, scaling the length matrix, killing nodes — happens in
-``EngineBase._apply_faults`` so that both simulation engines share one
-implementation.
+frame, extending it as the run reaches its horizon, and tracks the
+resulting link state (cut set, active degradations); the actual
+mutation of the platform — severing topology edges, scaling line
+lengths, killing nodes — happens in ``EngineBase._apply_faults`` so
+that every engine shares one implementation.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..mesh.topology import Topology
 from .config import FAULT_KINDS, FaultConfig
@@ -472,6 +474,10 @@ def build_fault_schedule(
     return FaultSchedule(events)
 
 
+#: Frames a run's first fault schedule covers; each extension doubles it.
+FIRST_HORIZON_FRAMES = 64
+
+
 class FaultRuntime:
     """Per-run fault state: schedule cursor, cut links, degradations.
 
@@ -479,18 +485,71 @@ class FaultRuntime:
     plain set of *directed* pairs, empty for fault-free runs, so the
     hot-path cost is one set membership test) and drain due events at
     frame boundaries via :meth:`due`.
+
+    Args:
+        schedule: The events of the frames below ``horizon``; without
+            ``build``, every event of the run.
+        build: Rebuilds the schedule for a longer horizon.  When
+            :meth:`due` reaches the horizon, the runtime doubles it (up
+            to ``max_frames``) and swaps in the rebuilt schedule; the
+            cursor stays valid because the longer schedule begins with
+            the shorter one.
+        horizon: First frame ``schedule`` does not cover.
+        max_frames: The run's frame budget, the last horizon.
     """
 
-    def __init__(self, schedule: FaultSchedule):
+    def __init__(
+        self,
+        schedule: FaultSchedule,
+        build: Callable[[int], FaultSchedule] | None = None,
+        horizon: int = 0,
+        max_frames: int = 0,
+    ):
         self.schedule = schedule
+        self._build = build if horizon < max_frames else None
+        self._horizon = horizon
+        self._max_frames = max_frames
         self._cursor = 0
         #: Directed pairs severed so far (both directions of every cut).
         self.cut_links: set[tuple[int, int]] = set()
         #: Canonical ``(min, max)`` pair -> (factor, expiry frame).
         self.degraded: dict[tuple[int, int], tuple[float, int]] = {}
 
+    @classmethod
+    def for_run(
+        cls,
+        config: FaultConfig,
+        make_topology: Callable[[], Topology],
+        num_mesh_nodes: int,
+        max_frames: int,
+    ) -> FaultRuntime:
+        """A runtime that builds ``config``'s schedule only as far as the
+        run reaches, starting at :data:`FIRST_HORIZON_FRAMES`.
+
+        ``make_topology`` must return the pristine fabric on every
+        call: an engine's own topology loses every line it cuts.
+        """
+        if not config.is_active:
+            return cls(FaultSchedule())
+
+        def build(horizon: int) -> FaultSchedule:
+            return build_fault_schedule(
+                config, make_topology(), num_mesh_nodes, horizon
+            )
+
+        horizon = min(FIRST_HORIZON_FRAMES, max_frames)
+        return cls(build(horizon), build, horizon, max_frames)
+
     def due(self, frame: int) -> list[FaultEvent]:
         """Events scheduled at or before ``frame`` not yet delivered."""
+        if frame >= self._horizon and self._build is not None:
+            horizon = self._horizon
+            while horizon <= frame and horizon < self._max_frames:
+                horizon = min(2 * horizon, self._max_frames)
+            self.schedule = self._build(horizon)
+            self._horizon = horizon
+            if horizon == self._max_frames:
+                self._build = None
         events = []
         schedule = self.schedule.events
         while self._cursor < len(schedule):

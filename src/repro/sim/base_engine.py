@@ -44,7 +44,7 @@ from ..core.engines import EnergyAwareRouting, ShortestDistanceRouting
 from ..core.parameters import ApplicationProfile
 from ..core.trees import line_slots, slot_of
 from ..errors import DeadNodeError, SimulationError
-from ..faults.schedule import FaultRuntime, build_fault_schedule
+from ..faults.schedule import FaultRuntime
 from ..harvest.schedule import build_harvest_schedule
 from ..mesh.connectivity import reachable_set, system_is_alive
 from ..mesh.geometry import node_id as mesh_node_id
@@ -213,13 +213,11 @@ class EngineBase:
         self.deadlocks_recovered = 0
 
         # --- fault injection ----------------------------------------------
-        self.faults = FaultRuntime(
-            build_fault_schedule(
-                config.faults,
-                self.topology,
-                num_mesh_nodes=self.num_mesh_nodes,
-                horizon_frames=config.workload.max_frames,
-            )
+        self.faults = FaultRuntime.for_run(
+            config.faults,
+            platform.make_topology,
+            num_mesh_nodes=self.num_mesh_nodes,
+            max_frames=config.workload.max_frames,
         )
         self.faults_injected = 0
         self.links_cut = 0

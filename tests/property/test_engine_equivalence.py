@@ -35,7 +35,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import build_engine, make_config
-from repro.faults import FaultConfig
+from repro.faults import FaultConfig, build_fault_schedule
 from repro.harvest import HarvestConfig, HarvestHardware, build_harvest_schedule
 
 #: The three engine variants under comparison, as make_config kwargs:
@@ -184,8 +184,16 @@ class TestEventCountAgreement:
                 **variant,
             )
             engine = build_engine(config)
+            # The whole schedule: the engine's runtime builds only as
+            # far as the run reaches.
+            schedule = build_fault_schedule(
+                faults,
+                config.platform.make_topology(),
+                config.platform.num_mesh_nodes,
+                config.workload.max_frames,
+            )
             last_event_frame = max(
-                (event.frame for event in engine.faults.schedule), default=0
+                (event.frame for event in schedule), default=0
             )
             stats = engine.run()
             assume(stats.lifetime_frames > last_event_frame)

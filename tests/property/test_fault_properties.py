@@ -21,6 +21,7 @@ from helpers import make_config
 from repro.faults import (
     FAULT_PROFILES,
     FaultConfig,
+    FaultRuntime,
     build_fault_schedule,
     fabric_links,
 )
@@ -90,6 +91,62 @@ class TestScheduleDeterminism:
             for seed in range(8)
         }
         assert len(schedules) > 1
+
+
+#: FaultConfig keyword arguments of each repair model: none, a timer
+#: per cut, and a crew of two.
+REPAIR_MODELS = (
+    {},
+    {"repair_after_frames": 12},
+    {"repair_crew_size": 2, "repair_latency_frames": 20},
+)
+
+fault_configs = st.builds(
+    lambda profile, seed, repair, corrode, intensity: FaultConfig(
+        profile=profile,
+        seed=seed,
+        intensity=intensity,
+        corrode_after_frames=corrode,
+        **repair,
+    ),
+    profile=st.sampled_from(ACTIVE_PROFILES),
+    seed=st.integers(0, 2**32 - 1),
+    repair=st.sampled_from(REPAIR_MODELS),
+    corrode=st.sampled_from((0, 24)),
+    intensity=st.sampled_from((0.5, 1.0, 4.0)),
+)
+
+
+class TestScheduleGrowth:
+    """A run's fault runtime builds the schedule in doubling horizons;
+    that is exact only because the events below a horizon never depend
+    on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=fault_configs, horizon=st.integers(1, 1024))
+    def test_a_shorter_horizon_builds_a_prefix(self, config, horizon):
+        longer = build_fault_schedule(config, mesh2d(5), 25, 2048).events
+        shorter = build_fault_schedule(config, mesh2d(5), 25, horizon).events
+        assert shorter == longer[: len(shorter)]
+        assert all(event.frame >= horizon for event in longer[len(shorter):])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        config=fault_configs,
+        max_frames=st.integers(1, 1500),
+        steps=st.lists(st.integers(1, 300), max_size=12),
+    )
+    def test_a_growing_runtime_delivers_the_whole_schedule(
+        self, config, max_frames, steps
+    ):
+        whole = build_fault_schedule(config, mesh2d(5), 25, max_frames)
+        eager = FaultRuntime(whole)
+        grown = FaultRuntime.for_run(config, lambda: mesh2d(5), 25, max_frames)
+        frame = 0
+        for step in [0, *steps, max_frames]:
+            frame = min(frame + step, max_frames - 1)
+            assert grown.due(frame) == eager.due(frame)
+        assert grown.schedule == whole
 
 
 class TestRunDeterminism:

@@ -20,6 +20,7 @@ from repro.faults import (
     build_fault_schedule,
     fabric_links,
 )
+from repro.faults.schedule import FIRST_HORIZON_FRAMES
 from repro.mesh.topology import attach_external_node, mesh2d
 from repro.orchestration import config_hash
 from repro.sim.level_estimators import WearEstimator
@@ -179,6 +180,40 @@ class TestFaultRuntime:
         assert runtime.expire_degradations(9) == []
         assert runtime.expire_degradations(10) == [(2, 3)]
         assert runtime.degraded == {}
+
+    def test_a_run_builds_only_the_frames_it_reaches(self):
+        """A wash-cycle engine with the default 200,000-frame budget
+        holds the events of its first 64 frames, and a run that stops
+        early never builds more."""
+        config = make_config(fault_profile="wash-cycle", fault_seed=1)
+        assert config.workload.max_frames == 200_000
+        engine = build_engine(config)
+        assert engine.faults.schedule.events
+        assert all(
+            event.frame < FIRST_HORIZON_FRAMES
+            for event in engine.faults.schedule
+        )
+        stats = engine.run()
+        last = max(event.frame for event in engine.faults.schedule)
+        assert last < 2 * max(stats.lifetime_frames, FIRST_HORIZON_FRAMES)
+
+    def test_growth_doubles_to_the_budget_and_stops(self):
+        built = []
+
+        def build(horizon):
+            built.append(horizon)
+            return FaultSchedule(
+                FaultEvent(frame=f, kind="node-kill", node_a=0)
+                for f in range(0, horizon, 10)
+            )
+
+        runtime = FaultRuntime(build(16), build, 16, 100)
+        assert [e.frame for e in runtime.due(15)] == [0, 10]
+        assert [e.frame for e in runtime.due(16)] == []
+        assert [e.frame for e in runtime.due(70)] == [20, 30, 40, 50, 60, 70]
+        assert [e.frame for e in runtime.due(10_000)] == [80, 90]
+        assert runtime.due(10_001) == []
+        assert built == [16, 32, 100]
 
 
 class TestTearSchedule:
