@@ -1,37 +1,59 @@
 #!/usr/bin/env python
-"""Print one hash per simulation record, to prove a change moves nothing.
+"""Write or check the behaviour lock: three hashes per simulation record.
 
-Runs a fixed corpus under a trace recorder and prints one sorted
-``label hash`` line per record:
+Runs a fixed corpus under a trace recorder:
 
 * every smoke and quick scenario point;
+* the full-scale points of the paper's figures (``fig7``, ``table2``,
+  ``fig8``) and of the body tier (``vector-mesh``);
 * a fault and harvest grid on 4x4 fabrics with 8000 pJ cells: the
   sequential, concurrent (3 jobs in flight) and vector engines, nine
   fault setups, four harvest profiles, and return-to-sink off and on,
   fault and harvest seed 3.
 
-A record's hash covers its ``summary()``, every ledger total and
-per-node column as ``float.hex``, and its trace without timings, so a
-single ulp anywhere changes it.  The package is imported from ``src/``
-under the current directory, so the same script fingerprints any
-checkout of the repository:
+Each record is hashed in three parts: its ``summary()``; its ledger,
+every total and per-node column as ``float.hex``; and its trace without
+timings.  A single ulp anywhere in the ledger moves the ``ledger`` part.
 
-    python scripts/behaviour_fingerprint.py > new.txt
-    (cd ../parent && python /path/to/behaviour_fingerprint.py) > old.txt
-    diff old.txt new.txt
+With no flag the script writes ``src/repro/orchestration/behaviour.lock``
+under the current directory, one sorted ``label summary=... ledger=...
+trace=...`` line per record::
 
-``diff`` then names every record that moved.  The corpus takes about a
-minute on one core.
+    PYTHONPATH=src python scripts/behaviour_fingerprint.py
+    PYTHONPATH=src python scripts/behaviour_fingerprint.py --check
+
+``--check`` re-runs the corpus and compares it with the committed lock:
+it prints every record whose line differs, naming the parts that moved,
+and every label missing from the lock or from the corpus, and exits 1
+on any difference.  A refactor proves that no behaviour moved by
+leaving the lock unchanged; an intentional change regenerates it (and
+the goldens, with ``python -m repro regen-golden``).  The sweep cache
+keys every entry by the lock's hash, so a new lock retires every cached
+result.  The corpus takes about half a minute on one core.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import pathlib
 import sys
 
 import numpy as np
+
+#: The lock file, relative to the repository root.
+LOCK = pathlib.Path("src", "repro", "orchestration", "behaviour.lock")
+
+#: The hashed parts of a record, in line order.
+PARTS = ("summary", "ledger", "trace")
+
+#: Hex digits kept of each part's sha256.
+SHORT = 16
+
+#: Scenarios whose full-scale points join the corpus: the paper's
+#: figures at their published sizes and the body tier.
+FULL_SCALE = ("fig7", "table2", "fig8", "vector-mesh")
 
 #: ``(label, FaultConfig keyword arguments)`` of the grid's fault setups.
 FAULT_SETUPS = (
@@ -60,51 +82,43 @@ def _exact(value):
     return value
 
 
-def record_hash(stats, trace_lines) -> str:
-    """Hash of one run: its summary, its exact energy ledger (every
-    total and per-node column) and its trace without timings."""
+def _digest(document) -> str:
+    encoded = json.dumps(document, sort_keys=True, default=str).encode()
+    return hashlib.sha256(encoded).hexdigest()[:SHORT]
+
+
+def record_parts(stats, trace_lines) -> dict[str, str]:
+    """The short hash of each part of one run: its summary, its exact
+    energy ledger (every total and per-node column) and its trace
+    without timings."""
     from repro.telemetry.recorder import strip_timings
 
     ledger = stats.energy
-    document = {
-        "summary": stats.summary(),
-        "stats": {
-            name: value.hex()
-            for name, value in vars(stats).items()
-            if isinstance(value, float)
-        },
-        "ledger": {
-            name: _exact(value)
-            for name, value in vars(ledger).items()
-            if name != "nodes"
-        },
-        "nodes": {name: _exact(value) for name, value in vars(ledger.nodes).items()},
-        "trace": strip_timings(trace_lines),
+    return {
+        "summary": _digest(stats.summary()),
+        "ledger": _digest(
+            {
+                "totals": {
+                    name: _exact(value)
+                    for name, value in vars(ledger).items()
+                    if name != "nodes"
+                },
+                "nodes": {
+                    name: _exact(value)
+                    for name, value in vars(ledger.nodes).items()
+                },
+            }
+        ),
+        "trace": _digest(strip_timings(trace_lines)),
     }
-    encoded = json.dumps(document, sort_keys=True, default=str).encode()
-    return hashlib.sha256(encoded).hexdigest()
 
 
-def scenario_records():
-    """``(label, stats, trace)`` of every smoke and quick scenario point."""
-    from repro.orchestration.runner import execute_point
-    from repro.orchestration.scenarios import build_scenario, scenario_names
-
-    for scale in ("smoke", "quick"):
-        for name in scenario_names():
-            for index, point in enumerate(build_scenario(name, scale)):
-                stats = execute_point(point, trace=True)
-                label = f"{scale}/{name}/{index}/{point.label}"
-                yield label, stats, stats.extra["trace"]
-
-
-def grid_records():
-    """``(label, stats, trace)`` of the fault and harvest grid."""
+def _grid_points():
+    """The fault and harvest grid's sweep points."""
     from repro.config import PlatformConfig, SimulationConfig, WorkloadConfig
     from repro.faults import FaultConfig
     from repro.harvest import HarvestConfig
-    from repro.sim.et_sim import run_simulation
-    from repro.telemetry.recorder import TraceRecorder
+    from repro.orchestration.runner import SweepPoint
 
     for engine in ENGINES:
         kind = "concurrent" if engine == "concurrent" else "sequential"
@@ -130,23 +144,113 @@ def grid_records():
                         harvest=HarvestConfig(profile=harvest, seed=3),
                         engine=engine,
                     )
-                    recorder = TraceRecorder()
-                    stats = run_simulation(config, recorder)
                     label = (
                         f"grid/{engine}/{fault_label}/{harvest}/"
                         f"sink-{'on' if to_sink else 'off'}"
                     )
-                    yield label, stats, recorder.lines()
+                    yield SweepPoint(label=label, config=config)
 
 
-def main() -> int:
-    sys.path.insert(0, str(pathlib.Path.cwd() / "src"))
+def corpus() -> list[tuple[str, object]]:
+    """``(label, SweepPoint)`` of every record, built without running
+    anything."""
+    from repro.orchestration.scenarios import build_scenario, scenario_names
+
+    entries = []
+    for scale, names in (
+        ("smoke", scenario_names()),
+        ("quick", scenario_names()),
+        ("full", FULL_SCALE),
+    ):
+        for name in names:
+            for index, point in enumerate(build_scenario(name, scale)):
+                entries.append((f"{scale}/{name}/{index}/{point.label}", point))
+    entries.extend((point.label, point) for point in _grid_points())
+    return entries
+
+
+def fingerprint(entries) -> dict[str, dict[str, str]]:
+    """Run every ``(label, point)`` traced; label -> its part hashes."""
+    from repro.orchestration.runner import execute_point
+
+    records = {}
+    for label, point in entries:
+        stats = execute_point(point, trace=True)
+        records[label] = record_parts(stats, stats.extra["trace"])
+    return records
+
+
+def lock_text(records: dict[str, dict[str, str]]) -> str:
+    """The lock file: one sorted ``label part=hash ...`` line per record."""
+    return "".join(
+        " ".join([label, *(f"{part}={records[label][part]}" for part in PARTS)])
+        + "\n"
+        for label in sorted(records)
+    )
+
+
+def read_lock(text: str) -> dict[str, dict[str, str]]:
+    """Parse :func:`lock_text` output back into label -> part hashes."""
+    records = {}
+    for line in text.splitlines():
+        label, *fields = line.split(" ")
+        records[label] = dict(field.split("=", 1) for field in fields)
+    return records
+
+
+def differences(
+    locked: dict[str, dict[str, str]], fresh: dict[str, dict[str, str]]
+) -> list[str]:
+    """One line per record that moved, went missing or is new."""
     lines = []
-    for records in (scenario_records(), grid_records()):
-        for label, stats, trace in records:
-            lines.append(f"{label} {record_hash(stats, trace)}")
-    print("\n".join(sorted(lines)))
-    return 0
+    for label in sorted(locked.keys() | fresh.keys()):
+        if label not in fresh:
+            lines.append(f"missing from the corpus: {label}")
+        elif label not in locked:
+            lines.append(f"not in the lock: {label}")
+        else:
+            moved = [
+                part
+                for part in PARTS
+                if locked[label].get(part) != fresh[label][part]
+            ]
+            if moved:
+                lines.append(f"moved: {label} ({', '.join(moved)})")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Write the behaviour lock, or check the corpus against it."
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare with the committed lock instead of writing it; "
+        "exit 1 on any difference",
+    )
+    args = parser.parse_args(argv)
+    root = pathlib.Path.cwd()
+    sys.path.insert(0, str(root / "src"))
+    lock = root / LOCK
+    entries = corpus()
+    labels = [label for label, _ in entries]
+    if len(set(labels)) != len(labels) or any(" " in label for label in labels):
+        raise SystemExit("corpus labels must be unique and free of spaces")
+    fresh = fingerprint(entries)
+    if not args.check:
+        lock.write_text(lock_text(fresh))
+        print(f"wrote {len(fresh)} records to {LOCK}")
+        return 0
+    locked = read_lock(lock.read_text()) if lock.exists() else {}
+    problems = differences(locked, fresh)
+    for line in problems:
+        print(line)
+    print(
+        f"{len(fresh)} records checked against {LOCK}: "
+        + (f"{len(problems)} differ" if problems else "all unchanged")
+    )
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

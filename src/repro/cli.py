@@ -773,8 +773,9 @@ def _cmd_regen_golden(args: argparse.Namespace) -> int:
     """Re-run every golden point and rewrite its fixture.
 
     Run after an *intentional* behaviour change (new summary key,
-    engine-semantics fix) — and bump ``CACHE_SCHEMA_VERSION``
-    alongside — instead of hand-editing the stored JSON documents.
+    engine-semantics fix) — and regenerate the behaviour lock
+    alongside (``python scripts/behaviour_fingerprint.py``) — instead
+    of hand-editing the stored JSON documents.
 
     With ``--check`` nothing is written: each freshly-simulated payload
     is compared against the stored fixture and the command exits

@@ -8,9 +8,11 @@ sound cache key: repeated benchmark or CI invocations of the same grid
 load the stored records instead of re-simulating.
 
 Invalidation is by construction: any change to a configuration value
-changes the key, and :data:`CACHE_SCHEMA_VERSION` is mixed into every
-key so that simulator-behaviour changes can globally invalidate old
-entries with a one-line bump.  Storage is one flat directory of
+changes the key, and ``BEHAVIOUR_DIGEST`` — the sha256 of the committed
+behaviour lock, which ``scripts/behaviour_fingerprint.py`` writes and
+CI checks — is mixed into every key and stamped on every entry.  A
+change of simulator behaviour cannot land without a new lock, and a new
+lock retires every older entry.  Storage is one flat directory of
 ``<key>.json`` files, each written to a temporary file and renamed into
 place, so concurrent workers and parallel CI jobs can share a cache
 directory without ever reading a torn record.
@@ -18,6 +20,7 @@ directory without ever reading a torn record.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -29,33 +32,23 @@ from collections.abc import Iterator
 from ..config import SimulationConfig
 from ..errors import ConfigurationError
 
-#: Bump when simulator behaviour changes in a way that invalidates
-#: previously cached summaries (engine semantics, summary fields, ...).
-#: v2: fault-injection subsystem — configs carry a ``faults`` section
-#: and summaries gained the per-fault accounting counters.
-#: v3: correlated tear/moisture profiles, repair events and the
-#: wear-aware weight — configs gained ``wear_*`` knobs and fault
-#: parameters, summaries gained ``links_repaired``, and the controller
-#: energy-accounting fixes (dead-node table diffs, delivered idle leak)
-#: changed existing records.
-#: v4: energy-harvesting subsystem — configs gained a ``harvest``
-#: section, ``harvest_*`` knobs and the fault repair-crew/corrosion
-#: parameters; summaries gained ``harvested_pj`` / ``shared_pj`` /
-#: ``harvest_events``.
-#: v5: heterogeneous harvest hardware and the multi-hop power bus —
-#: the ``harvest`` section gained a nested ``hardware`` spec and
-#: ``share_max_hops``, the platform gained the ``harvest-proportional``
-#: mapping strategy, and summaries gained ``share_hops``.
-#: v6: a neutral wear or harvest weight (q == 1) no longer pushes level
-#: changes to the controller, so those runs re-plan like reactive EAR.
-#: v7: phase 2 routes on per-module shortest-path trees; the canonical
-#: hop is the lowest-id tight neighbour (not Floyd–Warshall's first-found
-#: successor), a deadlocked node falls back to its best unblocked
-#: downhill neighbour, and deadlock escape hops read the module column.
-#: v8: a node that flags a deadlock uploads its current level (it used
-#: to upload the level it last reported), so concurrent runs with a flag
-#: at a level crossing re-plan on the level the node fell to.
-CACHE_SCHEMA_VERSION = 8
+#: The behaviour lock: three hashes per record of a fixed simulation
+#: corpus, written and checked by ``scripts/behaviour_fingerprint.py``.
+BEHAVIOUR_LOCK = pathlib.Path(__file__).with_name("behaviour.lock")
+
+
+@functools.cache
+def _behaviour_digest() -> str:
+    return hashlib.sha256(BEHAVIOUR_LOCK.read_bytes()).hexdigest()
+
+
+def __getattr__(name: str) -> str:
+    # BEHAVIOUR_DIGEST is read on first use, not at import, so the
+    # lock's writer can import the package while the file is missing.
+    if name == "BEHAVIOUR_DIGEST":
+        return _behaviour_digest()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "ETSIM_CACHE_DIR"
@@ -82,7 +75,7 @@ def config_hash(config: SimulationConfig) -> str:
     if config.resolved_engine() == auto:
         data.pop("engine", None)
     payload = json.dumps(
-        {"schema": CACHE_SCHEMA_VERSION, "config": data},
+        {"behaviour": _behaviour_digest(), "config": data},
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -98,8 +91,9 @@ class SweepCache:
     """Disk-backed config-hash -> summary-record store.
 
     Each entry is one ``<directory>/<key>.json`` file holding the
-    record plus its ``schema``; :meth:`store` writes it atomically.  A
-    missing, unreadable or stale entry is a miss.
+    record plus the ``behaviour`` digest it was computed under;
+    :meth:`store` writes it atomically.  A missing or unreadable entry,
+    or one stamped with any other digest, is a miss.
 
     Args:
         directory: Cache root; created lazily on first store.
@@ -148,7 +142,7 @@ class SweepCache:
         self.time_lookup_s += time.perf_counter() - started
         if (
             not isinstance(record, dict)
-            or record.get("schema") != CACHE_SCHEMA_VERSION
+            or record.get("behaviour") != _behaviour_digest()
         ):
             self.misses += 1
             return None
@@ -163,7 +157,7 @@ class SweepCache:
         the old record or the new one, never a torn file.
         """
         payload = dict(record)
-        payload["schema"] = CACHE_SCHEMA_VERSION
+        payload["behaviour"] = _behaviour_digest()
         started = time.perf_counter()
         self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(

@@ -12,10 +12,11 @@ The case lists are :data:`repro.orchestration.GOLDEN_SMOKE_POINTS` and
 :data:`~repro.orchestration.GOLDEN_QUICK_POINTS` (quick-grid points for
 telemetry a smoke run never reaches) — one source of truth shared with
 the regeneration helper.  Regenerate (only
-after an *intentional* behaviour change — bump
-``CACHE_SCHEMA_VERSION`` alongside) with:
+after an *intentional* behaviour change, together with the behaviour
+lock) with:
 
     PYTHONPATH=src python -m repro regen-golden
+    PYTHONPATH=src python scripts/behaviour_fingerprint.py
 """
 
 import json

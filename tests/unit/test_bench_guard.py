@@ -196,20 +196,47 @@ class TestBehaviourLock:
 FINGERPRINT = SCRIPT.with_name("behaviour_fingerprint.py")
 
 
-class TestBehaviourFingerprint:
-    """``scripts/behaviour_fingerprint.py``: one hash per record that
-    moves on a single ulp of any ledger column."""
+@pytest.fixture(scope="module")
+def fingerprint():
+    spec = importlib.util.spec_from_file_location(
+        "behaviour_fingerprint", FINGERPRINT
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    def test_a_record_hash_is_stable_and_ulp_sensitive(self):
+
+def two_point_corpus():
+    """EAR and SDR on a 4x4 fabric, three jobs each."""
+    from helpers import make_config
+    from repro.orchestration import SweepPoint
+
+    return [
+        (
+            f"pair/{routing}",
+            SweepPoint(
+                label=routing, config=make_config(routing=routing, max_jobs=3)
+            ),
+        )
+        for routing in ("ear", "sdr")
+    ]
+
+
+def committed_lock(fingerprint) -> dict:
+    from repro.orchestration.cache import BEHAVIOUR_LOCK
+
+    return fingerprint.read_lock(BEHAVIOUR_LOCK.read_text())
+
+
+class TestBehaviourFingerprint:
+    """``scripts/behaviour_fingerprint.py``: three hashes per record
+    (summary, ledger, trace), written to and checked against the
+    behaviour lock whose digest keys the sweep cache."""
+
+    def test_a_record_hash_is_stable_and_ulp_sensitive(self, fingerprint):
         from helpers import make_config
         from repro.sim.et_sim import run_simulation
         from repro.telemetry.recorder import TraceRecorder
-
-        spec = importlib.util.spec_from_file_location(
-            "behaviour_fingerprint", FINGERPRINT
-        )
-        fingerprint = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(fingerprint)
 
         def traced_run():
             recorder = TraceRecorder()
@@ -217,11 +244,73 @@ class TestBehaviourFingerprint:
             return stats, recorder.lines()
 
         stats, trace = traced_run()
-        digest = fingerprint.record_hash(stats, trace)
-        assert fingerprint.record_hash(*traced_run()) == digest
+        parts = fingerprint.record_parts(stats, trace)
+        assert list(parts) == list(fingerprint.PARTS)
+        assert fingerprint.record_parts(*traced_run()) == parts
         column = stats.energy.nodes.data_tx_pj
         column[3] = math.nextafter(column[3], math.inf)
-        assert fingerprint.record_hash(stats, trace) != digest
+        moved = fingerprint.record_parts(stats, trace)
+        assert moved["ledger"] != parts["ledger"]
+        assert moved["summary"] == parts["summary"]
+        assert moved["trace"] == parts["trace"]
+
+    def test_an_unchanged_corpus_passes(self, fingerprint):
+        corpus = two_point_corpus()
+        lock = fingerprint.lock_text(fingerprint.fingerprint(corpus))
+        assert lock.count("\n") == 2
+        fresh = fingerprint.fingerprint(corpus)
+        assert fingerprint.differences(fingerprint.read_lock(lock), fresh) == []
+
+    def test_one_ulp_of_hop_energy_names_both_records(
+        self, fingerprint, monkeypatch
+    ):
+        from repro.link.energy import LinkEnergyModel
+
+        corpus = two_point_corpus()
+        locked = fingerprint.fingerprint(corpus)
+        exact = LinkEnergyModel.hop_energy_pj
+        monkeypatch.setattr(
+            LinkEnergyModel,
+            "hop_energy_pj",
+            lambda self, length: math.nextafter(exact(self, length), math.inf),
+        )
+        problems = fingerprint.differences(
+            locked, fingerprint.fingerprint(corpus)
+        )
+        assert len(problems) == 2
+        for label, problem in zip(("pair/ear", "pair/sdr"), problems):
+            assert problem.startswith(f"moved: {label} (")
+            assert "ledger" in problem
+
+    def test_missing_and_new_labels_are_named(self, fingerprint):
+        parts = dict.fromkeys(fingerprint.PARTS, "0" * fingerprint.SHORT)
+        locked = {"kept": parts, "gone": parts}
+        fresh = {"kept": parts, "added": parts}
+        assert fingerprint.differences(locked, fresh) == [
+            "not in the lock: added",
+            "missing from the corpus: gone",
+        ]
+
+    def test_the_lock_lists_exactly_the_corpus(self, fingerprint):
+        labels = [label for label, _ in fingerprint.corpus()]
+        assert len(set(labels)) == len(labels)
+        assert not any(" " in label for label in labels)
+        locked = committed_lock(fingerprint)
+        assert sorted(locked) == sorted(labels)
+        assert all(list(parts) == list(fingerprint.PARTS) for parts in locked.values())
+
+    def test_the_smoke_records_replay_their_lock_lines(self, fingerprint):
+        smoke = [
+            (label, point)
+            for label, point in fingerprint.corpus()
+            if label.startswith("smoke/")
+        ]
+        assert len(smoke) == 38
+        locked = committed_lock(fingerprint)
+        fresh = fingerprint.fingerprint(smoke)
+        assert fingerprint.differences(
+            {label: locked[label] for label in fresh}, fresh
+        ) == []
 
 
 PERF_PAIRS = SCRIPT.with_name("perf_pairs.py")

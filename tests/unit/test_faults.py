@@ -520,23 +520,31 @@ class TestSweepCacheInvalidation:
         assert config_hash(one) != config_hash(two)
 
     def test_schema_bump_invalidates_older_entries(self, tmp_path):
+        """Entries are stamped with the behaviour lock's digest: one an
+        older simulator wrote (stamped with a schema number, as before
+        the lock, or with another lock's digest) is never served."""
+        import hashlib
         import json
 
         from repro.orchestration.cache import (
-            CACHE_SCHEMA_VERSION,
+            BEHAVIOUR_DIGEST,
+            BEHAVIOUR_LOCK,
             SweepCache,
         )
 
-        assert CACHE_SCHEMA_VERSION == 8
+        assert BEHAVIOUR_DIGEST == hashlib.sha256(
+            BEHAVIOUR_LOCK.read_bytes()
+        ).hexdigest()
         cache = SweepCache(tmp_path)
         key = config_hash(make_config())
         cache.store(key, {"summary": {"jobs_fractional": 1.0}})
         record = dict(cache.lookup(key))
-        # Rewrite the entry as an older record: it must no longer be
-        # served (v8 re-plans on a flagged node's current level).
-        for stale in (5, 6, 7):
-            record["schema"] = stale
-            (tmp_path / f"{key}.json").write_text(json.dumps(record))
+        older = hashlib.sha256(b"an older lock").hexdigest()
+        for stale in ({"schema": 8}, {"behaviour": older}):
+            entry = {k: v for k, v in record.items() if k != "behaviour"}
+            (tmp_path / f"{key}.json").write_text(
+                json.dumps({**entry, **stale})
+            )
             cache.reset_counters()
             assert cache.lookup(key) is None
             assert cache.misses == 1

@@ -72,6 +72,22 @@ class TestConfigHash:
         rebuilt = SimulationConfig.from_dict(base.to_dict())
         assert config_hash(rebuilt) == config_hash(base)
 
+    def test_a_new_lock_changes_every_key(self, tmp_path, monkeypatch):
+        """Beyond the configuration, a key hashes the behaviour lock
+        and nothing else of the program."""
+        base = tiny_config()
+        key = config_hash(base)
+        lock = tmp_path / "behaviour.lock"
+        lock.write_bytes(cache_module.BEHAVIOUR_LOCK.read_bytes() + b"x\n")
+        monkeypatch.setattr(cache_module, "BEHAVIOUR_LOCK", lock)
+        cache_module._behaviour_digest.cache_clear()
+        try:
+            assert config_hash(base) != key
+        finally:
+            monkeypatch.undo()
+            cache_module._behaviour_digest.cache_clear()
+        assert config_hash(base) == key
+
 
 class TestSweepCache:
     def test_miss_then_hit(self, tmp_path):
@@ -83,13 +99,14 @@ class TestSweepCache:
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_schema_mismatch_is_a_miss(self, tmp_path):
+        """An entry stamped with another behaviour digest is a miss."""
         cache = SweepCache(tmp_path)
         cache.store("k", {"summary": {}})
         path = cache._path("k")
-        text = path.read_text().replace(
-            f'"schema": {cache_module.CACHE_SCHEMA_VERSION}', '"schema": 0'
-        )
-        path.write_text(text)
+        digest = cache_module.BEHAVIOUR_DIGEST
+        text = path.read_text()
+        assert f'"behaviour": "{digest}"' in text
+        path.write_text(text.replace(digest, "0" * len(digest)))
         assert cache.lookup("k") is None
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
@@ -115,7 +132,7 @@ class TestSweepCache:
         cache = SweepCache(tmp_path)
         cache.store(CACHE_KEY, CACHE_RECORD)
         loaded = cache.lookup(CACHE_KEY)
-        assert loaded.pop("schema") == cache_module.CACHE_SCHEMA_VERSION
+        assert loaded.pop("behaviour") == cache_module.BEHAVIOUR_DIGEST
         assert json.dumps(loaded, sort_keys=True) == json.dumps(
             CACHE_RECORD, sort_keys=True
         )
