@@ -270,7 +270,13 @@ def _large_mesh(scale: str, base: SimulationConfig) -> list[SweepPoint]:
     # routing behaviour at scale, not multi-minute runs to system death.
     caps = {"smoke": 8, "quick": 40, "full": 120}
     base = _cap_jobs(base, caps[scale])
-    return mesh_routing_grid(base, widths)
+    points = []
+    for width in widths:
+        control = replace(
+            base.control, frame_cycles=_frame_cycles_for(base, width)
+        )
+        points += mesh_routing_grid(replace(base, control=control), (width,))
+    return points
 
 
 @scenario("mixed-workload", "concurrent jobs at varying concurrency")

@@ -21,6 +21,7 @@ from repro.orchestration import (
     scenarios,
 )
 from repro.orchestration import cache as cache_module
+from repro.orchestration.scenarios import SCALES
 from repro.orchestration import runner as runner_module
 
 
@@ -310,6 +311,23 @@ class TestScenarios:
                     workload.max_jobs is not None
                     or workload.max_frames <= 2_000
                 ), name
+
+    def test_every_point_builds_its_tdma_schedule(self):
+        """Every point's frame fits its fabric's control section, at
+        every scale (the large-mesh 12x12 and 16x16 points once kept
+        the default 1024-cycle frame)."""
+        unfit = []
+        for scale in SCALES:
+            for name in scenario_names():
+                for point in build_scenario(name, scale=scale):
+                    config = point.config
+                    try:
+                        config.control.make_schedule(
+                            config.platform.num_mesh_nodes
+                        )
+                    except ConfigurationError as error:
+                        unfit.append(f"{scale}/{name}/{point.label}: {error}")
+        assert unfit == []
 
     def test_mixed_workload_uses_distinct_derived_seeds(self):
         points = build_scenario("mixed-workload", scale="full")
