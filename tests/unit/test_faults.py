@@ -184,7 +184,8 @@ class TestFaultRuntime:
     def test_a_run_builds_only_the_frames_it_reaches(self):
         """A wash-cycle engine with the default 200,000-frame budget
         holds the events of its first 64 frames, and a run that stops
-        early never builds more."""
+        early never builds more.  What it built is the whole schedule's
+        prefix, although the run cut lines before it grew."""
         config = make_config(fault_profile="wash-cycle", fault_seed=1)
         assert config.workload.max_frames == 200_000
         engine = build_engine(config)
@@ -194,8 +195,18 @@ class TestFaultRuntime:
             for event in engine.faults.schedule
         )
         stats = engine.run()
-        last = max(event.frame for event in engine.faults.schedule)
+        grown = engine.faults.schedule.events
+        last = max(event.frame for event in grown)
+        assert last >= FIRST_HORIZON_FRAMES
         assert last < 2 * max(stats.lifetime_frames, FIRST_HORIZON_FRAMES)
+        whole = build_fault_schedule(
+            config.faults,
+            config.platform.make_topology(),
+            config.platform.num_mesh_nodes,
+            config.workload.max_frames,
+        )
+        assert stats.links_cut > 0
+        assert grown == whole.events[: len(grown)]
 
     def test_growth_doubles_to_the_budget_and_stops(self):
         built = []
