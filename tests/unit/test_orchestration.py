@@ -21,8 +21,8 @@ from repro.orchestration import (
     scenarios,
 )
 from repro.orchestration import cache as cache_module
-from repro.orchestration.scenarios import SCALES
 from repro.orchestration import runner as runner_module
+from repro.orchestration.scenarios import SCALES
 
 
 def tiny_config(**kwargs):
