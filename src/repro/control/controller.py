@@ -124,7 +124,8 @@ class ControlPlane:
         self._edge_lengths = np.array(edge_lengths, dtype=float)
         self._num_nodes = int(neighbors.shape[0])
         #: The source block finished jobs return to (root of the plan's
-        #: sink column), or None for a sink-less fabric.
+        #: sink column), or None when no job returns: the plans then
+        #: leave the sink column unreachable.
         self._sink = sink
         self._links_changed = False
         self._mapping = mapping

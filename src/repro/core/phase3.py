@@ -24,7 +24,9 @@ from .view import NetworkView
 NO_DESTINATION = -1
 
 #: Column of the plan tables holding the route to the sink (the source
-#: block); module ``i`` owns column ``i``.
+#: block); module ``i`` owns column ``i``.  Only a run that returns its
+#: ciphertexts to the source grows this column; in every other run it
+#: is unreachable (``inf`` distances, :data:`NO_DESTINATION` entries).
 SINK = 0
 
 
@@ -127,7 +129,10 @@ class RoutingPlan:
     """Output of one full routing computation (phases 1-3).
 
     Every table is ``(K, p + 1)``: column :data:`SINK` routes toward the
-    source block, column ``i`` toward module ``i``.
+    source block, column ``i`` toward module ``i``.  The sink column is
+    grown only when the view has a sink, that is in runs that return
+    ciphertexts to the source; otherwise its distances are ``inf`` and
+    its destinations and hops :data:`NO_DESTINATION` throughout.
 
     Attributes:
         distances: Phase 2 distance from each node to the sink and to

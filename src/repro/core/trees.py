@@ -4,9 +4,12 @@ The job walk only ever asks for the next hop from a node toward the
 nearest live duplicate of a module, or toward the source block — the
 paper's per-node routing table ``RT(i)`` (Fig 6).  So instead of the
 all-pairs K x K distance and successor matrices of Fig 5, phase 2
-grows ``p + 1`` multi-source shortest-path trees at once: column 0 is
-rooted at the sink (the source block), column ``i`` at every live
-duplicate of module ``i``.
+grows ``p + 1`` multi-source shortest-path trees at once: column ``i``
+is rooted at every live duplicate of module ``i``, and column 0 at the
+sink (the source block) when the view has one.  A run that does not
+return ciphertexts to the source gives its views no sink, so column 0
+has no root and stays unreachable; the passes then stop once the
+module trees settle instead of waiting for the single-rooted sink tree.
 
 The kernel is a vectorised Bellman–Ford over a ``(K, p + 1)`` distance
 block, relaxed through a padded ``(K, max degree)`` neighbour table

@@ -184,7 +184,9 @@ class EngineBase:
             deadlock_policy=config.control.deadlock,
             controller_batteries=config.control.make_controller_batteries(),
             recorder=self.recorder,
-            sink=self.source,
+            # Only a run that returns ciphertexts ever routes toward the
+            # source, so only then is the plans' sink column grown.
+            sink=self.source if platform.return_to_sink else None,
         )
         self.quantizer = BatteryLevelQuantizer(platform.battery_levels)
 

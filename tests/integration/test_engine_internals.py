@@ -175,7 +175,15 @@ class TestConcurrentInternals:
         assert engine.jobs_lost == 1
 
     def test_escape_hops_sorted_by_distance(self):
-        engine = concurrent_engine()
+        # A sink escape is asked for only by a run that returns its
+        # ciphertexts, and only such a run grows the sink column.
+        config = make_config(mesh_width=4, kind="concurrent", concurrency=2)
+        engine = ConcurrentEngine(
+            replace(
+                config,
+                platform=replace(config.platform, return_to_sink=True),
+            )
+        )
         engine.control.bootstrap()
         # From node 5 (coordinates (2,2)) toward node 0 (corner (1,1)):
         # the best escape neighbours are those nearer the corner.
