@@ -20,7 +20,9 @@ Two guards keep the timing check meaningful on shared CI runners:
   fresh/baseline ratio over the trustworthy points, so a uniformly
   slower runner does not fail every point.  The factor is clamped to
   [0.5, 2.0]: a *code* change that slows everything by more than 2x
-  cannot hide behind the normalisation.
+  cannot hide behind the normalisation.  A clamped factor is named in
+  the output, because a change that speeds every point up by more
+  than 2x then leaves the points it sped up least reading slower.
 * **Noise floor** — points faster than the floor (default 50 ms) on
   both sides are timer noise at smoke scale and are skipped.
 
@@ -119,6 +121,10 @@ def load_points(path: str) -> dict[str, float]:
     return load_document(path)[0]
 
 
+#: The machine factor's clamp.
+FACTOR_BOUNDS = (0.5, 2.0)
+
+
 def machine_factor(
     baseline: dict[str, float], fresh: dict[str, float], floor: float
 ) -> float:
@@ -129,7 +135,8 @@ def machine_factor(
     ]
     if not ratios:
         return 1.0
-    return min(2.0, max(0.5, statistics.median(ratios)))
+    low, high = FACTOR_BOUNDS
+    return min(high, max(low, statistics.median(ratios)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -187,6 +194,12 @@ def main(argv: list[str] | None = None) -> int:
 
     scale = machine_factor(baseline, fresh, args.floor)
     print(f"machine factor {scale:.3f} (fresh times divided by this)")
+    if scale in FACTOR_BOUNDS:
+        print(
+            f"  note  machine factor clamped at {scale:.3f}: after a "
+            "uniform speed-up or slow-down of every point, a FAIL may be "
+            "the clamp rather than that point"
+        )
 
     failures: list[str] = []
     for name in sorted(baseline):

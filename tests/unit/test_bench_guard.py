@@ -80,6 +80,61 @@ class TestLoadPoints:
         assert guard.main([baseline, fresh]) == 1
 
 
+class TestClampedMachineFactor:
+    """A clamped machine factor is named; the verdict stays the gate's."""
+
+    BASELINE = {
+        "body": [
+            {"label": "a", "elapsed_s": 1.0},
+            {"label": "b", "elapsed_s": 1.0},
+            {"label": "c", "elapsed_s": 1.0},
+        ]
+    }
+
+    def run(self, guard, tmp_path, capsys, fresh_times):
+        fresh = {
+            "body": [
+                {"label": label, "elapsed_s": elapsed}
+                for label, elapsed in zip("abc", fresh_times)
+            ]
+        }
+        code = guard.main(
+            [
+                write(tmp_path, "baseline.json", self.BASELINE),
+                write(tmp_path, "fresh.json", fresh),
+            ]
+        )
+        return code, capsys.readouterr().out
+
+    def test_a_speed_up_beyond_the_clamp_is_named(
+        self, guard, tmp_path, capsys
+    ):
+        # Two points 3.3x faster put the median ratio at 0.3; clamped at
+        # 0.5, the point only 1.5x faster reads x1.30 and fails.
+        code, out = self.run(guard, tmp_path, capsys, (0.3, 0.3, 0.65))
+        assert code == 1
+        assert "machine factor 0.500" in out
+        assert (
+            "  note  machine factor clamped at 0.500: after a uniform "
+            "speed-up or slow-down of every point, a FAIL may be the "
+            "clamp rather than that point"
+        ) in out
+        assert "FAIL  body/c: 1.000s -> 0.650s (normalised x1.30)" in out
+
+    def test_a_slow_down_beyond_the_clamp_is_named(
+        self, guard, tmp_path, capsys
+    ):
+        code, out = self.run(guard, tmp_path, capsys, (3.0, 3.0, 3.0))
+        assert code == 1
+        assert "machine factor clamped at 2.000" in out
+
+    def test_an_unclamped_factor_is_not_named(self, guard, tmp_path, capsys):
+        code, out = self.run(guard, tmp_path, capsys, (0.6, 0.6, 0.65))
+        assert code == 0
+        assert "machine factor 0.600" in out
+        assert "clamped" not in out
+
+
 class TestMissingSections:
     """A silently dropped scenario section must fail, not pass."""
 
