@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Write or check the behaviour lock: three hashes per simulation record.
 
-Runs a fixed corpus under a trace recorder:
+Runs a fixed corpus of 392 records under a trace recorder:
 
 * every smoke and quick scenario point;
 * the full-scale points of the paper's figures (``fig7``, ``table2``,
@@ -9,7 +9,13 @@ Runs a fixed corpus under a trace recorder:
 * a fault and harvest grid on 4x4 fabrics with 8000 pJ cells: the
   sequential, concurrent (3 jobs in flight) and vector engines, nine
   fault setups, four harvest profiles, and return-to-sink off and on,
-  fault and harvest seed 3.
+  fault and harvest seed 3;
+* three multi-hop power-bus runs over torn and repaired lines (the
+  grid's bus runs share over one hop only, so they cannot see the order
+  in which a repaired line re-enters the bus's neighbour scan): 4x4
+  sequential at seeds 0 and 1, and 6x6 concurrent (3 jobs in flight) at
+  seed 0, each with ``share_max_hops=2`` and tears repaired after 24
+  frames.
 
 Each record is hashed in three parts: its ``summary()``; its ledger,
 every total and per-node column as ``float.hex``; and its trace without
@@ -155,6 +161,38 @@ def _grid_points():
                     yield SweepPoint(label=label, config=config)
 
 
+#: ``(engine, mesh width, seed)`` of the multi-hop bus records.
+BUS_SCAN_RUNS = (("sequential", 4, 0), ("sequential", 4, 1), ("concurrent", 6, 0))
+
+
+def _bus_scan_points():
+    """The multi-hop bus records' sweep points."""
+    from repro.config import PlatformConfig, SimulationConfig, WorkloadConfig
+    from repro.faults import FaultConfig
+    from repro.harvest import HarvestConfig
+    from repro.orchestration.runner import SweepPoint
+
+    for engine, width, seed in BUS_SCAN_RUNS:
+        config = SimulationConfig(
+            platform=PlatformConfig(
+                mesh_width=width, battery_capacity_pj=8_000.0
+            ),
+            workload=WorkloadConfig(
+                kind=engine,
+                concurrency=3 if engine == "concurrent" else 1,
+            ),
+            faults=FaultConfig(
+                profile="tear", seed=seed, repair_after_frames=24
+            ),
+            harvest=HarvestConfig(
+                profile="bus", seed=seed, share_max_hops=2
+            ),
+            engine=engine,
+        )
+        label = f"bus-scan/{engine}/{width}x{width}/seed-{seed}"
+        yield SweepPoint(label=label, config=config)
+
+
 def corpus() -> list[tuple[str, SweepPoint]]:
     """``(label, SweepPoint)`` of every record, built without running
     anything."""
@@ -170,6 +208,7 @@ def corpus() -> list[tuple[str, SweepPoint]]:
             for index, point in enumerate(build_scenario(name, scale)):
                 entries.append((f"{scale}/{name}/{index}/{point.label}", point))
     entries.extend((point.label, point) for point in _grid_points())
+    entries.extend((point.label, point) for point in _bus_scan_points())
     return entries
 
 
