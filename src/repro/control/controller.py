@@ -172,6 +172,11 @@ class ControlPlane:
         """Total routing recomputations so far."""
         return self._recompute_count
 
+    def known_length(self, u: int, v: int) -> float:
+        """The length the controller knows for the ``u -> v`` line:
+        ``inf`` once a node reported it cut."""
+        return float(self._edge_lengths[u, slot_of(self._neighbors, u, v)])
+
     def update_line(self, u: int, v: int, length: float) -> None:
         """Hook: the controller learned the ``u -> v`` line's length.
 

@@ -12,10 +12,10 @@ one.
 
 The engines own a :class:`FaultRuntime` that walks the schedule frame by
 frame, extending it as the run reaches its horizon, and tracks the
-resulting link state (cut set, active degradations); the actual
-mutation of the platform — severing topology edges, scaling line
-lengths, killing nodes — happens in ``EngineBase._apply_faults`` so
-that every engine shares one implementation.
+active degradations.  The mutation of the platform — deleting a cut
+line's working lengths, scaling a degraded one's, killing nodes —
+happens in ``EngineBase._apply_faults`` so that every engine shares one
+implementation; the topology itself is never edited.
 """
 
 from __future__ import annotations
@@ -479,12 +479,11 @@ FIRST_HORIZON_FRAMES = 64
 
 
 class FaultRuntime:
-    """Per-run fault state: schedule cursor, cut links, degradations.
+    """Per-run fault state: schedule cursor and active degradations.
 
-    The engines query :attr:`cut_links` on every hop decision (it is a
-    plain set of *directed* pairs, empty for fault-free runs, so the
-    hot-path cost is one set membership test) and drain due events at
-    frame boundaries via :meth:`due`.
+    The engines drain due events at frame boundaries via :meth:`due`.
+    The link state those events leave is the engine's working lengths,
+    where a cut line has no entry.
 
     Args:
         schedule: The events of the frames below ``horizon``; without
@@ -510,8 +509,6 @@ class FaultRuntime:
         self._horizon = horizon
         self._max_frames = max_frames
         self._cursor = 0
-        #: Directed pairs severed so far (both directions of every cut).
-        self.cut_links: set[tuple[int, int]] = set()
         #: Canonical ``(min, max)`` pair -> (factor, expiry frame).
         self.degraded: dict[tuple[int, int], tuple[float, int]] = {}
 
@@ -519,22 +516,19 @@ class FaultRuntime:
     def for_run(
         cls,
         config: FaultConfig,
-        make_topology: Callable[[], Topology],
+        topology: Topology,
         num_mesh_nodes: int,
         max_frames: int,
     ) -> FaultRuntime:
-        """A runtime that builds ``config``'s schedule only as far as the
-        run reaches, starting at :data:`FIRST_HORIZON_FRAMES`.
-
-        ``make_topology`` must return the pristine fabric on every
-        call: an engine's own topology loses every line it cuts.
-        """
+        """A runtime that builds ``config``'s schedule on ``topology``
+        only as far as the run reaches, starting at
+        :data:`FIRST_HORIZON_FRAMES`."""
         if not config.is_active:
             return cls(FaultSchedule())
 
         def build(horizon: int) -> FaultSchedule:
             return build_fault_schedule(
-                config, make_topology(), num_mesh_nodes, horizon
+                config, topology, num_mesh_nodes, horizon
             )
 
         horizon = min(FIRST_HORIZON_FRAMES, max_frames)
@@ -570,16 +564,3 @@ class FaultRuntime:
         for pair in expired:
             del self.degraded[pair]
         return expired
-
-    def mark_cut(self, u: int, v: int) -> None:
-        self.cut_links.add((u, v))
-        self.cut_links.add((v, u))
-        self.degraded.pop((min(u, v), max(u, v)), None)
-
-    def mark_repaired(self, u: int, v: int) -> None:
-        """A cut line was re-sewn: clear its severed state."""
-        self.cut_links.discard((u, v))
-        self.cut_links.discard((v, u))
-
-    def is_cut(self, u: int, v: int) -> bool:
-        return (u, v) in self.cut_links

@@ -4,7 +4,9 @@ The paper's system-death condition — "the target system dies when the
 critical nodes become dead" (Sec 3) — is a reachability property: a job
 at some node must still be able to reach a live duplicate of every module
 it has yet to visit.  These helpers compute reachability restricted to
-live nodes, plus articulation points for diagnostic tooling (module-3
+live nodes over each node's surviving lines (the engines pass their
+working lengths, whose per-node dicts have no entry for a cut line),
+plus articulation points for diagnostic tooling (module-3
 nodes of the checkerboard mapping are the fabric's articulation-heavy
 relay layer, which is why SDR's concentrated load is so damaging).
 """
@@ -12,19 +14,20 @@ relay layer, which is why SDR's concentrated load is so damaging).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Collection
+from collections.abc import Collection, Iterable, Sequence
 
 from .mapping import ModuleMapping
 from .topology import Topology
 
 
 def reachable_set(
-    topology: Topology,
+    neighbors: Sequence[Iterable[int]],
     alive: Collection[int],
     origin: int,
 ) -> frozenset[int]:
     """All live nodes reachable from ``origin`` through live nodes.
 
+    ``neighbors[n]`` holds the nodes that ``n``'s surviving lines reach.
     ``origin`` itself must be alive to reach anything (a dead node cannot
     relay); the result always contains a live origin.
     """
@@ -35,7 +38,7 @@ def reachable_set(
     queue = deque([origin])
     while queue:
         node = queue.popleft()
-        for neighbor in topology.neighbors(node):
+        for neighbor in neighbors[node]:
             if neighbor in alive_set and neighbor not in seen:
                 seen.add(neighbor)
                 queue.append(neighbor)
@@ -43,7 +46,7 @@ def reachable_set(
 
 
 def system_is_alive(
-    topology: Topology,
+    neighbors: Sequence[Iterable[int]],
     alive: Collection[int],
     mapping: ModuleMapping,
     origin: int,
@@ -54,7 +57,7 @@ def system_is_alive(
     job, or the injection point), at least one live duplicate of *every*
     module is reachable through live nodes.
     """
-    reachable = reachable_set(topology, alive, origin)
+    reachable = reachable_set(neighbors, alive, origin)
     if not reachable:
         return False
     for module in range(1, mapping.num_modules + 1):
@@ -64,14 +67,14 @@ def system_is_alive(
 
 
 def dead_modules(
-    topology: Topology,
+    neighbors: Sequence[Iterable[int]],
     alive: Collection[int],
     mapping: ModuleMapping,
     origin: int,
 ) -> tuple[int, ...]:
     """Modules with no live reachable duplicate (diagnostic counterpart
     of :func:`system_is_alive`)."""
-    reachable = reachable_set(topology, alive, origin)
+    reachable = reachable_set(neighbors, alive, origin)
     return tuple(
         module
         for module in range(1, mapping.num_modules + 1)

@@ -1,9 +1,11 @@
 """Graph representation of the e-textile communication network.
 
 A :class:`Topology` is a directed graph whose edges carry physical line
-lengths in centimetres.  The routing engines consume the neighbour
-table :func:`~repro.core.trees.line_slots` builds once from its
-adjacency; the simulator walks its adjacency lists.  The paper's
+lengths in centimetres, read-only once a run is built from it.  The
+routing engines consume the neighbour table
+:func:`~repro.core.trees.line_slots` builds once from its adjacency;
+the simulator copies its lines into per-node working lengths, the
+record that fault injection edits.  The paper's
 default platform is a 2-D mesh (Sec 5.2) built by :func:`mesh2d`;
 arbitrary fabrics (e.g. the smart-shirt block diagram of Fig 3a) can be
 assembled edge by edge or imported from networkx.
@@ -71,18 +73,6 @@ class Topology:
         self._adjacency[u][v] = float(length_cm)
         if bidirectional:
             self._adjacency[v][u] = float(length_cm)
-
-    def remove_edge(self, u: int, v: int, bidirectional: bool = True) -> None:
-        """Sever the ``u -> v`` line (fault model: a cut interconnect).
-
-        Removing an absent edge is a no-op, so repeated cuts of the same
-        line are harmless.
-        """
-        self._check_node(u)
-        self._check_node(v)
-        self._adjacency[u].pop(v, None)
-        if bidirectional:
-            self._adjacency[v].pop(u, None)
 
     # ------------------------------------------------------------------
     # Queries

@@ -42,7 +42,7 @@ from ..config import SimulationConfig
 from ..control.controller import ControlPlane
 from ..core.engines import EnergyAwareRouting, ShortestDistanceRouting
 from ..core.parameters import ApplicationProfile
-from ..core.trees import line_slots, slot_of
+from ..core.trees import line_slots
 from ..errors import DeadNodeError, SimulationError
 from ..faults.schedule import FaultRuntime
 from ..harvest.schedule import build_harvest_schedule
@@ -107,6 +107,8 @@ class EngineBase:
         self._timed = bool(self.recorder.times)
 
         # --- fabric -----------------------------------------------------
+        #: The fabric as built, read-only once the source is attached:
+        #: faults edit the working lengths below, never the topology.
         self.topology = platform.make_topology()
         attach = mesh_node_id(*platform.source_attach_xy, platform.mesh_width)
         self.source = attach_external_node(
@@ -137,13 +139,15 @@ class EngineBase:
 
         # --- links --------------------------------------------------------
         self.link_model = platform.link_energy_model()
-        #: The fabric's fixed neighbour table and the pristine length of
-        #: the line behind every slot, built once; the controller routes
-        #: on the same table.
-        self._neighbors, self._pristine_lengths = line_slots(self.topology)
-        #: Working length of every directed line, ``lengths[u][v]``: the
-        #: pristine length scaled while the line is degraded, ``inf``
-        #: while it is cut.  Per-node dicts of plain numbers, not one
+        #: The fabric's fixed neighbour table, built once; the controller
+        #: routes on the same table, starting from the pristine lengths.
+        self._neighbors, pristine = line_slots(self.topology)
+        #: The only record of the physical lines: the working length of
+        #: every directed line, ``lengths[u][v]``, the topology's length
+        #: scaled while the line is degraded.  A cut line has no entry
+        #: in either direction; a repair re-inserts both, so a re-sewn
+        #: line comes last in each end's dict (the power bus scans lines
+        #: in dict order).  Per-node dicts of plain numbers, not one
         #: dict keyed by ``(u, v)`` tuples, which the garbage collector
         #: would track.
         self.lengths: list[dict[int, float]] = [{} for _ in self.topology.nodes]
@@ -175,7 +179,7 @@ class EngineBase:
             routing_engine.configure_ecmp(config.routing_opts.ecmp_seed)
         self.control = ControlPlane(
             neighbors=self._neighbors,
-            edge_lengths=self._pristine_lengths,
+            edge_lengths=pristine,
             mapping=self.mapping,
             engine=routing_engine,
             levels=platform.battery_levels,
@@ -217,7 +221,7 @@ class EngineBase:
         # --- fault injection ----------------------------------------------
         self.faults = FaultRuntime.for_run(
             config.faults,
-            platform.make_topology,
+            self.topology,
             num_mesh_nodes=self.num_mesh_nodes,
             max_frames=config.workload.max_frames,
         )
@@ -229,10 +233,6 @@ class EngineBase:
         #: Dispatches/packets that were blocked by fault state (cut line
         #: or fault-killed next hop) and subsequently progressed anyway.
         self.packets_rerouted = 0
-        #: Cut lines the controller has not been told about yet: a cut
-        #: is invisible to the control plane until some node fails to
-        #: use the line and reports it (see _note_fault_block).
-        self._undiscovered: set[tuple[int, int]] = set()
 
         # --- energy harvesting --------------------------------------------
         #: True when the frame hook has any work at all: income to
@@ -442,15 +442,18 @@ class EngineBase:
     def _apply_faults(self, frame: int) -> None:
         """Fire every fault event due at ``frame`` and expire transients.
 
-        Cuts sever the topology edge and mark the working length ``inf``;
-        degradations scale the line length (and therefore the per-hop
-        packet energy); node kills go through the regular death hook so
-        resident state is cleaned up identically to a battery death.
-        Degradations, their expiry and repairs reach the control plane
-        at once (see :meth:`_rescale_line`), which re-plans on its next
-        processed frame; a cut only once a node discovers it.
+        A cut deletes both directions' working lengths and drops the
+        line's running degradation; a repair re-inserts them at the
+        topology's length; a degradation and its expiry rewrite them in
+        place, scaling the per-hop packet energy.  Node kills go through
+        the regular death hook so resident state is cleaned up
+        identically to a battery death.  Degradations, their expiry and
+        repairs reach the control plane at once (see
+        :meth:`_rescale_line`), which re-plans on its next processed
+        frame; a cut only once a node discovers it.
         """
         runtime = self.faults
+        lengths = self.lengths
         events = runtime.due(frame)
         restored = runtime.expire_degradations(frame)
         trace = self._trace
@@ -463,36 +466,29 @@ class EngineBase:
         for event in events:
             if event.kind == "link-cut":
                 u, v = event.node_a, event.node_b
-                if runtime.is_cut(u, v) or not self.topology.has_edge(u, v):
+                if v not in lengths[u]:
                     continue
-                self.topology.remove_edge(u, v)
-                runtime.mark_cut(u, v)
-                self.lengths[u][v] = self.lengths[v][u] = math.inf
+                del lengths[u][v], lengths[v][u]
+                runtime.degraded.pop((min(u, v), max(u, v)), None)
                 self.links_cut += 1
                 self.faults_injected += 1
                 # The cut is physical, not reported: the controller keeps
                 # routing over the severed line until a node discovers
                 # the failure by trying to use it (_note_fault_block).
-                self._undiscovered.add((u, v))
-                self._undiscovered.add((v, u))
                 if trace:
                     self.recorder.event(
                         "fault", frame=frame, fault="link-cut", link=[u, v]
                     )
             elif event.kind == "link-repair":
                 u, v = event.node_a, event.node_b
-                if not runtime.is_cut(u, v):
+                if v in lengths[u]:
                     continue  # never cut (budget/horizon) or already re-sewn
                 # A repair is a deliberate physical intervention, so the
                 # controller learns of the restored line immediately —
                 # including one it never discovered as cut.
                 self._rescale_line(u, v)
-                self.topology.add_edge(u, v, self.lengths[u][v])
-                runtime.mark_repaired(u, v)
                 if self._wear is not None:
                     self._wear.forget(u, v)
-                self._undiscovered.discard((u, v))
-                self._undiscovered.discard((v, u))
                 self.links_repaired += 1
                 self.faults_injected += 1
                 if trace:
@@ -518,7 +514,7 @@ class EngineBase:
                     )
             else:  # link-degrade
                 u, v = event.node_a, event.node_b
-                if runtime.is_cut(u, v) or not self.topology.has_edge(u, v):
+                if v not in lengths[u]:
                     continue
                 # Degradations are measurable line quality: the frame's
                 # status exchange carries them to the controller.
@@ -543,11 +539,10 @@ class EngineBase:
 
     def _rescale_line(self, u: int, v: int, factor: float = 1.0) -> None:
         """Set both directions of the ``u - v`` line to ``factor`` times
-        their pristine length, in the working record and in the
-        controller's picture."""
+        their topology length, in the working record (a repaired line's
+        entries go in last) and in the controller's picture."""
         for a, b in ((u, v), (v, u)):
-            slot = slot_of(self._neighbors, a, b)
-            length = float(self._pristine_lengths[a, slot]) * factor
+            length = self.topology.edge_length(a, b) * factor
             self.lengths[a][b] = length
             self.control.update_line(a, b, length)
 
@@ -604,8 +599,8 @@ class EngineBase:
     ) -> tuple[list[int], dict[int, tuple[int, ...]]]:
         """Living mesh nodes a bus transfer from ``donor`` can reach.
 
-        Breadth-first over the surviving textile lines (cut lines are
-        gone from the topology), through living nodes only, up to
+        Breadth-first over the surviving textile lines (a cut line has
+        no working length), through living nodes only, up to
         ``max_hops`` segments.  Returns the nodes in discovery order —
         nearer layers first, adjacency order within a layer, exactly
         the single-hop neighbour scan when ``max_hops == 1`` — plus the
@@ -619,10 +614,10 @@ class EngineBase:
         for _ in range(max_hops):
             layer: list[int] = []
             for u in frontier:
-                for v in self.topology.neighbors(u):
+                for v, length in self.lengths[u].items():
                     if v >= self.num_mesh_nodes:
                         continue
-                    candidate_len = lengths_to[u] + self.lengths[u][v]
+                    candidate_len = lengths_to[u] + length
                     if v in paths:
                         # Same-layer rediscovery: keep the physically
                         # shorter line run (hop count is equal).
@@ -735,19 +730,18 @@ class EngineBase:
 
     def _link_alive(self, u: int, v: int) -> bool:
         """True while the ``u -> v`` line has not been cut by a fault."""
-        return (u, v) not in self.faults.cut_links
+        return v in self.lengths[u]
 
     def _note_fault_block(self, u: int, v: int) -> None:
-        """A node failed to use the ``u -> v`` line: discovery.
+        """A node failed to use the cut ``u -> v`` line: discovery.
 
-        The discovering node reports the dead line in its next upload
-        slot: the controller marks both directions ``inf`` and re-plans
-        at its next processed frame — the fault-model counterpart of
-        the paper's deadlock reports.
+        A cut is undiscovered while the controller still knows the line
+        at a finite length.  The discovering node reports the dead line
+        in its next upload slot: the controller marks both directions
+        ``inf`` and re-plans at its next processed frame — the
+        fault-model counterpart of the paper's deadlock reports.
         """
-        if (u, v) in self._undiscovered:
-            self._undiscovered.discard((u, v))
-            self._undiscovered.discard((v, u))
+        if self.control.known_length(u, v) != math.inf:
             self.control.update_line(u, v, math.inf)
             self.control.update_line(v, u, math.inf)
 
@@ -767,21 +761,22 @@ class EngineBase:
     def _check_reachability(self, origin: int, cause: str) -> None:
         """Raise system death if some module is unreachable from origin."""
         if not system_is_alive(
-            self.topology, self._alive_set, self.mapping, origin
+            self.lengths, self._alive_set, self.mapping, origin
         ):
             raise SystemDead(cause)
 
     def _source_reachable_from(self, node: int) -> bool:
-        reachable = reachable_set(self.topology, self._alive_set, node)
+        reachable = reachable_set(self.lengths, self._alive_set, node)
         return self.source in reachable
 
     def _transmit(self, sender: int, receiver: int, holder: int) -> bool:
         """One hop; returns False when the sender died mid-transmit."""
-        if (sender, receiver) in self.faults.cut_links:
+        try:
+            length = self.lengths[sender][receiver]
+        except KeyError:
             raise SimulationError(
                 f"packet transmitted over cut link {sender} -> {receiver}"
-            )
-        length = self.lengths[sender][receiver]
+            ) from None
         energy = self._hop_energy_by_length.get(length)
         if energy is None:
             energy = self.link_model.hop_energy_pj(length)

@@ -204,7 +204,7 @@ class ConcurrentEngine(EngineBase):
         """
         plan = self.control.plan
         candidates = []
-        for neighbor in self.topology.neighbors(node):
+        for neighbor in self.lengths[node]:
             if neighbor not in self._alive_set:
                 continue
             distance = plan.distances[neighbor, column]

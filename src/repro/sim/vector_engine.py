@@ -71,11 +71,12 @@ class VectorEngine(SequentialEngine):
         exhausts dies when the bucket flushes, which the walk observes
         through its per-iteration liveness checks.
         """
-        if (sender, receiver) in self.faults.cut_links:
+        try:
+            length = self.lengths[sender][receiver]
+        except KeyError:
             raise SimulationError(
                 f"packet transmitted over cut link {sender} -> {receiver}"
-            )
-        length = self.lengths[sender][receiver]
+            ) from None
         energy = self._hop_energy_by_length.get(length)
         if energy is None:
             energy = self.link_model.hop_energy_pj(length)

@@ -290,22 +290,22 @@ class _LiveSetProbe:
         expected = engine.quantizer.levels_of(engine.bank.soc_vector(), living)
         assert np.array_equal(view.battery_levels[:mesh], expected)
         assert np.array_equal(view.alive[:mesh], living)
-        # The controller's link picture against the physical lines: an
-        # intact line at its working length, a cut some node discovered
-        # at inf, a cut nobody discovered still at a finite length.
+        # The controller's link picture against the physical lines: a
+        # present line at its working length; an absent (cut) line at
+        # inf once some node discovered it, and until then still at a
+        # finite length.
         size = engine.topology.num_nodes
         for u, row in enumerate(view.neighbors.tolist()):
             for slot, v in enumerate(row):
                 if v == size:
                     continue
                 known = view.edge_lengths[u, slot]
-                if (u, v) not in engine.faults.cut_links:
+                if v in engine.lengths[u]:
                     assert known == engine.lengths[u][v]
-                elif (u, v) in engine._undiscovered:
-                    assert np.isfinite(known)
-                else:
-                    assert known == np.inf
+                elif known == np.inf:
                     self.known_cuts += 1
+                else:
+                    assert np.isfinite(known)
         self.frames += 1
 
     def event(self, event, frame, **fields):

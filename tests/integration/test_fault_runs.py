@@ -16,14 +16,10 @@ from repro.analysis.faults import (
     fault_impact,
     fault_impact_for,
 )
-from repro.core.trees import slot_of
+from repro.core.trees import line_slots, slot_of
 from repro.faults import FaultConfig
+from repro.faults.schedule import FaultEvent, FaultRuntime, FaultSchedule
 from repro.sim.et_sim import run_simulation
-
-
-def pristine_length(engine, u: int, v: int) -> float:
-    """The ``u -> v`` line's length as the engine's fabric was built."""
-    return engine._pristine_lengths[u, slot_of(engine._neighbors, u, v)]
 
 
 def known_length(engine, u: int, v: int) -> float:
@@ -34,9 +30,17 @@ def known_length(engine, u: int, v: int) -> float:
 
 def knows_the_pristine_fabric(engine) -> bool:
     """True when the controller holds every line at its built length."""
-    return np.array_equal(
-        engine.control.view().edge_lengths, engine._pristine_lengths
-    )
+    _, pristine = line_slots(engine.topology)
+    return np.array_equal(engine.control.view().edge_lengths, pristine)
+
+
+def cut_lines(engine) -> set[tuple[int, int]]:
+    """The directed lines of the fabric with no working length."""
+    return {
+        (u, v)
+        for u, v, _ in engine.topology.edges()
+        if v not in engine.lengths[u]
+    }
 
 
 class TestFaultyVersusTwin:
@@ -119,15 +123,19 @@ class TestDegradationSemantics:
 
 
 class TestEngineStateUnderFaults:
-    def test_cut_links_leave_topology_and_alive_set_consistent(self):
+    def test_cut_lines_leave_the_working_lengths_both_ways(self):
         config = make_config(
             fault_profile="link-attrition", fault_seed=7, max_jobs=10
         )
         engine = build_engine(config)
         engine.run()
-        for u, v in engine.faults.cut_links:
-            assert not engine.topology.has_edge(u, v)
-            assert engine.lengths[u][v] == float("inf")
+        cut = cut_lines(engine)
+        assert len(cut) == 2 * engine.links_cut > 0
+        for u, v in cut:
+            assert (v, u) in cut
+            assert not engine._link_alive(u, v)
+        # The topology is read-only: it still holds every line as built.
+        assert engine.topology.edges() == build_engine(config).topology.edges()
 
     def test_fault_killed_nodes_report_dead_with_charged_cells(self):
         config = make_config(fault_profile="node-dropout", fault_seed=3)
@@ -158,12 +166,6 @@ class TestEngineStateUnderFaults:
         probe it must never raise a link report: dead nodes cannot
         discover anything, so the controller's length picture keeps the
         (physically severed) line until the run ends."""
-        from repro.faults.schedule import (
-            FaultEvent,
-            FaultRuntime,
-            FaultSchedule,
-        )
-
         engine = build_engine(make_config(max_jobs=12))
         u, v = 10, 11
         engine.faults = FaultRuntime(
@@ -175,32 +177,24 @@ class TestEngineStateUnderFaults:
                 ]
             )
         )
-        base = pristine_length(engine, u, v)
+        base = engine.topology.edge_length(u, v)
         engine.run()
         assert engine.links_cut == 1
         assert engine.nodes_fault_killed == 2
-        # Never discovered: the cut is still in the undiscovered set,
-        # and the controller's picture still carries the pristine
-        # length.
-        assert (u, v) in engine._undiscovered
+        # Never discovered: the controller's picture still carries the
+        # pristine length in both directions.
         assert known_length(engine, u, v) == base
+        assert known_length(engine, v, u) == base
         # The physical record is severed all the same.
-        assert engine.lengths[u][v] == float("inf")
-        assert not engine.topology.has_edge(u, v)
+        assert cut_lines(engine) == {(u, v), (v, u)}
 
     def test_degrade_expiry_on_cut_frame_does_not_resurrect_the_line(self):
         """A transient degradation expiring on the very frame its line
         is cut must not restore the severed line in either length
         picture — and discovery afterwards must stick."""
-        from repro.faults.schedule import (
-            FaultEvent,
-            FaultRuntime,
-            FaultSchedule,
-        )
-
         engine = build_engine(make_config())
         u, v = 5, 6
-        base = pristine_length(engine, u, v)
+        base = engine.topology.edge_length(u, v)
         engine.faults = FaultRuntime(
             FaultSchedule(
                 [
@@ -217,7 +211,7 @@ class TestEngineStateUnderFaults:
         assert known_length(engine, u, v) == pytest.approx(base * 3.0)
         # Frame 8: the degradation expires *and* the cut fires.
         engine._apply_faults(8)
-        assert engine.lengths[u][v] == float("inf")
+        assert v not in engine.lengths[u]
         # The cut is undiscovered, so the controller's picture holds the
         # restored pristine length — not the degraded one, not inf.
         assert known_length(engine, u, v) == pytest.approx(base)
@@ -226,7 +220,7 @@ class TestEngineStateUnderFaults:
         assert known_length(engine, u, v) == float("inf")
         for frame in range(9, 30):
             engine._apply_faults(frame)
-        assert engine.lengths[u][v] == float("inf")
+        assert cut_lines(engine) == {(u, v), (v, u)}
         assert known_length(engine, u, v) == float("inf")
         assert known_length(engine, v, u) == float("inf")
 
@@ -263,13 +257,35 @@ class TestRepairSemantics:
         engine.run()
         assert engine.links_cut > 0
         assert engine.links_repaired == engine.links_cut
-        # Every cut was re-sewn: no severed state left anywhere.
-        assert engine.faults.cut_links == set()
-        assert engine._undiscovered == set()
-        assert engine.lengths == build_engine(config).lengths
+        # Every cut was re-sewn: no severed state left anywhere, and
+        # the controller knows no cut.
+        fresh = build_engine(config)
+        assert cut_lines(engine) == set()
+        assert engine.lengths == fresh.lengths
         assert knows_the_pristine_fabric(engine)
-        for u, v, _ in engine.topology.edges():
-            assert engine.topology.has_edge(u, v)
+        assert engine.topology.edges() == fresh.topology.edges()
+
+    def test_a_repaired_line_reenters_the_bus_scan_last(self):
+        """Re-sewing appends the line to each end's adjacency, and the
+        power bus scans neighbours in that order (it breaks ties
+        between equal-length paths by it)."""
+        engine = build_engine(make_config())
+        assert engine._bus_reachable(5, 1)[0] == [1, 4, 6, 9]
+        engine.faults = FaultRuntime(
+            FaultSchedule(
+                [
+                    FaultEvent(frame=1, kind="link-cut", node_a=5, node_b=6),
+                    FaultEvent(
+                        frame=2, kind="link-repair", node_a=5, node_b=6
+                    ),
+                ]
+            )
+        )
+        engine._apply_faults(1)
+        assert engine._bus_reachable(5, 1)[0] == [1, 4, 9]
+        engine._apply_faults(2)
+        assert engine._bus_reachable(5, 1)[0] == [1, 4, 9, 6]
+        assert list(engine.lengths[6])[-1] == 5
 
     def test_repair_counts_surface_in_summary(self):
         stats = run_simulation(tear_repair_config(max_jobs=8)).summary()

@@ -141,7 +141,7 @@ class TestScheduleGrowth:
     ):
         whole = build_fault_schedule(config, mesh2d(5), 25, max_frames)
         eager = FaultRuntime(whole)
-        grown = FaultRuntime.for_run(config, lambda: mesh2d(5), 25, max_frames)
+        grown = FaultRuntime.for_run(config, mesh2d(5), 25, max_frames)
         frame = 0
         for step in [0, *steps, max_frames]:
             frame = min(frame + step, max_frames - 1)
@@ -269,7 +269,7 @@ class TestTearCorrelation:
 
 
 class _HopRecordingEngine(SequentialEngine):
-    """Sequential engine that logs every hop with the cut-set state."""
+    """Sequential engine that logs every hop with the link state."""
 
     def __init__(self, config):
         super().__init__(config)
@@ -278,7 +278,7 @@ class _HopRecordingEngine(SequentialEngine):
         self.hops: list[tuple[int, int, int]] = []
 
     def _transmit(self, sender, receiver, holder):
-        if (sender, receiver) in self.faults.cut_links:
+        if receiver not in self.lengths[sender]:
             self.violations.append((sender, receiver))
         self.hops.append((self.frames_done, sender, receiver))
         return super()._transmit(sender, receiver, holder)
@@ -319,7 +319,7 @@ class TestNoTrafficOverCutLinks:
     @pytest.mark.parametrize("seed", (0, 1, 5, 9))
     def test_post_repair_traffic_traverses_the_resewn_line(self, seed):
         """A repair must actually restore routing *over* the line: after
-        a cut link is re-sewn, later traffic crosses the re-added edge
+        a cut link is re-sewn, later traffic crosses the re-sewn line
         again (not merely around it)."""
         config = make_config(
             faults=FaultConfig(

@@ -162,17 +162,42 @@ class TestFaultRuntime:
         assert len(runtime.due(100)) == 1
 
     def test_cut_marks_both_directions(self):
-        runtime = self.make_runtime()
-        runtime.mark_cut(0, 1)
-        assert runtime.is_cut(0, 1)
-        assert runtime.is_cut(1, 0)
-        assert not runtime.is_cut(0, 2)
+        engine = build_engine(make_config())
+        engine.faults = self.make_runtime()
+        engine._apply_faults(2)
+        assert 1 not in engine.lengths[0]
+        assert 0 not in engine.lengths[1]
+        assert not engine._link_alive(0, 1)
+        assert not engine._link_alive(1, 0)
+        assert engine._link_alive(0, 4)
 
-    def test_cut_clears_degradation(self):
-        runtime = self.make_runtime()
-        runtime.degraded[(0, 1)] = (2.0, 50)
-        runtime.mark_cut(1, 0)
-        assert (0, 1) not in runtime.degraded
+    def test_a_cut_drops_its_lines_running_degradation(self):
+        """A line degraded for ten frames and cut while degraded stays
+        cut: its degradation's expiry must neither re-insert the line's
+        working lengths nor overwrite the controller's discovered inf."""
+        engine = build_engine(make_config())
+        u, v = 5, 6
+        engine.faults = FaultRuntime(
+            FaultSchedule(
+                [
+                    FaultEvent(
+                        frame=4, kind="link-degrade", node_a=u, node_b=v,
+                        factor=2.0, duration_frames=10,
+                    ),
+                    FaultEvent(frame=6, kind="link-cut", node_a=u, node_b=v),
+                ]
+            )
+        )
+        for frame in range(4, 7):
+            engine._apply_faults(frame)
+        assert (u, v) not in engine.faults.degraded
+        engine._note_fault_block(u, v)
+        for frame in range(7, 21):
+            engine._apply_faults(frame)
+        assert v not in engine.lengths[u]
+        assert u not in engine.lengths[v]
+        assert engine.control.known_length(u, v) == float("inf")
+        assert engine.control.known_length(v, u) == float("inf")
 
     def test_degradation_expiry(self):
         runtime = self.make_runtime()
@@ -184,8 +209,9 @@ class TestFaultRuntime:
     def test_a_run_builds_only_the_frames_it_reaches(self):
         """A wash-cycle engine with the default 200,000-frame budget
         holds the events of its first 64 frames, and a run that stops
-        early never builds more.  What it built is the whole schedule's
-        prefix, although the run cut lines before it grew."""
+        early never builds more.  What it built on the engine's own
+        topology, source line included, is the prefix of the schedule a
+        fresh fabric gives."""
         config = make_config(fault_profile="wash-cycle", fault_seed=1)
         assert config.workload.max_frames == 200_000
         engine = build_engine(config)
@@ -493,11 +519,21 @@ class TestWearTracking:
         assert wear.traversals == {}
         assert wear.dirty  # the level dropped back to 0
         assert wear.levels(SQUARE)[0, 0] == 0
-        runtime = FaultRuntime(FaultSchedule())
-        runtime.mark_cut(0, 1)
-        runtime.mark_repaired(0, 1)
-        assert not runtime.is_cut(0, 1)
-        assert not runtime.is_cut(1, 0)
+        engine = build_engine(make_config())
+        engine.faults = FaultRuntime(
+            FaultSchedule(
+                [
+                    FaultEvent(frame=1, kind="link-cut", node_a=0, node_b=1),
+                    FaultEvent(
+                        frame=2, kind="link-repair", node_a=0, node_b=1
+                    ),
+                ]
+            )
+        )
+        engine._apply_faults(1)
+        engine._apply_faults(2)
+        assert engine._link_alive(0, 1)
+        assert engine._link_alive(1, 0)
 
 
 class TestSweepCacheInvalidation:

@@ -310,36 +310,52 @@ class TestModuleMapping:
         assert a == b
 
 
+def surviving(topology: Topology) -> list[tuple[int, ...]]:
+    """Every node's neighbours over a fabric with no line cut."""
+    return [topology.neighbors(node) for node in topology.nodes]
+
+
 class TestConnectivity:
     def test_reachable_set_full_mesh(self, mesh4):
-        reachable = reachable_set(mesh4, range(16), 0)
+        reachable = reachable_set(surviving(mesh4), range(16), 0)
         assert reachable == frozenset(range(16))
 
     def test_dead_origin_reaches_nothing(self, mesh4):
-        assert reachable_set(mesh4, range(1, 16), 0) == frozenset()
+        assert reachable_set(surviving(mesh4), range(1, 16), 0) == frozenset()
 
     def test_dead_wall_partitions(self):
         topo = mesh2d(4)
         # Kill the entire second column (x=2): left column isolated.
         dead = {node_id(2, y, 4) for y in range(1, 5)}
         alive = set(range(16)) - dead
-        reachable = reachable_set(topo, alive, node_id(1, 1, 4))
+        reachable = reachable_set(surviving(topo), alive, node_id(1, 1, 4))
         assert reachable == {node_id(1, y, 4) for y in range(1, 5)}
 
+    def test_a_missing_neighbour_is_a_cut_line(self, mesh4, mapping4):
+        # Cut both lines of corner (1,1): every node lives, and the
+        # corner reaches only itself.
+        corner = node_id(1, 1, 4)
+        neighbors = [
+            tuple(n for n in row if corner not in (node, n))
+            for node, row in enumerate(surviving(mesh4))
+        ]
+        assert reachable_set(neighbors, range(16), corner) == {corner}
+        assert not system_is_alive(neighbors, range(16), mapping4, corner)
+
     def test_system_alive_full(self, mesh4, mapping4):
-        assert system_is_alive(mesh4, range(16), mapping4, 0)
+        assert system_is_alive(surviving(mesh4), range(16), mapping4, 0)
 
     def test_system_dies_when_module_exhausted(self, mesh4, mapping4):
         alive = set(range(16)) - set(mapping4.duplicates(2))
-        assert not system_is_alive(mesh4, alive, mapping4, 0)
-        assert dead_modules(mesh4, alive, mapping4, 0) == (2,)
+        assert not system_is_alive(surviving(mesh4), alive, mapping4, 0)
+        assert dead_modules(surviving(mesh4), alive, mapping4, 0) == (2,)
 
     def test_system_dies_when_partitioned_from_module(self, mesh4, mapping4):
         # Kill the two neighbours of corner (1,1): the corner is cut off.
         dead = {node_id(2, 1, 4), node_id(1, 2, 4)}
         alive = set(range(16)) - dead
         origin = node_id(1, 1, 4)
-        assert not system_is_alive(mesh4, alive, mapping4, origin)
+        assert not system_is_alive(surviving(mesh4), alive, mapping4, origin)
 
     def test_articulation_points_line(self):
         topo = Topology(3)
