@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import cached_property
 
 from ..mesh.topology import Topology
 from .config import MOTION_PROFILES, HarvestConfig, HarvestHardware
@@ -100,18 +101,12 @@ class HarvestSchedule:
         num_mesh_nodes: int,
     ):
         self.config = config
+        self._topology = topology
         self._nodes = int(num_mesh_nodes)
-        self._flex = flex_weights(topology, num_mesh_nodes)
         #: Per-node generator gain (0 for nodes without a harvester).
         self.hardware = hardware_scale(
             config.hardware, topology, num_mesh_nodes
         )
-        #: Motion-profile node scale: flex weight times generator gain.
-        #: Multiplying by the all-ones default hardware is bit-exact,
-        #: so homogeneous runs reproduce the PR 4 income vectors.
-        self._node_scale = [
-            flex * gain for flex, gain in zip(self._flex, self.hardware)
-        ]
         #: Memo of the current activity window: (window index, vector).
         #: Frames are visited in order, so one slot is enough.
         self._window: tuple[int, list[float] | None] | None = None
@@ -119,6 +114,18 @@ class HarvestSchedule:
     @property
     def is_active(self) -> bool:
         return self.config.is_active
+
+    @cached_property
+    def _node_scale(self) -> list[float]:
+        """Motion-profile node scale: flex weight times generator gain.
+
+        Only an active motion profile reads it, so other runs never pay
+        for the flex weights.  Multiplying by the all-ones default
+        hardware is bit-exact, so homogeneous runs reproduce the PR 4
+        income vectors.
+        """
+        flex = flex_weights(self._topology, self._nodes)
+        return [weight * gain for weight, gain in zip(flex, self.hardware)]
 
     def expected_income_weights(self) -> list[float]:
         """Expected per-node income (pJ/frame), queried before the run.
