@@ -16,16 +16,10 @@ from repro.analysis.faults import (
     fault_impact,
     fault_impact_for,
 )
-from repro.core.trees import line_slots, slot_of
+from repro.core.trees import line_slots
 from repro.faults import FaultConfig
 from repro.faults.schedule import FaultEvent, FaultRuntime, FaultSchedule
 from repro.sim.et_sim import run_simulation
-
-
-def known_length(engine, u: int, v: int) -> float:
-    """The controller's picture of the ``u -> v`` line's length."""
-    view = engine.control.view()
-    return view.edge_lengths[u, slot_of(view.neighbors, u, v)]
 
 
 def knows_the_pristine_fabric(engine) -> bool:
@@ -183,8 +177,8 @@ class TestEngineStateUnderFaults:
         assert engine.nodes_fault_killed == 2
         # Never discovered: the controller's picture still carries the
         # pristine length in both directions.
-        assert known_length(engine, u, v) == base
-        assert known_length(engine, v, u) == base
+        assert engine.control.known_length(u, v) == base
+        assert engine.control.known_length(v, u) == base
         # The physical record is severed all the same.
         assert cut_lines(engine) == {(u, v), (v, u)}
 
@@ -208,21 +202,21 @@ class TestEngineStateUnderFaults:
         )
         engine._apply_faults(4)
         assert engine.lengths[u][v] == pytest.approx(base * 3.0)
-        assert known_length(engine, u, v) == pytest.approx(base * 3.0)
+        assert engine.control.known_length(u, v) == pytest.approx(base * 3.0)
         # Frame 8: the degradation expires *and* the cut fires.
         engine._apply_faults(8)
         assert v not in engine.lengths[u]
         # The cut is undiscovered, so the controller's picture holds the
         # restored pristine length — not the degraded one, not inf.
-        assert known_length(engine, u, v) == pytest.approx(base)
+        assert engine.control.known_length(u, v) == pytest.approx(base)
         # Discovery writes inf; later frames must never restore it.
         engine._note_fault_block(u, v)
-        assert known_length(engine, u, v) == float("inf")
+        assert engine.control.known_length(u, v) == float("inf")
         for frame in range(9, 30):
             engine._apply_faults(frame)
         assert cut_lines(engine) == {(u, v), (v, u)}
-        assert known_length(engine, u, v) == float("inf")
-        assert known_length(engine, v, u) == float("inf")
+        assert engine.control.known_length(u, v) == float("inf")
+        assert engine.control.known_length(v, u) == float("inf")
 
     def test_deadlock_recovery_survives_attrition(self):
         # Buffered congestion plus live topology changes: the recovery
