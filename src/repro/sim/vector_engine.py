@@ -23,9 +23,10 @@ frame boundary rather than mid-walk, a cell absorbs its whole frame
 load (data, compute and upload together) as one aggregate draw with
 numpy's ``exp`` and ``**``, and the upload share lands before the
 boundary's fault/harvest events instead of after, so EMA trajectories
-(and therefore exact death frames) can drift between the engines.  The cross-engine property suite pins the
-quantities that must not drift: delivered jobs under a budget,
-conservation, and fault/harvest event counts.
+(and therefore exact death frames) can drift between the engines.  The
+cross-engine property suite pins the quantities that must not drift:
+delivered jobs under a budget, conservation, and fault/harvest event
+counts.
 """
 
 from __future__ import annotations
