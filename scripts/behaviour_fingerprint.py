@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Write or check the behaviour lock: three hashes per simulation record.
 
-Runs a fixed corpus of 392 records under a trace recorder:
+Runs a fixed corpus of 394 records under a trace recorder:
 
 * every smoke and quick scenario point;
 * the full-scale points of the paper's figures (``fig7``, ``table2``,
@@ -15,7 +15,10 @@ Runs a fixed corpus of 392 records under a trace recorder:
   in which a repaired line re-enters the bus's neighbour scan): 4x4
   sequential at seeds 0 and 1, and 6x6 concurrent (3 jobs in flight) at
   seed 0, each with ``share_max_hops=2`` and tears repaired after 24
-  frames.
+  frames;
+* two 4x4 sequential runs with a chain of three controller units, ideal
+  cells of 20 000 pJ (all three die in turn) and infinite ones (the
+  ``fig8`` points chain thin-film units only).
 
 Each record is hashed in three parts: its ``summary()``; its ledger,
 every total and per-node column as ``float.hex``; and its trace without
@@ -193,6 +196,27 @@ def _bus_scan_points():
         yield SweepPoint(label=label, config=config)
 
 
+#: ``(label, ControlConfig keyword arguments)`` of the three-unit
+#: controller chains.
+CONTROLLER_CHAINS = (
+    ("ideal", {"controller_battery": "ideal", "controller_capacity_pj": 20_000.0}),
+    ("infinite", {"controller_battery": "infinite"}),
+)
+
+
+def _controller_chain_points():
+    """The three-unit controller-chain records' sweep points."""
+    from repro.config import ControlConfig, SimulationConfig
+    from repro.orchestration.runner import SweepPoint
+
+    for battery, control_kwargs in CONTROLLER_CHAINS:
+        config = SimulationConfig(
+            control=ControlConfig(num_controllers=3, **control_kwargs)
+        )
+        label = f"controller-chain/sequential/4x4/{battery}"
+        yield SweepPoint(label=label, config=config)
+
+
 def corpus() -> list[tuple[str, SweepPoint]]:
     """``(label, SweepPoint)`` of every record, built without running
     anything."""
@@ -209,6 +233,9 @@ def corpus() -> list[tuple[str, SweepPoint]]:
                 entries.append((f"{scale}/{name}/{index}/{point.label}", point))
     entries.extend((point.label, point) for point in _grid_points())
     entries.extend((point.label, point) for point in _bus_scan_points())
+    entries.extend(
+        (point.label, point) for point in _controller_chain_points()
+    )
     return entries
 
 
