@@ -8,21 +8,21 @@ dying earlier with more residual (wasted) capacity.
 """
 
 from repro.analysis.tables import format_table
-from repro.battery.thin_film import ThinFilmBattery, ThinFilmParameters
+from repro.battery.thin_film import ThinFilmParameters
+from repro.sim.vector_bank import ThinFilmBatteryBank
 
 
 def discharge(step_pj: float, step_cycles: int, rest_cycles: int):
     """Discharge one fresh cell; returns (curve rows, delivered, wasted)."""
-    battery = ThinFilmBattery(ThinFilmParameters())
+    cell = ThinFilmBatteryBank(1, ThinFilmParameters())
     curve = []
-    while battery.alive:
-        curve.append(
-            (battery.delivered_pj, battery.voltage)
-        )
-        battery.draw(step_pj, step_cycles)
+    while cell.alive[0]:
+        curve.append((float(cell.delivered[0]), cell.voltage_one(0)))
+        cell.draw_one(0, step_pj, step_cycles)
         if rest_cycles:
-            battery.rest(rest_cycles)
-    return curve, battery.delivered_pj, battery.wasted_pj
+            cell.rest(rest_cycles, cell.alive)
+    wasted = max(0.0, cell.capacity_pj - cell.consumed_one(0))
+    return curve, float(cell.delivered[0]), wasted
 
 
 def run_fig2():

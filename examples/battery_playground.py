@@ -15,25 +15,27 @@ Run:  python examples/battery_playground.py
 """
 
 from repro.analysis.tables import format_table
-from repro.battery.thin_film import ThinFilmBattery, ThinFilmParameters
+from repro.battery.thin_film import ThinFilmParameters
+from repro.sim.vector_bank import ThinFilmBatteryBank
 
 
 def discharge(name, step_pj, rest_cycles):
-    """Discharge a fresh default cell; return (name, trace, battery)."""
-    battery = ThinFilmBattery(ThinFilmParameters())
+    """Discharge a fresh default cell; return (name, trace, cell), the
+    cell being a one-cell bank."""
+    cell = ThinFilmBatteryBank(1, ThinFilmParameters())
     trace = []
-    while battery.alive:
+    while cell.alive[0]:
         trace.append(
             (
-                battery.delivered_pj,
-                battery.open_circuit_voltage,
-                battery.voltage,
-                battery.smoothed_current_ma,
+                float(cell.delivered[0]),
+                cell.ocv_one(0),
+                cell.voltage_one(0),
+                cell.current_ma_one(0),
             )
         )
-        battery.draw(step_pj, 25)
-        battery.rest(rest_cycles)
-    return name, trace, battery
+        cell.draw_one(0, step_pj, 25)
+        cell.rest(rest_cycles, cell.alive)
+    return name, trace, cell
 
 
 def main() -> None:
@@ -44,7 +46,7 @@ def main() -> None:
     ]
 
     print("=== Li-free thin-film cell, 60 000 pJ nominal, 3.0 V cut-off ===")
-    for name, trace, battery in runs:
+    for name, trace, cell in runs:
         print(f"\n--- {name} ---")
         samples = trace[:: max(1, len(trace) // 8)]
         rows = [
@@ -62,12 +64,13 @@ def main() -> None:
                 rows,
             )
         )
-        usable = battery.delivered_pj / battery.nominal_capacity_pj
+        delivered = float(cell.delivered[0])
+        stranded = max(0.0, cell.capacity_pj - cell.consumed_one(0))
         print(
-            f"delivered {battery.delivered_pj:.0f} pJ "
-            f"({usable:.0%} of nominal), "
-            f"rate-capacity loss {battery.loss_pj:.0f} pJ, "
-            f"stranded {battery.wasted_pj:.0f} pJ"
+            f"delivered {delivered:.0f} pJ "
+            f"({delivered / cell.capacity_pj:.0%} of nominal), "
+            f"rate-capacity loss {cell.loss_one(0):.0f} pJ, "
+            f"stranded {stranded:.0f} pJ"
         )
 
     print(

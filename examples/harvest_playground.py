@@ -20,39 +20,41 @@ from dataclasses import replace
 
 from repro.analysis import harvest_comparison_for, harvest_impact_for
 from repro.analysis.tables import format_table
-from repro.battery.thin_film import ThinFilmBattery, ThinFilmParameters
+from repro.battery.thin_film import ThinFilmParameters
 from repro.config import SimulationConfig
 from repro.harvest import HarvestConfig
 from repro.sim.et_sim import run_simulation
+from repro.sim.vector_bank import ThinFilmBatteryBank
 
 
 def recharge_mechanics() -> None:
     print("1. recharge mechanics (thin-film DoD rollback)\n")
-    battery = ThinFilmBattery(ThinFilmParameters())
+    cell = ThinFilmBatteryBank(1, ThinFilmParameters())
     rows = []
 
     def snapshot(stage):
+        depth = min(1.0, cell.consumed_one(0) / cell.capacity_pj)
         rows.append(
             (
                 stage,
-                round(battery.depth_of_discharge, 3),
-                round(battery.open_circuit_voltage, 3),
-                round(battery.recharged_pj, 1),
-                battery.alive,
+                round(depth, 3),
+                round(cell.ocv_one(0), 3),
+                round(float(cell.recharged[0]), 1),
+                bool(cell.alive[0]),
             )
         )
 
     snapshot("fresh")
-    battery.draw(30_000.0, 300_000)
+    cell.draw_one(0, 30_000.0, 300_000)
     snapshot("half drained")
-    battery.recharge(12_000.0)
+    cell.recharge_one(0, 12_000.0)
     snapshot("refilled 12 nJ")
-    battery.recharge(10**9)
+    cell.recharge_one(0, 10**9)
     snapshot("over-refilled (capped)")
-    while battery.alive:
-        battery.draw(5_000.0, 5_000)
+    while cell.alive[0]:
+        cell.draw_one(0, 5_000.0, 5_000)
     snapshot("driven to death")
-    rejected = battery.recharge(10_000.0)
+    rejected = cell.recharge_one(0, 10_000.0)
     snapshot(f"post-death refill (accepted {rejected:g})")
     print(
         format_table(

@@ -32,7 +32,7 @@ import time
 
 from .analysis.tables import format_table
 from .analysis.theory import bound_for
-from .battery.thin_film import ThinFilmBattery, ThinFilmParameters
+from .battery.thin_film import ThinFilmParameters
 from .config import (
     ENGINE_NAMES,
     MAPPING_STRATEGIES,
@@ -60,6 +60,7 @@ from .orchestration import (
     scenarios,
 )
 from .sim.et_sim import run_simulation
+from .sim.vector_bank import ThinFilmBatteryBank
 from .telemetry import (
     Heartbeat,
     TraceRecorder,
@@ -70,6 +71,19 @@ from .telemetry import (
     setup_logging,
 )
 from .version import PAPER_CITATION, __version__
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_logging_arguments(parser: argparse.ArgumentParser) -> None:
@@ -746,19 +760,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_battery_curve(args: argparse.Namespace) -> int:
     params = ThinFilmParameters()
-    battery = ThinFilmBattery(params)
+    cell = ThinFilmBatteryBank(1, params)
     rows = []
     step_pj = params.capacity_pj / args.points
-    while battery.alive:
+    while cell.alive[0]:
         rows.append(
             (
-                round(battery.delivered_pj, 1),
-                round(battery.open_circuit_voltage, 3),
-                round(battery.voltage, 3),
+                round(float(cell.delivered[0]), 1),
+                round(cell.ocv_one(0), 3),
+                round(cell.voltage_one(0), 3),
             )
         )
-        battery.draw(step_pj, args.step_cycles)
-        battery.rest(args.step_cycles * 4)
+        cell.draw_one(0, step_pj, args.step_cycles)
+        cell.rest(args.step_cycles * 4, cell.alive)
     print(
         format_table(
             ["delivered (pJ)", "open-circuit (V)", "loaded (V)"],
@@ -1038,8 +1052,8 @@ def build_parser() -> argparse.ArgumentParser:
     curve = sub.add_parser(
         "battery-curve", help="thin-film discharge curve"
     )
-    curve.add_argument("--points", type=int, default=24)
-    curve.add_argument("--step-cycles", type=int, default=2000)
+    curve.add_argument("--points", type=_positive_int, default=24)
+    curve.add_argument("--step-cycles", type=_positive_int, default=2000)
     curve.set_defaults(func=_cmd_battery_curve)
 
     mapping = sub.add_parser("mapping", help="module mapping of a mesh")

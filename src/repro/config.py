@@ -14,8 +14,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, field, replace
 
-from .battery.ideal import IdealBattery
-from .battery.thin_film import ThinFilmBattery, ThinFilmParameters
+from .battery.thin_film import ThinFilmParameters
 from .control.controller_power import ControllerEnergyModel
 from .control.deadlock import DeadlockPolicy
 from .control.tdma import (
@@ -286,24 +285,6 @@ class ControlConfig:
             table_entry_bits=self.table_entry_bits,
             medium_segment_cm=self.medium_segment_cm,
         )
-
-    def make_controller_batteries(self) -> list:
-        """Battery list for the fail-over chain (None = infinite)."""
-        batteries: list = []
-        for _ in range(self.num_controllers):
-            if self.controller_battery == "infinite":
-                batteries.append(None)
-            elif self.controller_battery == "ideal":
-                batteries.append(
-                    IdealBattery(capacity_pj=self.controller_capacity_pj)
-                )
-            else:
-                params = replace(
-                    self.controller_thin_film,
-                    capacity_pj=self.controller_capacity_pj,
-                )
-                batteries.append(ThinFilmBattery(params))
-        return batteries
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ One :class:`ControlPlane` owns the controller-side state of the TDMA
 mechanism (paper Sec 5.3): the last reported battery level and liveness
 of every node, the known length of every line, the blocked-port registry
 of the deadlock-recovery protocol, the cached routing plan, and the
-chain of controller units.
+cells of the chain of controller units.
 Each simulated frame the engine hands it the frame's uploads as arrays;
 the plane diffs them against its record and re-runs the routing
 algorithm *only when the reported information differs from the previous
@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..battery.base import Battery
 from ..core.costs import LevelChannel
 from ..core.engines import RoutingEngine
 from ..core.phase3 import NO_DESTINATION, SINK, RoutingPlan
@@ -32,6 +32,9 @@ from ..telemetry.recorder import NULL_RECORDER, Recorder
 from .controller_power import ControllerEnergyModel
 from .deadlock import BlockedPortRegistry, DeadlockPolicy
 from .tdma import TdmaSchedule
+
+if TYPE_CHECKING:
+    from ..sim.vector_bank import IdealBatteryBank, ThinFilmBatteryBank
 
 
 @dataclass(frozen=True)
@@ -57,38 +60,6 @@ class FrameOutcome:
     failed_over: bool = False
 
 
-class ControllerUnit:
-    """One physical controller: a battery (or an infinite supply)."""
-
-    def __init__(self, battery: Battery | None):
-        self._battery = battery
-        self._delivered = 0.0
-
-    @property
-    def battery(self) -> Battery | None:
-        return self._battery
-
-    @property
-    def alive(self) -> bool:
-        return self._battery is None or self._battery.alive
-
-    @property
-    def delivered_pj(self) -> float:
-        """Energy this unit has spent on control work."""
-        return self._delivered
-
-    def draw(self, energy_pj: float, duration_cycles: float) -> bool:
-        """Draw energy; returns False when the unit died on this draw."""
-        if self._battery is None:
-            self._delivered += energy_pj
-            return True
-        if not self._battery.alive:
-            return False
-        result = self._battery.draw(energy_pj, duration_cycles)
-        self._delivered += result.delivered_pj
-        return not result.died
-
-
 class ControlPlane:
     """Controller-side protocol state machine."""
 
@@ -102,11 +73,11 @@ class ControlPlane:
         schedule: TdmaSchedule,
         energy_model: ControllerEnergyModel,
         deadlock_policy: DeadlockPolicy,
-        controller_batteries: list[Battery | None],
+        cells: IdealBatteryBank | ThinFilmBatteryBank,
         recorder: Recorder | None = None,
         sink: int | None = None,
     ):
-        if not controller_batteries:
+        if not len(cells.alive):
             raise ConfigurationError("need at least one controller unit")
         self._recorder = recorder if recorder is not None else NULL_RECORDER
         # Cached gate booleans: the per-frame path must not pay an
@@ -134,7 +105,8 @@ class ControlPlane:
         self._schedule = schedule
         self._energy_model = energy_model
         self._registry = BlockedPortRegistry(deadlock_policy)
-        self._units = [ControllerUnit(b) for b in controller_batteries]
+        #: The fail-over chain: one cell per controller unit, in order.
+        self._cells = cells
         self._active = 0
 
         self._node_levels = np.full(self._num_nodes, levels - 1, dtype=int)
@@ -159,13 +131,9 @@ class ControlPlane:
         return self._plan
 
     @property
-    def units(self) -> tuple[ControllerUnit, ...]:
-        return tuple(self._units)
-
-    @property
     def alive(self) -> bool:
         """True while at least one controller unit is alive."""
-        return any(unit.alive for unit in self._units)
+        return bool(self._cells.alive.any())
 
     @property
     def recompute_count(self) -> int:
@@ -318,11 +286,11 @@ class ControlPlane:
 
         Returns True if a living unit exists.
         """
-        for index, unit in enumerate(self._units):
-            if unit.alive:
-                self._active = index
-                return True
-        return False
+        living = self._cells.alive.nonzero()[0]
+        if not len(living):
+            return False
+        self._active = int(living[0])
+        return True
 
     def _tables_of(self, plan: RoutingPlan) -> np.ndarray:
         """Per-node routing tables implied by a plan.
@@ -378,8 +346,7 @@ class ControlPlane:
                 controllers_alive=0,
                 active_controller=None,
             )
-        active_index = self._active
-        active = self._units[active_index]
+        active = self._active
 
         trace = self._trace
         changed = False
@@ -457,9 +424,11 @@ class ControlPlane:
                     terms=attribution,
                 )
 
+        cells = self._cells
         idle_units = [
-            u for i, u in enumerate(self._units)
-            if i != active_index and u.alive
+            unit
+            for unit, alive in enumerate(cells.alive.tolist())
+            if alive and unit != active
         ]
 
         # Charge the energy: active unit pays rx+compute+download+housekeeping,
@@ -470,28 +439,28 @@ class ControlPlane:
             + energy["download_tx"]
             + energy["housekeeping"]
         )
-        survived = active.draw(active_cost, self._schedule.frame_cycles)
+        frame_cycles = self._schedule.frame_cycles
+        _, failed_over = cells.draw_one(active, active_cost, frame_cycles)
         idle_cost = self._energy_model.idle_energy_pj(self._num_nodes)
         # The reported leak is what the idle cells actually *delivered*
         # — a unit dying mid-draw delivers less than the nominal quantum,
         # and the frame breakdown must agree with the batteries.
         idle_delivered = 0.0
         for unit in idle_units:
-            before = unit.delivered_pj
-            unit.draw(idle_cost, self._schedule.frame_cycles)
-            idle_delivered += unit.delivered_pj - before
+            before = float(cells.delivered[unit])
+            cells.draw_one(unit, idle_cost, frame_cycles)
+            idle_delivered += float(cells.delivered[unit]) - before
         energy["idle_leak"] = idle_delivered
 
-        failed_over = False
-        if not survived:
-            failed_over = True
+        if failed_over:
             self._advance_active()
 
+        alive = int(np.count_nonzero(cells.alive))
         return FrameOutcome(
             recomputed=recomputed,
             table_entries_sent=entries_sent,
             controller_energy_pj=energy,
-            controllers_alive=sum(1 for u in self._units if u.alive),
-            active_controller=self._active if self.alive else None,
+            controllers_alive=alive,
+            active_controller=self._active if alive else None,
             failed_over=failed_over,
         )

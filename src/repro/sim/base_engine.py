@@ -131,7 +131,12 @@ class EngineBase:
 
         #: Every mesh node's cell, one bank index per node.  The source
         #: block has an infinite supply and no cell.
-        self.bank = build_battery_bank(platform, mesh)
+        self.bank = build_battery_bank(
+            platform.battery_model,
+            mesh,
+            platform.battery_capacity_pj,
+            platform.thin_film,
+        )
         #: Kill record: True once fault injection failed a mesh node,
         #: which is then dead with a charged cell.  The source cannot
         #: fail and has no entry.
@@ -186,7 +191,12 @@ class EngineBase:
             schedule=self.schedule,
             energy_model=config.control.energy,
             deadlock_policy=config.control.deadlock,
-            controller_batteries=config.control.make_controller_batteries(),
+            cells=build_battery_bank(
+                config.control.controller_battery,
+                config.control.num_controllers,
+                config.control.controller_capacity_pj,
+                config.control.controller_thin_film,
+            ),
             recorder=self.recorder,
             # Only a run that returns ciphertexts ever routes toward the
             # source, so only then is the plans' sink column grown.

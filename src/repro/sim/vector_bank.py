@@ -391,22 +391,30 @@ class ThinFilmBatteryBank:
     def loss_one(self, i: int) -> float:
         return float(self.consumed[i] + self.recharged[i] - self.delivered[i])
 
-    def _ocv_one(self, consumed: float) -> float:
+    def _ocv_at(self, consumed: float) -> float:
         return self._p.profile.voltage_at(min(1.0, consumed / self.capacity_pj))
 
     @staticmethod
-    def _current_ma_one(ema: float, ocv: float) -> float:
+    def _current_ma_at(ema: float, ocv: float) -> float:
         return ema * _PJ_PER_CYCLE_TO_MW / ocv if ocv > 0 else 0.0
 
-    def _loaded_one(self, ema: float, ocv: float) -> float:
-        sag = self._current_ma_one(ema, ocv) * self._p.internal_resistance_ohm / 1e3
+    def _loaded_at(self, ema: float, ocv: float) -> float:
+        sag = self._current_ma_at(ema, ocv) * self._p.internal_resistance_ohm / 1e3
         return max(0.0, ocv - sag)
 
     def voltage_one(self, i: int) -> float:
         if not self.alive[i]:
             return 0.0
-        ocv = self._ocv_one(float(self.consumed[i]))
-        return self._loaded_one(float(self.ema[i]), ocv)
+        ocv = self._ocv_at(float(self.consumed[i]))
+        return self._loaded_at(float(self.ema[i]), ocv)
+
+    def ocv_one(self, i: int) -> float:
+        """Cell ``i``'s open-circuit voltage (the load removed)."""
+        return self._ocv_at(float(self.consumed[i]))
+
+    def current_ma_one(self, i: int) -> float:
+        """Cell ``i``'s smoothed load current in mA."""
+        return self._current_ma_at(float(self.ema[i]), self.ocv_one(i))
 
     def soc_one(self, i: int) -> float:
         return 1.0 - min(1.0, float(self.consumed[i]) / self.capacity_pj)
@@ -427,8 +435,8 @@ class ThinFilmBatteryBank:
         ema = float(self.ema[i])
         ema += alpha * (energy_pj / duration_cycles - ema)
         consumed = float(self.consumed[i])
-        ocv = self._ocv_one(consumed)
-        ratio = self._current_ma_one(ema, ocv) / p.reference_current_ma
+        ocv = self._ocv_at(consumed)
+        ratio = self._current_ma_at(ema, ocv) / p.reference_current_ma
         penalty = (
             1.0 + p.rate_penalty_coeff * ratio ** p.rate_penalty_exponent
         )
@@ -446,8 +454,8 @@ class ThinFilmBatteryBank:
         self.consumed[i] = consumed
         self.delivered[i] += delivered
 
-        ocv = self._ocv_one(consumed)
-        loaded_voltage = self._loaded_one(ema, ocv)
+        ocv = self._ocv_at(consumed)
+        loaded_voltage = self._loaded_at(ema, ocv)
         voltage_death = (
             not p.allow_recovery and loaded_voltage < p.cutoff_voltage
         )
@@ -469,11 +477,16 @@ class ThinFilmBatteryBank:
         return accepted
 
 
-def build_battery_bank(platform, count: int):
-    """``count`` fresh cells of the platform's battery model."""
-    if platform.battery_model == "ideal":
-        return IdealBatteryBank(count, platform.battery_capacity_pj)
-    params = replace(
-        platform.thin_film, capacity_pj=platform.battery_capacity_pj
-    )
-    return ThinFilmBatteryBank(count, params)
+def build_battery_bank(
+    model: str, count: int, capacity_pj: float, thin_film: ThinFilmParameters
+):
+    """``count`` fresh cells of ``capacity_pj`` each: ``"thin-film"``
+    cells with the ``thin_film`` parameters, ``"ideal"`` cells, or
+    ``"infinite"`` ones — ideal cells that never run out."""
+    if model == "thin-film":
+        return ThinFilmBatteryBank(
+            count, replace(thin_film, capacity_pj=capacity_pj)
+        )
+    if model == "infinite":
+        capacity_pj = math.inf
+    return IdealBatteryBank(count, capacity_pj)

@@ -216,6 +216,22 @@ class TestBatteryCurve:
         assert "open-circuit" in out
         assert "4.1" in out  # fresh-cell voltage visible
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--points", "0"], "--points"),
+            (["--points", "-3"], "--points"),
+            (["--step-cycles", "0"], "--step-cycles"),
+        ],
+    )
+    def test_a_count_below_one_is_a_usage_error(self, capsys, flags, named):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["battery-curve", *flags])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {named}: must be at least 1" in captured.err
+
 
 class TestSimulate:
     def test_json_summary(self, capsys):

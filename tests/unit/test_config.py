@@ -1,10 +1,10 @@
 """Unit tests for the configuration layer (repro.config)."""
 
+import math
 from dataclasses import replace
 
 import pytest
 
-from repro.battery.thin_film import ThinFilmBattery
 from repro.config import (
     ControlConfig,
     PlatformConfig,
@@ -18,6 +18,27 @@ from repro.sim.vector_bank import (
     ThinFilmBatteryBank,
     build_battery_bank,
 )
+
+
+def mesh_cells(platform, count):
+    """``count`` cells of the platform's battery model, as the engines
+    build them."""
+    return build_battery_bank(
+        platform.battery_model,
+        count,
+        platform.battery_capacity_pj,
+        platform.thin_film,
+    )
+
+
+def controller_cells(control):
+    """The control config's fail-over chain, as the engines build it."""
+    return build_battery_bank(
+        control.controller_battery,
+        control.num_controllers,
+        control.controller_capacity_pj,
+        control.controller_thin_film,
+    )
 
 
 class TestPlatformConfig:
@@ -39,15 +60,15 @@ class TestPlatformConfig:
         assert topo.mesh_width == 5
 
     def test_battery_factory(self):
-        cells = build_battery_bank(PlatformConfig(), 3)
+        cells = mesh_cells(PlatformConfig(), 3)
         assert isinstance(cells, ThinFilmBatteryBank)
         assert len(cells.alive) == 3
-        ideal = build_battery_bank(PlatformConfig(battery_model="ideal"), 3)
+        ideal = mesh_cells(PlatformConfig(battery_model="ideal"), 3)
         assert isinstance(ideal, IdealBatteryBank)
 
     def test_battery_capacity_flows_through(self):
         platform = PlatformConfig(battery_capacity_pj=1234.0)
-        cells = build_battery_bank(platform, 1)
+        cells = mesh_cells(platform, 1)
         assert cells.capacity_pj == 1234.0
         # Only the capacity is the platform's; the cell model is kept.
         assert cells.parameters == replace(
@@ -96,17 +117,20 @@ class TestControlConfig:
         assert schedule.medium_width_bits == 2
 
     def test_infinite_controllers(self):
-        batteries = ControlConfig(num_controllers=3).make_controller_batteries()
-        assert batteries == [None, None, None]
+        cells = controller_cells(ControlConfig(num_controllers=3))
+        assert isinstance(cells, IdealBatteryBank)
+        assert len(cells.alive) == 3
+        assert cells.capacity_pj == math.inf
 
     def test_thin_film_controllers_use_controller_cell(self):
         config = ControlConfig(
             num_controllers=2, controller_battery="thin-film"
         )
-        batteries = config.make_controller_batteries()
-        assert all(isinstance(b, ThinFilmBattery) for b in batteries)
+        cells = controller_cells(config)
+        assert isinstance(cells, ThinFilmBatteryBank)
+        assert len(cells.alive) == 2
         # The controller cell is the low-impedance variant.
-        assert batteries[0].parameters.internal_resistance_ohm < 20_000
+        assert cells.parameters.internal_resistance_ohm < 20_000
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,10 +1,15 @@
 """Unit tests for the TDMA control mechanism (repro.control)."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dense_routing import at_slots, length_matrix
 from repro.battery.ideal import IdealBattery
+from repro.battery.thin_film import ThinFilmBattery
+from repro.config import ControlConfig
 from repro.control.controller import ControlPlane
 from repro.control.controller_power import (
     ControllerEnergyModel,
@@ -25,6 +30,7 @@ from repro.core.weights import BatteryWeightFunction
 from repro.errors import ConfigurationError
 from repro.mesh.mapping import checkerboard_mapping
 from repro.mesh.topology import mesh2d
+from repro.sim.vector_bank import IdealBatteryBank, build_battery_bank
 from repro.telemetry.recorder import TraceRecorder
 
 
@@ -103,7 +109,20 @@ class TestDeadlockRegistry:
             DeadlockPolicy(blocked_expiry_frames=0)
 
 
-def make_control_plane(batteries=None, edge_lengths=None, recorder=None):
+def ideal_chain(*charges_pj):
+    """One ideal controller cell of 1e9 pJ per charge, in chain order,
+    drained beforehand to hold that charge (0 leaves it dead)."""
+    cells = IdealBatteryBank(len(charges_pj), capacity_pj=1e9)
+    for unit, charge in enumerate(charges_pj):
+        if charge < 1e9:
+            cells.draw_one(unit, 1e9 - charge, 1.0)
+    return cells
+
+
+def make_control_plane(
+    cells=None, edge_lengths=None, recorder=None, energy_model=None
+):
+    """A 4x4 plane; by default one infinite controller unit."""
     topo = mesh2d(4)
     mapping = checkerboard_mapping(topo)
     neighbors, lengths = line_slots(topo)
@@ -114,9 +133,9 @@ def make_control_plane(batteries=None, edge_lengths=None, recorder=None):
         engine=EnergyAwareRouting(),
         levels=8,
         schedule=TdmaSchedule(num_nodes=16),
-        energy_model=ControllerEnergyModel(),
+        energy_model=energy_model or ControllerEnergyModel(),
         deadlock_policy=DeadlockPolicy(),
-        controller_batteries=batteries if batteries is not None else [None],
+        cells=cells if cells is not None else IdealBatteryBank(1, math.inf),
         recorder=recorder,
     )
 
@@ -202,17 +221,15 @@ class TestControlPlane:
         assert replan["reports"] == 3
 
     def test_energy_charged_to_active_controller(self):
-        battery = IdealBattery(capacity_pj=1e9)
-        plane = make_control_plane(batteries=[battery])
+        cells = ideal_chain(1e9)
+        plane = make_control_plane(cells)
         plane.bootstrap()
         process(plane, 0)
-        assert battery.delivered_pj > 0
+        assert cells.delivered[0] > 0
 
     def test_failover_chain(self):
         # First controller with a tiny battery dies; the spare takes over.
-        tiny = IdealBattery(capacity_pj=1.0)
-        spare = IdealBattery(capacity_pj=1e9)
-        plane = make_control_plane(batteries=[tiny, spare])
+        plane = make_control_plane(ideal_chain(1.0, 1e9))
         plane.bootstrap()
         outcome = process(plane, 0)
         assert outcome.failed_over is True
@@ -221,8 +238,7 @@ class TestControlPlane:
         assert outcome.active_controller == 1
 
     def test_all_controllers_dead(self):
-        tiny = IdealBattery(capacity_pj=1.0)
-        plane = make_control_plane(batteries=[tiny])
+        plane = make_control_plane(ideal_chain(1.0))
         plane.bootstrap()
         process(plane, 0)
         assert not plane.alive
@@ -280,9 +296,7 @@ class TestIdleLeakAccounting:
     dying mid-draw delivers less."""
 
     def test_healthy_idle_units_report_nominal_leak(self):
-        active = IdealBattery(capacity_pj=1e9)
-        idle = IdealBattery(capacity_pj=1e9)
-        plane = make_control_plane(batteries=[active, idle])
+        plane = make_control_plane(ideal_chain(1e9, 1e9))
         plane.bootstrap()
         outcome = process(plane, 0)
         idle_cost = ControllerEnergyModel().idle_energy_pj(16)
@@ -292,29 +306,119 @@ class TestIdleLeakAccounting:
 
     def test_dying_idle_unit_reports_delivered_energy(self):
         idle_cost = ControllerEnergyModel().idle_energy_pj(16)
-        active = IdealBattery(capacity_pj=1e9)
         # The idle unit holds half a leak quantum: it dies mid-draw and
         # delivers only what it had.
-        dying = IdealBattery(capacity_pj=idle_cost / 2)
-        plane = make_control_plane(batteries=[active, dying])
+        cells = ideal_chain(1e9, idle_cost / 2)
+        before = cells.delivered[1]
+        plane = make_control_plane(cells)
         plane.bootstrap()
         outcome = process(plane, 0)
         assert outcome.controller_energy_pj["idle_leak"] == pytest.approx(
             idle_cost / 2
         )
-        assert not dying.alive
+        assert not cells.alive[1]
         # The breakdown agrees with the battery's own ledger.
-        assert plane.units[1].delivered_pj == pytest.approx(idle_cost / 2)
+        assert cells.delivered[1] - before == pytest.approx(idle_cost / 2)
 
     def test_dead_idle_unit_contributes_nothing(self):
-        active = IdealBattery(capacity_pj=1e9)
-        dead = IdealBattery(capacity_pj=1.0)
-        dead.draw(2.0, 1.0)  # deplete before the frame
-        assert not dead.alive
-        plane = make_control_plane(batteries=[active, dead])
+        cells = ideal_chain(1e9, 0.0)  # unit 1 depleted before the frame
+        assert not cells.alive[1]
+        plane = make_control_plane(cells)
         plane.bootstrap()
         outcome = process(plane, 0)
         assert outcome.controller_energy_pj["idle_leak"] == 0.0
+
+
+class TestChainMatchesScalarCells:
+    """A three-unit chain of bank cells fails over exactly as the same
+    chain of scalar oracle cells (a plain float for an infinite unit):
+    frame by frame, the idle leak to the bit, the living count, the
+    active unit and the fail-over flag.  The 0.1 pJ leak is not dyadic,
+    so summing each idle draw's returned ``delivered`` instead of its
+    cell's delivered energy after minus before would move the leak's
+    last bits."""
+
+    CAPACITY_PJ = 8_000.0
+
+    @staticmethod
+    def oracle_cell(model, params):
+        if model == "ideal":
+            return IdealBattery(capacity_pj=params.capacity_pj)
+        if model == "thin-film":
+            return ThinFilmBattery(params)
+        return 0.0
+
+    @staticmethod
+    def oracle_draw(cell, energy_pj, duration):
+        """Draw from an oracle cell: ``(cell, delivered before, died)``."""
+        if isinstance(cell, float):
+            return cell + energy_pj, cell, False
+        before = cell.delivered_pj
+        return cell, before, cell.draw(energy_pj, duration).died
+
+    @staticmethod
+    def oracle_alive(cell):
+        return isinstance(cell, float) or cell.alive
+
+    @staticmethod
+    def oracle_delivered(cell):
+        return cell if isinstance(cell, float) else cell.delivered_pj
+
+    @pytest.mark.parametrize("model", ["ideal", "thin-film", "infinite"])
+    def test_three_unit_chain(self, model):
+        control = ControlConfig(
+            num_controllers=3,
+            controller_battery=model,
+            controller_capacity_pj=self.CAPACITY_PJ,
+        )
+        params = replace(
+            control.controller_thin_film, capacity_pj=self.CAPACITY_PJ
+        )
+        energy = ControllerEnergyModel(idle_leak_per_frame_pj=0.1)
+        plane = make_control_plane(
+            build_battery_bank(model, 3, self.CAPACITY_PJ, params),
+            energy_model=energy,
+        )
+        plane.bootstrap()
+        oracle = [self.oracle_cell(model, params) for _ in range(3)]
+        idle_cost = energy.idle_energy_pj(16)
+        frame_cycles = TdmaSchedule(num_nodes=16).frame_cycles
+        failovers = 0
+        for frame in range(200):
+            # Every third frame a level moves and the plan is recomputed.
+            levels = {frame % 16: frame % 7} if frame % 3 == 0 else None
+            outcome = process(plane, frame, levels=levels)
+            spent = outcome.controller_energy_pj
+            living = [u for u in range(3) if self.oracle_alive(oracle[u])]
+            leak, died = 0.0, False
+            if living:
+                active = living[0]
+                cost = (
+                    spent["rx"]
+                    + spent["compute"]
+                    + spent["download_tx"]
+                    + spent["housekeeping"]
+                )
+                oracle[active], _, died = self.oracle_draw(
+                    oracle[active], cost, frame_cycles
+                )
+                for unit in living[1:]:
+                    oracle[unit], before, _ = self.oracle_draw(
+                        oracle[unit], idle_cost, frame_cycles
+                    )
+                    leak += self.oracle_delivered(oracle[unit]) - before
+            living = [u for u in range(3) if self.oracle_alive(oracle[u])]
+            assert spent["idle_leak"].hex() == leak.hex(), frame
+            assert outcome.controllers_alive == len(living), frame
+            assert outcome.active_controller == (
+                living[0] if living else None
+            ), frame
+            assert outcome.failed_over is died, frame
+            failovers += died
+        if model == "infinite":
+            assert failovers == 0 and plane.alive
+        else:
+            assert failovers == 3 and not plane.alive
 
 
 class TestWearHook:

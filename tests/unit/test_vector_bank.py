@@ -8,6 +8,8 @@ model, just stored column-wise.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -169,12 +171,21 @@ class TestIdealParity:
 
 class TestBankBuilder:
     def test_builder_respects_the_battery_model(self):
-        thin = build_battery_bank(PlatformConfig(battery_model="thin-film"), 4)
+        params = ThinFilmParameters()
+        thin = build_battery_bank("thin-film", 4, 60_000.0, params)
         assert isinstance(thin, ThinFilmBatteryBank)
-        ideal = build_battery_bank(PlatformConfig(battery_model="ideal"), 4)
+        ideal = build_battery_bank("ideal", 4, 60_000.0, params)
         assert isinstance(ideal, IdealBatteryBank)
+        infinite = build_battery_bank("infinite", 4, 60_000.0, params)
+        assert isinstance(infinite, IdealBatteryBank)
+        assert infinite.capacity_pj == math.inf
 
     def test_builder_applies_the_platform_capacity(self):
         platform = PlatformConfig(battery_capacity_pj=1234.0)
-        bank = build_battery_bank(platform, 2)
+        bank = build_battery_bank(
+            platform.battery_model,
+            2,
+            platform.battery_capacity_pj,
+            platform.thin_film,
+        )
         assert bank.capacity_pj == 1234.0
