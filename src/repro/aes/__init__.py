@@ -8,8 +8,8 @@ hardware modules (Sec 5.1.1):
 * **Module 2** — ``MixColumns``
 * **Module 3** — ``KeyExpansion`` / ``AddRoundKey``
 
-This package implements the complete cipher (encryption and decryption,
-all three key sizes), the module partitioning, the per-job operation
+This package implements the complete forward cipher (all three key
+sizes; jobs only encrypt), the module partitioning, the per-job operation
 dataflow ``(f1, f2, f3) = (10, 9, 11)`` used by the routing formulation,
 and the paper's measured per-operation energies.  The simulator carries
 real cipher state through the network, so every completed job is
@@ -19,7 +19,7 @@ key schedule).  The forward transforms are whole-block table operations;
 the test suite pins them to a per-byte FIPS-197 transcription.
 """
 
-from .cipher import decrypt_block, encrypt_block, expand_key
+from .cipher import encrypt_block, expand_key
 from .dataflow import (
     MODULE_ADDROUNDKEY,
     MODULE_MIXCOLUMNS,
@@ -29,18 +29,16 @@ from .dataflow import (
     operations_per_module,
 )
 from .energy import AES_MODULE_ENERGIES_PJ, module_energy_pj
-from .sbox import INV_SBOX, SBOX
+from .sbox import SBOX
 
 __all__ = [
     "AES_MODULE_ENERGIES_PJ",
     "AesJobDataflow",
-    "INV_SBOX",
     "MODULE_ADDROUNDKEY",
     "MODULE_MIXCOLUMNS",
     "MODULE_SUBBYTES_SHIFTROWS",
     "Operation",
     "SBOX",
-    "decrypt_block",
     "encrypt_block",
     "expand_key",
     "module_energy_pj",

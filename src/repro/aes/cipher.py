@@ -1,8 +1,7 @@
 """The complete AES block cipher (FIPS-197 Sec 5.1 / 5.3).
 
 ``encrypt_block`` follows the exact pseudo-code reproduced in the paper's
-Fig 1; ``decrypt_block`` implements the straightforward inverse cipher.
-``encrypt_with_schedule`` is the same Fig 1 loop on an expanded key
+Fig 1.  ``encrypt_with_schedule`` is the same Fig 1 loop on an expanded key
 schedule: every simulated job computes its reference ciphertext with it,
 on its dataflow's one schedule, and a completed job's carried state must
 equal that ciphertext byte for byte.
@@ -12,17 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .key_expansion import round_keys, rounds_for_key
+from .key_expansion import round_keys
 from .state import validate_block
-from .transforms import (
-    add_round_key,
-    inv_mix_columns,
-    inv_shift_rows,
-    inv_sub_bytes,
-    mix_columns,
-    shift_rows,
-    sub_bytes,
-)
+from .transforms import add_round_key, mix_columns, shift_rows, sub_bytes
 
 
 def expand_key(key: bytes) -> list[bytes]:
@@ -60,22 +51,4 @@ def encrypt_with_schedule(plaintext: bytes, schedule: Sequence[bytes]) -> bytes:
     state = sub_bytes(state)
     state = shift_rows(state)
     state = add_round_key(state, schedule[nr])
-    return state
-
-
-def decrypt_block(ciphertext: bytes, key: bytes) -> bytes:
-    """Decrypt a single 16-byte block (inverse cipher, FIPS-197 Sec 5.3)."""
-    state = validate_block(ciphertext, name="ciphertext")
-    keys = round_keys(key)
-    nr = rounds_for_key(key)
-
-    state = add_round_key(state, keys[nr])
-    for rnd in range(nr - 1, 0, -1):
-        state = inv_shift_rows(state)
-        state = inv_sub_bytes(state)
-        state = add_round_key(state, keys[rnd])
-        state = inv_mix_columns(state)
-    state = inv_shift_rows(state)
-    state = inv_sub_bytes(state)
-    state = add_round_key(state, keys[0])
     return state

@@ -185,16 +185,3 @@ class AesJobDataflow:
     def apply_index(self, op_index: int, state: bytes) -> bytes:
         """Execute the operation at position ``op_index`` on ``state``."""
         return self._steps[op_index](state)
-
-    def run_reference(self, plaintext: bytes) -> bytes:
-        """Run the whole dataflow locally (no network) on ``plaintext``.
-
-        The tests compare the result with
-        :func:`repro.aes.cipher.encrypt_block`; a simulated job checks
-        its walk against :func:`repro.aes.cipher.encrypt_with_schedule`
-        instead, which never reads these bindings.
-        """
-        state = bytes(plaintext)
-        for step in self._steps:
-            state = step(state)
-        return state

@@ -66,20 +66,3 @@ def gf_inverse(a: int) -> int:
     if a & 0xFF == 0:
         return 0
     return gf_pow(a, 254)
-
-
-def gf_dot(coefficients: tuple[int, ...], values: tuple[int, ...]) -> int:
-    """GF(2^8) dot product: XOR-accumulate ``gf_mul(c, v)`` pairs.
-
-    Used by MixColumns, which multiplies each state column by a fixed
-    circulant matrix over GF(2^8).
-    """
-    if len(coefficients) != len(values):
-        raise ValueError(
-            f"length mismatch: {len(coefficients)} coefficients "
-            f"vs {len(values)} values"
-        )
-    acc = 0
-    for c, v in zip(coefficients, values):
-        acc ^= gf_mul(c, v)
-    return acc

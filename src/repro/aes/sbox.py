@@ -1,4 +1,4 @@
-"""The AES S-box and its inverse, generated from first principles.
+"""The AES S-box, generated from first principles.
 
 Rather than hard-coding the 256-entry table from FIPS-197, the S-box is
 *derived*: each byte is replaced by its multiplicative inverse in GF(2^8)
@@ -8,7 +8,7 @@ followed by the fixed affine transformation over GF(2)
                ^ b_{(i+6) mod 8} ^ b_{(i+7) mod 8} ^ c_i
 
 with ``c = 0x63``.  The test suite checks the generated table against the
-published FIPS-197 spot values and the inverse table against a full
+published FIPS-197 spot values, and its inverse against a full
 round-trip property.
 """
 
@@ -41,16 +41,5 @@ def generate_sbox() -> tuple[int, ...]:
     return tuple(_affine_transform(gf_inverse(x)) for x in range(256))
 
 
-def generate_inverse_sbox(sbox: tuple[int, ...]) -> tuple[int, ...]:
-    """Invert an S-box permutation."""
-    inverse = [0] * 256
-    for x, y in enumerate(sbox):
-        inverse[y] = x
-    return tuple(inverse)
-
-
 #: The forward S-box used by SubBytes.
 SBOX: tuple[int, ...] = generate_sbox()
-
-#: The inverse S-box used by InvSubBytes.
-INV_SBOX: tuple[int, ...] = generate_inverse_sbox(SBOX)

@@ -1,4 +1,4 @@
-"""The four AES round transformations and their inverses.
+"""The four AES round transformations.
 
 All transforms take and return a flat 16-byte block in the FIPS-197
 column-major layout (``state[r][c] == block[r + 4*c]``, see
@@ -13,8 +13,8 @@ SubBytes is one ``bytes.translate`` through the S-box, ShiftRows one
 fixed byte permutation, AddRoundKey one 128-bit integer XOR, and
 MixColumns a ``x2`` translate plus byte rotations within each column of
 the block read as one 128-bit integer.  The test suite pins every one of
-them, byte for byte, to a per-byte FIPS-197 transcription.  The inverse
-transforms are not on the simulator's path and keep the per-byte form.
+them, byte for byte, to a per-byte FIPS-197 transcription, which also
+holds the inverse transforms: jobs only encrypt.
 """
 
 from __future__ import annotations
@@ -22,23 +22,8 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .gf import gf_mul
-from .sbox import INV_SBOX, SBOX
-from .state import BLOCK_BYTES, NB, validate_block
-
-#: InvMixColumns circulant matrix rows (FIPS-197 Sec 5.3.3).
-_INV_MIX_ROWS = (
-    (0x0E, 0x0B, 0x0D, 0x09),
-    (0x09, 0x0E, 0x0B, 0x0D),
-    (0x0D, 0x09, 0x0E, 0x0B),
-    (0x0B, 0x0D, 0x09, 0x0E),
-)
-
-#: GF(2^8) multiplication rows for the InvMixColumns coefficients, built
-#: once from the first-principles :func:`gf_mul`.
-_INV_MUL_TABLE: dict[int, tuple[int, ...]] = {
-    coeff: tuple(gf_mul(coeff, value) for value in range(256))
-    for coeff in _INV_MIX_ROWS[0]
-}
+from .sbox import SBOX
+from .state import BLOCK_BYTES, validate_block
 
 #: The S-box as a ``bytes.translate`` table.
 _SUB_TABLE = bytes(SBOX)
@@ -70,25 +55,9 @@ def sub_bytes(block: bytes) -> bytes:
     return validate_block(block).translate(_SUB_TABLE)
 
 
-def inv_sub_bytes(block: bytes) -> bytes:
-    """Apply the inverse S-box to every byte of the state."""
-    validate_block(block)
-    return bytes(INV_SBOX[b] for b in block)
-
-
 def shift_rows(block: bytes) -> bytes:
     """Cyclically shift row ``r`` of the state left by ``r`` positions."""
     return bytes(_SHIFT_ROWS(validate_block(block)))
-
-
-def inv_shift_rows(block: bytes) -> bytes:
-    """Cyclically shift row ``r`` of the state right by ``r`` positions."""
-    validate_block(block)
-    out = bytearray(BLOCK_BYTES)
-    for r in range(4):
-        for c in range(NB):
-            out[r + 4 * ((c + r) % NB)] = block[r + 4 * c]
-    return bytes(out)
 
 
 def sub_bytes_shift_rows(block: bytes) -> bytes:
@@ -100,11 +69,6 @@ def sub_bytes_shift_rows(block: bytes) -> bytes:
     two commute: the permutation runs first and one translate follows.
     """
     return bytes(_SHIFT_ROWS(validate_block(block))).translate(_SUB_TABLE)
-
-
-def inv_sub_bytes_shift_rows(block: bytes) -> bytes:
-    """Inverse of :func:`sub_bytes_shift_rows` (InvShiftRows then InvSubBytes)."""
-    return inv_sub_bytes(inv_shift_rows(block))
 
 
 def mix_columns(block: bytes) -> bytes:
@@ -130,25 +94,6 @@ def mix_columns(block: bytes) -> bytes:
         ^ ((x >> 8) & _ROT3_LOW)
     )
     return mixed.to_bytes(BLOCK_BYTES, "big")
-
-
-def inv_mix_columns(block: bytes) -> bytes:
-    """Multiply each state column by the InvMixColumns matrix."""
-    validate_block(block)
-    out = bytearray(BLOCK_BYTES)
-    tables = _INV_MUL_TABLE
-    for c in range(NB):
-        base = 4 * c
-        b0, b1, b2, b3 = block[base : base + 4]
-        for r in range(4):
-            m0, m1, m2, m3 = _INV_MIX_ROWS[r]
-            out[base + r] = (
-                tables[m0][b0]
-                ^ tables[m1][b1]
-                ^ tables[m2][b2]
-                ^ tables[m3][b3]
-            )
-    return bytes(out)
 
 
 def add_round_key(block: bytes, round_key: bytes) -> bytes:

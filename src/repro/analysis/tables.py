@@ -47,20 +47,3 @@ def format_table(
     for row in text_rows:
         lines.append(render_row(row))
     return "\n".join(lines)
-
-
-def format_csv(
-    headers: Sequence[str], rows: Sequence[Sequence[object]]
-) -> str:
-    """Minimal CSV emission (no quoting needs beyond the data we emit)."""
-    def fmt(value: object) -> str:
-        text = str(value)
-        if "," in text or '"' in text:
-            escaped = text.replace('"', '""')
-            return f'"{escaped}"'
-        return text
-
-    lines = [",".join(fmt(h) for h in headers)]
-    for row in rows:
-        lines.append(",".join(fmt(c) for c in row))
-    return "\n".join(lines) + "\n"

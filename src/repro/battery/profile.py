@@ -94,11 +94,6 @@ class DischargeProfile:
                 return d0 + frac * (d1 - d0)
         return 1.0
 
-    def usable_fraction(self, cutoff_voltage: float) -> float:
-        """Fraction of nominal capacity available above a voltage cut-off
-        under zero load (no IR sag)."""
-        return self.dod_at_voltage(cutoff_voltage)
-
 
 #: Digitised shape of the Li-free thin-film cell discharge curve
 #: (paper Fig 2, after Neudecker, Dudney and Bates [10]): a fresh cell

@@ -74,6 +74,3 @@ class BlockedPortRegistry:
     def blocked_ports(self) -> frozenset[tuple[int, int]]:
         """Currently excluded ``(node, successor)`` pairs."""
         return frozenset(self._blocked)
-
-    def is_blocked(self, node: int, port: int) -> bool:
-        return (node, port) in self._blocked

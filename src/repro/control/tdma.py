@@ -106,17 +106,6 @@ class TdmaSchedule:
             self.upload_slot_cycles + self.download_slot_cycles
         )
 
-    @property
-    def data_section_cycles(self) -> int:
-        """Cycles per frame left to the data network."""
-        return self.frame_cycles - self.control_section_cycles
-
-    def frame_of_cycle(self, cycle: int) -> int:
-        """Frame index containing an absolute cycle timestamp."""
-        if cycle < 0:
-            raise ConfigurationError(f"cycle must be >= 0, got {cycle}")
-        return cycle // self.frame_cycles
-
     # ------------------------------------------------------------------
     # Energy
     # ------------------------------------------------------------------

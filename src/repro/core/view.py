@@ -115,10 +115,6 @@ class NetworkView:
         """Number of nodes ``K`` in the view."""
         return int(self.neighbors.shape[0])
 
-    def alive_nodes(self) -> tuple[int, ...]:
-        """Ids of live nodes."""
-        return tuple(int(n) for n in np.flatnonzero(self.alive))
-
     def targets(self) -> np.ndarray:
         """``(K, p + 1)`` roots of the routing trees.
 
@@ -133,19 +129,3 @@ class NetworkView:
             duplicates = list(mapping.duplicates(module))
             mask[duplicates, module] = self.alive[duplicates]
         return mask
-
-    def with_blocked_ports(
-        self, blocked: frozenset[tuple[int, int]]
-    ) -> "NetworkView":
-        """Copy of the view with a different blocked-port set."""
-        return NetworkView(
-            neighbors=self.neighbors,
-            edge_lengths=self.edge_lengths,
-            alive=self.alive,
-            battery_levels=self.battery_levels,
-            levels=self.levels,
-            mapping=self.mapping,
-            blocked_ports=blocked,
-            channel_levels=self.channel_levels,
-            sink=self.sink,
-        )

@@ -62,14 +62,5 @@ class SimulationError(ReproError):
     """The simulation engine reached an inconsistent state."""
 
 
-class VerificationError(SimulationError):
-    """A completed job's payload failed functional verification.
-
-    The et_sim reproduction carries real AES state through the network and
-    checks the ciphertext of every completed job against the FIPS-197
-    reference cipher; a mismatch means the simulator corrupted data.
-    """
-
-
 class CalibrationError(ReproError):
     """A calibration routine could not match its target values."""

@@ -84,10 +84,6 @@ class FaultSchedule:
     def __hash__(self) -> int:
         return hash(self._events)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._events
-
     def __repr__(self) -> str:
         return f"FaultSchedule({len(self._events)} events)"
 

@@ -40,18 +40,3 @@ class LinkEnergyModel:
     def hop_cycles(self) -> int:
         """Serialisation delay of one packet over one hop."""
         return self.packet.serialization_cycles(self.link_width_bits)
-
-    def path_energy_pj(self, hop_lengths_cm: list[float]) -> float:
-        """Total transmit energy along a multi-hop path."""
-        return sum(self.hop_energy_pj(length) for length in hop_lengths_cm)
-
-    def bits_energy_pj(self, bits: float, length_cm: float) -> float:
-        """Energy for an arbitrary number of switched bits on a line.
-
-        Used for the narrow shared control medium, whose transfers are
-        not full data packets.
-        """
-        require_positive("length_cm", length_cm)
-        if bits < 0:
-            raise ValueError(f"bits must be non-negative, got {bits}")
-        return self.line.energy_per_bit_switch_pj(length_cm) * bits

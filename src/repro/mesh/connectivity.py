@@ -66,22 +66,6 @@ def system_is_alive(
     return True
 
 
-def dead_modules(
-    neighbors: Sequence[Iterable[int]],
-    alive: Collection[int],
-    mapping: ModuleMapping,
-    origin: int,
-) -> tuple[int, ...]:
-    """Modules with no live reachable duplicate (diagnostic counterpart
-    of :func:`system_is_alive`)."""
-    reachable = reachable_set(neighbors, alive, origin)
-    return tuple(
-        module
-        for module in range(1, mapping.num_modules + 1)
-        if not any(dup in reachable for dup in mapping.duplicates(module))
-    )
-
-
 def articulation_points(
     topology: Topology, alive: Collection[int] | None = None
 ) -> frozenset[int]:

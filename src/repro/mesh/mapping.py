@@ -64,11 +64,6 @@ class ModuleMapping:
         """Number of distinct modules ``p``."""
         return self._num_modules
 
-    @property
-    def mapped_nodes(self) -> tuple[int, ...]:
-        """All nodes that carry a module, sorted."""
-        return tuple(sorted(self._assignment))
-
     def module_of(self, node: int) -> int | None:
         """Module id of ``node`` (None for unmapped/external nodes)."""
         return self._assignment.get(node)

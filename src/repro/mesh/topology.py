@@ -8,7 +8,7 @@ the simulator copies its lines into per-node working lengths, the
 record that fault injection edits.  The paper's
 default platform is a 2-D mesh (Sec 5.2) built by :func:`mesh2d`;
 arbitrary fabrics (e.g. the smart-shirt block diagram of Fig 3a) can be
-assembled edge by edge or imported from networkx.
+assembled edge by edge.
 """
 
 from __future__ import annotations
@@ -156,19 +156,6 @@ class Topology:
         if pu is None or pv is None:
             return None
         return ((pu[0] + pv[0]) / 2.0, (pu[1] + pv[1]) / 2.0)
-
-    # ------------------------------------------------------------------
-    # Interop
-    # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Export as a ``networkx.DiGraph`` with ``length`` edge data."""
-        import networkx as nx
-
-        graph = nx.DiGraph(name=self._name)
-        graph.add_nodes_from(self.nodes)
-        for u, v, length in self.edges():
-            graph.add_edge(u, v, length=length)
-        return graph
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self._num_nodes:

@@ -199,12 +199,6 @@ class SweepCache:
             removed += 1
         return removed
 
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.time_lookup_s = 0.0
-        self.time_store_s = 0.0
-
     def counters(self) -> dict:
         """JSON-safe snapshot of the cache's activity counters."""
         return {

@@ -28,9 +28,6 @@ from .errors import ConfigurationError
 #: Default platform clock frequency used throughout the paper (Sec 5.1.1).
 DEFAULT_CLOCK_HZ = 100_000_000.0
 
-#: Seconds per clock cycle at the default 100 MHz clock.
-DEFAULT_CYCLE_SECONDS = 1.0 / DEFAULT_CLOCK_HZ
-
 PJ_PER_J = 1e12
 MW_PER_W = 1e3
 
@@ -49,46 +46,6 @@ def mw_to_pj_per_cycle(power_mw: float, clock_hz: float = DEFAULT_CLOCK_HZ) -> f
     return joules_per_cycle * PJ_PER_J
 
 
-def pj_per_cycle_to_mw(energy_pj: float, clock_hz: float = DEFAULT_CLOCK_HZ) -> float:
-    """Convert an energy per clock cycle in pJ back to milliwatts."""
-    if clock_hz <= 0:
-        raise ConfigurationError(f"clock frequency must be positive, got {clock_hz}")
-    joules_per_cycle = energy_pj / PJ_PER_J
-    return joules_per_cycle * clock_hz * MW_PER_W
-
-
-def cycles_to_seconds(cycles: float, clock_hz: float = DEFAULT_CLOCK_HZ) -> float:
-    """Convert a cycle count to seconds at the given clock frequency."""
-    if clock_hz <= 0:
-        raise ConfigurationError(f"clock frequency must be positive, got {clock_hz}")
-    return cycles / clock_hz
-
-
-def seconds_to_cycles(seconds: float, clock_hz: float = DEFAULT_CLOCK_HZ) -> float:
-    """Convert seconds to (possibly fractional) clock cycles."""
-    if clock_hz <= 0:
-        raise ConfigurationError(f"clock frequency must be positive, got {clock_hz}")
-    return seconds * clock_hz
-
-
-def average_current_ma(
-    energy_pj: float, cycles: float, voltage: float,
-    clock_hz: float = DEFAULT_CLOCK_HZ,
-) -> float:
-    """Average current in mA of a draw of ``energy_pj`` over ``cycles``.
-
-    ``I = P / V`` with ``P = E / t``.  Used by the discrete-time battery
-    model to turn per-event energy draws into load currents.
-    """
-    if cycles <= 0:
-        raise ConfigurationError(f"duration must be positive, got {cycles} cycles")
-    if voltage <= 0:
-        raise ConfigurationError(f"voltage must be positive, got {voltage}")
-    watts = (energy_pj / PJ_PER_J) / cycles_to_seconds(cycles, clock_hz)
-    amps = watts / voltage
-    return amps * 1e3
-
-
 def require_positive(name: str, value: float) -> float:
     """Validate that ``value`` is strictly positive; return it unchanged."""
     if not value > 0:
@@ -102,9 +59,3 @@ def require_non_negative(name: str, value: float) -> float:
         raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
     return value
 
-
-def require_fraction(name: str, value: float) -> float:
-    """Validate that ``value`` lies in the closed interval [0, 1]."""
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(f"{name} must lie in [0, 1], got {value!r}")
-    return value

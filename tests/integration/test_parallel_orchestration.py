@@ -82,7 +82,7 @@ class TestCachedRuns:
         assert cache.misses == len(fig7_smoke_points)
         assert len(cache) == len(fig7_smoke_points)
 
-        cache.reset_counters()
+        cache = SweepCache(tmp_path)
         second = ParallelSweepRunner(max_workers=2, cache=cache).run(
             fig7_smoke_points
         )
@@ -96,7 +96,7 @@ class TestCachedRuns:
     ):
         cache = SweepCache(tmp_path)
         SequentialSweepRunner(cache=cache).run(fig7_smoke_points)
-        cache.reset_counters()
+        cache = SweepCache(tmp_path)
         records = ParallelSweepRunner(max_workers=2, cache=cache).run(
             fig7_smoke_points
         )

@@ -205,7 +205,12 @@ class TestHarvestProportionalMappingProperties:
         # Every node mapped, every module instantiated.
         assert sum(counts.values()) == topo.num_nodes
         assert all(count >= 1 for count in counts.values())
-        assert set(mapping.mapped_nodes) == set(range(topo.num_nodes))
+        mapped = {
+            node
+            for module in range(1, mapping.num_modules + 1)
+            for node in mapping.duplicates(module)
+        }
+        assert mapped == set(range(topo.num_nodes))
 
     @settings(max_examples=30, deadline=None)
     @given(

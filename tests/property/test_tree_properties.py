@@ -156,7 +156,7 @@ def test_exact_views_match_the_fig6_oracle(routed):
     reference = reference_select_destinations(view, dense, successors)
     assert np.array_equal(destinations[:, 1:], reference[:, 1:])
     ecmp = EcmpSelector(trees, destinations, view.blocked_ports, seed=0)
-    for node in view.alive_nodes():
+    for node in np.flatnonzero(view.alive).tolist():
         for module in range(1, destinations.shape[1]):
             destination = int(destinations[node, module])
             if destination in (NO_DESTINATION, node):
@@ -218,7 +218,7 @@ def test_blocked_ports_are_skipped_downhill(routed):
             assert (node, hop) not in view.blocked_ports
             assert distances[hop, module] < distances[node, module]
     # The sink route ignores deadlock reports.
-    _, _, free_hops = route(view.with_blocked_ports(frozenset()), weights)
+    _, _, free_hops = route(replace(view, blocked_ports=frozenset()), weights)
     assert np.array_equal(hops[:, SINK], free_hops[:, SINK])
 
 
@@ -243,7 +243,7 @@ def plan_record(engine, view):
     )
     groups = [
         plan.ecmp.group(node, column)
-        for node in view.alive_nodes()
+        for node in np.flatnonzero(view.alive).tolist()
         for column in range(plan.destinations.shape[1])
     ]
     return (

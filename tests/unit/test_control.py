@@ -46,8 +46,7 @@ class TestTdmaSchedule:
 
     def test_control_section_fits_in_frame(self):
         schedule = TdmaSchedule(num_nodes=64)
-        assert schedule.control_section_cycles <= schedule.frame_cycles
-        assert schedule.data_section_cycles > 0
+        assert schedule.control_section_cycles < schedule.frame_cycles
 
     def test_frame_too_small_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -56,12 +55,6 @@ class TestTdmaSchedule:
     def test_upload_energy_from_line_model(self):
         schedule = TdmaSchedule(num_nodes=16, medium_segment_cm=1.0)
         assert schedule.upload_energy_pj == pytest.approx(4 * 0.4472)
-
-    def test_frame_of_cycle(self):
-        schedule = TdmaSchedule(num_nodes=16, frame_cycles=1000)
-        assert schedule.frame_of_cycle(0) == 0
-        assert schedule.frame_of_cycle(999) == 0
-        assert schedule.frame_of_cycle(1000) == 1
 
 
 class TestControllerPower:
@@ -95,12 +88,12 @@ class TestDeadlockRegistry:
             DeadlockPolicy(wait_threshold_frames=2, blocked_expiry_frames=5)
         )
         assert registry.report(3, 4, frame=10) is True
-        assert registry.is_blocked(3, 4)
+        assert (3, 4) in registry.blocked_ports()
         # Re-reporting refreshes the expiry (frame 11 + 5 = 16).
         assert registry.report(3, 4, frame=11) is False  # already known
         assert registry.expire(frame=15) is False
         assert registry.expire(frame=16) is True
-        assert not registry.is_blocked(3, 4)
+        assert (3, 4) not in registry.blocked_ports()
 
     def test_policy_validation(self):
         with pytest.raises(ConfigurationError):

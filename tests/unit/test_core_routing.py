@@ -201,7 +201,8 @@ class TestFloydWarshall:
 
         weights = sdr_weight_matrix(full_view)
         distances, _ = floyd_warshall_successors(weights)
-        graph = mesh4.to_networkx()
+        graph = nx.DiGraph()
+        graph.add_weighted_edges_from(mesh4.edges(), weight="length")
         nx_lengths = dict(
             nx.all_pairs_dijkstra_path_length(graph, weight="length")
         )

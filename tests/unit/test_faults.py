@@ -84,7 +84,7 @@ class TestScheduleBuilders:
         schedule = build_fault_schedule(
             FaultConfig(), mesh2d(4), num_mesh_nodes=16, horizon_frames=1000
         )
-        assert schedule.is_empty
+        assert not schedule.events
         assert len(schedule) == 0
 
     def test_attrition_respects_link_budget(self):
@@ -122,7 +122,7 @@ class TestScheduleBuilders:
                         max_node_fraction=0.0),
             mesh2d(4), num_mesh_nodes=16, horizon_frames=100_000,
         )
-        assert schedule.is_empty
+        assert not schedule.events
 
     def test_dropout_never_touches_the_source(self):
         schedule = build_fault_schedule(
@@ -590,7 +590,7 @@ class TestSweepCacheInvalidation:
             (tmp_path / f"{key}.json").write_text(
                 json.dumps({**entry, **stale})
             )
-            cache.reset_counters()
+            cache = SweepCache(tmp_path)
             assert cache.lookup(key) is None
             assert cache.misses == 1
 

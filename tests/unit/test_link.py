@@ -108,16 +108,5 @@ class TestLinkEnergyModel:
         # 2.045 cm pitch.
         assert model.hop_energy_pj(2.045) == pytest.approx(116.7, abs=0.5)
 
-    def test_path_energy_sums_hops(self):
-        model = LinkEnergyModel()
-        single = model.hop_energy_pj(1.0)
-        assert model.path_energy_pj([1.0, 1.0, 1.0]) == pytest.approx(
-            3 * single
-        )
-
-    def test_bits_energy_for_control_medium(self):
-        model = LinkEnergyModel()
-        assert model.bits_energy_pj(4, 1.0) == pytest.approx(4 * 0.4472)
-
     def test_hop_cycles_serial_line(self):
         assert LinkEnergyModel().hop_cycles() == 128

@@ -7,7 +7,6 @@ from repro.core.trees import line_slots
 from repro.errors import MappingError, TopologyError
 from repro.mesh.connectivity import (
     articulation_points,
-    dead_modules,
     reachable_set,
     system_is_alive,
 )
@@ -99,12 +98,6 @@ class TestMesh2d:
         topo = Topology(3)
         with pytest.raises(TopologyError):
             topo.coordinates(0)
-
-    def test_to_networkx(self):
-        graph = mesh2d(3).to_networkx()
-        assert graph.number_of_nodes() == 9
-        assert graph.has_edge(0, 1)
-        assert graph[0][1]["length"] > 0
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(TopologyError):
@@ -348,7 +341,6 @@ class TestConnectivity:
     def test_system_dies_when_module_exhausted(self, mesh4, mapping4):
         alive = set(range(16)) - set(mapping4.duplicates(2))
         assert not system_is_alive(surviving(mesh4), alive, mapping4, 0)
-        assert dead_modules(surviving(mesh4), alive, mapping4, 0) == (2,)
 
     def test_system_dies_when_partitioned_from_module(self, mesh4, mapping4):
         # Kill the two neighbours of corner (1,1): the corner is cut off.

@@ -233,7 +233,7 @@ class TestSequentialRunner:
             raise AssertionError(f"re-executed {point.label}")
 
         monkeypatch.setattr(runner_module, "execute_point", boom)
-        cache.reset_counters()
+        cache = SweepCache(tmp_path)
         second = SequentialSweepRunner(cache=cache).run(tiny_points())
         assert cache.hits == 2 and cache.misses == 0
         assert all(r.cached for r in second)

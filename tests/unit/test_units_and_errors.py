@@ -12,18 +12,12 @@ from repro.errors import (
     SimulationError,
     TopologyError,
     UnreachableModuleError,
-    VerificationError,
 )
 from repro.units import (
     DEFAULT_CLOCK_HZ,
-    average_current_ma,
-    cycles_to_seconds,
     mw_to_pj_per_cycle,
-    pj_per_cycle_to_mw,
-    require_fraction,
     require_non_negative,
     require_positive,
-    seconds_to_cycles,
 )
 
 
@@ -32,43 +26,16 @@ class TestUnits:
         # 6.94 mW at 100 MHz = 69.4 pJ per cycle (paper Sec 7.3).
         assert mw_to_pj_per_cycle(6.94) == pytest.approx(69.4)
 
-    def test_power_conversion_round_trip(self):
-        for mw in (0.57, 6.94, 100.0):
-            assert pj_per_cycle_to_mw(
-                mw_to_pj_per_cycle(mw)
-            ) == pytest.approx(mw)
-
-    def test_cycle_time_round_trip(self):
-        assert seconds_to_cycles(cycles_to_seconds(1234.0)) == pytest.approx(
-            1234.0
-        )
-
     def test_default_clock(self):
         assert DEFAULT_CLOCK_HZ == 100e6
-        assert cycles_to_seconds(1) == pytest.approx(10e-9)
-
-    def test_average_current(self):
-        # 120 pJ over 10 cycles (100 ns) at 3.6 V:
-        # P = 1.2 mW, I = 0.333 mA.
-        current = average_current_ma(120.0, 10, 3.6)
-        assert current == pytest.approx(1.2 / 3.6, rel=1e-6)
-
-    def test_average_current_validation(self):
-        with pytest.raises(ConfigurationError):
-            average_current_ma(1.0, 0, 3.6)
-        with pytest.raises(ConfigurationError):
-            average_current_ma(1.0, 1, 0.0)
 
     def test_validators(self):
         assert require_positive("x", 1.0) == 1.0
         assert require_non_negative("x", 0.0) == 0.0
-        assert require_fraction("x", 0.5) == 0.5
         with pytest.raises(ConfigurationError):
             require_positive("x", 0.0)
         with pytest.raises(ConfigurationError):
             require_non_negative("x", -1.0)
-        with pytest.raises(ConfigurationError):
-            require_fraction("x", 1.5)
 
 
 class TestErrorHierarchy:
@@ -80,7 +47,6 @@ class TestErrorHierarchy:
             RoutingError,
             BatteryError,
             SimulationError,
-            VerificationError,
         ):
             assert issubclass(exc_type, ReproError)
 

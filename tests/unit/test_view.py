@@ -1,5 +1,7 @@
 """Unit tests for the controller's network view (repro.core.view)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,23 +33,6 @@ class TestNetworkView:
     def test_basic_accessors(self):
         view = build_view()
         assert view.num_nodes == 16
-        assert view.alive_nodes() == tuple(range(16))
-
-    def test_alive_nodes_filters(self):
-        alive = np.ones(16, dtype=bool)
-        alive[[2, 5]] = False
-        view = build_view(alive=alive)
-        assert 2 not in view.alive_nodes()
-        assert 5 not in view.alive_nodes()
-        assert len(view.alive_nodes()) == 14
-
-    def test_with_blocked_ports(self):
-        view = build_view()
-        blocked = frozenset({(0, 1)})
-        updated = view.with_blocked_ports(blocked)
-        assert updated.blocked_ports == blocked
-        assert view.blocked_ports == frozenset()
-        assert updated.levels == view.levels
 
     def test_edge_lengths_follow_the_neighbour_table(self):
         view = build_view()
@@ -55,7 +40,7 @@ class TestNetworkView:
             view.edge_lengths,
             at_slots(length_matrix(mesh2d(4)), view.neighbors),
         )
-        updated = view.with_blocked_ports(frozenset({(0, 1)}))
+        updated = replace(view, blocked_ports=frozenset({(0, 1)}))
         assert updated.edge_lengths is view.edge_lengths
 
     def test_edge_lengths_shape_mismatch_rejected(self):
@@ -97,7 +82,7 @@ class TestNetworkView:
         wear[0, 0] = wear[1, 0] = 2
         view = build_view(channel_levels={"wear": wear})
         assert view.channel_levels["wear"][0, 0] == 2
-        blocked = view.with_blocked_ports(frozenset({(0, 1)}))
+        blocked = replace(view, blocked_ports=frozenset({(0, 1)}))
         assert np.array_equal(blocked.channel_levels["wear"], wear)
 
     def test_wear_shape_mismatch_rejected(self):
