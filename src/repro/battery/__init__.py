@@ -2,7 +2,12 @@
 
 The paper attaches a Li-free thin-film battery [10] to every node and
 models it with a discrete-time approximation in the style of Benini et
-al. [8] (Sec 5.1.3).  Two battery models are provided:
+al. [8] (Sec 5.1.3).  The program runs every cell — mesh nodes,
+controller units, ``repro battery-curve`` — in the struct-of-arrays
+banks of :mod:`repro.sim.vector_bank`; this package holds what they
+share (the electrical parameters, the discharge profile, the level
+quantiser) and the two scalar models, one object per cell, which are
+the banks' test oracle:
 
 * :class:`~repro.battery.ideal.IdealBattery` — constant output voltage,
   100 % conversion efficiency until depletion.  The paper switches to

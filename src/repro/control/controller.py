@@ -5,7 +5,7 @@ One :class:`ControlPlane` owns the controller-side state of the TDMA
 mechanism (paper Sec 5.3): the last reported battery level and liveness
 of every node, the known length of every line, the blocked-port registry
 of the deadlock-recovery protocol, the cached routing plan, and the
-cells of the chain of controller units.
+cells of the controller units' fail-over chain.
 Each simulated frame the engine hands it the frame's uploads as arrays;
 the plane diffs them against its record and re-runs the routing
 algorithm *only when the reported information differs from the previous

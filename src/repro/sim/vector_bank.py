@@ -1,19 +1,22 @@
-"""Struct-of-arrays battery banks: every engine's mesh cells.
+"""Struct-of-arrays battery banks: the program's one cell model.
 
-The scalar battery models (:mod:`repro.battery`) hold one Python object
-per cell.  The engines keep their mesh cells column-wise instead, one
-NumPy array per state variable, so the parts of a TDMA frame that treat
-every cell alike run as array passes.  Each bank is the *same* battery
-model as its scalar class, arithmetic line by line — EMA smoothing,
-discharge-curve interpolation, rate-capacity penalty, death conditions:
+Every cell the program runs lives in a bank: every engine's mesh cells,
+the controllers' fail-over chain (one cell per unit; an infinite unit
+is an ideal cell of infinite capacity) and the one-cell discharges of
+``repro battery-curve``.  A bank keeps its cells column-wise, one NumPy
+array per state variable, so the parts of a TDMA frame that treat every
+cell alike run as array passes.  The scalar classes of
+:mod:`repro.battery` hold one Python object per cell and are the banks'
+test oracle: each bank is the *same* battery model as its scalar class,
+arithmetic line by line — EMA smoothing, discharge-curve interpolation,
+rate-capacity penalty, death conditions:
 
 * ``draw_one`` / ``recharge_one`` run the scalar code path on one
-  index (per-hop and compute draws, the power bus), and the other
-  ``*_one`` methods read one cell's charge, voltage and losses: the
-  engines address each mesh cell by its node id.  ``draw_one`` returns
-  ``(delivered, died)`` as a Python float and bool, like ``draw`` and
-  ``draw_uniform`` return their arrays, rather than the scalar models'
-  ``DrawResult``;
+  index (per-hop and compute draws, the power bus, the controllers),
+  and the other ``*_one`` methods read one cell's charge, voltages,
+  current and losses: the engines address each mesh cell by its node
+  id.  ``draw_one`` returns ``(delivered, died)`` as a Python float and
+  bool, like ``draw`` and ``draw_uniform`` return their arrays;
 * ``draw_uniform``, ``recharge`` and ``rest`` apply one draw, recharge
   or rest to every masked cell (the frame's status uploads and harvest
   income) and match the scalar model bit for bit: the EMA factor comes
