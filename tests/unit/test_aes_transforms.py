@@ -27,6 +27,25 @@ AFTER_ARK = bytes.fromhex("a49c7ff2689f352b6b5bea43026a5049")
 
 
 class TestStateLayout:
+    def test_column_major_layout(self):
+        # state[r][c] = input[r + 4c]: row r is bytes r, r+4, r+8, r+12,
+        # so ShiftRows keeps row 0 in place and rotates the others.
+        block = bytes(range(16))
+        shifted = shift_rows(block)
+        assert shifted == bytes.fromhex("00050a0f04090e03080d02070c01060b")
+        assert shifted[0::4] == block[0::4]
+
+    def test_state_index(self):
+        # Byte r + 4c is row r of column c: MixColumns spreads it over
+        # the four bytes of column c and touches no other column.
+        for row, column in ((0, 0), (1, 2), (3, 3)):
+            block = bytearray(16)
+            block[row + 4 * column] = 1
+            mixed = mix_columns(bytes(block))
+            own = range(4 * column, 4 * column + 4)
+            assert all(mixed[i] for i in own)
+            assert not any(mixed[i] for i in range(16) if i not in own)
+
     def test_bad_block_rejected(self):
         with pytest.raises(ValueError):
             sub_bytes(b"short")

@@ -54,6 +54,14 @@ class TestInverseLookup:
     def test_below_empty_voltage(self):
         assert LI_FREE_THIN_FILM_PROFILE.dod_at_voltage(1.0) == 1.0
 
+    def test_usable_fraction(self):
+        # The fraction of the cell used up when it reads 3.0 V lies past
+        # the 3.4-3.8 V plateau; at 4.5 V none of it is.
+        profile = LI_FREE_THIN_FILM_PROFILE
+        used = profile.dod_at_voltage(3.0)
+        assert 0.6 < used < 1.0
+        assert profile.voltage_at(used) == pytest.approx(3.0, abs=1e-6)
+        assert profile.dod_at_voltage(4.5) == 0.0
 
 
 class TestValidation:

@@ -239,6 +239,10 @@ class TestControlPlane:
         assert outcome.controllers_alive == 0
         assert outcome.active_controller is None
 
+    def test_empty_chain_rejected(self):
+        with pytest.raises(ConfigurationError):
+            make_control_plane(cells=IdealBatteryBank(0, math.inf))
+
     def test_frames_before_bootstrap_rejected(self):
         plane = make_control_plane()
         with pytest.raises(ConfigurationError):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.control.tdma import TdmaSchedule
 from repro.errors import ConfigurationError
 from repro.link.energy import LinkEnergyModel
 from repro.link.packet import PacketFormat
@@ -107,6 +108,16 @@ class TestLinkEnergyModel:
         # DESIGN.md: Table 2 implies ~116.7 pJ per hop at the default
         # 2.045 cm pitch.
         assert model.hop_energy_pj(2.045) == pytest.approx(116.7, abs=0.5)
+
+    def test_bits_energy_for_control_medium(self):
+        # The shared control medium is priced per switched bit by the
+        # same line model as a data hop: 4 bits over a 1 cm segment.
+        model = LinkEnergyModel()
+        per_bit = TdmaSchedule(num_nodes=16, medium_segment_cm=1.0).energy_per_bit_pj
+        assert 4 * per_bit == pytest.approx(4 * 0.4472)
+        assert model.hop_energy_pj(1.0) == pytest.approx(
+            per_bit * model.packet.switched_bits
+        )
 
     def test_hop_cycles_serial_line(self):
         assert LinkEnergyModel().hop_cycles() == 128

@@ -115,6 +115,27 @@ class TestThinFilmParity:
         assert bank.soc_one(0) == reference.state_of_charge
         assert bank.voltage_one(0) == reference.voltage
 
+    def test_open_circuit_voltage_matches_scalar_cell(self):
+        bank, scalars = thin_film_pair(count=1)
+        reference = scalars[0]
+        while reference.alive:
+            assert bank.ocv_one(0) == reference.open_circuit_voltage
+            bank.draw_one(0, 250.0, 64.0)
+            reference.draw(250.0, 64.0)
+        assert bank.ocv_one(0) == reference.open_circuit_voltage
+
+    def test_smoothed_current_matches_scalar_cell(self):
+        bank, scalars = thin_film_pair(count=1)
+        reference = scalars[0]
+        for energy, duration in ((150.0, 128.0), (90.0, 64.0), (400.0, 32.0)):
+            bank.draw_one(0, energy, duration)
+            reference.draw(energy, duration)
+            assert bank.current_ma_one(0) == reference.smoothed_current_ma
+            bank.rest(512.0, np.array([True]))
+            reference.rest(512.0)
+            assert bank.current_ma_one(0) == reference.smoothed_current_ma
+        assert bank.current_ma_one(0) > 0.0
+
     def test_dead_cell_scalar_draw_raises(self):
         bank, _ = thin_film_pair(count=1)
         bank.alive[0] = False
@@ -179,6 +200,14 @@ class TestBankBuilder:
         infinite = build_battery_bank("infinite", 4, 60_000.0, params)
         assert isinstance(infinite, IdealBatteryBank)
         assert infinite.capacity_pj == math.inf
+
+    def test_infinite_cells_deliver_every_draw(self):
+        cells = build_battery_bank("infinite", 2, 1.0, ThinFilmParameters())
+        for energy in (0.1, 1e12, 3.5):
+            assert cells.draw_one(1, energy, 64.0) == (energy, False)
+        assert cells.delivered.tolist() == [0.0, 0.1 + 1e12 + 3.5]
+        assert cells.alive.all()
+        assert cells.soc_one(1) == 1.0
 
     def test_builder_applies_the_platform_capacity(self):
         platform = PlatformConfig(battery_capacity_pj=1234.0)

@@ -34,6 +34,23 @@ class TestNetworkView:
         view = build_view()
         assert view.num_nodes == 16
 
+    def test_alive_nodes_filters(self):
+        alive = np.ones(16, dtype=bool)
+        alive[[2, 5]] = False
+        view = build_view(alive=alive)
+        living = np.flatnonzero(view.alive).tolist()
+        assert 2 not in living
+        assert 5 not in living
+        assert len(living) == 14
+
+    def test_with_blocked_ports(self):
+        view = build_view()
+        blocked = frozenset({(0, 1)})
+        updated = replace(view, blocked_ports=blocked)
+        assert updated.blocked_ports == blocked
+        assert view.blocked_ports == frozenset()
+        assert updated.levels == view.levels
+
     def test_edge_lengths_follow_the_neighbour_table(self):
         view = build_view()
         assert np.array_equal(
