@@ -114,6 +114,35 @@ class TestTraceDeterminism:
         assert traces[0] == traces[1]
         assert traces[0], "a traced run must produce trace lines"
 
+    def test_every_timer_fires_once_per_step_it_times(self):
+        """The lock hashes traces without their timers, so this counts
+        them: one ``plan-compute`` and one ``shortest-paths`` per plan
+        (every recompute plus the bootstrap), one ``frame-step`` per
+        frame, and on the vector engine one ``bank-draw`` per frame plus
+        the flush at finalisation."""
+        for engine_name, variant in ENGINE_VARIANTS.items():
+            config = make_config(
+                concurrency=2 if engine_name == "concurrent" else 1,
+                max_jobs=6,
+                **variant,
+            )
+            recorder = TraceRecorder()
+            stats = run_simulation(config, recorder)
+            counts = {
+                name: timer["count"]
+                for name, timer in recorder.timer_stats().items()
+            }
+            plans = stats.recompute_count + 1
+            expected = {
+                "frame-step": stats.lifetime_frames,
+                "plan-compute": plans,
+                "shortest-paths": plans,
+            }
+            if engine_name == "vector":
+                expected["bank-draw"] = stats.lifetime_frames + 1
+            assert counts == expected, engine_name
+            assert stats.recompute_count > 0, engine_name
+
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=50_000))
     def test_timers_stay_out_of_the_deterministic_channel(self, seed):
