@@ -76,24 +76,6 @@ class DischargeProfile:
         frac = (dod - d0) / (d1 - d0)
         return v0 + frac * (v1 - v0)
 
-    def dod_at_voltage(self, voltage: float) -> float:
-        """Smallest DoD at which the open-circuit voltage falls to
-        ``voltage`` (inverse of :meth:`voltage_at` on the non-increasing
-        curve).  Returns 0.0 if the cell starts below ``voltage`` and 1.0
-        if it never drops that low.
-        """
-        if voltage >= self.full_voltage:
-            return 0.0
-        if voltage < self.empty_voltage:
-            return 1.0
-        for (d0, v0), (d1, v1) in zip(self.points, self.points[1:]):
-            if v1 <= voltage <= v0:
-                if abs(v0 - v1) < 1e-12:
-                    return d0
-                frac = (v0 - voltage) / (v0 - v1)
-                return d0 + frac * (d1 - d0)
-        return 1.0
-
 
 #: Digitised shape of the Li-free thin-film cell discharge curve
 #: (paper Fig 2, after Neudecker, Dudney and Bates [10]): a fresh cell

@@ -13,11 +13,12 @@ sweep runner — talks to one tiny interface with three hooks:
   bank draw, sweep-point execution).
 
 The default :data:`NULL_RECORDER` keeps every hook a no-op *and* is
-gated out of the hot paths entirely: callers cache ``recorder.active``
-/ ``recorder.times`` as booleans at construction time, so a
-recorder-free run executes exactly the pre-telemetry instruction
-stream — bit-identical results, benchmark-noise overhead (asserted by
-the property suite and the CI overhead guard).
+gated out of the hot paths: callers cache ``recorder.active`` /
+``recorder.times`` as booleans at construction time, and every probe,
+event, attribution row and clock read sits behind them, so a
+recorder-free run builds no trace record and reads no clock —
+bit-identical results, benchmark-noise overhead (asserted by the
+property suite and the CI overhead guard).
 
 :class:`TraceRecorder` is the shipping implementation: it accumulates
 events in memory and exports them as JSONL lines.  Determinism is a
@@ -100,32 +101,18 @@ NULL_RECORDER = NullRecorder()
 class TraceRecorder:
     """In-memory structured trace of one simulation run.
 
-    Captures the deterministic channel (frame probes, level-crossing
-    snapshots, discrete events) as plain dicts in arrival order, and
-    aggregates the non-deterministic channel (wall-clock timers) into
-    per-name count/total/min/max statistics emitted as one trailing
-    line.
-
-    Args:
-        frame_stride: Emit a ``frame`` probe every N-th frame (level
-            crossings are always recorded — they are report triggers,
-            not samples).  1 records every frame.
-        capture_timings: Keep the wall-clock channel; False drops it
-            at the source (``times`` stays False), e.g. for traces
-            meant to be byte-compared across machines.
+    Captures the deterministic channel (a probe every frame,
+    level-crossing snapshots, discrete events) as plain dicts in arrival
+    order, and aggregates the non-deterministic channel (wall-clock
+    timers) into per-name count/total/min/max statistics emitted as one
+    trailing line; :meth:`deterministic_lines` (or
+    :func:`strip_timings`) drops it.
     """
 
     active = True
+    times = True
 
-    def __init__(
-        self, frame_stride: int = 1, capture_timings: bool = True
-    ):
-        if frame_stride < 1:
-            raise ValueError(
-                f"frame_stride must be >= 1, got {frame_stride}"
-            )
-        self.frame_stride = int(frame_stride)
-        self.times = bool(capture_timings)
+    def __init__(self) -> None:
         self.events: list[dict] = []
         #: name -> [count, total_s, min_s, max_s]
         self._timers: dict[str, list[float]] = {}
@@ -149,8 +136,6 @@ class TraceRecorder:
                         "levels": _level_keys(levels),
                     }
                 )
-        if frame % self.frame_stride:
-            return
         self.events.append({"kind": "frame", "frame": frame, **fields})
 
     def event(self, event: str, frame: int, **fields: Any) -> None:

@@ -23,9 +23,11 @@ class TestLiFreeProfile:
 
     def test_crosses_death_threshold_near_end(self):
         # The 3.0 V threshold must sit deep into the discharge so an
-        # unloaded cell wastes little (paper Fig 2 shape).
-        dod = LI_FREE_THIN_FILM_PROFILE.dod_at_voltage(3.0)
-        assert 0.9 < dod < 1.0
+        # unloaded cell wastes little (paper Fig 2 shape): the
+        # non-increasing curve is still above it at 90 % DoD and below
+        # it when empty, so it crosses it past 90 %.
+        profile = LI_FREE_THIN_FILM_PROFILE
+        assert profile.voltage_at(0.9) > 3.0 > profile.voltage_at(1.0)
 
     def test_plateau_region(self):
         # Mid-discharge voltage sits in the 3.4-3.8 V plateau.
@@ -37,31 +39,6 @@ class TestLiFreeProfile:
         profile = LI_FREE_THIN_FILM_PROFILE
         assert profile.voltage_at(-0.5) == profile.full_voltage
         assert profile.voltage_at(1.5) == profile.empty_voltage
-
-
-class TestInverseLookup:
-    def test_round_trip(self):
-        profile = LI_FREE_THIN_FILM_PROFILE
-        for dod in (0.1, 0.35, 0.6, 0.9):
-            voltage = profile.voltage_at(dod)
-            assert profile.dod_at_voltage(voltage) == pytest.approx(
-                dod, abs=1e-6
-            )
-
-    def test_above_full_voltage(self):
-        assert LI_FREE_THIN_FILM_PROFILE.dod_at_voltage(5.0) == 0.0
-
-    def test_below_empty_voltage(self):
-        assert LI_FREE_THIN_FILM_PROFILE.dod_at_voltage(1.0) == 1.0
-
-    def test_usable_fraction(self):
-        # The fraction of the cell used up when it reads 3.0 V lies past
-        # the 3.4-3.8 V plateau; at 4.5 V none of it is.
-        profile = LI_FREE_THIN_FILM_PROFILE
-        used = profile.dod_at_voltage(3.0)
-        assert 0.6 < used < 1.0
-        assert profile.voltage_at(used) == pytest.approx(3.0, abs=1e-6)
-        assert profile.dod_at_voltage(4.5) == 0.0
 
 
 class TestValidation:

@@ -59,23 +59,8 @@ class TestTraceRecorder:
         assert lines[0]["schema"] == 1
         assert lines[0]["command"] == "simulate"
 
-    def test_frame_stride_subsamples_probes(self):
-        recorder = TraceRecorder(frame_stride=3)
-        for frame in range(7):
-            recorder.frame(frame, alive=4)
-        frames = [
-            line["frame"]
-            for line in recorder.lines()
-            if line["kind"] == "frame"
-        ]
-        assert frames == [0, 3, 6]
-
-    def test_frame_stride_must_be_positive(self):
-        with pytest.raises(ValueError, match="frame_stride"):
-            TraceRecorder(frame_stride=0)
-
     def test_level_snapshots_are_deduplicated(self):
-        recorder = TraceRecorder(frame_stride=10)
+        recorder = TraceRecorder()
         levels_a = {(0, 1): 2, (1, 2): 0}
         recorder.frame(0, alive=4, load_levels=levels_a)
         recorder.frame(1, alive=4, load_levels=dict(levels_a))
@@ -87,14 +72,6 @@ class TestTraceRecorder:
         assert [line["frame"] for line in level_lines] == [0, 2]
         assert level_lines[0]["metric"] == "load"
         assert level_lines[0]["levels"] == {"0-1": 2, "1-2": 0}
-
-    def test_level_crossings_ignore_the_frame_stride(self):
-        recorder = TraceRecorder(frame_stride=100)
-        recorder.frame(1, alive=4, wear_levels={(0, 1): 1})
-        recorder.frame(2, alive=4, wear_levels={(0, 1): 2})
-        kinds = [line["kind"] for line in recorder.lines()]
-        # Both crossings recorded; neither frame probe sampled.
-        assert kinds == ["levels", "levels"]
 
     def test_timers_aggregate_per_name(self):
         recorder = TraceRecorder()
@@ -115,12 +92,6 @@ class TestTraceRecorder:
         lines = recorder.lines()
         assert lines[-1]["kind"] == "timers"
         assert sum(1 for li in lines if li["kind"] == "timers") == 1
-
-    def test_capture_timings_false_drops_the_channel(self):
-        recorder = TraceRecorder(capture_timings=False)
-        assert recorder.times is False
-        recorder.frame(0, alive=4)
-        assert all(li["kind"] != "timers" for li in recorder.lines())
 
     def test_deterministic_lines_strip_the_wallclock_channel(self):
         recorder = TraceRecorder()
