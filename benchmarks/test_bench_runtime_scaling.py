@@ -17,7 +17,8 @@ import time
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.core.engines import EnergyAwareRouting
+from repro.core.costs import CostPipeline
+from repro.core.engines import RoutingEngine
 from repro.core.trees import line_slots
 from repro.core.view import NetworkView
 from repro.mesh.mapping import checkerboard_mapping
@@ -42,7 +43,7 @@ def make_view(width: int) -> NetworkView:
 
 def test_routing_runtime_8x8(benchmark, reporter):
     """pytest-benchmark timing of one recomputation on the 8x8 mesh."""
-    engine = EnergyAwareRouting()
+    engine = RoutingEngine(CostPipeline.ear())
     view = make_view(8)
     benchmark(engine.compute_plan, view)
 

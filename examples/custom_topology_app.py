@@ -17,7 +17,7 @@ Run:  python examples/custom_topology_app.py
 
 import numpy as np
 
-from repro import ApplicationProfile, EnergyAwareRouting, theorem1
+from repro import ApplicationProfile, CostPipeline, RoutingEngine, theorem1
 from repro.core.trees import line_slots
 from repro.core.view import NetworkView
 from repro.core.weights import BatteryWeightFunction
@@ -66,7 +66,9 @@ def main() -> None:
         )
     )
 
-    engine = EnergyAwareRouting(BatteryWeightFunction(q=1.8, levels=8))
+    engine = RoutingEngine(
+        CostPipeline.ear(BatteryWeightFunction(q=1.8, levels=8))
+    )
     # The fabric's neighbour table and line lengths, built once.
     neighbors, lengths = line_slots(sleeve)
 

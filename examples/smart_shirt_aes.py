@@ -19,14 +19,9 @@ the shirt under EAR vs SDR.
 Run:  python examples/smart_shirt_aes.py
 """
 
-from repro import (
-    PlatformConfig,
-    SimulationConfig,
-    WorkloadConfig,
-    run_simulation,
-)
+from repro import PlatformConfig, SimulationConfig, WorkloadConfig
 from repro.aes.dataflow import MODULE_NAMES
-from repro.sim.et_sim import EtSim
+from repro.sim.registry import build_engine
 
 
 def shirt_config(routing: str) -> SimulationConfig:
@@ -52,7 +47,7 @@ def main() -> None:
 
     lifetimes = {}
     for routing in ("ear", "sdr"):
-        engine = EtSim(shirt_config(routing)).build_engine()
+        engine = build_engine(shirt_config(routing))
         stats = engine.run()
         lifetimes[routing] = stats
 

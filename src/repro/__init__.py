@@ -31,17 +31,13 @@ from .config import (
     SimulationConfig,
     WorkloadConfig,
 )
-from .core.engines import (
-    EnergyAwareRouting,
-    RoutingEngine,
-    ShortestDistanceRouting,
-    routing_engine,
-)
+from .core.costs import CostPipeline
+from .core.engines import RoutingEngine
 from .core.parameters import ApplicationProfile
 from .core.upper_bound import UpperBoundResult, optimize_duplicates, theorem1
 from .core.weights import BatteryWeightFunction
 from .errors import ReproError
-from .sim.et_sim import EtSim, run_simulation
+from .sim.et_sim import run_simulation
 from .sim.stats import SimulationStats
 from .version import PAPER_CITATION, __version__
 
@@ -49,20 +45,17 @@ __all__ = [
     "ApplicationProfile",
     "BatteryWeightFunction",
     "ControlConfig",
-    "EnergyAwareRouting",
-    "EtSim",
+    "CostPipeline",
     "PAPER_CITATION",
     "PlatformConfig",
     "ReproError",
     "RoutingEngine",
-    "ShortestDistanceRouting",
     "SimulationConfig",
     "SimulationStats",
     "UpperBoundResult",
     "WorkloadConfig",
     "__version__",
     "optimize_duplicates",
-    "routing_engine",
     "run_simulation",
     "theorem1",
 ]

@@ -195,31 +195,6 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def _compute_plan_traced(self) -> tuple[RoutingPlan, list[dict]]:
-        """Run the routing engine with the trace/timer hooks attached.
-
-        Only called when the recorder is live: the recorder-free path
-        keeps calling ``compute_plan(view)`` with no extra arguments,
-        so its instruction stream is untouched.  Returns the plan plus
-        the per-term weight attribution rows.
-        """
-        attribution: list[dict] = []
-        observer = self._term_observer(attribution) if self._trace else None
-        timer = self._recorder.timing if self._timed else None
-        if self._timed:
-            started = time.perf_counter()
-            plan = self._engine.compute_plan(
-                self.view(), term_observer=observer, timer=timer
-            )
-            self._recorder.timing(
-                "plan-compute", time.perf_counter() - started
-            )
-        else:
-            plan = self._engine.compute_plan(
-                self.view(), term_observer=observer, timer=timer
-            )
-        return plan, attribution
-
     @staticmethod
     def _term_observer(sink: list[dict]):
         """Per-term weight-attribution callback for the cost pipeline.
@@ -260,24 +235,35 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # Protocol
     # ------------------------------------------------------------------
+    def _compute_plan(self) -> list[dict]:
+        """Put in force a plan computed from the current view.
+
+        The one place a plan is computed: the engine gets the trace's
+        term observer and the recorder's timer when the recorder has
+        them, and None otherwise.  Returns the per-term weight
+        attribution rows (empty without a trace).
+        """
+        attribution: list[dict] = []
+        observer = self._term_observer(attribution) if self._trace else None
+        timer = self._recorder.timing if self._timed else None
+        started = time.perf_counter() if timer is not None else 0.0
+        self._plan = self._engine.compute_plan(self.view(), observer, timer)
+        if timer is not None:
+            timer("plan-compute", time.perf_counter() - started)
+        return attribution
+
     def bootstrap(self) -> RoutingPlan:
         """Initial route computation and full table download (frame -1).
 
         The bootstrap is free of charge: the paper collects performance
         data from a fully initialised system.
         """
-        if self._trace or self._timed:
-            self._plan, attribution = self._compute_plan_traced()
-            if self._trace:
-                self._change_causes.clear()
-                self._recorder.event(
-                    "replan",
-                    frame=-1,
-                    causes=["bootstrap"],
-                    terms=attribution,
-                )
-        else:
-            self._plan = self._engine.compute_plan(self.view())
+        attribution = self._compute_plan()
+        if self._trace:
+            self._change_causes.clear()
+            self._recorder.event(
+                "replan", frame=-1, causes=["bootstrap"], terms=attribution
+            )
         self._last_tables = self._tables_of(self._plan)
         return self._plan
 
@@ -384,12 +370,7 @@ class ControlPlane:
         entries_sent = 0
         recomputed = False
         if changed:
-            if trace or self._timed:
-                self._plan, attribution = self._compute_plan_traced()
-                causes = sorted(self._change_causes)
-                self._change_causes.clear()
-            else:
-                self._plan = self._engine.compute_plan(self.view())
+            attribution = self._compute_plan()
             self._recompute_count += 1
             recomputed = True
             energy["compute"] = self._energy_model.route_compute_energy_pj(
@@ -415,6 +396,8 @@ class ControlPlane:
                 # from the record, and every deadlock flag.
                 reported = moved | flipped
                 reported[list(flags)] = True
+                causes = sorted(self._change_causes)
+                self._change_causes.clear()
                 self._recorder.event(
                     "replan",
                     frame=frame,

@@ -34,12 +34,7 @@ from .costs import (
     CostTerm,
     LevelChannel,
 )
-from .engines import (
-    EnergyAwareRouting,
-    RoutingEngine,
-    ShortestDistanceRouting,
-    routing_engine,
-)
+from .engines import RoutingEngine
 from .parameters import ApplicationProfile
 from .phase3 import EcmpSelector, RoutingPlan, select_destinations
 from .trees import ShortestPathTrees, line_slots, shortest_path_trees
@@ -57,17 +52,14 @@ __all__ = [
     "CostPipeline",
     "CostTerm",
     "EcmpSelector",
-    "EnergyAwareRouting",
     "LevelChannel",
     "NetworkView",
     "RoutingEngine",
     "RoutingPlan",
-    "ShortestDistanceRouting",
     "ShortestPathTrees",
     "UpperBoundResult",
     "line_slots",
     "optimize_duplicates",
-    "routing_engine",
     "select_destinations",
     "shortest_path_trees",
     "theorem1",

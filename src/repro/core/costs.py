@@ -238,10 +238,12 @@ CONGESTION_CHANNEL = LevelChannel(
 class CostPipeline:
     """Ordered composition of cost terms over the live edge lengths.
 
-    The empty pipeline is exactly SDR: the weights are the live
-    subgraph's line lengths.  ``CostPipeline.ear(...)`` builds the EAR
-    composition: the battery term, then the given level channels in
-    order.
+    The pipeline is all that tells EAR from SDR: a
+    :class:`~repro.core.engines.RoutingEngine` runs phases 2 and 3 the
+    same way over whatever weights its pipeline returns.  The empty
+    pipeline is exactly SDR: the weights are the live subgraph's line
+    lengths.  ``CostPipeline.ear(...)`` builds the EAR composition: the
+    battery term, then the given level channels in order.
     """
 
     terms: tuple = ()
@@ -294,13 +296,6 @@ class CostPipeline:
                     observer(term.name, weights, scaled)
                 weights = scaled
         return weights
-
-    def term(self, name: str) -> CostTerm | None:
-        """First term with the given name, or None."""
-        for term in self.terms:
-            if term.name == name:
-                return term
-        return None
 
     def __repr__(self) -> str:
         names = "+".join(term.name for term in self.terms) or "sdr"

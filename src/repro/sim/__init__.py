@@ -22,12 +22,13 @@ struct-of-arrays bank, lines, TDMA control, routing):
 Engines are selected by name through
 :data:`~repro.sim.registry.ENGINE_REGISTRY`
 (``SimulationConfig.engine``, ``"auto"`` resolving to the workload's
-historical engine).  :func:`~repro.sim.et_sim.run_simulation` builds a
-platform from a :class:`~repro.config.SimulationConfig` and runs it to
-system death.
+historical engine).  :func:`~repro.sim.registry.build_engine` builds
+the engine a :class:`~repro.config.SimulationConfig` selects, and
+:func:`~repro.sim.et_sim.run_simulation` builds it, runs it to system
+death and checks every completed job's ciphertext.
 """
 
-from .et_sim import EtSim, run_simulation
+from .et_sim import run_simulation
 from .job import Job
 from .registry import ENGINE_REGISTRY, build_engine
 from .stats import EnergyLedger, NodeStats, SimulationStats
@@ -36,7 +37,6 @@ from .workload import JobFactory
 __all__ = [
     "ENGINE_REGISTRY",
     "EnergyLedger",
-    "EtSim",
     "Job",
     "JobFactory",
     "NodeStats",

@@ -40,7 +40,8 @@ import numpy as np
 from ..battery.monitor import BatteryLevelQuantizer
 from ..config import SimulationConfig
 from ..control.controller import ControlPlane
-from ..core.engines import EnergyAwareRouting, ShortestDistanceRouting
+from ..core.costs import CostPipeline
+from ..core.engines import RoutingEngine
 from ..core.parameters import ApplicationProfile
 from ..core.trees import line_slots
 from ..errors import DeadNodeError, SimulationError
@@ -100,8 +101,7 @@ class EngineBase:
         platform = config.platform
         #: Telemetry sink; the do-nothing default is gated out of every
         #: hot path through the two cached booleans below, so a
-        #: recorder-free run executes the pre-telemetry instruction
-        #: stream bit for bit.
+        #: recorder-free run builds no trace record and reads no clock.
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._trace = bool(self.recorder.active)
         self._timed = bool(self.recorder.times)
@@ -175,18 +175,20 @@ class EngineBase:
         channels = (
             config.level_channels() if config.routing == "ear" else ()
         )
-        routing_engine = (
-            EnergyAwareRouting(config.weight_function(), channels)
+        # EAR and SDR differ only in the cost pipeline: SDR's is empty.
+        pipeline = (
+            CostPipeline.ear(config.weight_function(), channels)
             if config.routing == "ear"
-            else ShortestDistanceRouting()
+            else CostPipeline()
         )
-        if config.routing_opts.ecmp:
-            routing_engine.configure_ecmp(config.routing_opts.ecmp_seed)
+        opts = config.routing_opts
         self.control = ControlPlane(
             neighbors=self._neighbors,
             edge_lengths=pristine,
             mapping=self.mapping,
-            engine=routing_engine,
+            engine=RoutingEngine(
+                pipeline, ecmp_seed=opts.ecmp_seed if opts.ecmp else None
+            ),
             levels=platform.battery_levels,
             schedule=self.schedule,
             energy_model=config.control.energy,

@@ -1,52 +1,39 @@
-"""et_sim facade: build and run a configured platform.
+"""et_sim's one-call entry point: build a configured platform and run it.
 
-:class:`EtSim` resolves the engine through the registry
-(:data:`~repro.sim.registry.ENGINE_REGISTRY`): ``config.engine`` picks
-it by name, with ``"auto"`` keeping the historical workload-kind
-mapping (the paper's main experiments use the sequential engine, the
-deadlock experiments the concurrent one).  :func:`run_simulation` is
-the one-call entry point used by the examples, the benches and the CLI.
+:func:`run_simulation` builds the engine ``config.engine`` selects
+through the registry (:func:`~repro.sim.registry.build_engine`, where
+``"auto"`` keeps the historical workload-kind mapping: the paper's main
+experiments use the sequential engine, the deadlock experiments the
+concurrent one), runs it to system death and checks every completed
+job's ciphertext.  The examples, the benches and the CLI run through it.
 """
 
 from __future__ import annotations
 
 from ..config import SimulationConfig
-from ..errors import ConfigurationError
+from ..errors import SimulationError
+from . import registry
 from .stats import SimulationStats
-
-
-class EtSim:
-    """One configured e-textile platform, ready to run.
-
-    ``recorder`` is an optional telemetry sink (see
-    :mod:`repro.telemetry`); None keeps the zero-overhead null
-    recorder, preserving historical behaviour bit for bit.
-    """
-
-    def __init__(self, config: SimulationConfig, recorder=None):
-        self.config = config
-        self.recorder = recorder
-
-    def build_engine(self):
-        """Instantiate the engine ``config.engine`` selects."""
-        from .registry import build_engine
-
-        return build_engine(self.config, self.recorder)
-
-    def run(self) -> SimulationStats:
-        """Simulate until system death (or budget) and return statistics."""
-        engine = self.build_engine()
-        stats = engine.run()
-        if stats.verification_failures:
-            raise ConfigurationError(
-                f"{stats.verification_failures} completed jobs failed AES "
-                "verification — the simulator corrupted data"
-            )
-        return stats
 
 
 def run_simulation(
     config: SimulationConfig, recorder=None
 ) -> SimulationStats:
-    """Build a platform from ``config`` and run it to completion."""
-    return EtSim(config, recorder).run()
+    """Build a platform from ``config`` and run it to completion.
+
+    ``recorder`` is an optional telemetry sink (see
+    :mod:`repro.telemetry`); None keeps the zero-overhead null recorder.
+
+    Raises:
+        SimulationError: A completed job failed AES verification: the
+            simulator corrupted data.
+    """
+    # Looked up on the module at call time, so a wrapper installed on
+    # ``registry.build_engine`` after import sees every build.
+    stats = registry.build_engine(config, recorder).run()
+    if stats.verification_failures:
+        raise SimulationError(
+            f"{stats.verification_failures} completed jobs failed AES "
+            "verification — the simulator corrupted data"
+        )
+    return stats

@@ -1,9 +1,8 @@
 """First-class engine registry.
 
-Engine choice used to be an implicit function of the workload kind,
-buried in ``EtSim.build_engine``.  The registry makes it an explicit,
-extensible mapping from engine *names* to builders, shared by the
-facade, the sweep runner and the CLI: ``SimulationConfig.engine``
+An explicit, extensible mapping from engine *names* to builders, the
+one way :func:`~repro.sim.et_sim.run_simulation` (and through it the
+sweep runner and the CLI) builds an engine: ``SimulationConfig.engine``
 selects by name (``"auto"`` resolving to the workload's historical
 engine), and unknown names fail with the full list of valid ones.
 

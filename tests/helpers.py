@@ -120,9 +120,3 @@ def make_config(
     )
 
 
-def build_engine(config: SimulationConfig):
-    """The engine ``config`` selects (via the registry), built but not
-    run — for tests that poke at engine internals."""
-    from repro.sim.et_sim import EtSim
-
-    return EtSim(config).build_engine()

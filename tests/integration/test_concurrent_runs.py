@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import build_engine, make_config
+from helpers import make_config
 from repro.sim.et_sim import run_simulation
+from repro.sim.registry import build_engine
 
 
 def concurrent_config(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import build_engine, make_config
+from helpers import make_config
 from repro.analysis.faults import (
     fault_free_twin,
     fault_impact,
@@ -20,6 +20,7 @@ from repro.core.trees import line_slots
 from repro.faults import FaultConfig
 from repro.faults.schedule import FaultEvent, FaultRuntime, FaultSchedule
 from repro.sim.et_sim import run_simulation
+from repro.sim.registry import build_engine
 
 
 def knows_the_pristine_fabric(engine) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import replace as dc_replace
 
 import pytest
 
-from helpers import build_engine, make_config
+from helpers import make_config
 from repro.analysis import (
     harvest_comparison,
     harvest_comparison_for,
@@ -23,6 +23,7 @@ from repro.analysis import (
 from repro.harvest import HarvestConfig
 from repro.orchestration import build_scenario
 from repro.sim.et_sim import run_simulation
+from repro.sim.registry import build_engine
 
 
 def motion_config(**kwargs):

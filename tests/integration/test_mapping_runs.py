@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from helpers import build_engine, make_config
+from helpers import make_config
 from repro.analysis import (
     income_mapping_twin,
     mapping_comparison,
@@ -21,6 +21,7 @@ from repro.analysis import (
 from repro.harvest import HarvestConfig, HarvestHardware
 from repro.orchestration import build_scenario
 from repro.sim.et_sim import run_simulation
+from repro.sim.registry import build_engine
 
 
 def mapping_config(strategy="harvest-proportional", **kwargs):

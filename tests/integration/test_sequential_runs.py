@@ -2,9 +2,10 @@
 
 import pytest
 
-from helpers import build_engine, make_config
+from helpers import make_config
 from repro.config import ControlConfig
 from repro.sim.et_sim import run_simulation
+from repro.sim.registry import build_engine
 
 
 def run(width=4, routing="ear", battery="thin-film", **workload_kwargs):

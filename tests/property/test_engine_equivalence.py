@@ -34,9 +34,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_engine, make_config
+from helpers import make_config
 from repro.faults import FaultConfig, build_fault_schedule
 from repro.harvest import HarvestConfig, HarvestHardware, build_harvest_schedule
+from repro.sim.registry import build_engine
 
 #: The three engine variants under comparison, as make_config kwargs:
 #: the vector engine runs the sequential workload, selected by name.

@@ -22,7 +22,8 @@ from repro.battery.ideal import IdealBattery
 from repro.battery.thin_film import ThinFilmBattery, ThinFilmParameters
 from repro.errors import ConfigurationError
 from repro.harvest import HarvestConfig, HarvestHardware
-from repro.sim.et_sim import EtSim
+from repro.sim.et_sim import run_simulation
+from repro.sim.registry import build_engine
 
 
 def batteries():
@@ -117,15 +118,15 @@ def test_zero_amplitude_harvest_is_bit_identical_to_none(
         max_jobs=6,
         seed=seed,
     )
-    plain = EtSim(base).run().summary()
-    zero = EtSim(
+    plain = run_simulation(base).summary()
+    zero = run_simulation(
         replace(
             base,
             harvest=HarvestConfig(
                 profile=profile, seed=seed, amplitude_pj=0.0
             ),
         )
-    ).run().summary()
+    ).summary()
     assert zero == plain
 
 
@@ -150,7 +151,7 @@ def test_energy_conservation_includes_the_harvested_term(
             profile=profile, seed=seed, amplitude_pj=amplitude
         ),
     )
-    engine = EtSim(config).build_engine()
+    engine = build_engine(config)
     stats = engine.run()
     ledger = stats.energy
     nominal = (
@@ -212,7 +213,7 @@ def test_multi_hop_bus_per_hop_losses_sum_exactly(
             share_max_hops=max_hops,
         ),
     )
-    engine = EtSim(config).build_engine()
+    engine = build_engine(config)
     stats = engine.run()
     ledger = stats.energy
     # Per-hop accounting: hop losses + rejected arrivals == total loss.
@@ -270,7 +271,7 @@ def test_non_equipped_nodes_never_harvest(
             ),
         ),
     )
-    engine = EtSim(config).build_engine()
+    engine = build_engine(config)
     stats = engine.run()
     equipped = engine.harvest_schedule.hardware
     mesh = config.platform.num_mesh_nodes
@@ -320,4 +321,4 @@ def test_all_equipped_hardware_is_bit_identical_to_default(
             ),
         ),
     )
-    assert EtSim(base).run().summary() == EtSim(explicit).run().summary()
+    assert run_simulation(base).summary() == run_simulation(explicit).summary()

@@ -15,7 +15,8 @@ from repro.config import (
     SimulationConfig,
     WorkloadConfig,
 )
-from repro.sim.et_sim import EtSim
+from repro.sim.et_sim import run_simulation
+from repro.sim.registry import build_engine
 
 
 @st.composite
@@ -46,7 +47,7 @@ def small_configs(draw):
 @settings(max_examples=20, deadline=None)
 @given(small_configs())
 def test_simulation_never_beats_theorem1(config):
-    stats = EtSim(config).run()
+    stats = run_simulation(config)
     bound = bound_for(config)
     assert stats.jobs_fractional <= bound.jobs + 1e-6
 
@@ -54,7 +55,7 @@ def test_simulation_never_beats_theorem1(config):
 @settings(max_examples=20, deadline=None)
 @given(small_configs())
 def test_energy_conservation_holds(config):
-    engine = EtSim(config).build_engine()
+    engine = build_engine(config)
     stats = engine.run()
     nominal = (
         config.platform.battery_capacity_pj
@@ -71,14 +72,14 @@ def test_energy_conservation_holds(config):
 @settings(max_examples=15, deadline=None)
 @given(small_configs())
 def test_all_completed_jobs_verify(config):
-    stats = EtSim(config).run()
+    stats = run_simulation(config)
     assert stats.verification_failures == 0
 
 
 @settings(max_examples=15, deadline=None)
 @given(small_configs())
 def test_death_cause_is_always_classified(config):
-    stats = EtSim(config).run()
+    stats = run_simulation(config)
     assert stats.death_cause in (
         "module-unreachable",
         "source-cut",

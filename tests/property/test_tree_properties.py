@@ -28,8 +28,8 @@ from dense_routing import (
     reference_select_destinations,
 )
 from repro.control.controller import ControlPlane
-from repro.core.costs import WEAR_CHANNEL
-from repro.core.engines import EnergyAwareRouting, ShortestDistanceRouting
+from repro.core.costs import WEAR_CHANNEL, CostPipeline
+from repro.core.engines import RoutingEngine
 from repro.core.phase3 import (
     NO_DESTINATION,
     SINK,
@@ -267,12 +267,11 @@ def test_an_inf_slot_routes_exactly_like_a_missing_slot(routed, seed):
         view, channel_levels={"wear": at_slots(wear, view.neighbors, fill=0)}
     )
     compact = compacted(view, wear)
-    sdr = ShortestDistanceRouting()
-    ear = EnergyAwareRouting(
+    ear = CostPipeline.ear(
         BatteryWeightFunction(q=1.5, levels=8), channels=(WEAR_CHANNEL,)
     )
-    for engine in (sdr, ear):
-        engine.configure_ecmp(seed)
+    for pipeline in (CostPipeline(), ear):
+        engine = RoutingEngine(pipeline, ecmp_seed=seed)
         assert plan_record(engine, fixed) == plan_record(engine, compact)
 
 

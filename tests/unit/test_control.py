@@ -23,7 +23,7 @@ from repro.core.costs import (
     WEAR_CHANNEL,
     CostPipeline,
 )
-from repro.core.engines import EnergyAwareRouting
+from repro.core.engines import RoutingEngine
 from repro.core.trees import line_slots
 from repro.core.view import NetworkView
 from repro.core.weights import BatteryWeightFunction
@@ -123,7 +123,7 @@ def make_control_plane(
         neighbors=neighbors,
         edge_lengths=lengths if edge_lengths is None else edge_lengths,
         mapping=mapping,
-        engine=EnergyAwareRouting(),
+        engine=RoutingEngine(CostPipeline.ear()),
         levels=8,
         schedule=TdmaSchedule(num_nodes=16),
         energy_model=energy_model or ControllerEnergyModel(),

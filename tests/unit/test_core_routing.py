@@ -21,11 +21,7 @@ from dense_routing import (
 )
 from helpers import make_view
 from repro.core.costs import WEAR_CHANNEL, CostPipeline
-from repro.core.engines import (
-    EnergyAwareRouting,
-    ShortestDistanceRouting,
-    routing_engine,
-)
+from repro.core.engines import RoutingEngine
 from repro.core.phase3 import NO_DESTINATION, SINK, select_destinations
 from repro.core.trees import line_slots, shortest_path_trees
 from repro.core.weights import BatteryWeightFunction
@@ -123,17 +119,17 @@ class TestWearWeightFunction:
             view, wear=at_slots(wear, neighbors, fill=0)
         )
         g = replace(WEAR_CHANNEL, q=1.5)
-        engine = EnergyAwareRouting(channels=(g,))
-        weights = dense_of(engine.weight_matrix(worn_view), neighbors)
+        pipeline = CostPipeline.ear(channels=(g,))
+        weights = dense_of(pipeline.weight_matrix(worn_view), neighbors)
         reactive = dense_of(
-            EnergyAwareRouting().weight_matrix(worn_view), neighbors
+            CostPipeline.ear().weight_matrix(worn_view), neighbors
         )
         assert weights[0, 1] == pytest.approx(reactive[0, 1] * 1.5**3)
         assert weights[2, 3] == pytest.approx(reactive[2, 3])
-        # Without wear data in the view, the wear engine is reactive.
+        # Without wear data in the view, the wear pipeline is reactive.
         assert np.array_equal(
-            engine.weight_matrix(full_view),
-            EnergyAwareRouting().weight_matrix(full_view),
+            pipeline.weight_matrix(full_view),
+            CostPipeline.ear().weight_matrix(full_view),
         )
 
 
@@ -338,7 +334,7 @@ class TestShortestPathTrees:
             ModuleMapping({0: 1, 1: 1, 2: 1}, num_modules=1),
             sink=3,
         )
-        plan = ShortestDistanceRouting().compute_plan(view)
+        plan = RoutingEngine().compute_plan(view)
         dense, successors = floyd_warshall_successors(sdr_weight_matrix(view))
         assert 0.1 + 0.2 > 0.3
         assert plan.distances[0, SINK] == dense[0, 3] == 0.3
@@ -377,7 +373,7 @@ class TestShortestPathTrees:
             blocked=frozenset({(0, 1), (0, 4)}),
             sink=source,
         )
-        plan = ShortestDistanceRouting().compute_plan(view)
+        plan = RoutingEngine().compute_plan(view)
         own = mapping4.module_of(0)
         for module in (1, 2, 3):
             if module == own:
@@ -392,14 +388,8 @@ class TestShortestPathTrees:
 
 
 class TestEngines:
-    def test_factory(self):
-        assert isinstance(routing_engine("ear"), EnergyAwareRouting)
-        assert isinstance(routing_engine("sdr"), ShortestDistanceRouting)
-        with pytest.raises(ConfigurationError):
-            routing_engine("dijkstra")
-
     def test_plan_accessors(self, full_view):
-        plan = ShortestDistanceRouting().compute_plan(full_view)
+        plan = RoutingEngine().compute_plan(full_view)
         assert plan.num_nodes == 16
         dest = plan.destination(0, 2)
         assert dest in full_view.mapping.duplicates(2)
@@ -411,7 +401,7 @@ class TestEngines:
         for dup in mapping4.duplicates(2):
             alive[dup] = False
         view = make_view(mesh4, mapping4, alive=alive)
-        plan = ShortestDistanceRouting().compute_plan(view)
+        plan = RoutingEngine().compute_plan(view)
         assert not plan.has_destination(0, 2)
         with pytest.raises(UnreachableModuleError):
             plan.destination(0, 2)
@@ -422,10 +412,10 @@ class TestEngines:
         depleted = node_id(2, 2, 4)
         levels[depleted] = 0
         view = make_view(mesh4, mapping4, levels_vector=levels)
-        ear_plan = EnergyAwareRouting(
-            BatteryWeightFunction(q=2.0, levels=8)
+        ear_plan = RoutingEngine(
+            CostPipeline.ear(BatteryWeightFunction(q=2.0, levels=8))
         ).compute_plan(view)
-        sdr_plan = ShortestDistanceRouting().compute_plan(view)
+        sdr_plan = RoutingEngine().compute_plan(view)
         origin = node_id(1, 2, 4)  # module 3, adjacent to depleted node
         # SDR still happily selects the depleted module-2 node.
         assert sdr_plan.destination(origin, 2) == depleted
@@ -433,11 +423,11 @@ class TestEngines:
         assert ear_plan.destination(origin, 2) != depleted
 
     def test_engines_identical_at_full_charge(self, full_view):
-        ear = EnergyAwareRouting().compute_plan(full_view)
-        sdr = ShortestDistanceRouting().compute_plan(full_view)
+        ear = RoutingEngine(CostPipeline.ear()).compute_plan(full_view)
+        sdr = RoutingEngine().compute_plan(full_view)
         assert np.array_equal(ear.destinations, sdr.destinations)
         assert np.allclose(ear.distances, sdr.distances)
 
     def test_repr(self):
-        assert "q=" in repr(EnergyAwareRouting())
-        assert repr(ShortestDistanceRouting())
+        assert "battery" in repr(RoutingEngine(CostPipeline.ear()))
+        assert "sdr" in repr(RoutingEngine())

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import build_engine, make_config
+from helpers import make_config
 from repro.config import ENGINE_NAMES, SimulationConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.orchestration.cache import config_hash
 from repro.sim import ENGINE_REGISTRY
-from repro.sim import build_engine as registry_build_engine
 from repro.sim.concurrent_engine import ConcurrentEngine
+from repro.sim.et_sim import run_simulation
+from repro.sim.job import Job
+from repro.sim.registry import build_engine
 from repro.sim.sequential_engine import SequentialEngine
 from repro.sim.vector_engine import VectorEngine
 
@@ -44,11 +46,26 @@ class TestRegistry:
         config = make_config()
         object.__setattr__(config, "engine", "warp")
         with pytest.raises(ConfigurationError, match="warp"):
-            registry_build_engine(config)
+            build_engine(config)
 
     def test_unknown_engine_name_is_rejected_at_config_time(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):
             make_config(engine="warp")
+
+
+class TestRunSimulation:
+    @pytest.mark.parametrize("kind", ["sequential", "concurrent"])
+    def test_a_job_failing_verification_is_a_simulation_error(
+        self, kind, monkeypatch
+    ):
+        # A corrupted ciphertext is a simulator fault, not a bad
+        # configuration.
+        monkeypatch.setattr(Job, "verify", lambda self: False)
+        config = make_config(
+            kind=kind, concurrency=2 if kind == "concurrent" else 1, max_jobs=2
+        )
+        with pytest.raises(SimulationError, match="failed AES verification"):
+            run_simulation(config)
 
 
 class TestConfigField:

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import build_engine, make_config
+from helpers import make_config
 from repro.core.costs import WEAR_CHANNEL
 from repro.core.trees import line_slots
 from repro.errors import ConfigurationError
@@ -24,6 +24,7 @@ from repro.faults.schedule import FIRST_HORIZON_FRAMES
 from repro.mesh.topology import attach_external_node, mesh2d
 from repro.orchestration import config_hash
 from repro.sim.level_estimators import WearEstimator
+from repro.sim.registry import build_engine
 
 
 class TestFaultConfig:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dense_routing import dense_of
-from helpers import build_engine, make_config, make_view
+from helpers import make_config, make_view
 from repro.config import SimulationConfig
 from repro.core.costs import HARVEST_CHANNEL, CostPipeline
 from repro.core.trees import line_slots
@@ -26,6 +26,7 @@ from repro.mesh.mapping import checkerboard_mapping
 from repro.mesh.topology import Topology, attach_external_node, mesh2d
 from repro.orchestration import config_hash
 from repro.sim.level_estimators import IncomeEstimator
+from repro.sim.registry import build_engine
 
 
 class TestHarvestConfig:

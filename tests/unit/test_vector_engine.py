@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import build_engine, make_config
+from helpers import make_config
 from repro.errors import DeadNodeError
+from repro.sim.registry import build_engine
 from repro.sim.vector_engine import VectorEngine
 
 
