@@ -22,8 +22,11 @@ it prints each side's median and quartiles, the pairs the change won
 * **regression** — the change's median is worse than the parent's by
   more than the metric's ``bound``, a fraction of the parent's median.
 
-Exits 1 when any run is incorrect or prints no result.  The script only
-reads ``perfbench/`` and ``BENCHMARK.json``; it writes neither.
+A run that prints no result line shows its exit code and last stderr
+line instead of counts, e.g. ``pair 7 change: no result (exit 1):
+RuntimeError: ...``.  When any run is incorrect or prints no result,
+the script lists every such run, prints no verdict and exits 1.  It
+only reads ``perfbench/`` and ``BENCHMARK.json``; it writes neither.
 """
 
 from __future__ import annotations
@@ -94,7 +97,11 @@ def verdict(
 def run_once(
     command: list[str], checkout: Path, workload: str, seed: int, seconds: float
 ) -> dict:
-    """One ``--trace 0`` benchmark run inside ``checkout``."""
+    """One ``--trace 0`` benchmark run inside ``checkout``.
+
+    A run that printed no result line comes back as ``{"error": ...}``,
+    naming its exit code and last stderr line.
+    """
     done = subprocess.run(
         [
             *command,
@@ -112,13 +119,16 @@ def run_once(
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(done.stderr[-2000:])
-        return {"correct": False, "attempted": 0, "failed": 1, "metrics": {}}
+        last = (done.stderr.strip().splitlines() or ["no stderr"])[-1]
+        return {"error": f"no result (exit {done.returncode}): {last}"}
     if done.returncode != 0:
         result["correct"] = False
     return result
 
 
 def describe(result: dict) -> str:
+    if "error" in result:
+        return result["error"]
     metrics = " ".join(
         f"{name}={metric['value']:.6g}"
         for name, metric in result["metrics"].items()
@@ -167,6 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((args.parent / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    failed: list[str] = []
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
@@ -178,10 +189,18 @@ def main(argv: list[str] | None = None) -> int:
                 benchmark["run_seconds"],
             )
             runs[side].append(result)
-            print(f"pair {pair + 1} {side}: {describe(result)}", flush=True)
+            line = f"pair {pair + 1} {side}: {describe(result)}"
+            print(line, flush=True)
+            if not result.get("correct", False):
+                failed.append(line)
 
-    if not all(result["correct"] for side in runs.values() for result in side):
-        print("perf_pairs: a run was incorrect or printed no result")
+    if failed:
+        print(
+            f"perf_pairs: {len(failed)} run(s) incorrect or without a "
+            "result, so no verdict:"
+        )
+        for line in failed:
+            print(f"  {line}")
         return 1
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs:")
     for metric in benchmark["end_to_end"]:

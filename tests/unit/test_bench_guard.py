@@ -8,6 +8,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import sys
 
 import pytest
 
@@ -434,3 +435,57 @@ class TestPerfPairsVerdict:
     def test_unknown_direction_rejected(self, pairs):
         with pytest.raises(ValueError):
             pairs.verdict([1.0], [1.0], "faster", 0.25)
+
+
+def stub_checkout(tmp_path, name: str, body: str) -> pathlib.Path:
+    """A checkout whose BENCHMARK.json command runs ``body``."""
+    checkout = tmp_path / name
+    checkout.mkdir()
+    (checkout / "bench.py").write_text(body, encoding="utf-8")
+    benchmark = {
+        "command": [sys.executable, "bench.py"],
+        "run_seconds": 1,
+        "end_to_end": [
+            {"name": "point_ms", "unit": "ms", "better": "lower", "bound": 0.25}
+        ],
+    }
+    (checkout / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    return checkout
+
+
+class TestPerfPairsFailedRuns:
+    """A run that prints no result line is named with its exit code and
+    last stderr line, apart from a run that reports itself incorrect."""
+
+    CRASH = (
+        "import sys\n"
+        "sys.stderr.write('Traceback (most recent call last):\\n')\n"
+        "sys.stderr.write('RuntimeError: no speed sample fell in the stretch\\n')\n"
+        "sys.exit(1)\n"
+    )
+    INCORRECT = (
+        "import json\n"
+        "print(json.dumps({'correct': False, 'attempted': 3, 'failed': 1,\n"
+        "    'metrics': {'point_ms': {'value': 1.0}}}))\n"
+    )
+
+    def test_a_run_without_a_result_is_named(self, pairs, tmp_path, capsys):
+        crash = stub_checkout(tmp_path, "crash", self.CRASH)
+        incorrect = stub_checkout(tmp_path, "incorrect", self.INCORRECT)
+        code = pairs.main(
+            [str(crash), str(incorrect), "--workload", "paper", "--pairs", "1"]
+        )
+        assert code == 1
+        out = capsys.readouterr().out.splitlines()
+        no_result = (
+            "pair 1 parent: no result (exit 1): "
+            "RuntimeError: no speed sample fell in the stretch"
+        )
+        incorrect_run = "pair 1 change: correct=False attempted=3 failed=1"
+        assert out[0] == no_result
+        assert out[1].startswith(incorrect_run)
+        # The closing list names both runs, and no verdict follows.
+        assert out[2].startswith("perf_pairs: 2 run(s)")
+        assert out[3] == f"  {no_result}"
+        assert out[4].startswith(f"  {incorrect_run}")
+        assert len(out) == 5
