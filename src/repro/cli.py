@@ -26,7 +26,9 @@ command accepts ``--verbose``/``--quiet`` to tune the stderr log level
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 
@@ -42,6 +44,7 @@ from .config import (
     WorkloadConfig,
 )
 from .core.costs import CONGESTION_CHANNEL
+from .errors import ConfigurationError
 from .faults import FAULT_PROFILES, FaultConfig
 from .harvest import (
     HARDWARE_PLACEMENTS,
@@ -73,17 +76,38 @@ from .telemetry import (
 from .version import PAPER_CITATION, __version__
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
+def _int_at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+
+@contextlib.contextmanager
+def _flags_to_config(args: argparse.Namespace):
+    """The step that turns a command's flags into configurations.
+
+    A :class:`ConfigurationError` raised inside it is a usage error:
+    exit 2 with one ``error:`` line.  One raised later, while a
+    simulation runs, keeps its traceback.
+    """
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+        yield
+    except ConfigurationError as error:
+        args.usage_error(str(error))
 
 
 def _add_logging_arguments(parser: argparse.ArgumentParser) -> None:
@@ -107,7 +131,7 @@ def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
 
 def _add_mesh_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--mesh", type=int, default=4, metavar="W",
+        "--mesh", type=_int_at_least(2), default=4, metavar="W",
         help="mesh width (square WxW mesh, default 4)",
     )
 
@@ -324,21 +348,22 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = SimulationConfig(
-        platform=PlatformConfig(
-            mesh_width=args.mesh,
-            battery_model=args.battery,
-            mapping_strategy=args.mapping,
-        ),
-        workload=WorkloadConfig(seed=args.seed),
-        faults=_fault_config(args),
-        harvest=_harvest_config(args),
-        routing=args.routing,
-        wear_aware=args.wear_weight,
-        harvest_aware=args.harvest_weight,
-        routing_opts=_routing_options(args),
-        engine=args.engine,
-    )
+    with _flags_to_config(args):
+        config = SimulationConfig(
+            platform=PlatformConfig(
+                mesh_width=args.mesh,
+                battery_model=args.battery,
+                mapping_strategy=args.mapping,
+            ),
+            workload=WorkloadConfig(seed=args.seed),
+            faults=_fault_config(args),
+            harvest=_harvest_config(args),
+            routing=args.routing,
+            wear_aware=args.wear_weight,
+            harvest_aware=args.harvest_weight,
+            routing_opts=_routing_options(args),
+            engine=args.engine,
+        )
     recorder = TraceRecorder() if args.trace else None
     stats = run_simulation(config, recorder)
     if args.json:
@@ -393,7 +418,7 @@ def _make_runner(args: argparse.Namespace):
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=_int_at_least(0), default=1, metavar="N",
         help="worker processes (1 = sequential, 0 = all cores)",
     )
     parser.add_argument(
@@ -410,15 +435,20 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.sweep import sweep_mesh_sizes
 
-    base = SimulationConfig(
-        platform=PlatformConfig(mapping_strategy=args.mapping),
-        faults=_fault_config(args),
-        harvest=_harvest_config(args),
-        wear_aware=args.wear_weight,
-        harvest_aware=args.harvest_weight,
-        routing_opts=_routing_options(args),
-        engine=args.engine,
-    )
+    if args.min_mesh > args.max_mesh:
+        args.usage_error(
+            f"--min-mesh {args.min_mesh} exceeds --max-mesh {args.max_mesh}"
+        )
+    with _flags_to_config(args):
+        base = SimulationConfig(
+            platform=PlatformConfig(mapping_strategy=args.mapping),
+            faults=_fault_config(args),
+            harvest=_harvest_config(args),
+            wear_aware=args.wear_weight,
+            harvest_aware=args.harvest_weight,
+            routing_opts=_routing_options(args),
+            engine=args.engine,
+        )
     widths = tuple(range(args.min_mesh, args.max_mesh + 1))
     writer = TraceWriter(args.trace) if args.trace else None
     hook = None
@@ -483,15 +513,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # Scenarios that exist to compare engines (engine-speed,
     # vector-mesh) pin their own engine per point and win over this
     # base value.
-    base = SimulationConfig(
-        platform=PlatformConfig(mapping_strategy=args.mapping),
-        faults=_fault_config(args),
-        harvest=_harvest_config(args),
-        wear_aware=args.wear_weight,
-        harvest_aware=args.harvest_weight,
-        routing_opts=_routing_options(args),
-        engine=args.engine,
-    )
+    with _flags_to_config(args):
+        base = SimulationConfig(
+            platform=PlatformConfig(mapping_strategy=args.mapping),
+            faults=_fault_config(args),
+            harvest=_harvest_config(args),
+            wear_aware=args.wear_weight,
+            harvest_aware=args.harvest_weight,
+            routing_opts=_routing_options(args),
+            engine=args.engine,
+        )
     logger = get_logger()
     runner = _make_runner(args)
     cache = runner.cache
@@ -585,20 +616,30 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if single_shard and (
         args.shard_index is None or args.shard_count is None
     ):
-        raise SystemExit(
+        args.usage_error(
             "--shard-index and --shard-count must be given together"
         )
+    if args.shard_out is not None and not single_shard:
+        args.usage_error(
+            "--shard-out names the state file of a --shard-index run"
+        )
     if args.compare_routing and single_shard:
-        raise SystemExit(
+        args.usage_error(
             "--compare-routing runs both variants in one process; "
             "combine it with --workers, not with sharding"
+        )
+    if args.compare_routing and args.trace:
+        args.usage_error(
+            "--compare-routing writes no trace; trace the single-stream "
+            "or a sharded run instead"
         )
 
     cache = _make_cache(args)
 
     # --- one shard of a multi-host run: emit a standalone state file
     if single_shard:
-        spec = shard_spec_for(size, args.shard_count, args.shard_index)
+        with _flags_to_config(args):
+            spec = shard_spec_for(size, args.shard_count, args.shard_index)
         writer = TraceWriter(args.trace) if args.trace else None
         heartbeat = Heartbeat(
             total=spec.size,
@@ -749,6 +790,8 @@ def _cmd_fleet_merge(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .analysis.trace_summary import trace_summary
 
+    if not os.path.isfile(args.path):
+        args.usage_error(f"no such trace file: {args.path!r}")
     lines = load_trace(args.path)
     print(
         trace_summary(
@@ -853,9 +896,11 @@ def _cmd_mapping(args: argparse.Namespace) -> int:
     platform = PlatformConfig(
         mesh_width=args.mesh, mapping_strategy=args.strategy
     )
+    with _flags_to_config(args):
+        harvest = _harvest_config(args)
     topology = platform.make_topology()
     schedule = build_harvest_schedule(
-        _harvest_config(args), topology, platform.num_mesh_nodes
+        harvest, topology, platform.num_mesh_nodes
     )
     mapping = platform.make_mapping(
         topology,
@@ -917,8 +962,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=_cmd_simulate)
 
     sweep = sub.add_parser("sweep", help="EAR vs SDR across mesh sizes")
-    sweep.add_argument("--min-mesh", type=int, default=4)
-    sweep.add_argument("--max-mesh", type=int, default=8)
+    sweep.add_argument("--min-mesh", type=_int_at_least(2), default=4)
+    sweep.add_argument("--max-mesh", type=_int_at_least(2), default=8)
     _add_mapping_argument(sweep)
     _add_engine_argument(sweep)
     _add_runner_arguments(sweep)
@@ -966,7 +1011,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="population-scale fleet sweep with streaming aggregation",
     )
     fleet.add_argument(
-        "--size", type=int, default=None, metavar="N",
+        "--size", type=_int_at_least(0), default=None, metavar="N",
         help="garments in the fleet (default 256, or 1000 with --smoke)",
     )
     fleet.add_argument(
@@ -985,7 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
         "size (the CI entry point)",
     )
     fleet.add_argument(
-        "--chunk", type=int, default=128, metavar="N",
+        "--chunk", type=_int_at_least(1), default=128, metavar="N",
         help="garments in flight at once — the memory bound (default 128)",
     )
     fleet.add_argument(
@@ -993,13 +1038,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the aggregate bundle as JSON",
     )
     fleet.add_argument(
-        "--shard-index", type=int, default=None, metavar="I",
+        "--shard-index", type=_int_at_least(0), default=None, metavar="I",
         help="run only shard I of a --shard-count split and write its "
         "standalone state file (one-shard-per-host mode; merge with "
         "`repro fleet-merge`)",
     )
     fleet.add_argument(
-        "--shard-count", type=int, default=None, metavar="N",
+        "--shard-count", type=_int_at_least(1), default=None, metavar="N",
         help="total shards of the multi-host split (with --shard-index)",
     )
     fleet.add_argument(
@@ -1052,8 +1097,8 @@ def build_parser() -> argparse.ArgumentParser:
     curve = sub.add_parser(
         "battery-curve", help="thin-film discharge curve"
     )
-    curve.add_argument("--points", type=_positive_int, default=24)
-    curve.add_argument("--step-cycles", type=_positive_int, default=2000)
+    curve.add_argument("--points", type=_int_at_least(1), default=24)
+    curve.add_argument("--step-cycles", type=_int_at_least(1), default=2000)
     curve.set_defaults(func=_cmd_battery_curve)
 
     mapping = sub.add_parser("mapping", help="module mapping of a mesh")
@@ -1082,6 +1127,11 @@ def build_parser() -> argparse.ArgumentParser:
         "stale or missing (the CI staleness gate)",
     )
     regen.set_defaults(func=_cmd_regen_golden)
+
+    # A command reports a usage error through its own parser, so the
+    # message follows that command's usage line.
+    for command in sub.choices.values():
+        command.set_defaults(usage_error=command.error)
     return parser
 
 

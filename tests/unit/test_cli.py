@@ -233,6 +233,52 @@ class TestBatteryCurve:
         assert f"argument {named}: must be at least 1" in captured.err
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "simulate --mesh 1",
+            "bound --mesh 0",
+            "mapping --mesh 1",
+            "bench --smoke --scenario fig7 --workers -1",
+            "fleet --smoke --size 3 --chunk 0",
+            "fleet --smoke --size -2",
+            "fleet --smoke --shard-index 3 --shard-count 2",
+            "simulate --fault-profile link-attrition --fault-intensity -1",
+            "trace /no/such/file.jsonl",
+            "sweep --min-mesh 5 --max-mesh 4",
+            "fleet --smoke --size 4 --compare-routing --trace t.jsonl",
+            "fleet --smoke --size 4 --shard-out s.json",
+        ],
+    )
+    def test_is_a_usage_error(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.split())
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1, captured.err
+        assert "Traceback" not in captured.err
+        # Nothing ran, so nothing was written.
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_error_while_simulating_keeps_its_traceback(
+        self, monkeypatch
+    ):
+        from repro.errors import ConfigurationError
+
+        def failing(config, recorder=None):
+            raise ConfigurationError("raised by the run")
+
+        monkeypatch.setattr("repro.cli.run_simulation", failing)
+        with pytest.raises(ConfigurationError, match="raised by the run"):
+            main(["simulate"])
+
+
 class TestSimulate:
     def test_json_summary(self, capsys):
         code = main(
