@@ -25,7 +25,7 @@ from .trees import shortest_path_trees as floyd_warshall_successors
 from .view import NetworkView
 
 
-@dataclass(frozen=True)
+@dataclass
 class RoutingEngine:
     """The online routing algorithm (paper Sec 6).
 
