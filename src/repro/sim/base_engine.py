@@ -175,7 +175,6 @@ class EngineBase:
         channels = (
             config.level_channels() if config.routing == "ear" else ()
         )
-        # EAR and SDR differ only in the cost pipeline: SDR's is empty.
         pipeline = (
             CostPipeline.ear(config.weight_function(), channels)
             if config.routing == "ear"
