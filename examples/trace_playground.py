@@ -4,11 +4,11 @@
 Every engine, the control plane and the sweep runners emit telemetry
 through one tiny ``Recorder`` interface.  The default ``NullRecorder``
 is gated out of the hot paths — a recorder-free run builds no trace
-record and reads no clock — while a ``TraceRecorder``
-captures a structured trace: per-frame probes (alive count,
-state-of-charge quantiles, in-flight jobs), quantised link load/wear
-level crossings, and discrete events (re-plans with per-cost-term
-attribution, faults, deadlock reports, node deaths).
+record and reads no clock — while a ``TraceRecorder`` captures a
+structured trace: per-frame probes (alive count, state-of-charge
+quantiles, in-flight jobs), quantised link load/wear level crossings,
+and discrete events (re-plans with per-cost-term attribution, faults,
+deadlock reports, node deaths).
 
 This example runs the congestion-relief smoke point (4x4 mesh, ECMP +
 congestion cost term) three ways and shows:
